@@ -14,8 +14,17 @@ SubsystemConfig SubsystemConfig::defaults() {
 }
 
 MemorySubsystem::MemorySubsystem(const SubsystemConfig& config)
+    : MemorySubsystem(config, std::make_unique<nand::NandDevice>(config.device)) {}
+
+MemorySubsystem::MemorySubsystem(const SubsystemConfig& config,
+                                 std::shared_ptr<const nand::NandTiming> timing)
+    : MemorySubsystem(config, std::make_unique<nand::NandDevice>(
+                                  config.device, std::move(timing))) {}
+
+MemorySubsystem::MemorySubsystem(const SubsystemConfig& config,
+                                 std::unique_ptr<nand::NandDevice> device)
     : config_(config),
-      device_(std::make_unique<nand::NandDevice>(config.device)),
+      device_(std::move(device)),
       controller_(std::make_unique<controller::MemoryController>(
           config.controller, *device_, config.hv)),
       framework_(std::make_unique<CrossLayerFramework>(

@@ -50,7 +50,11 @@ struct Segment {
 
 class MemorySubsystem {
  public:
+  // Builds a device with a private NandTiming.
   explicit MemorySubsystem(const SubsystemConfig& config);
+  // Builds a device sharing `timing` (see nand::NandDevice).
+  MemorySubsystem(const SubsystemConfig& config,
+                  std::shared_ptr<const nand::NandTiming> timing);
 
   nand::NandDevice& device() { return *device_; }
   controller::MemoryController& controller() { return *controller_; }
@@ -77,6 +81,8 @@ class MemorySubsystem {
   controller::ReadResult read_page(nand::PageAddress addr);
 
  private:
+  MemorySubsystem(const SubsystemConfig& config,
+                  std::unique_ptr<nand::NandDevice> device);
   double representative_wear() const;
   const Segment* segment_of(std::uint32_t block) const;
 

@@ -1,5 +1,7 @@
 #include "src/explore/sweep.hpp"
 
+#include <set>
+
 #include "src/util/expect.hpp"
 
 namespace xlf::explore {
@@ -30,6 +32,18 @@ std::vector<core::Metrics> SweepResult::front() const {
   return out;
 }
 
+std::vector<std::size_t> key_first_order(const std::vector<double>& ages) {
+  std::vector<std::size_t> order, rest;
+  order.reserve(ages.size());
+  std::set<long> keys;
+  for (std::size_t a = 0; a < ages.size(); ++a) {
+    const bool first = keys.insert(nand::NandTiming::age_key(ages[a])).second;
+    (first ? order : rest).push_back(a);
+  }
+  order.insert(order.end(), rest.begin(), rest.end());
+  return order;
+}
+
 SweepResult sweep_space(const SweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT(!spec.ages.empty());
   const auto& hw = spec.framework.cross_layer.ecc_hw;
@@ -43,13 +57,15 @@ SweepResult sweep_space(const SweepSpec& spec, ThreadPool& pool) {
   // One framework shared by every age task: NandTiming's trace cache
   // is internally synchronised and key-deterministic, so workers no
   // longer build private clones. One task per age point — the ISPP
-  // characterisation (the expensive part) is per (algo, age), so an
-  // age task pays it exactly once per algorithm.
+  // characterisation (the expensive part) is per (algo, age key), and
+  // the key-first order gives each key's first touch to one task.
   nand::NandTiming timing = spec.framework.make_timing();
   const core::CrossLayerFramework framework(
       spec.framework.cross_layer, spec.framework.aging, timing,
       spec.framework.hv);
-  pool.parallel_for(spec.ages.size(), [&](std::size_t a) {
+  const std::vector<std::size_t> order = key_first_order(spec.ages);
+  pool.parallel_for(order.size(), [&](std::size_t task) {
+    const std::size_t a = order[task];
     const std::vector<core::Metrics> space = framework.enumerate(spec.ages[a]);
     XLF_ENSURE(space.size() == per_age);
     const std::vector<bool> efficient =

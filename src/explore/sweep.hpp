@@ -2,12 +2,16 @@
 // full (program algorithm x ECC capability x lifetime) grid the paper
 // builds its trade-off analysis on, fanned out over a ThreadPool.
 //
-// All age tasks share ONE NandTiming + CrossLayerFramework:
-// NandTiming's ISPP characterisation cache is internally locked, and
-// a cached entry is a pure function of its key (each characterisation
-// seeds its own Rng from the key), so concurrent workers read
-// identical values no matter which thread populated the cache. Every
-// grid cell's result lands in its preallocated slot, and the per-age
+// All age tasks share ONE NandTiming + CrossLayerFramework. The ISPP
+// cache fills each key exactly once; the task order keeps workers from
+// waiting on each other: key_first_order() hands out the first age of
+// every distinct cache key before any repeat, so concurrent workers
+// characterise distinct keys and a repeat nearly always finds its key
+// filled (only a repeat of a key whose first fill is still running at
+// the very end of the sweep waits for it). A cached entry is a pure
+// function of its key (each characterisation seeds its own Rng from
+// the key), so no value depends on which worker filled it. Every grid
+// cell's result lands in its preallocated slot, and the per-age
 // Pareto flags are a pure function of that age's cells computed
 // inside the age's own task, so the output is bit-identical whatever
 // the thread count — `threads=1` versus `threads=N` is asserted in
@@ -58,8 +62,14 @@ struct SweepResult {
   std::vector<core::Metrics> front() const;
 };
 
+// The order sweep_space runs its age tasks in: the index of the first
+// age of each distinct nand::NandTiming::age_key, then every other
+// index, both ascending. A permutation of 0..ages.size()-1.
+std::vector<std::size_t> key_first_order(const std::vector<double>& ages);
+
 // Evaluate every (algo, t) cell at every age, one parallel task per
-// age point.
+// age point, in key_first_order. Each cell still lands in its own
+// age-major slot.
 SweepResult sweep_space(const SweepSpec& spec, ThreadPool& pool);
 
 }  // namespace xlf::explore

@@ -20,7 +20,17 @@ Ssd::Ssd(const SsdConfig& config)
     // Distinct device noise per die, derived deterministically.
     die_config.device.array.seed =
         config.die.device.array.seed + static_cast<std::uint64_t>(d) + 1;
-    subsystems_.push_back(std::make_unique<core::MemorySubsystem>(die_config));
+    // One ISPP trace cache per SSD: the first die builds the timing
+    // and every other die shares it. The array seed, the only per-die
+    // difference, is not a timing input, and each cache entry is a
+    // pure function of its key, so every latency equals what a private
+    // timing would give; each key is just characterised once.
+    if (d == 0) {
+      subsystems_.push_back(std::make_unique<core::MemorySubsystem>(die_config));
+    } else {
+      subsystems_.push_back(std::make_unique<core::MemorySubsystem>(
+          die_config, subsystems_.front()->device().shared_timing()));
+    }
     if (config.initial_pe_cycles > 0.0) {
       subsystems_.back()->device().set_uniform_wear(config.initial_pe_cycles);
     }

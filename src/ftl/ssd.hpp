@@ -1,7 +1,8 @@
 // The multi-die SSD facade: N channels x M dies of complete per-die
 // stacks (NAND device + memory controller + cross-layer framework,
 // i.e. one core::MemorySubsystem per die), the channel/die dispatch
-// timing model, and the FTL on top.
+// timing model, and the FTL on top. All dies share one NandTiming, so
+// each ISPP characterisation runs once per SSD, not once per die.
 //
 // This is where the paper's trade-off finally runs at system scale:
 // GC and wear leveling *create* a P/E spread across physical blocks,

@@ -7,12 +7,19 @@
 namespace xlf::nand {
 
 NandDevice::NandDevice(const DeviceConfig& config)
+    : NandDevice(config, std::make_shared<const NandTiming>(
+                             config.timing, config.array.ispp,
+                             config.array.plan, config.array.variability,
+                             config.array.aging)) {}
+
+NandDevice::NandDevice(const DeviceConfig& config,
+                       std::shared_ptr<const NandTiming> timing)
     : config_(config),
       array_(config.data_plane ? std::make_unique<NandArray>(config.array)
                                : nullptr),
-      timing_(config.timing, config.array.ispp, config.array.plan,
-              config.array.variability, config.array.aging),
+      timing_(std::move(timing)),
       resident_(config.available_algorithms) {
+  XLF_EXPECT(timing_ != nullptr);
   XLF_EXPECT(!resident_.empty());
   active_algorithm_ = resident_.front();
   const Geometry& g = geometry();
@@ -81,7 +88,7 @@ ReadOutcome NandDevice::read_page(PageAddress addr) const {
   if (deferred_ != nullptr) deferred_->drain();
   ReadOutcome outcome;
   outcome.data = array_->read_page(addr);
-  outcome.busy_time = timing_.read_time();
+  outcome.busy_time = timing_->read_time();
   return outcome;
 }
 
@@ -97,8 +104,8 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
     // time, no cells to place.
     return ProgramOutcome{
         true,
-        timing_.page_write_time(active_algorithm_, wear_now,
-                                geometry().bits_per_page() / 8, strategy),
+        timing_->page_write_time(active_algorithm_, wear_now,
+                                 geometry().bits_per_page() / 8, strategy),
         0};
   }
   if (deferred_ != nullptr) {
@@ -113,8 +120,8 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
         });
     return ProgramOutcome{
         true,
-        timing_.page_write_time(active_algorithm_, wear_now, data.size() / 8,
-                                strategy),
+        timing_->page_write_time(active_algorithm_, wear_now, data.size() / 8,
+                                 strategy),
         0};
   }
   const ProgramResult result =
@@ -125,12 +132,12 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
   if (result.trace.has_value()) {
     // Bit-true mode: the actual trace of this very page.
     outcome.busy_time = result.trace->duration() +
-                        timing_.io_transfer_time(data.size() / 8) -
+                        timing_->io_transfer_time(data.size() / 8) -
                         (strategy == LoadStrategy::kTwoRound
-                             ? timing_.io_transfer_time(data.size() / 16)
+                             ? timing_->io_transfer_time(data.size() / 16)
                              : Seconds{0.0});
   } else {
-    outcome.busy_time = timing_.page_write_time(
+    outcome.busy_time = timing_->page_write_time(
         active_algorithm_, wear_now, data.size() / 8, strategy);
   }
   return outcome;
@@ -157,7 +164,7 @@ EraseOutcome NandDevice::erase_block(std::uint32_t block) {
     programmed_[base + p] = 0;
   }
   ++erase_counts_[block];
-  return EraseOutcome{timing_.erase_time()};
+  return EraseOutcome{timing_->erase_time()};
 }
 
 void NandDevice::write_oob(PageAddress addr, const OobRecord& record) {

@@ -68,14 +68,23 @@ struct EraseOutcome {
 
 class NandDevice {
  public:
+  // Builds a private NandTiming from the config.
   explicit NandDevice(const DeviceConfig& config);
+  // Shares `timing` (and its ISPP characterisation cache) with other
+  // devices. It must have been built from timing inputs equal to this
+  // config's (`timing` and the array's ispp/plan/variability/aging).
+  NandDevice(const DeviceConfig& config,
+             std::shared_ptr<const NandTiming> timing);
 
   const DeviceConfig& config() const { return config_; }
   const Geometry& geometry() const { return config_.array.geometry; }
   // The cell array; only exists on data-plane devices.
   NandArray& array();
   const NandArray& array() const;
-  const NandTiming& timing() const { return timing_; }
+  const NandTiming& timing() const { return *timing_; }
+  const std::shared_ptr<const NandTiming>& shared_timing() const {
+    return timing_;
+  }
 
   // Defer cell-array mutations (programs, erases, wear jumps) into
   // `queue` instead of running them inline; nullptr detaches. While
@@ -140,7 +149,7 @@ class NandDevice {
   // nullptr on metadata-only devices (constructing the array samples
   // every cell of every block — exactly the cost that mode avoids).
   std::unique_ptr<NandArray> array_;
-  NandTiming timing_;
+  std::shared_ptr<const NandTiming> timing_;
   std::vector<ProgramAlgorithm> resident_;
   ProgramAlgorithm active_algorithm_ = ProgramAlgorithm::kIsppSv;
   // Durable metadata plane: per-page spare records, per-block erase

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <numeric>
 
 #include "src/util/expect.hpp"
 
@@ -37,15 +39,29 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
 
   const bool double_verify = algo == ProgramAlgorithm::kIsppDv;
 
-  // Per-cell programming state.
+  // Per-cell programming state, plus the ascending indices of the
+  // cells not yet inhibited: pulses and verifies walk only those, and
+  // the ascending order keeps the injection-noise draws in cell order.
+  // The list is sized once and only ever compacted in place.
   enum class State : std::uint8_t { kInhibited, kPulsing, kSlowZone };
+  XLF_EXPECT(cells.size() <= UINT32_MAX);
   std::vector<State> state(cells.size(), State::kInhibited);
+  std::vector<std::uint32_t> active(cells.size());
+  std::iota(active.begin(), active.end(), 0u);
+  std::erase_if(active,
+                [&](std::uint32_t i) { return targets[i] == Level::kL0; });
   std::array<std::size_t, 4> pending_per_level{0, 0, 0, 0};
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (targets[i] != Level::kL0) {
-      state[i] = State::kPulsing;
-      ++pending_per_level[static_cast<std::size_t>(targets[i])];
-    }
+  for (const std::uint32_t i : active) {
+    state[i] = State::kPulsing;
+    ++pending_per_level[static_cast<std::size_t>(targets[i])];
+  }
+
+  // Per-level sensing voltages: verify, and the DV pre-verify below it.
+  std::array<Volts, 4> vfy{}, pre{};
+  for (Level level : {Level::kL1, Level::kL2, Level::kL3}) {
+    const auto li = static_cast<std::size_t>(level);
+    vfy[li] = plan_.verify_for(level);
+    pre[li] = vfy[li] - plan_.pre_verify_offset * dv_zone_multiplier;
   }
 
   Volts vcg = config_.v_start;
@@ -55,12 +71,18 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
     if (!any_pending) break;
 
     // --- program pulse ------------------------------------------------
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+    // Also folds each level's fastest pending V_TH: nothing moves a
+    // threshold between here and the verify phase.
+    std::array<Volts, 4> fastest;
+    fastest.fill(Volts{-100.0});
+    for (const std::uint32_t i : active) {
       if (state[i] == State::kPulsing) {
         cells[i].apply_pulse(vcg, rng);
-      } else if (state[i] == State::kSlowZone) {
+      } else {
         cells[i].apply_pulse(vcg, rng, config_.dv_bitline_bias);
       }
+      Volts& level_fastest = fastest[static_cast<std::size_t>(targets[i])];
+      level_fastest = std::max(level_fastest, cells[i].vth());
     }
     ++trace.pulses;
     trace.program_pump_time += config_.pulse_time;
@@ -68,47 +90,47 @@ IsppTrace IsppEngine::program(std::span<FloatingGateCell> cells,
     trace.vcg_time_integral += vcg.value() * config_.pulse_time.value();
 
     // --- verify phase ---------------------------------------------
+    // Smart scheduling: sense a level only when its fastest pending
+    // cell is within lookahead of the sensing voltage — the pre-verify
+    // level for DV, the verify level for SV. DV senses pre-verify then
+    // verify; SV only verify.
+    std::array<bool, 4> sensed{false, false, false, false};
+    bool any_sensed = false;
     for (Level level : {Level::kL1, Level::kL2, Level::kL3}) {
       const auto li = static_cast<std::size_t>(level);
       if (pending_per_level[li] == 0) continue;
-
-      // Smart scheduling: sense this level only when its fastest
-      // pending cell is within lookahead of the sensing voltage — the
-      // pre-verify level for DV, the verify level for SV.
-      const Volts vfy = plan_.verify_for(level);
-      const Volts pre =
-          vfy - plan_.pre_verify_offset * dv_zone_multiplier;
-      const Volts sense_from = double_verify ? pre : vfy;
-      Volts fastest{-100.0};
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (targets[i] == level && state[i] != State::kInhibited) {
-          fastest = std::max(fastest, cells[i].vth());
-        }
-      }
-      if (fastest < sense_from - config_.verify_lookahead) continue;
-
-      if (double_verify) {
-        // Pre-verify sense: move cells past VFYp into the slow zone.
+      const Volts sense_from = double_verify ? pre[li] : vfy[li];
+      if (fastest[li] < sense_from - config_.verify_lookahead) continue;
+      sensed[li] = any_sensed = true;
+      for (int sense = double_verify ? 2 : 1; sense > 0; --sense) {
         ++trace.verify_ops;
         trace.verify_pump_time += config_.verify_time;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          if (targets[i] == level && state[i] == State::kPulsing &&
-              cells[i].vth() >= pre) {
-            state[i] = State::kSlowZone;
-          }
-        }
       }
+    }
 
-      // Main verify sense: inhibit cells that reached the level.
-      ++trace.verify_ops;
-      trace.verify_pump_time += config_.verify_time;
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (targets[i] == level && state[i] != State::kInhibited &&
-            cells[i].vth() >= vfy) {
+    // One scan applies every sensed level's outcome: cells past VFYp
+    // enter the DV slow zone, cells past VFY are inhibited. Levels are
+    // disjoint cell sets, so one pass equals the per-level passes.
+    bool any_inhibited = false;
+    if (any_sensed) {
+      for (const std::uint32_t i : active) {
+        const auto li = static_cast<std::size_t>(targets[i]);
+        if (!sensed[li]) continue;
+        const Volts vth = cells[i].vth();
+        if (double_verify && state[i] == State::kPulsing && vth >= pre[li]) {
+          state[i] = State::kSlowZone;
+        }
+        if (vth >= vfy[li]) {
           state[i] = State::kInhibited;
           --pending_per_level[li];
+          any_inhibited = true;
         }
       }
+    }
+    if (any_inhibited) {
+      std::erase_if(active, [&](std::uint32_t i) {
+        return state[i] == State::kInhibited;
+      });
     }
 
     vcg = std::min(vcg + config_.v_step, config_.v_end);

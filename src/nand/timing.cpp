@@ -31,6 +31,7 @@ IsppTrace NandTiming::characterize(ProgramAlgorithm algo, double pe_cycles,
   // time is set by the slowest-cell tail, which is noisy on a single
   // draw but very stable in expectation.
   constexpr unsigned kRuns = 3;
+  characterisations_.fetch_add(1, std::memory_order_relaxed);
   const double zone = aging_.dv_zone_multiplier(pe_cycles);
   IsppTrace averaged;
   double pulses = 0.0, verify_ops = 0.0, failed = 0.0;
@@ -70,36 +71,36 @@ IsppTrace NandTiming::characterize(ProgramAlgorithm algo, double pe_cycles,
   return averaged;
 }
 
+long NandTiming::age_key(double pe_cycles) {
+  return std::lround(std::log10(std::max(pe_cycles, 1.0)) * 12.0);
+}
+
 const IsppTrace& NandTiming::sample_trace(ProgramAlgorithm algo,
                                           double pe_cycles,
                                           std::optional<Level> pattern) const {
   XLF_EXPECT(pe_cycles >= 0.0);
   const int pattern_key =
       pattern.has_value() ? static_cast<int>(*pattern) : -1;
-  // Quantise the age to 12 points per decade: program time varies
-  // slowly with wear and the ISPP sample run is expensive.
-  const long age_key =
-      std::lround(std::log10(std::max(pe_cycles, 1.0)) * 12.0);
-  const auto key = std::make_tuple(static_cast<int>(algo), pattern_key, age_key);
+  const long quantised = age_key(pe_cycles);
+  const auto key = std::make_tuple(static_cast<int>(algo), pattern_key, quantised);
+  CacheEntry* entry = nullptr;
   {
+    // The entry pointer outlives the lock safely — map nodes are
+    // stable and entries are never erased.
     const std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
+    entry = &cache_.try_emplace(key).first->second;
   }
-  // Characterise at the key's canonical age, not the exact request:
-  // the entry is then a pure function of the key, so concurrent
-  // first callers — even for *different* ages quantising to the same
-  // key — compute bit-identical traces and any try_emplace race is
-  // harmless (the loser's duplicate is discarded). Computing outside
-  // the lock keeps cold-cache characterisations parallel across
-  // workers, which is where the sweep's speedup lives.
-  const double canonical_age =
-      std::pow(10.0, static_cast<double>(age_key) / 12.0);
-  IsppTrace trace = characterize(algo, canonical_age, pattern);
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  // The returned reference outlives the lock safely — map nodes are
-  // stable and entries are never erased.
-  return cache_.try_emplace(key, std::move(trace)).first->second;
+  // Characterise at the key's canonical age, not the exact request, so
+  // the entry is a pure function of the key. The fill runs outside the
+  // map lock, so distinct cold keys characterise in parallel; a second
+  // caller of a key being filled waits for that fill instead of
+  // repeating it.
+  std::call_once(entry->filled, [&] {
+    const double canonical_age =
+        std::pow(10.0, static_cast<double>(quantised) / 12.0);
+    entry->trace = characterize(algo, canonical_age, pattern);
+  });
+  return entry->trace;
 }
 
 Seconds NandTiming::program_time(ProgramAlgorithm algo,

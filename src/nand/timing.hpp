@@ -8,6 +8,8 @@
 // and the growing ISPP-DV penalty (Fig. 9) come from.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -49,18 +51,30 @@ class NandTiming {
   // Characteristic ISPP trace for one page program at the given age.
   // `pattern` restricts every programmed cell to one target level
   // (the Fig. 6 L1/L2/L3 patterns); nullopt = uniform random data.
-  // Results are cached on a log-spaced age grid (12 keys per decade)
-  // and characterised at the key's canonical age, so an entry is a
-  // pure function of (algo, pattern, quantised age). Thread-safe:
-  // lookups and insertion are lock-guarded while the characterisation
-  // itself runs outside the lock (cold-cache keys characterise in
-  // parallel), and key-purity makes a duplicate-compute race
-  // value-identical — concurrent callers always observe the same
-  // bits regardless of which thread populated the entry. The returned
-  // reference stays valid for the lifetime of this object (std::map
-  // nodes are stable and never erased).
+  // Results are cached per age_key() and characterised at the key's
+  // canonical age, so an entry is a pure function of (algo, pattern,
+  // age key) and no value depends on which caller filled it.
+  // Thread-safe, and each key is characterised exactly once: the
+  // characterisation runs outside the map lock, so distinct cold keys
+  // fill in parallel, while a caller that hits a key another thread is
+  // still filling blocks until that fill ends. Parallel callers avoid
+  // those waits by touching distinct keys first (as
+  // explore::key_first_order does). The returned reference stays valid
+  // for the lifetime of this object (std::map nodes are stable and
+  // never erased).
   const IsppTrace& sample_trace(ProgramAlgorithm algo, double pe_cycles,
                                 std::optional<Level> pattern = std::nullopt) const;
+
+  // The cache's age quantisation: round(12 * log10(max(pe_cycles, 1))),
+  // i.e. 12 keys per decade — program time varies slowly with wear and
+  // the ISPP sample run is expensive.
+  static long age_key(double pe_cycles);
+
+  // How many ISPP characterisations this object has run: one per
+  // distinct cache key touched so far.
+  std::uint64_t characterisations() const {
+    return characterisations_.load(std::memory_order_relaxed);
+  }
 
   Seconds program_time(ProgramAlgorithm algo, double pe_cycles) const;
 
@@ -81,15 +95,21 @@ class NandTiming {
   AgingLaw aging_;
   VariabilitySampler variability_;
   IsppEngine engine_;
-  // Cache key: (algo, pattern index or -1, quantised log10 cycles).
-  // Guarded by cache_mutex_; characterisation runs under the lock so
-  // an entry is computed exactly once. The mutex makes NandTiming
+  // One cache slot: filled exactly once, by its first caller.
+  struct CacheEntry {
+    std::once_flag filled;
+    IsppTrace trace;
+  };
+  // Cache key: (algo, pattern index or -1, age_key). The map is
+  // guarded by cache_mutex_, held only to find or insert a slot, never
+  // across a characterisation. The mutex makes NandTiming
   // non-copyable — callers that used to clone private instances as a
   // thread-safety workaround (the explore sweep) share one instead.
   // Predates the lock-order rule: a pure memo cache, never held across
   // a call out of this class, so no ordering can form around it.
   mutable std::mutex cache_mutex_;  // xlf-lint: allow(lock-order)
-  mutable std::map<std::tuple<int, int, long>, IsppTrace> cache_;
+  mutable std::map<std::tuple<int, int, long>, CacheEntry> cache_;
+  mutable std::atomic<std::uint64_t> characterisations_{0};
 };
 
 }  // namespace xlf::nand

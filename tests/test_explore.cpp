@@ -9,6 +9,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/util/stats.hpp"
 
 namespace xlf::explore {
 namespace {
@@ -56,6 +61,49 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial) {
   // Byte-identical reports follow from bit-identical cells.
   EXPECT_EQ(sweep_csv(a), sweep_csv(b));
   EXPECT_EQ(sweep_json(a), sweep_json(b));
+}
+
+TEST(Sweep, KeyFirstOrderIsAPermutationLedByEachKeyOnce) {
+  const std::vector<double> ages = log_space(1.0, 1e6, 241);
+  const std::vector<std::size_t> order = key_first_order(ages);
+  ASSERT_EQ(order.size(), ages.size());
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
+
+  // 241 ages over six decades fall on 73 keys (12 per decade, both
+  // ends included): the first 73 entries hit each key once.
+  std::set<long> all_keys;
+  for (double age : ages) all_keys.insert(nand::NandTiming::age_key(age));
+  ASSERT_EQ(all_keys.size(), 73u);
+  std::set<long> leading;
+  for (std::size_t i = 0; i < all_keys.size(); ++i) {
+    EXPECT_TRUE(leading.insert(nand::NandTiming::age_key(ages[order[i]])).second)
+        << "entry " << i;
+  }
+  EXPECT_EQ(leading, all_keys);
+  // Each part keeps ascending index order.
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.begin() + 73));
+  EXPECT_TRUE(std::is_sorted(order.begin() + 73, order.end()));
+}
+
+TEST(Sweep, FullAgeGridIsByteIdenticalAcrossThreadCounts) {
+  // The paper grid's 241 ages put several ages on every cache key, the
+  // case the key-first task order exists for. A smaller cell sample
+  // keeps the characterisations cheap; the order is what is tested.
+  SweepSpec spec;
+  spec.framework = FrameworkSpec::from(core::SubsystemConfig::defaults());
+  spec.framework.timing.sample_cells = 512;
+  spec.ages = log_space(1.0, 1e6, 241);
+  ThreadPool one(1), two(2), four(4);
+  const SweepResult reference = sweep_space(spec, one);
+  const std::string csv = sweep_csv(reference);
+  const std::string json = sweep_json(reference);
+  for (ThreadPool* pool : {&two, &four}) {
+    const SweepResult result = sweep_space(spec, *pool);
+    EXPECT_EQ(sweep_csv(result), csv) << pool->thread_count() << " threads";
+    EXPECT_EQ(sweep_json(result), json) << pool->thread_count() << " threads";
+  }
 }
 
 TEST(Sweep, MatchesDirectFrameworkEnumeration) {

@@ -395,6 +395,36 @@ TEST(Ssd, BlockMetricsTrackPerBlockWear) {
   EXPECT_LT(young.pe_cycles, old.pe_cycles);
 }
 
+// Every die of one SSD shares one NandTiming, so each ISPP
+// characterisation key runs once per SSD, however many dies use it.
+TEST(Ssd, DiesShareOneCharacterisationCache) {
+  SsdConfig config = small_ssd();
+  config.topology = {2, 2};
+  config.die.device.data_plane = false;
+  Ssd ssd(config);
+  ASSERT_EQ(ssd.dies(), 4u);
+  const nand::NandTiming& timing = ssd.die(0).device().timing();
+  for (std::size_t d = 1; d < ssd.dies(); ++d) {
+    EXPECT_EQ(&ssd.die(d).device().timing(), &timing) << "die " << d;
+  }
+
+  // Two dies on one age key, the other two on keys of their own.
+  const double wear[] = {1e4, 1.01e4, 1e5, 2e5};
+  std::set<long> keys;
+  for (std::size_t d = 0; d < ssd.dies(); ++d) {
+    ssd.die(d).device().set_uniform_wear(wear[d]);
+    keys.insert(nand::NandTiming::age_key(wear[d]));
+  }
+  ASSERT_EQ(keys.size(), 3u);
+
+  // One write per LPA: every die programs, nothing is erased, so every
+  // program runs at its die's wear.
+  const BitVec payload(ssd.die_geometry().data_bits_per_page());
+  for (Lpa lpa = 0; lpa < 16; ++lpa) ASSERT_TRUE(ssd.ftl().write(lpa, payload).ok);
+  EXPECT_EQ(ssd.ftl().stats().erases, 0u);
+  EXPECT_EQ(timing.characterisations(), keys.size());
+}
+
 TEST(Ftl, RunsAreDeterministic) {
   const auto run_once = [] {
     Ssd ssd(small_ssd());

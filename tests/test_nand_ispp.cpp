@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <optional>
 
 #include "src/nand/aging.hpp"
 #include "src/nand/variability.hpp"
@@ -190,6 +194,147 @@ TEST(Ispp, StaircaseResponseMatchesPulseCount) {
   // Monotone non-decreasing threshold.
   for (std::size_t i = 1; i < response.size(); ++i) {
     EXPECT_GE(response[i] + Volts{1e-9}, response[i - 1]);
+  }
+}
+
+// --- kernel pin ----------------------------------------------------------
+//
+// Every IsppTrace field and a hash of every final V_TH, pinned exactly
+// for SV and DV at three ages and three data patterns. Any change to
+// the kernel's arithmetic or to the order of its injection-noise draws
+// moves at least the hash.
+
+struct PinCase {
+  ProgramAlgorithm algo;
+  double pe_cycles;
+  std::optional<Level> pattern;
+};
+
+struct PinValues {
+  unsigned pulses;
+  unsigned verify_ops;
+  bool converged;
+  unsigned failed_cells;
+  double program_pump_s;
+  double vcg_time_integral;
+  double verify_pump_s;
+  double inhibit_pump_s;
+  std::uint64_t vth_hash;
+};
+
+std::vector<PinCase> pin_cases() {
+  std::vector<PinCase> cases;
+  for (auto algo : {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
+    for (double pe : {1.0, 1e4, 1e6}) {
+      for (std::optional<Level> pattern :
+           {std::optional<Level>{}, std::optional<Level>{Level::kL1},
+            std::optional<Level>{Level::kL3}}) {
+        cases.push_back(PinCase{algo, pe, pattern});
+      }
+    }
+  }
+  return cases;
+}
+
+// FNV-1a over the bit patterns of every cell's final V_TH.
+std::uint64_t vth_hash(const std::vector<FloatingGateCell>& cells) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const FloatingGateCell& cell : cells) {
+    const auto bits = std::bit_cast<std::uint64_t>(cell.vth().value());
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+// Expected values, one row per pin_cases() entry, in that order.
+const PinValues kPinned[] = {
+    // SV, 1 P/E, random data
+    {19, 31, true, 0, 0x1.8e757928e0c9dp-11, 0x1.94af4f0d844cfp-7,
+     0x1.248d7e02645e5p-11, 0x1.8e757928e0c9dp-11, 0xbabc2d011986adb5ull},
+    // SV, 1 P/E, all L1
+    {9, 9, true, 0, 0x1.797cc39ffd60ep-12, 0x1.61e4f765fd8aep-8,
+     0x1.53bd1676640a7p-13, 0x1.797cc39ffd60ep-12, 0xa0d70c765532b5a2ull},
+    // SV, 1 P/E, all L3
+    {19, 11, true, 0, 0x1.8e757928e0c9dp-11, 0x1.94af4f0d844cfp-7,
+     0x1.9f3c70c996b77p-13, 0x1.8e757928e0c9dp-11, 0xb1ca8ebd4570b411ull},
+    // SV, 1e4 P/E, random data
+    {19, 31, true, 0, 0x1.8e757928e0c9dp-11, 0x1.94af4f0d844cfp-7,
+     0x1.248d7e02645e5p-11, 0x1.8e757928e0c9dp-11, 0x8ff58554751e77f8ull},
+    // SV, 1e4 P/E, all L1
+    {9, 9, true, 0, 0x1.797cc39ffd60ep-12, 0x1.61e4f765fd8aep-8,
+     0x1.53bd1676640a7p-13, 0x1.797cc39ffd60ep-12, 0xc20db0bc462f72ecull},
+    // SV, 1e4 P/E, all L3
+    {19, 11, true, 0, 0x1.8e757928e0c9dp-11, 0x1.94af4f0d844cfp-7,
+     0x1.9f3c70c996b77p-13, 0x1.8e757928e0c9dp-11, 0xb446a2466a570ec5ull},
+    // SV, 1e6 P/E, random data
+    {20, 39, true, 0, 0x1.a36e2eb1c432cp-11, 0x1.ad42c3c9eecbfp-7,
+     0x1.700cd855970b5p-11, 0x1.a36e2eb1c432cp-11, 0x0fba6393dddad2edull},
+    // SV, 1e6 P/E, all L1
+    {10, 10, true, 0, 0x1.a36e2eb1c432cp-12, 0x1.8c7e28240b78p-8,
+     0x1.797cc39ffd60fp-13, 0x1.a36e2eb1c432cp-12, 0x34800b0babbff95aull},
+    // SV, 1e6 P/E, all L3
+    {20, 15, true, 0, 0x1.a36e2eb1c432cp-11, 0x1.ad42c3c9eecbfp-7,
+     0x1.1b1d92b7fe08bp-12, 0x1.a36e2eb1c432cp-11, 0x6b8703a5c94e4ad3ull},
+    // DV, 1 P/E, random data
+    {21, 78, true, 0, 0x1.b866e43aa79bbp-11, 0x1.c62a1b5c7cd89p-7,
+     0x1.700cd855970b5p-10, 0x1.b866e43aa79bbp-11, 0x6e2ea961ae0091c0ull},
+    // DV, 1 P/E, all L1
+    {11, 22, true, 0, 0x1.cd5f99c38b04ap-12, 0x1.b7bf1e8e60807p-8,
+     0x1.9f3c70c996b77p-12, 0x1.cd5f99c38b04ap-12, 0x23a68019283caef7ull},
+    // DV, 1 P/E, all L3
+    {21, 28, true, 0, 0x1.b866e43aa79bbp-11, 0x1.c62a1b5c7cd89p-7,
+     0x1.083dbc23315d7p-11, 0x1.b866e43aa79bbp-11, 0x5f70c365acf94f3cull},
+    // DV, 1e4 P/E, random data
+    {21, 78, true, 0, 0x1.b866e43aa79bbp-11, 0x1.c62a1b5c7cd89p-7,
+     0x1.700cd855970b5p-10, 0x1.b866e43aa79bbp-11, 0x8ca7ef56a7ef10dfull},
+    // DV, 1e4 P/E, all L1
+    {11, 22, true, 0, 0x1.cd5f99c38b04ap-12, 0x1.b7bf1e8e60807p-8,
+     0x1.9f3c70c996b77p-12, 0x1.cd5f99c38b04ap-12, 0x9f11bf4a2f6f1c4dull},
+    // DV, 1e4 P/E, all L3
+    {21, 30, true, 0, 0x1.b866e43aa79bbp-11, 0x1.c62a1b5c7cd89p-7,
+     0x1.1b1d92b7fe08bp-11, 0x1.b866e43aa79bbp-11, 0x594291239027a8e6ull},
+    // DV, 1e6 P/E, random data
+    {25, 108, true, 0, 0x1.0624dd2f1a9fcp-10, 0x1.14e3bcd35a858p-6,
+     0x1.fd9ba1b1960fbp-10, 0x1.0624dd2f1a9fcp-10, 0x783ba88b6c037feeull},
+    // DV, 1e6 P/E, all L1
+    {13, 26, true, 0, 0x1.10a137f38c543p-11, 0x1.081c2e33eff19p-7,
+     0x1.eabbcb1cc9647p-12, 0x1.10a137f38c543p-11, 0xe3ef35f81621107cull},
+    // DV, 1e6 P/E, all L3
+    {26, 50, true, 0, 0x1.10a137f38c544p-10, 0x1.2157689ca18bdp-6,
+     0x1.d7dbf487fcb93p-11, 0x1.10a137f38c544p-10, 0x4b3d7f92e9743693ull},
+};
+
+TEST(Ispp, KernelPinnedAcrossAlgorithmsAgesAndPatterns) {
+  const IsppConfig config;
+  const IsppEngine engine(config, VoltagePlan{});
+  const AgingLaw aging;
+  const std::vector<PinCase> cases = pin_cases();
+  ASSERT_EQ(std::size(kPinned), cases.size());
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const PinCase& pin = cases[c];
+    Population pop = make_population(2048, pin.pe_cycles, 21, pin.pattern);
+    Rng rng(31);
+    const IsppTrace trace =
+        engine.program(pop.cells, pop.targets, pin.algo, rng,
+                       aging.dv_zone_multiplier(pin.pe_cycles));
+    const PinValues& want = kPinned[c];
+    SCOPED_TRACE(testing::Message()
+                 << to_string(pin.algo) << " at " << pin.pe_cycles << " P/E, "
+                 << (pin.pattern ? static_cast<int>(*pin.pattern) : -1));
+    EXPECT_EQ(trace.algorithm, pin.algo);
+    EXPECT_EQ(trace.setup_time.value(), config.setup_time.value());
+    EXPECT_EQ(trace.pulses, want.pulses);
+    EXPECT_EQ(trace.verify_ops, want.verify_ops);
+    EXPECT_EQ(trace.converged, want.converged);
+    EXPECT_EQ(trace.failed_cells, want.failed_cells);
+    EXPECT_EQ(trace.program_pump_time.value(), want.program_pump_s);
+    EXPECT_EQ(trace.vcg_time_integral, want.vcg_time_integral);
+    EXPECT_EQ(trace.verify_pump_time.value(), want.verify_pump_s);
+    EXPECT_EQ(trace.inhibit_pump_time.value(), want.inhibit_pump_s);
+    EXPECT_EQ(vth_hash(pop.cells), want.vth_hash);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/nand/device.hpp"
@@ -56,6 +57,38 @@ TEST(Timing, TracesAreCachedPerAgeCell) {
   const IsppTrace& a = timing.sample_trace(ProgramAlgorithm::kIsppSv, 1e4);
   const IsppTrace& b = timing.sample_trace(ProgramAlgorithm::kIsppSv, 1e4);
   EXPECT_EQ(&a, &b);
+  // 1.05e4 quantises onto 1e4's key; a fresh key characterises anew.
+  ASSERT_EQ(NandTiming::age_key(1.05e4), NandTiming::age_key(1e4));
+  EXPECT_EQ(&timing.sample_trace(ProgramAlgorithm::kIsppSv, 1.05e4), &a);
+  EXPECT_EQ(timing.characterisations(), 1u);
+  timing.sample_trace(ProgramAlgorithm::kIsppDv, 1e4);
+  EXPECT_EQ(timing.characterisations(), 2u);
+}
+
+TEST(Timing, AgeKeyIsTwelvePerDecade) {
+  EXPECT_EQ(NandTiming::age_key(0.0), 0);  // clamped to 1 P/E
+  EXPECT_EQ(NandTiming::age_key(1.0), 0);
+  EXPECT_EQ(NandTiming::age_key(10.0), 12);
+  EXPECT_EQ(NandTiming::age_key(1e6), 72);
+}
+
+TEST(Device, SharedTimingIsUsedNotCopied) {
+  DeviceConfig config;
+  config.array.geometry.blocks = 1;
+  config.array.geometry.pages_per_block = 2;
+  config.data_plane = false;
+  const auto timing = std::make_shared<const NandTiming>(
+      config.timing, config.array.ispp, config.array.plan,
+      config.array.variability, config.array.aging);
+  NandDevice a(config, timing), b(config, timing);
+  EXPECT_EQ(&a.timing(), timing.get());
+  EXPECT_EQ(&b.timing(), timing.get());
+  a.program_page({0, 0}, BitVec{});
+  b.program_page({0, 1}, BitVec{});
+  EXPECT_EQ(timing->characterisations(), 1u);
+  // The single-argument constructor keeps a private timing.
+  const NandDevice own(config);
+  EXPECT_NE(&own.timing(), timing.get());
 }
 
 TEST(Timing, PatternTracesOrdered) {
@@ -191,6 +224,22 @@ TEST(Timing, SharedCacheIsThreadSafeAndValueStable) {
               reference.program_time(ProgramAlgorithm::kIsppDv, ages[i]).value())
         << ages[i];
   }
+  EXPECT_EQ(shared.characterisations(), 2 * ages.size());
+}
+
+TEST(Timing, ConcurrentFirstTouchesOfOneKeyCharacteriseOnce) {
+  // Sixteen distinct ages on one key, requested by four workers at
+  // once: the later callers wait for the first fill, none repeats it.
+  const NandTiming timing = make_timing();
+  ThreadPool pool(4);
+  std::vector<const IsppTrace*> seen(16);
+  pool.parallel_for(seen.size(), [&](std::size_t i) {
+    const double age = 1e3 * (1.0 + 0.001 * static_cast<double>(i));
+    ASSERT_EQ(NandTiming::age_key(age), NandTiming::age_key(1e3));
+    seen[i] = &timing.sample_trace(ProgramAlgorithm::kIsppDv, age);
+  });
+  for (const IsppTrace* trace : seen) EXPECT_EQ(trace, seen.front());
+  EXPECT_EQ(timing.characterisations(), 1u);
 }
 
 }  // namespace
