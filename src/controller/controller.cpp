@@ -1,16 +1,12 @@
 #include "src/controller/controller.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "src/util/expect.hpp"
 #include "src/util/log.hpp"
 
 namespace xlf::controller {
-namespace {
-
-std::pair<std::uint32_t, std::uint32_t> key_of(nand::PageAddress addr) {
-  return {addr.block, addr.page};
-}
-
-}  // namespace
 
 MemoryController::MemoryController(const ControllerConfig& config,
                                    nand::NandDevice& device,
@@ -28,6 +24,12 @@ MemoryController::MemoryController(const ControllerConfig& config,
                               config.codec.t_max};
   XLF_EXPECT(worst.n() <= device.geometry().bits_per_page());
   XLF_EXPECT(config.codec.k == device.geometry().data_bits_per_page());
+  // Per-page t is stored in one byte.
+  XLF_EXPECT(config.codec.t_max <= std::numeric_limits<std::uint8_t>::max());
+  page_t_.assign(device.geometry().pages(), 0);
+  if (device.config().data_plane && config.simulation_fast_decode) {
+    reference_.resize(device.geometry().pages());
+  }
   registers_.set_ecc_capability(ecc_.correction_capability());
   registers_.set_program_algorithm(device.program_algorithm());
 }
@@ -48,6 +50,14 @@ void MemoryController::set_program_algorithm(nand::ProgramAlgorithm algo) {
 
 nand::ProgramAlgorithm MemoryController::program_algorithm() const {
   return device_->program_algorithm();
+}
+
+std::size_t MemoryController::page_index(nand::PageAddress addr) const {
+  const nand::Geometry& geometry = device_->geometry();
+  XLF_EXPECT(addr.block < geometry.blocks &&
+             addr.page < geometry.pages_per_block);
+  return static_cast<std::size_t>(addr.block) * geometry.pages_per_block +
+         addr.page;
 }
 
 unsigned MemoryController::adapt_ecc(double pe_cycles) {
@@ -92,7 +102,9 @@ WriteResult MemoryController::write_page(nand::PageAddress addr,
   result.latency += programmed.busy_time;
   result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
 
-  page_meta_[key_of(addr)] = PageMeta{result.t_used, encoded.codeword};
+  const std::size_t index = page_index(addr);
+  page_t_[index] = static_cast<std::uint8_t>(result.t_used);
+  if (!reference_.empty()) reference_[index] = encoded.codeword;
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
@@ -127,17 +139,17 @@ WriteResult MemoryController::write_page_meta(nand::PageAddress addr,
   result.latency += programmed.busy_time;
   result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
 
-  page_meta_[key_of(addr)] = PageMeta{result.t_used, BitVec(0)};
+  page_t_[page_index(addr)] = static_cast<std::uint8_t>(result.t_used);
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
 }
 
 ReadResult MemoryController::read_page(nand::PageAddress addr) {
-  const auto meta_it = page_meta_.find(key_of(addr));
-  XLF_EXPECT(meta_it != page_meta_.end() && "reading an unwritten page");
-  const PageMeta& meta = meta_it->second;
-  if (!device_->config().data_plane) return read_page_meta(meta);
+  const std::size_t index = page_index(addr);
+  const unsigned page_t = page_t_[index];
+  XLF_EXPECT(page_t != 0 && "reading an unwritten page");
+  if (!device_->config().data_plane) return read_page_meta(page_t);
 
   ReadResult result;
   registers_.set_busy(true);
@@ -149,13 +161,13 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
 
   // Decode with the capability the page was written at.
   const unsigned current_t = ecc_.correction_capability();
-  ecc_.set_correction_capability(meta.t);
+  ecc_.set_correction_capability(page_t);
   const bch::CodeParams params = ecc_.current_params();
   BitVec codeword = raw.data.slice(0, params.n());
   const DecodeOutcome decoded =
-      config_.simulation_fast_decode
-          ? ecc_.decode_with_reference(codeword, meta.reference)
-          : ecc_.decode(codeword);
+      reference_.empty()
+          ? ecc_.decode(codeword)
+          : ecc_.decode_with_reference(codeword, reference_[index]);
   result.latency += decoded.latency;
   result.ecc_energy += decoded.energy;
   result.corrected_bits = decoded.result.corrected;
@@ -170,7 +182,7 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
   // would bias the estimator down exactly when the error rate
   // explodes.
   const unsigned observed_errors =
-      result.uncorrectable ? meta.t + 1 : decoded.result.corrected;
+      result.uncorrectable ? page_t + 1 : decoded.result.corrected;
   reliability_.observe_decode(observed_errors, params.n());
   registers_.record_decode(decoded.result.corrected, result.uncorrectable);
 
@@ -186,28 +198,27 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
   return result;
 }
 
-ReadResult MemoryController::read_page_meta(const PageMeta& meta) {
+ReadResult MemoryController::read_page_meta(unsigned t) {
   // Metadata-only read service: sensing time + the worst-case decode
   // at the page's written t (the paper's throughput convention) and a
   // clean-decode outcome — no cells exist to produce errors, so the
-  // payload is an all-zero page and the reliability feedback sees a
-  // clean decode.
+  // reliability feedback sees a clean decode. No payload moves: `data`
+  // stays empty and the OCP burst is sized from the page's k bits.
   ReadResult result;
   registers_.set_busy(true);
 
   result.latency += device_->timing().read_time();
   result.nand_energy += nand_power_.read_energy();
 
-  const bch::CodeParams params{config_.codec.m, config_.codec.k, meta.t};
-  result.latency += ecc_.latency_model().decode_latency(meta.t);
-  result.ecc_energy += ecc_.power_model().decode_energy(meta.t, 0.0);
-  result.data = BitVec(config_.codec.k);
+  const bch::CodeParams params{config_.codec.m, config_.codec.k, t};
+  result.latency += ecc_.latency_model().decode_latency(t);
+  result.ecc_energy += ecc_.power_model().decode_energy(t, 0.0);
 
   reliability_.observe_decode(0, params.n());
   registers_.record_decode(0, false);
 
   const OcpRequest request{OcpCommand::kRead, 0,
-                           static_cast<std::uint32_t>(result.data.size() / 8)};
+                           static_cast<std::uint32_t>(config_.codec.k / 8)};
   ocp_.record(request);
   result.io_latency = ocp_.transfer_time(request);
   result.latency += result.io_latency;
@@ -220,9 +231,9 @@ ReadResult MemoryController::read_page_meta(const PageMeta& meta) {
 Seconds MemoryController::erase_block(std::uint32_t block) {
   const nand::EraseOutcome outcome = device_->erase_block(block);
   // Invalidate metadata of the erased pages.
-  for (std::uint32_t p = 0; p < device_->geometry().pages_per_block; ++p) {
-    page_meta_.erase({block, p});
-  }
+  const std::size_t first = page_index({block, 0});
+  std::fill_n(page_t_.begin() + static_cast<std::ptrdiff_t>(first),
+              device_->geometry().pages_per_block, std::uint8_t{0});
   return outcome.busy_time;
 }
 

@@ -5,13 +5,16 @@
 // which is what the throughput figures integrate.
 //
 // Per-page metadata: a page is decoded with the correction capability
-// it was encoded with, so the controller keeps the (t, algorithm)
-// used at write time per page — the model of the config metadata a
-// real controller stores in the spare area.
+// it was encoded with, so the controller keeps the t used at write
+// time in a dense one-byte-per-page array indexed by (block, page) —
+// the model of the config metadata a real controller stores in the
+// spare area. In bit-true mode with simulation_fast_decode it also
+// keeps each page's written codeword as the decoder's reference.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "src/controller/ecc_unit.hpp"
 #include "src/controller/ocp.hpp"
@@ -93,6 +96,8 @@ class MemoryController {
   // page buffer -> ECC encode -> NAND program.
   WriteResult write_page(nand::PageAddress addr, const BitVec& data);
   // Read it back: NAND read -> ECC decode (+ feedback) -> OCP burst.
+  // Rejects unwritten (or erased) pages and out-of-range addresses.
+  // On a metadata-only device the result carries no payload.
   ReadResult read_page(nand::PageAddress addr);
   Seconds erase_block(std::uint32_t block);
 
@@ -102,17 +107,15 @@ class MemoryController {
   Seconds write_latency(double pe_cycles) const;
 
  private:
-  struct PageMeta {
-    unsigned t = 0;
-    BitVec reference;  // written codeword (simulation fast decode)
-  };
+  // Index of a page in page_t_ / reference_.
+  std::size_t page_index(nand::PageAddress addr) const;
 
   // Metadata-only device service (DeviceConfig::data_plane == false):
   // the same pipeline arithmetic fed from the timing/energy models
   // alone — no payload bits move, reads model a clean worst-case
-  // decode of an all-zero page.
+  // decode and return an empty payload.
   WriteResult write_page_meta(nand::PageAddress addr, const BitVec& data);
-  ReadResult read_page_meta(const PageMeta& meta);
+  ReadResult read_page_meta(unsigned t);
 
   ControllerConfig config_;
   nand::NandDevice* device_;
@@ -122,7 +125,13 @@ class MemoryController {
   EccUnit ecc_;
   ReliabilityManager reliability_;
   hv::NandPowerModel nand_power_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, PageMeta> page_meta_;
+  // t each page was written at; 0 = not written (the codec's t_min
+  // is at least 1).
+  std::vector<std::uint8_t> page_t_;
+  // Written codeword per page, for the simulation fast decode; empty
+  // unless the device is bit-true and simulation_fast_decode is on.
+  // Stale entries need no clearing: a page whose t is 0 is never read.
+  std::vector<BitVec> reference_;
 };
 
 }  // namespace xlf::controller

@@ -1,5 +1,7 @@
 #include "src/controller/reliability_manager.hpp"
 
+#include <algorithm>
+
 #include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 
@@ -31,11 +33,19 @@ void ReliabilityManager::set_policy(const std::string& policy_name) {
 }
 
 unsigned ReliabilityManager::t_for_rber(double rber) const {
-  const auto t =
-      bch::min_t_for_uber(rber, config_.uber_target, config_.k, config_.m,
-                          config_.t_min, config_.t_max);
-  saturated_ = !t.has_value();
-  return t.value_or(config_.t_max);
+  auto entry =
+      std::find_if(memo_.begin(), memo_.end(),
+                   [rber](const MemoEntry& e) { return e.rber == rber; });
+  if (entry == memo_.end()) {
+    const std::optional<unsigned> t =
+        bch::min_t_for_uber(rber, config_.uber_target, config_.k, config_.m,
+                            config_.t_min, config_.t_max);
+    entry = memo_.begin() + static_cast<std::ptrdiff_t>(memo_next_);
+    memo_next_ = (memo_next_ + 1) % memo_.size();
+    *entry = MemoEntry{rber, t};
+  }
+  saturated_ = !entry->t.has_value();
+  return entry->t.value_or(config_.t_max);
 }
 
 unsigned ReliabilityManager::select_t(nand::ProgramAlgorithm algo,

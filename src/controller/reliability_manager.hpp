@@ -12,6 +12,9 @@
 // safely shared across dies and threads.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,7 +81,17 @@ class ReliabilityManager {
   // the UBER equation. Nested for private access; defined in the cpp.
   struct Host;
 
+  // Eq. (1) for this config, memoised: the answer is a pure function
+  // of rber, and a block's wear (so its rber) only moves at erase.
   unsigned t_for_rber(double rber) const;
+
+  // One memoised Eq. (1) solve; t is empty when the target is out of
+  // reach within t_max (saturated).
+  struct MemoEntry {
+    // NaN equals nothing, so an empty slot never hits.
+    double rber = std::numeric_limits<double>::quiet_NaN();
+    std::optional<unsigned> t;
+  };
 
   ReliabilityConfig config_;
   std::string policy_name_;
@@ -87,6 +100,9 @@ class ReliabilityManager {
   double rber_estimate_ = 0.0;
   unsigned pages_seen_ = 0;
   mutable bool saturated_ = false;
+  // Exact-key memo, replaced round-robin.
+  mutable std::array<MemoEntry, 4> memo_{};
+  mutable std::size_t memo_next_ = 0;
 };
 
 }  // namespace xlf::controller

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
@@ -300,17 +301,19 @@ FtlOpResult Ftl::read(Lpa lpa) {
   if (!map_.mapped(lpa)) {
     // Never-written LPA: serviced from the map alone as a zero page,
     // no flash touched (a real FTL returns a deallocated pattern).
+    // Metadata-only devices carry no payloads, so it stays empty.
     result.unmapped = true;
-    result.data = BitVec(
-        controllers_.front()->device().geometry().data_bits_per_page());
+    const nand::NandDevice& device = controllers_.front()->device();
+    if (device.config().data_plane) {
+      result.data = BitVec(device.geometry().data_bits_per_page());
+    }
     ++stats_.unmapped_reads;
     return result;
   }
   const Ppa ppa = map_.lookup(lpa);
-  const controller::ReadResult rd =
-      ctrl(ppa.die).read_page({ppa.block, ppa.page});
+  controller::ReadResult rd = ctrl(ppa.die).read_page({ppa.block, ppa.page});
   result.ok = rd.ok;
-  result.data = rd.data;
+  result.data = std::move(rd.data);
   result.corrected_bits = rd.corrected_bits;
   result.uncorrectable = rd.uncorrectable;
   result.io_time = rd.io_latency;

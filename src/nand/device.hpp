@@ -46,8 +46,8 @@ struct DeviceConfig {
   // programmed-page trackers, and service times come from the same
   // NandTiming models the statistical mode uses. Metadata-only
   // devices make production block counts (64k+ blocks/die) cheap to
-  // construct and simulate; reads then carry no payload, so drivers
-  // must not verify data.
+  // construct and simulate; controller reads then return an empty
+  // payload, so drivers must not verify data.
   bool data_plane = true;
 };
 

@@ -15,6 +15,16 @@ void EventQueue::schedule_in(Seconds delay, Callback fn) {
   schedule_at(now_ + delay, std::move(fn));
 }
 
+Seconds EventQueue::next_time() const {
+  XLF_EXPECT(!heap_.empty());
+  return Seconds{heap_.top().when};
+}
+
+void EventQueue::advance_to(Seconds when) {
+  XLF_EXPECT(when >= now_);
+  now_ = when;
+}
+
 bool EventQueue::step() {
   if (heap_.empty()) return false;
   // Copy out before pop: the callback may schedule new events.

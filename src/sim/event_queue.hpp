@@ -20,6 +20,13 @@ class EventQueue {
   Seconds now() const { return now_; }
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
+  // Timestamp of the earliest pending event (the queue must not be
+  // empty).
+  Seconds next_time() const;
+  // Move the clock forward to `when` (>= now) without running
+  // anything: a driver that feeds events from outside the heap (e.g.
+  // a stream of arrivals) stamps them this way.
+  void advance_to(Seconds when);
 
   // Schedule `fn` at absolute time `when` (>= now).
   void schedule_at(Seconds when, Callback fn);
@@ -33,8 +40,11 @@ class EventQueue {
 
   // Run the next event; returns false when the queue is empty.
   bool step();
+  // Default runaway guard: the most events one run may execute.
+  static constexpr std::size_t kRunLimit = 100000000;
+
   // Run everything (or until `limit` events, as a runaway guard).
-  std::size_t run(std::size_t limit = 100000000);
+  std::size_t run(std::size_t limit = kRunLimit);
   // Run until the clock passes `until` (events beyond stay queued).
   std::size_t run_until(Seconds until);
 

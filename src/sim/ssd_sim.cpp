@@ -250,7 +250,6 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
   host::HostInterface host(config_.host);
   host_ = &host;
   outstanding_ = 0;
-  run_commands_ = &commands;
   run_stats_ = &stats;
   inflight_.clear();
   inflight_free_.clear();
@@ -266,22 +265,37 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
     channel_busy_before[c] = ssd_->dispatcher().channel_busy(c);
   }
 
-  // Open loop: every arrival is on the calendar before the first
-  // event fires; completions never delay arrivals, only issue.
-  Seconds arrival = start;
-  for (std::size_t i = 0; i < commands.size(); ++i) {
-    arrival += commands[i].gap;
-    // The event fires exactly at its scheduled instant, so the
-    // callback recovers the arrival stamp from queue_.now(); capturing
-    // only {this, index} keeps the event inside std::function's
-    // small-buffer storage (no per-command allocation).
-    queue_.schedule_at(arrival, [this, i] {
-      host_->submit((*run_commands_)[i], queue_.now());
-      try_issue(*run_stats_);
-    });
-  }
+  // Open loop: arrivals stream from a cursor over `commands`, merged
+  // with the event heap, which then holds only completions (at most
+  // queue_depth of them). Completions never delay arrivals, only
+  // issue. An arrival fires first on a timestamp tie: the same order
+  // as if every arrival had been scheduled up front, ahead of every
+  // completion.
   try {
-    queue_.run();
+    std::size_t next = 0;
+    Seconds arrival = start;  // of commands[next]
+    const auto stamp_next = [&] {
+      if (next == commands.size()) return;
+      XLF_EXPECT(commands[next].gap.value() >= 0.0);
+      arrival += commands[next].gap;
+    };
+    stamp_next();
+    // Runaway guard over arrivals + completions, EventQueue::run's.
+    for (std::size_t executed = 0; executed < EventQueue::kRunLimit;
+         ++executed) {
+      if (next < commands.size() &&
+          (queue_.empty() || arrival <= queue_.next_time())) {
+        queue_.advance_to(arrival);
+        host.submit(commands[next], arrival);
+        try_issue(stats);
+        ++next;
+        stamp_next();
+      } else if (!queue_.step()) {
+        break;
+      }
+    }
+    XLF_ENSURE(next == commands.size() && queue_.empty() &&
+               "event limit hit: runaway simulation");
     XLF_ENSURE(outstanding_ == 0 && !host.pending());
   } catch (const ftl::PowerLoss&) {
     // Power cut: everything scheduled after the kill instant never
@@ -334,7 +348,6 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
   }
   stats.queue_stats = host.all_stats();
   host_ = nullptr;
-  run_commands_ = nullptr;
   run_stats_ = nullptr;
   return stats;
 }

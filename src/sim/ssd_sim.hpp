@@ -7,8 +7,10 @@
 // Completions post back through the host interface, which keeps
 // per-queue latency statistics next to the global ones.
 //
-// Mechanics: arrivals are pre-scheduled on the EventQueue (open
-// loop); an issue step runs whenever an arrival lands or an in-flight
+// Mechanics: arrivals stream from a cursor over the command vector
+// (open loop), merged with the EventQueue, which holds only in-flight
+// completions; an arrival wins a timestamp tie against a completion.
+// An issue step runs whenever an arrival lands or an in-flight
 // command completes. FTL state (mapping, GC, per-block t) mutates at
 // issue time; the dispatcher's resource timelines place each page
 // operation; a command completes when its last page does. Trim is
@@ -132,11 +134,12 @@ class SsdSimulator {
   // accounting (state setup for read/overwrite experiments).
   void prepopulate();
 
-  // Execute a host command stream; returns this run's statistics.
-  // A PowerLoss thrown by an armed FaultInjector does not propagate:
-  // the run returns early with stats.power_loss set and the pending
-  // timeline dropped (the host oracle keeps every acknowledged
-  // write, so verify_stored() audits the rebuilt device).
+  // Execute a host command stream (in arrival order: every gap >= 0);
+  // returns this run's statistics. A PowerLoss thrown by an armed
+  // FaultInjector does not propagate: the run returns early with
+  // stats.power_loss set and the pending timeline dropped (the host
+  // oracle keeps every acknowledged write, so verify_stored() audits
+  // the rebuilt device).
   SsdSimStats run(const std::vector<host::Command>& commands);
   // Degenerate single-stream form: the flat request vector converted
   // onto queue 0 (see to_commands).
@@ -170,15 +173,14 @@ class SsdSimulator {
   // trims erase their entry, matching the device's deallocation.
   std::map<ftl::Lpa, BitVec> written_;
 
-  // Per-run issue state (valid while run() executes). run_commands_ /
-  // run_stats_ exist so event callbacks capture only {this, index}:
-  // 16 bytes keeps every per-command std::function inside libstdc++'s
+  // Per-run issue state (valid while run() executes). run_stats_
+  // exists so completion callbacks capture only {this, slot}: 16 bytes
+  // keeps every per-command std::function inside libstdc++'s
   // small-buffer storage — zero heap traffic per event at 10M-command
   // scale (Completion payloads park in the inflight_ arena instead of
   // the closure).
   host::HostInterface* host_ = nullptr;
   std::size_t outstanding_ = 0;
-  const std::vector<host::Command>* run_commands_ = nullptr;
   SsdSimStats* run_stats_ = nullptr;
   // In-flight Completion arena (bounded by queue_depth + 1; slots
   // recycle through the free list).

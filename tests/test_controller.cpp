@@ -47,8 +47,24 @@ TEST(Controller, WriteReadRoundTrip) {
 }
 
 TEST(Controller, ReadingUnwrittenPageRejected) {
-  Fixture fx;
-  EXPECT_THROW(fx.controller.read_page({0, 1}), std::invalid_argument);
+  // Unwritten, erased and out-of-range pages, on both data planes.
+  for (const bool data_plane : {true, false}) {
+    nand::DeviceConfig device_config = Fixture::small_device();
+    device_config.data_plane = data_plane;
+    Fixture fx(ControllerConfig{}, device_config);
+    const BitVec data = data_plane ? fx.random_data(7) : BitVec(0);
+    fx.controller.write_page({0, 0}, data);
+    EXPECT_NO_THROW(fx.controller.read_page({0, 0}));
+    // Unwritten neighbour.
+    EXPECT_THROW(fx.controller.read_page({0, 1}), std::invalid_argument);
+    // Past the last block, past the last page of a block.
+    EXPECT_THROW(fx.controller.read_page({2, 0}), std::invalid_argument);
+    EXPECT_THROW(fx.controller.read_page({0, 4}), std::invalid_argument);
+    EXPECT_THROW(fx.controller.erase_block(2), std::invalid_argument);
+    // Erased.
+    fx.controller.erase_block(0);
+    EXPECT_THROW(fx.controller.read_page({0, 0}), std::invalid_argument);
+  }
 }
 
 TEST(Controller, CrossLayerKnobsReachBothLayers) {
@@ -120,6 +136,58 @@ TEST(Controller, EraseInvalidatesMetadata) {
   const Seconds erase_time = fx.controller.erase_block(0);
   EXPECT_NEAR(erase_time.millis(), 2.5, 1e-9);
   EXPECT_THROW(fx.controller.read_page({0, 0}), std::invalid_argument);
+}
+
+// Each page keeps its own write-time t (and decode reference) across
+// retunes and across erases of other blocks: a page written at t = 65
+// on a worn device reads back clean after the controller dropped to
+// t = 3 — far more raw errors than t = 3 could correct.
+TEST(Controller, PageKeepsItsTAcrossRetunesAndOtherErases) {
+  Fixture fx;
+  fx.device.set_uniform_wear(1e6);
+  fx.controller.set_correction_capability(65);
+  const BitVec old_page = fx.random_data(8);
+  fx.controller.write_page({0, 3}, old_page);
+  const BitVec doomed = fx.random_data(9);
+  fx.controller.write_page({1, 0}, doomed);
+
+  fx.controller.set_correction_capability(3);
+  fx.controller.erase_block(1);
+  const BitVec young_page = fx.random_data(10);
+  fx.controller.write_page({1, 3}, young_page);
+
+  const ReadResult read = fx.controller.read_page({0, 3});
+  EXPECT_TRUE(read.ok);
+  EXPECT_EQ(read.data, old_page);
+  EXPECT_GT(read.corrected_bits, 3u);
+  EXPECT_EQ(fx.controller.correction_capability(), 3u);
+  EXPECT_THROW(fx.controller.read_page({1, 0}), std::invalid_argument);
+  // The page written at t = 3 keeps t = 3: worn cells overwhelm it.
+  EXPECT_TRUE(fx.controller.read_page({1, 3}).uncorrectable);
+}
+
+// A metadata-only read moves no payload, yet charges exactly the
+// pipeline a payload read would: sensing, the worst-case decode at the
+// page's t and a k-bit OCP burst (values pinned from the build that
+// still materialised an all-zero payload).
+TEST(Controller, MetaReadCarriesNoPayloadAndKeepsItsCost) {
+  nand::DeviceConfig device_config = Fixture::small_device();
+  device_config.data_plane = false;
+  Fixture fx(ControllerConfig{}, device_config);
+  fx.device.set_uniform_wear(1e5);
+  fx.controller.set_correction_capability(20);
+  const WriteResult write = fx.controller.write_page({1, 2}, BitVec(0));
+  EXPECT_EQ(write.t_used, 20u);
+  fx.controller.set_correction_capability(40);
+
+  const ReadResult read = fx.controller.read_page({1, 2});
+  EXPECT_TRUE(read.ok);
+  EXPECT_EQ(read.data.size(), 0u);
+  EXPECT_EQ(read.corrected_bits, 0u);
+  EXPECT_EQ(read.latency.value(), 0.00018941999999999996);
+  EXPECT_EQ(read.io_latency.value(), 5.6200000000000004e-06);
+  EXPECT_EQ(read.ecc_energy.value(), 1.23711296e-07);
+  EXPECT_EQ(read.nand_energy.value(), 1.3606049999999998e-05);
 }
 
 TEST(Controller, HonestAndFastDecodeAgree) {

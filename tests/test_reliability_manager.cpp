@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/bch/code_params.hpp"
+
 namespace xlf::controller {
 namespace {
 
@@ -109,6 +114,52 @@ TEST(ReliabilityManager, FeedbackTracksModelAcrossLife) {
     const unsigned t_model = model.select_t(nand::ProgramAlgorithm::kIsppSv, c);
     EXPECT_GE(t_feedback + 1, t_model) << c;   // never dangerously below
     EXPECT_LE(t_feedback, t_model + 8) << c;   // nor wastefully above
+  }
+}
+
+// Eq. (1) is memoised on the exact rber; every answer, hit or miss,
+// must equal a fresh solve. Six distinct rbers cycled twice overflow
+// the memo (each call evicts), and runs of repeats then hit it.
+TEST(ReliabilityManager, MemoisedSelectionEqualsFreshSolve) {
+  const ReliabilityConfig config;
+  const ReliabilityManager manager = make_manager("model_based");
+  const nand::AgingLaw law;
+  const auto fresh = [&](nand::ProgramAlgorithm algo, double pe) {
+    return bch::min_t_for_uber(law.rber(algo, pe), config.uber_target,
+                               config.k, config.m, config.t_min,
+                               config.t_max)
+        .value_or(config.t_max);
+  };
+  const double ages[] = {1.0, 3e2, 1e4, 7e4, 3e5, 1e6};
+  std::vector<std::pair<nand::ProgramAlgorithm, double>> calls;
+  for (int round = 0; round < 2; ++round) {
+    for (double age : ages) {
+      calls.emplace_back(nand::ProgramAlgorithm::kIsppSv, age);
+    }
+  }
+  for (double age : ages) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      calls.emplace_back(nand::ProgramAlgorithm::kIsppDv, age);
+    }
+    calls.emplace_back(nand::ProgramAlgorithm::kIsppSv, age);
+  }
+  for (const auto& [algo, age] : calls) {
+    EXPECT_EQ(manager.select_t(algo, age), fresh(algo, age))
+        << to_string(algo) << " " << age;
+  }
+}
+
+// The saturation flag reports the latest selection, also when it is
+// answered from the memo.
+TEST(ReliabilityManager, SaturationFollowsEveryCallThroughTheMemo) {
+  ReliabilityConfig tight;
+  tight.t_max = 10;  // too weak for EOL ISPP-SV, plenty at BOL
+  const ReliabilityManager manager(tight, "model_based", nand::AgingLaw{});
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), 10u);
+    EXPECT_TRUE(manager.saturated()) << i;
+    EXPECT_LT(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1.0), 10u);
+    EXPECT_FALSE(manager.saturated()) << i;
   }
 }
 

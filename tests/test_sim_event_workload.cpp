@@ -105,6 +105,34 @@ TEST(EventQueue, PastSchedulingRejected) {
                std::invalid_argument);
 }
 
+TEST(EventQueue, NextTimeIsTheEarliestPendingEvent) {
+  EventQueue queue;
+  EXPECT_THROW(queue.next_time(), std::invalid_argument);
+  queue.schedule_at(Seconds::micros(30.0), [] {});
+  queue.schedule_at(Seconds::micros(10.0), [] {});
+  queue.schedule_at(Seconds::micros(20.0), [] {});
+  EXPECT_NEAR(queue.next_time().micros(), 10.0, 1e-9);
+  EXPECT_NEAR(queue.now().micros(), 0.0, 1e-9);  // peeking runs nothing
+  queue.step();
+  EXPECT_NEAR(queue.next_time().micros(), 20.0, 1e-9);
+}
+
+TEST(EventQueue, AdvanceToMovesTheClockForwardOnly) {
+  EventQueue queue;
+  queue.schedule_at(Seconds::micros(50.0), [] {});
+  queue.advance_to(Seconds::micros(20.0));
+  EXPECT_NEAR(queue.now().micros(), 20.0, 1e-9);
+  EXPECT_EQ(queue.pending(), 1u);  // nothing ran
+  queue.advance_to(Seconds::micros(20.0));  // standing still is fine
+  EXPECT_THROW(queue.advance_to(Seconds::micros(19.0)),
+               std::invalid_argument);
+  // Events may now only land at or after the advanced clock.
+  EXPECT_THROW(queue.schedule_at(Seconds::micros(10.0), [] {}),
+               std::invalid_argument);
+  queue.run();
+  EXPECT_NEAR(queue.now().micros(), 50.0, 1e-9);
+}
+
 nand::Geometry geometry() {
   nand::Geometry g;
   g.blocks = 2;

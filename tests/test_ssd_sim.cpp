@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "src/controller/dispatch.hpp"
 #include "src/sim/host_workload.hpp"
@@ -262,6 +264,150 @@ TEST(SsdSimulator, QueuesKeepIndependentStatsThatSumToGlobal) {
   }
   EXPECT_EQ(per_queue_writes, stats.writes);
   EXPECT_EQ(stats.data_mismatches, 0u);
+}
+
+// FNV-1a over every SsdSimStats field (doubles by bit pattern).
+class StatsDigest {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFFu;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void latency(const RunningStats& s) {
+    u64(s.count());
+    f64(s.mean());
+    f64(s.variance());
+    f64(s.min());
+    f64(s.max());
+  }
+  void add(const SsdSimStats& s) {
+    for (std::uint64_t v :
+         {std::uint64_t{s.reads}, std::uint64_t{s.writes},
+          std::uint64_t{s.unmapped_reads}, std::uint64_t{s.uncorrectable},
+          std::uint64_t{s.data_mismatches}, std::uint64_t{s.corrected_bits},
+          std::uint64_t{s.trims}, std::uint64_t{s.trimmed_pages},
+          std::uint64_t{s.flushes}, std::uint64_t{s.power_loss},
+          s.bad_blocks, s.gc_relocations, s.erases, s.wl_swaps,
+          s.refresh_blocks, s.refresh_relocations,
+          std::uint64_t{s.min_t_used}, std::uint64_t{s.max_t_used}}) {
+      u64(v);
+    }
+    for (double v : {s.write_amplification, s.wear_min, s.wear_max,
+                     s.elapsed.value(), s.gc_busy.value(),
+                     s.ecc_energy.value(), s.nand_energy.value()}) {
+      f64(v);
+    }
+    latency(s.read_latency);
+    latency(s.write_latency);
+    u64(s.queue_stats.size());
+    for (const host::QueueStats& q : s.queue_stats) {
+      u64(q.reads);
+      u64(q.writes);
+      u64(q.trims);
+      u64(q.flushes);
+      latency(q.read_latency);
+      latency(q.write_latency);
+    }
+    u64(s.die_utilisation.size());
+    for (double u : s.die_utilisation) f64(u);
+    u64(s.channel_utilisation.size());
+    for (double u : s.channel_utilisation) f64(u);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+// Arrival order pin: 3 weighted queues with trims on a 2x2 SSD, at
+// gaps from back-to-back (every arrival ties) to sparse, on both data
+// planes, two runs on one simulator. Arrivals and completions on one
+// timestamp must interleave exactly as they always have; the digests
+// were captured from the build that scheduled every arrival on the
+// event heap up front.
+std::uint64_t weighted_stream_digest(bool data_plane, double gap_us) {
+  ftl::SsdConfig config = ssd_config(2, 2);
+  config.die.device.data_plane = data_plane;
+  config.initial_pe_cycles = 1e4;
+  config.ftl.pe_cycles_per_erase = 3e4;
+  ftl::Ssd ssd(config);
+
+  SsdSimConfig sim_config;
+  sim_config.queue_depth = 4;
+  sim_config.host.queues = 3;
+  sim_config.host.arbitration = "weighted";
+  sim_config.host.queue_weights = {4.0, 2.0, 1.0};
+  SsdSimulator simulator(ssd, sim_config);
+  simulator.prepopulate();
+
+  TenantSpec tenant;
+  tenant.trim_fraction = 0.1;
+  tenant.mean_gap = Seconds{gap_us * 1e-6};
+  const MultiTenantWorkload workload({tenant, tenant, tenant});
+  Rng rng(0xA11);
+  StatsDigest digest;
+  for (int run = 0; run < 2; ++run) {
+    digest.add(
+        simulator.run(workload.generate(ssd.logical_pages(), 150, rng)));
+  }
+  return digest.value();
+}
+
+TEST(SsdSimulator, ArrivalOrderIsPinnedAcrossGapsAndPlanes) {
+  struct Case {
+    bool data_plane;
+    double gap_us;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {true, 0.0, 0xF0ED570EAF5485D7ull},
+      {true, 5.0, 0x7E79E369A55289BAull},
+      {true, 40.0, 0x54426B3F06C19F63ull},
+      {true, 400.0, 0x5B0165ADAA09480Eull},
+      {false, 0.0, 0xF1C5C9418D6D8DA0ull},
+      {false, 5.0, 0x954D493B223642DDull},
+      {false, 40.0, 0xE87E0A385FB7AD4Full},
+      {false, 400.0, 0x379A87BDB8FBBFFBull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(weighted_stream_digest(c.data_plane, c.gap_us), c.digest)
+        << (c.data_plane ? "bit-true" : "meta") << " gap " << c.gap_us
+        << " us";
+  }
+}
+
+// The tie rule itself: an arrival and a completion on one timestamp
+// fire arrival first, so the issue step the completion triggers
+// arbitrates over every command that has arrived by then. At QD 1, a
+// trim (which completes at its issue instant) on queue 0 and two
+// writes, on queues 0 and 1, all arrive at t = 0. Round-robin then
+// issues queue 1's write before queue 0's.
+TEST(SsdSimulator, ArrivalWinsATimestampTieWithACompletion) {
+  ftl::Ssd ssd(ssd_config(1, 1));
+  SsdSimConfig config;
+  config.queue_depth = 1;
+  config.host.queues = 2;
+  SsdSimulator simulator(ssd, config);
+  simulator.prepopulate();
+  const SsdSimStats stats = simulator.run({
+      command(host::CmdType::kTrim, 0, 0),
+      command(host::CmdType::kWrite, 1, 0),
+      command(host::CmdType::kWrite, 2, 1),
+  });
+  ASSERT_EQ(stats.queue_stats.size(), 2u);
+  ASSERT_EQ(stats.queue_stats[0].writes, 1u);
+  ASSERT_EQ(stats.queue_stats[1].writes, 1u);
+  EXPECT_LT(stats.queue_stats[1].write_latency.mean(),
+            stats.queue_stats[0].write_latency.mean());
+  EXPECT_DOUBLE_EQ(stats.queue_stats[0].write_latency.mean(),
+                   stats.elapsed.value());
 }
 
 }  // namespace
