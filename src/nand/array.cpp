@@ -1,10 +1,33 @@
 #include "src/nand/array.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 #include "src/util/expect.hpp"
 
 namespace xlf::nand {
+namespace {
+
+// Gaussian draws an erase owes each cell, in stream order: the erased
+// threshold (VariabilitySampler::sample_erased), then the onset offset
+// and sharpness (VariabilitySampler::sample).
+constexpr std::uint64_t kDrawsPerCell = 3;
+constexpr std::uint64_t kParamDraws = kDrawsPerCell - 1;
+
+// A cell's page bits 2i (MSB) and 2i+1 (LSB) as the two low bits of a
+// word, per level.
+std::array<std::uint64_t, 4> level_bit_pairs() {
+  std::array<std::uint64_t, 4> pairs{};
+  for (Level level : kAllLevels) {
+    const Bits2 b = level_to_bits(level);
+    pairs[static_cast<std::size_t>(level)] =
+        std::uint64_t{b.msb} | std::uint64_t{b.lsb} << 1;
+  }
+  return pairs;
+}
+
+}  // namespace
 
 NandArray::NandArray(const ArrayConfig& config)
     : config_(config),
@@ -16,6 +39,7 @@ NandArray::NandArray(const ArrayConfig& config)
       disturb_(config.disturb),
       rng_(config.seed),
       block_wear_(config.geometry.blocks, 0.0),
+      erase_wear_(config.geometry.blocks, 0.0),
       pages_(config.geometry.pages()) {
   XLF_EXPECT(config.geometry.blocks >= 1);
   XLF_EXPECT(config.geometry.pages_per_block >= 1);
@@ -43,21 +67,32 @@ const NandArray::PageState& NandArray::page(PageAddress addr) const {
 void NandArray::erase_block(std::uint32_t block) {
   XLF_EXPECT(block < config_.geometry.blocks);
   block_wear_[block] += 1.0;
-  const double wear_now = block_wear_[block];
+  erase_wear_[block] = block_wear_[block];
+  const std::uint64_t draws =
+      kDrawsPerCell * config_.geometry.cells_per_page();
   for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
     PageState& state = pages_[block * config_.geometry.pages_per_block + p];
+    state.erase_stream = rng_;
+    state.materialised = false;
     state.programmed = false;
-    state.cells.clear();
-    // Erase rebuilds the page's cell population in place; clear()
-    // keeps capacity, so this recycles after the first cycle.
-    state.cells.reserve(config_.geometry.cells_per_page());  // xlf-lint: allow(hot-alloc)
-    for (std::uint32_t i = 0; i < config_.geometry.cells_per_page(); ++i) {
-      const Volts erased = variability_.sample_erased(
-          rng_, config_.plan.erased_mean, config_.plan.erased_sigma);
-      state.cells.emplace_back(  // xlf-lint: allow(hot-alloc)
-          erased, variability_.sample(rng_, wear_now));
-    }
+    rng_.discard_gaussians(draws);
   }
+}
+
+std::vector<Volts>& NandArray::storage(PageState& state) {
+  state.vth.resize(config_.geometry.cells_per_page());  // xlf-lint: allow(hot-alloc)
+  return state.vth;
+}
+
+std::vector<Volts> NandArray::erased_vth(const PageState& state) const {
+  std::vector<Volts> vth(config_.geometry.cells_per_page());
+  Rng stream = state.erase_stream;
+  for (Volts& v : vth) {
+    v = variability_.sample_erased(stream, config_.plan.erased_mean,
+                                   config_.plan.erased_sigma);
+    stream.discard_gaussians(kParamDraws);
+  }
+  return vth;
 }
 
 double NandArray::wear(std::uint32_t block) const {
@@ -77,9 +112,14 @@ bool NandArray::is_erased(PageAddress addr) const {
 
 std::vector<Level> NandArray::bits_to_levels(const BitVec& bits) {
   XLF_EXPECT(bits.size() % 2 == 0);
+  // Level of each bit pair, indexed MSB | LSB << 1.
+  std::array<Level, 4> level_of{};
+  for (unsigned pair = 0; pair < 4; ++pair) {
+    level_of[pair] = bits_to_level(Bits2{(pair & 1u) != 0, (pair & 2u) != 0});
+  }
   std::vector<Level> levels(bits.size() / 2);
   for (std::size_t i = 0; i < levels.size(); ++i) {
-    levels[i] = bits_to_level(Bits2{bits.get(2 * i), bits.get(2 * i + 1)});
+    levels[i] = level_of[(bits.word(i / 32) >> (2 * (i % 32))) & 3u];
   }
   return levels;
 }
@@ -105,78 +145,125 @@ ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
 
   ProgramResult result;
   if (mode == ProgramMode::kIsppSimulation) {
-    std::vector<Volts> before(state.cells.size());
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      before[i] = state.cells[i].vth();
-    }
-    result.trace = ispp_.program(state.cells, targets, algo, rng_,
-                                 config_.aging.dv_zone_multiplier(pe));
+    result.trace =
+        program_ispp(state, targets, algo, pe, erase_wear_[addr.block]);
     result.ok = result.trace->converged;
-
-    // Wear-induced spread on top of the verify-clamped placement: the
-    // aggregate of trap-assisted shifts, early retention and disturb
-    // that the RBER calibration attributes to read time.
-    const double wear_spread = rber_.wear_sigma(algo, pe).value();
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      if (targets[i] != Level::kL0) {
-        state.cells[i].shift(Volts{rng_.gaussian(0.0, wear_spread)});
-      }
-    }
-
-    // Within-page parasitic coupling from the programming displacement.
-    std::vector<Volts> deltas(state.cells.size());
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      deltas[i] = state.cells[i].vth() - before[i];
-    }
-    interference_.apply_within_page(state.cells, deltas);
   } else {
-    // Statistical placement: sample the calibrated read-time
-    // distribution directly.
-    for (std::size_t i = 0; i < state.cells.size(); ++i) {
-      const LevelDistribution dist = rber_.distribution(targets[i], algo, pe);
-      if (targets[i] == Level::kL0) continue;  // erased cells stay put
-      state.cells[i].erase(
-          Volts{rng_.gaussian(dist.mean.value(), dist.sigma.value())});
+    program_statistical(state, targets, algo, pe);
+  }
+  state.materialised = true;
+  state.programmed = true;
+
+  for (Volts vth : state.vth) {
+    if (config_.plan.is_over_programmed(vth)) ++result.over_programmed_cells;
+  }
+  return result;
+}
+
+void NandArray::program_statistical(PageState& state,
+                                    std::span<const Level> targets,
+                                    ProgramAlgorithm algo, double pe) {
+  // Sample each programmed cell from the calibrated read-time
+  // distribution of its level. Erased cells stay put, so only they
+  // need their erased threshold: the replay computes those and skips
+  // every other cell's draws.
+  const bool replay = !state.materialised;
+  std::vector<Volts>& vth = storage(state);
+  Rng stream = state.erase_stream;
+  std::uint64_t skipped = 0;  // erase-stream draws not yet discarded
+  std::array<std::optional<LevelDistribution>, 4> dist;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] == Level::kL0) {
+      if (replay) {
+        stream.discard_gaussians(skipped);
+        vth[i] = variability_.sample_erased(stream, config_.plan.erased_mean,
+                                            config_.plan.erased_sigma);
+        skipped = kParamDraws;
+      }
+      continue;
+    }
+    skipped += kDrawsPerCell;
+    std::optional<LevelDistribution>& level =
+        dist[static_cast<std::size_t>(targets[i])];
+    if (!level) level = rber_.distribution(targets[i], algo, pe);
+    vth[i] = Volts{rng_.gaussian(level->mean.value(), level->sigma.value())};
+  }
+}
+
+IsppTrace NandArray::program_ispp(PageState& state,
+                                  std::span<const Level> targets,
+                                  ProgramAlgorithm algo, double pe,
+                                  double erase_wear) {
+  // Rebuild the page's cells: the stored thresholds (or the erased
+  // ones), with the parameters the erase drew at its wear.
+  std::vector<FloatingGateCell> cells(targets.size());
+  Rng stream = state.erase_stream;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Volts erased = variability_.sample_erased(
+        stream, config_.plan.erased_mean, config_.plan.erased_sigma);
+    cells[i] = FloatingGateCell(state.materialised ? state.vth[i] : erased,
+                                variability_.sample(stream, erase_wear));
+  }
+  std::vector<Volts> before(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) before[i] = cells[i].vth();
+
+  IsppTrace trace = ispp_.program(cells, targets, algo, rng_,
+                                  config_.aging.dv_zone_multiplier(pe));
+
+  // Wear-induced spread on top of the verify-clamped placement: the
+  // aggregate of trap-assisted shifts, early retention and disturb
+  // that the RBER calibration attributes to read time.
+  const double wear_spread = rber_.wear_sigma(algo, pe).value();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (targets[i] != Level::kL0) {
+      cells[i].shift(Volts{rng_.gaussian(0.0, wear_spread)});
     }
   }
 
-  for (const auto& cell : state.cells) {
-    if (config_.plan.is_over_programmed(cell.vth())) {
-      ++result.over_programmed_cells;
-    }
+  // Within-page parasitic coupling from the programming displacement.
+  std::vector<Volts> deltas(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    deltas[i] = cells[i].vth() - before[i];
   }
-  state.programmed = true;
-  return result;
+  interference_.apply_within_page(cells, deltas);
+
+  std::vector<Volts>& vth = storage(state);
+  for (std::size_t i = 0; i < cells.size(); ++i) vth[i] = cells[i].vth();
+  return trace;
 }
 
 BitVec NandArray::read_page(PageAddress addr) const {
   const PageState& state = page(addr);
+  const std::vector<Volts> replayed =
+      state.materialised ? std::vector<Volts>() : erased_vth(state);
+  const std::vector<Volts>& vth = state.materialised ? state.vth : replayed;
+  // 32 cells per 64-bit word.
+  const std::array<std::uint64_t, 4> pairs = level_bit_pairs();
   BitVec bits(config_.geometry.bits_per_page());
-  for (std::size_t i = 0; i < state.cells.size(); ++i) {
-    const Level level = config_.plan.read_level(state.cells[i].vth());
-    const Bits2 b = level_to_bits(level);
-    bits.set(2 * i, b.msb);
-    bits.set(2 * i + 1, b.lsb);
+  for (std::size_t first = 0; first < vth.size(); first += 32) {
+    const std::size_t last = std::min(vth.size(), first + 32);
+    std::uint64_t word = 0;
+    for (std::size_t i = first; i < last; ++i) {
+      const Level level = config_.plan.read_level(vth[i]);
+      word |= pairs[static_cast<std::size_t>(level)] << (2 * (i - first));
+    }
+    bits.set_word(first / 32, word);
   }
   return bits;
 }
 
 std::vector<Level> NandArray::read_levels(PageAddress addr) const {
-  const PageState& state = page(addr);
-  std::vector<Level> levels(state.cells.size());
-  for (std::size_t i = 0; i < state.cells.size(); ++i) {
-    levels[i] = config_.plan.read_level(state.cells[i].vth());
+  const std::vector<Volts> vth = thresholds(addr);
+  std::vector<Level> levels(vth.size());
+  for (std::size_t i = 0; i < vth.size(); ++i) {
+    levels[i] = config_.plan.read_level(vth[i]);
   }
   return levels;
 }
 
 std::vector<Volts> NandArray::thresholds(PageAddress addr) const {
   const PageState& state = page(addr);
-  std::vector<Volts> out(state.cells.size());
-  for (std::size_t i = 0; i < state.cells.size(); ++i) {
-    out[i] = state.cells[i].vth();
-  }
-  return out;
+  return state.materialised ? state.vth : erased_vth(state);
 }
 
 void NandArray::apply_retention(PageAddress addr, double hours) {
@@ -185,24 +272,28 @@ void NandArray::apply_retention(PageAddress addr, double hours) {
   const double pe = block_wear_[addr.block];
   const double mean = disturb_.retention_mean(hours, pe).value();
   const double sigma = disturb_.retention_sigma(hours, pe).value();
-  for (auto& cell : state.cells) {
+  for (Volts& vth : state.vth) {
     // Only cells holding charge detrap; the erased level is its own
     // equilibrium.
-    if (cell.vth() < config_.plan.read[0]) continue;
+    if (vth < config_.plan.read[0]) continue;
     const double loss = std::max(0.0, rng_.gaussian(mean, sigma));
-    cell.shift(Volts{-loss});
+    vth = vth + Volts{-loss};
   }
 }
 
 void NandArray::apply_read_disturb(PageAddress addr,
                                    unsigned long long reads) {
   PageState& state = page(addr);
+  if (!state.materialised) {
+    state.vth = erased_vth(state);
+    state.materialised = true;
+  }
   const double mean = disturb_.read_disturb_shift(reads).value();
-  for (auto& cell : state.cells) {
+  for (Volts& vth : state.vth) {
     // Weak gate stress mostly moves the erased population upward.
-    if (cell.vth() >= config_.plan.read[0]) continue;
+    if (vth >= config_.plan.read[0]) continue;
     const double shift = std::max(0.0, rng_.gaussian(mean, 0.3 * mean));
-    cell.shift(Volts{shift});
+    vth = vth + Volts{shift};
   }
 }
 

@@ -5,9 +5,18 @@
 //
 // Bit-to-cell mapping: page bit 2i is the MSB (upper page) and bit
 // 2i+1 the LSB (lower page) of cell i, Gray-coded onto L0..L3.
+//
+// An erase samples nothing. It records where the array's noise stream
+// stands for each page (the page's erase stream) and advances the
+// stream past the draws an eager erase would make: per cell, the
+// erased threshold and the cell's onset offset and sharpness. The
+// page's erased cells are a pure function of that stream, so they are
+// replayed when first needed: a program stores the page's thresholds,
+// and reads of a never-programmed page replay into a scratch buffer.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/nand/aging.hpp"
@@ -59,7 +68,9 @@ class NandArray {
   const RberModel& rber_model() const { return rber_; }
 
   // --- block operations ---------------------------------------------
-  // Erase resamples the erased distribution and counts one P/E cycle.
+  // Erase returns every page of the block to a fresh draw from the
+  // erased distribution (recorded, not sampled; see above) and counts
+  // one P/E cycle. The cells' parameters follow the wear at the erase.
   void erase_block(std::uint32_t block);
   double wear(std::uint32_t block) const;
   // Jump a block ahead in its lifetime (lifetime experiments).
@@ -88,12 +99,25 @@ class NandArray {
 
  private:
   struct PageState {
-    std::vector<FloatingGateCell> cells;
+    // The array's noise stream as it stood at this page's erase.
+    Rng erase_stream;
+    // One threshold per cell; valid once materialised (by a program,
+    // or by read disturb of the erased page).
+    std::vector<Volts> vth;
+    bool materialised = false;
     bool programmed = false;
   };
   PageState& page(PageAddress addr);
   const PageState& page(PageAddress addr) const;
   void check_addr(PageAddress addr) const;
+  // The page's threshold storage, sized on first use; erases keep it.
+  std::vector<Volts>& storage(PageState& state);
+  // Every cell's erased threshold, replayed from the erase stream.
+  std::vector<Volts> erased_vth(const PageState& state) const;
+  void program_statistical(PageState& state, std::span<const Level> targets,
+                           ProgramAlgorithm algo, double pe);
+  IsppTrace program_ispp(PageState& state, std::span<const Level> targets,
+                         ProgramAlgorithm algo, double pe, double erase_wear);
 
   ArrayConfig config_;
   VariabilitySampler variability_;
@@ -103,6 +127,8 @@ class NandArray {
   DisturbModel disturb_;
   Rng rng_;
   std::vector<double> block_wear_;
+  // Wear at each block's last erase: what its cells were sampled at.
+  std::vector<double> erase_wear_;
   std::vector<PageState> pages_;
 };
 

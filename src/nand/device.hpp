@@ -146,8 +146,10 @@ class NandDevice {
   std::size_t page_index(PageAddress addr) const;
 
   DeviceConfig config_;
-  // nullptr on metadata-only devices (constructing the array samples
-  // every cell of every block — exactly the cost that mode avoids).
+  // nullptr on metadata-only devices. Constructing the array still
+  // advances its noise stream past three draws per cell of every block,
+  // and each programmed page stores a threshold per cell: the time and
+  // memory that mode avoids.
   std::unique_ptr<NandArray> array_;
   std::shared_ptr<const NandTiming> timing_;
   std::vector<ProgramAlgorithm> resident_;

@@ -38,13 +38,6 @@ Volts VoltagePlan::pre_verify_for(Level level) const {
   return verify_for(level) - pre_verify_offset;
 }
 
-Level VoltagePlan::read_level(Volts vth) const {
-  if (vth < read[0]) return Level::kL0;
-  if (vth < read[1]) return Level::kL1;
-  if (vth < read[2]) return Level::kL2;
-  return Level::kL3;
-}
-
 bool VoltagePlan::consistent() const {
   if (!(erased_mean < read[0])) return false;
   for (std::size_t i = 0; i < 3; ++i) {

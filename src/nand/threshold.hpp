@@ -48,8 +48,17 @@ struct VoltagePlan {
 
   Volts verify_for(Level level) const;
   Volts pre_verify_for(Level level) const;
-  // Level seen when sensing a threshold voltage against R1..R3.
-  Level read_level(Volts vth) const;
+  // Level seen when sensing a threshold voltage against R1..R3: L3
+  // minus one level per read level above it (the read levels ascend,
+  // see consistent()). Counted without branches, since a page read
+  // senses random data, which defeats branch prediction.
+  Level read_level(Volts vth) const {
+    const double v = vth.value();
+    const int above = static_cast<int>(v < read[0].value()) +
+                      static_cast<int>(v < read[1].value()) +
+                      static_cast<int>(v < read[2].value());
+    return static_cast<Level>(3 - above);
+  }
   bool is_over_programmed(Volts vth) const { return vth > over_program; }
   // Sanity of the ordering invariants (R1 < VFY1 <= R2 < VFY2 ...).
   bool consistent() const;

@@ -1,5 +1,6 @@
 #include "src/util/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/expect.hpp"
@@ -69,32 +70,48 @@ void BitVec::clear() {
   for (auto& w : words_) w = 0;
 }
 
+std::uint64_t BitVec::bits_at(std::size_t pos, std::size_t count) const {
+  const std::size_t w = pos / 64;
+  const std::size_t shift = pos % 64;
+  std::uint64_t value = words_[w] >> shift;
+  if (shift != 0 && shift + count > 64) value |= words_[w + 1] << (64 - shift);
+  return count == 64 ? value : value & ((1ull << count) - 1);
+}
+
+void BitVec::put_bits(std::size_t pos, std::size_t count,
+                      std::uint64_t value) {
+  const std::size_t w = pos / 64;
+  const std::size_t shift = pos % 64;
+  const std::uint64_t mask = count == 64 ? ~0ull : (1ull << count) - 1;
+  words_[w] = (words_[w] & ~(mask << shift)) | (value << shift);
+  if (shift != 0 && shift + count > 64) {
+    words_[w + 1] = (words_[w + 1] & ~(mask >> (64 - shift))) |
+                    (value >> (64 - shift));
+  }
+}
+
 BitVec BitVec::slice(std::size_t offset, std::size_t count) const {
   XLF_EXPECT(offset + count <= bits_);
   BitVec out(count);
-  // Word-aligned fast path covers the common page/parity splits.
-  if (offset % 64 == 0) {
-    const std::size_t first = offset / 64;
-    for (std::size_t w = 0; w < out.words_.size(); ++w) {
-      out.words_[w] = words_[first + w];
-    }
-    out.mask_tail();
-    return out;
+  for (std::size_t w = 0; w < out.words_.size(); ++w) {
+    out.words_[w] =
+        bits_at(offset + 64 * w, std::min<std::size_t>(64, count - 64 * w));
   }
-  for (std::size_t i = 0; i < count; ++i) out.set(i, get(offset + i));
   return out;
 }
 
 void BitVec::insert(std::size_t offset, const BitVec& src) {
   XLF_EXPECT(offset + src.bits_ <= bits_);
-  if (offset % 64 == 0 && src.bits_ % 64 == 0) {
-    const std::size_t first = offset / 64;
-    for (std::size_t w = 0; w < src.words_.size(); ++w) {
-      words_[first + w] = src.words_[w];
-    }
-    return;
+  for (std::size_t w = 0; w < src.words_.size(); ++w) {
+    put_bits(offset + 64 * w, std::min<std::size_t>(64, src.bits_ - 64 * w),
+             src.words_[w]);
   }
-  for (std::size_t i = 0; i < src.bits_; ++i) set(offset + i, src.get(i));
+}
+
+void BitVec::set_word(std::size_t w, std::uint64_t value) {
+  XLF_EXPECT(w < words_.size());
+  words_[w] = value;
+  if (w + 1 == words_.size()) mask_tail();
 }
 
 std::uint8_t BitVec::byte(std::size_t i) const {

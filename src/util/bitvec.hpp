@@ -44,6 +44,8 @@ class BitVec {
 
   const std::vector<std::uint64_t>& words() const { return words_; }
   std::uint64_t word(std::size_t w) const { return words_[w]; }
+  // Overwrite word w (bits [64w, 64w+64)); bits past size() are dropped.
+  void set_word(std::size_t w, std::uint64_t value);
 
   // Byte accessors for interfacing page buffers; byte i covers bits
   // [8i, 8i+8) little-endian within the vector.
@@ -52,6 +54,11 @@ class BitVec {
 
  private:
   void mask_tail();
+  // The `count` (<= 64) bits starting at bit `pos`, in the low bits.
+  std::uint64_t bits_at(std::size_t pos, std::size_t count) const;
+  // Overwrite `count` (<= 64) bits at `pos` with the low bits of
+  // `value`, whose higher bits must be zero.
+  void put_bits(std::size_t pos, std::size_t count, std::uint64_t value);
   std::size_t bits_ = 0;
   std::vector<std::uint64_t> words_;
 };

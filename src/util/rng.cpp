@@ -58,19 +58,49 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   }
 }
 
+void Rng::draw_pair(double& u1, double& u2) {
+  u1 = uniform();
+  while (u1 <= 0.0) u1 = uniform();
+  u2 = uniform();
+}
+
 double Rng::gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
+  if (cached_ == Cached::kValue) {
+    cached_ = Cached::kNone;
     return cached_gaussian_;
   }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
+  if (cached_ == Cached::kPair) {
+    // The sine half of the pair, by the same expression as below.
+    cached_ = Cached::kNone;
+    return std::sqrt(-2.0 * std::log(cached_u1_)) *
+           std::sin(2.0 * M_PI * cached_u2_);
+  }
+  double u1 = 0.0;
+  double u2 = 0.0;
+  draw_pair(u1, u2);
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double angle = 2.0 * M_PI * u2;
   cached_gaussian_ = radius * std::sin(angle);
-  has_cached_gaussian_ = true;
+  cached_ = Cached::kValue;
   return radius * std::cos(angle);
+}
+
+void Rng::discard_gaussians(std::uint64_t n) {
+  if (n == 0) return;
+  if (cached_ != Cached::kNone) {
+    cached_ = Cached::kNone;
+    --n;
+  }
+  // draw_pair's draws without the doubles: uniform() is 0 exactly
+  // when the top 53 bits of next() are.
+  for (; n >= 2; n -= 2) {
+    while ((next() >> 11) == 0) {}  // u1 (rejection)
+    next();                         // u2
+  }
+  if (n == 1) {
+    draw_pair(cached_u1_, cached_u2_);
+    cached_ = Cached::kPair;
+  }
 }
 
 double Rng::gaussian(double mean, double sigma) {

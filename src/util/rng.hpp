@@ -35,6 +35,12 @@ class Rng {
   // Standard normal via Box-Muller (cached second draw).
   double gaussian();
   double gaussian(double mean, double sigma);
+  // Advance the stream exactly as `n` gaussian() calls would (the same
+  // uniform draws, rejections and cache hand-off) without computing
+  // any of the values. A discard that ends halfway through a pair
+  // keeps the pair's uniforms, so the next gaussian() returns the same
+  // bits it would have returned after those n calls.
+  void discard_gaussians(std::uint64_t n);
   // Bernoulli trial.
   bool chance(double p);
   // Poisson draw (Knuth for small lambda, normal approximation above).
@@ -44,9 +50,18 @@ class Rng {
   Rng fork();
 
  private:
+  // One Box-Muller pair: draws u1 in (0, 1) and u2 in [0, 1).
+  void draw_pair(double& u1, double& u2);
+
+  // The second value of the last Box-Muller pair, held for the next
+  // gaussian() call: computed (kValue), or, after a discard that ended
+  // halfway through the pair, still the pair's raw uniforms (kPair).
+  enum class Cached : std::uint8_t { kNone, kValue, kPair };
   std::array<std::uint64_t, 4> state_{};
+  Cached cached_ = Cached::kNone;
   double cached_gaussian_ = 0.0;
-  bool has_cached_gaussian_ = false;
+  double cached_u1_ = 0.0;
+  double cached_u2_ = 0.0;
 };
 
 }  // namespace xlf

@@ -158,5 +158,81 @@ TEST(BitVec, ClearResets) {
   EXPECT_EQ(v.size(), 128u);
 }
 
+
+// --- word-level slice / insert against a per-bit oracle ---------------
+
+BitVec random_bits(std::size_t n, Rng& rng) {
+  BitVec v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.chance(0.5));
+  return v;
+}
+
+BitVec slice_oracle(const BitVec& v, std::size_t offset, std::size_t count) {
+  BitVec out(count);
+  for (std::size_t i = 0; i < count; ++i) out.set(i, v.get(offset + i));
+  return out;
+}
+
+void insert_oracle(BitVec& v, std::size_t offset, const BitVec& src) {
+  for (std::size_t i = 0; i < src.size(); ++i) v.set(offset + i, src.get(i));
+}
+
+// The bits of the last word past size() are zero.
+bool tail_masked(const BitVec& v) {
+  return v.size() % 64 == 0 || (v.words().back() >> (v.size() % 64)) == 0;
+}
+
+TEST(BitVec, SliceAndInsertMatchPerBitOracleAtEveryOffset) {
+  Rng rng(41);
+  const BitVec source = random_bits(130 + 200 + 64, rng);
+  for (std::size_t offset = 0; offset <= 130; ++offset) {
+    for (std::size_t count = 0; count <= 200; ++count) {
+      const BitVec piece = source.slice(offset, count);
+      // operator== compares whole words, tails included.
+      ASSERT_EQ(piece, slice_oracle(source, offset, count))
+          << "slice at " << offset << ", length " << count;
+      ASSERT_TRUE(tail_masked(piece));
+
+      // Destinations ending at the insert and past it.
+      BitVec dest = random_bits(offset + count + count % 67, rng);
+      BitVec expected = dest;
+      dest.insert(offset, piece);
+      insert_oracle(expected, offset, piece);
+      ASSERT_EQ(dest, expected)
+          << "insert at " << offset << ", length " << count;
+      ASSERT_TRUE(tail_masked(dest));
+    }
+  }
+}
+
+TEST(BitVec, PageSizedSliceAndInsertAtEveryParityWidth) {
+  // The codec's layout: 16t parity bits, then the k = 32,768-bit
+  // message, for every t the adaptive codec supports.
+  Rng rng(43);
+  const std::size_t k = 32768;
+  const BitVec message = random_bits(k, rng);
+  for (std::size_t t = 3; t <= 65; ++t) {
+    const std::size_t offset = 16 * t;
+    BitVec codeword = random_bits(offset + k, rng);
+    BitVec expected = codeword;
+    codeword.insert(offset, message);
+    insert_oracle(expected, offset, message);
+    ASSERT_EQ(codeword, expected) << "t " << t;
+    ASSERT_TRUE(tail_masked(codeword));
+    ASSERT_EQ(codeword.slice(offset, k), message) << "t " << t;
+  }
+}
+
+TEST(BitVec, SetWordMasksTheTail) {
+  BitVec v(70);
+  v.set_word(0, ~0ull);
+  v.set_word(1, ~0ull);
+  EXPECT_EQ(v.popcount(), 70u);
+  EXPECT_TRUE(tail_masked(v));
+  v.set_word(0, 0x5ull);
+  EXPECT_EQ(v.popcount(), 8u);
+  EXPECT_THROW(v.set_word(2, 1), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace xlf

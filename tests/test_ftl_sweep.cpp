@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "src/explore/report.hpp"
+#include "tests/digest.hpp"
 
 namespace xlf::explore {
 namespace {
@@ -58,6 +59,43 @@ TEST(FtlSweep, CoversTheFullGridInOrder) {
   // The report carries one line per combo plus the header.
   const std::string csv = ftl_csv(result);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
+}
+
+
+// Bit-true stats pin: one 2x1-die, 16-block combo at three seeds, every
+// SsdSimStats field hashed. No report column carries corrected_bits,
+// so the CSV/JSON byte checks cannot see the cell noise drift; this
+// digest can. Captured from the build whose erase sampled every cell
+// eagerly.
+FtlSweepRow bittrue_row(std::uint64_t seed) {
+  FtlSweepSpec spec;
+  spec.base.die.device.array.geometry.blocks = 16;
+  spec.base.die.device.array.geometry.pages_per_block = 4;
+  spec.base.initial_pe_cycles = 1e4;
+  spec.base.ftl.pe_cycles_per_erase = 3e4;
+  spec.topologies = {{2, 1}};
+  spec.queue_depths = {4};
+  spec.gc_policies = {"greedy"};
+  spec.requests = 160;
+  spec.seed = seed;
+  ThreadPool pool(1);
+  const FtlSweepResult result = ftl_sweep(spec, pool);
+  EXPECT_EQ(result.rows.size(), 1u);
+  return result.rows.front();
+}
+
+TEST(FtlSweep, BitTrueStatsArePinned) {
+  const std::uint64_t expected[] = {
+      0x8EF3531676B59A45ull, 0x7D8A1B7C5BD46691ull, 0x02853755B0BF0BC2ull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const FtlSweepRow row = bittrue_row(seed);
+    EXPECT_GT(row.stats.erases, 0u);
+    EXPECT_GT(row.stats.corrected_bits, 0u);
+    EXPECT_EQ(row.stats.data_mismatches, 0u);
+    test::Fnv1a digest;
+    digest.add(row.stats);
+    EXPECT_EQ(digest.value(), expected[seed - 1]) << "seed " << seed;
+  }
 }
 
 }  // namespace

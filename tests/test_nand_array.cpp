@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/util/stats.hpp"
+#include "tests/digest.hpp"
 
 namespace xlf::nand {
 namespace {
@@ -160,6 +163,177 @@ TEST(Array, WrongPageSizeRejected) {
   EXPECT_THROW(
       array.program_page({0, 0}, BitVec(100), ProgramAlgorithm::kIsppSv),
       std::invalid_argument);
+}
+
+// --- byte-identity pins ---------------------------------------------
+// The digests below were captured from a build whose erase sampled
+// every cell eagerly. An erase that records each page's place in the
+// noise stream and replays it on first use must reproduce them: any
+// drift in the stream, the replay or the wear the replay samples at
+// shows up here.
+
+void hash_page(test::Fnv1a& digest, const NandArray& array,
+               PageAddress addr) {
+  for (Volts v : array.thresholds(addr)) digest.f64(v.value());
+  const BitVec read = array.read_page(addr);
+  for (std::uint64_t w : read.words()) digest.u64(w);
+}
+
+void hash_program(test::Fnv1a& digest, const ProgramResult& result) {
+  digest.u64(result.ok);
+  digest.u64(result.over_programmed_cells);
+  if (result.trace) {
+    digest.u64(result.trace->pulses);
+    digest.u64(result.trace->verify_ops);
+    digest.u64(result.trace->failed_cells);
+  }
+}
+
+// Both program modes and algorithms, reads and thresholds of erased
+// pages, read disturb on an erased and on a programmed page,
+// retention, set_wear before and after an erase, and re-erase.
+std::uint64_t array_script_digest() {
+  ArrayConfig config;
+  config.geometry.blocks = 3;
+  config.geometry.pages_per_block = 4;
+  config.seed = 0x5EED5;
+  NandArray array(config);
+  Rng data_rng(0xDA7A);
+  test::Fnv1a digest;
+  const auto program = [&](PageAddress addr, ProgramAlgorithm algo,
+                           ProgramMode mode) {
+    const BitVec data = random_page_bits(config.geometry, data_rng);
+    hash_program(digest, array.program_page(addr, data, algo, mode));
+  };
+
+  hash_page(digest, array, {0, 0});  // erased page, before programming
+  for (Level level : array.read_levels({2, 3})) {
+    digest.u64(static_cast<std::uint64_t>(level));
+  }
+  program({0, 0}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
+  program({0, 1}, ProgramAlgorithm::kIsppDv, ProgramMode::kIsppSimulation);
+  program({0, 2}, ProgramAlgorithm::kIsppDv, ProgramMode::kStatistical);
+  array.apply_read_disturb({0, 3}, 200000);  // erased page
+  program({0, 3}, ProgramAlgorithm::kIsppSv, ProgramMode::kIsppSimulation);
+  array.set_wear(1, 3e4);
+  program({1, 0}, ProgramAlgorithm::kIsppSv, ProgramMode::kIsppSimulation);
+  program({1, 1}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
+  array.apply_retention({0, 0}, 1000.0);
+  array.apply_read_disturb({0, 1}, 100000);  // programmed page
+  array.apply_read_disturb({1, 2}, 300000);  // erased, left unprogrammed
+  hash_page(digest, array, {1, 2});
+  array.erase_block(0);
+  program({0, 0}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
+  array.set_wear(2, 1e5);
+  array.erase_block(2);
+  array.set_wear(2, 5e5);  // after the erase: the cells keep 1e5 + 1
+  program({2, 1}, ProgramAlgorithm::kIsppDv, ProgramMode::kIsppSimulation);
+  program({2, 2}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
+  for (std::uint32_t b = 0; b < config.geometry.blocks; ++b) {
+    for (std::uint32_t p = 0; p < config.geometry.pages_per_block; ++p) {
+      hash_page(digest, array, {b, p});
+    }
+  }
+  return digest.value();
+}
+
+TEST(Array, ScriptThresholdsAndReadsArePinned) {
+  EXPECT_EQ(array_script_digest(), 0x29F17C0AFFC56328ull);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(Array, MonteCarloRberIsPinned) {
+  const ArrayConfig config;
+  const double sv = monte_carlo_rber(config, ProgramAlgorithm::kIsppSv, 3e4,
+                                     40, ProgramMode::kStatistical, 11);
+  const double dv = monte_carlo_rber(config, ProgramAlgorithm::kIsppDv, 1e6,
+                                     6, ProgramMode::kIsppSimulation, 12);
+  EXPECT_GT(sv, 0.0);
+  EXPECT_GT(dv, 0.0);
+  EXPECT_EQ(bits_of(sv), 0x3ED53D0F8CB48704ull) << sv;
+  EXPECT_EQ(bits_of(dv), 0x3F261F9ADD3C0CA4ull) << dv;
+}
+
+// Looking at an erased page before programming it draws nothing from
+// the array's noise stream: the page programs to the same thresholds,
+// and the next page's draws are the same, as when nobody looked.
+TEST(Array, ReadingAnErasedPageLeavesTheStreamAlone) {
+  for (ProgramMode mode :
+       {ProgramMode::kStatistical, ProgramMode::kIsppSimulation}) {
+    NandArray looked(tiny_config());
+    NandArray untouched(tiny_config());
+    Rng data_rng(9);
+    const BitVec first = random_page_bits(looked.config().geometry, data_rng);
+    const BitVec second = random_page_bits(looked.config().geometry, data_rng);
+
+    const auto erased = looked.thresholds({0, 0});
+    (void)looked.read_page({0, 0});
+    (void)looked.read_levels({0, 1});
+    (void)looked.thresholds({0, 1});
+    for (NandArray* array : {&looked, &untouched}) {
+      array->program_page({0, 0}, first, ProgramAlgorithm::kIsppSv, mode);
+      array->program_page({0, 1}, second, ProgramAlgorithm::kIsppDv, mode);
+    }
+    EXPECT_EQ(looked.thresholds({0, 0}), untouched.thresholds({0, 0}));
+    EXPECT_EQ(looked.thresholds({0, 1}), untouched.thresholds({0, 1}));
+    EXPECT_EQ(looked.read_page({0, 1}), untouched.read_page({0, 1}));
+    // The cells the program left at L0 kept their erased thresholds.
+    const auto programmed = looked.thresholds({0, 0});
+    const auto targets = NandArray::bits_to_levels(first);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      if (targets[i] == Level::kL0 && mode == ProgramMode::kStatistical) {
+        EXPECT_EQ(programmed[i], erased[i]) << "cell " << i;
+      }
+    }
+  }
+}
+
+// --- word-level page I/O ----------------------------------------------
+// Every level at every cell index mod 32 (one 64-bit word holds 32
+// cells): cell i of 128 holds level (i / 32 + i % 32) % 4.
+Level level_at(std::size_t i) {
+  return static_cast<Level>((i / 32 + i % 32) % 4);
+}
+
+TEST(Array, BitsToLevelsPlacesEveryLevelAtEveryWordOffset) {
+  BitVec bits(2 * 128 + 2 * 7);  // a partial tail word too
+  for (std::size_t i = 0; i < bits.size() / 2; ++i) {
+    const Bits2 b = level_to_bits(level_at(i));
+    bits.set(2 * i, b.msb);
+    bits.set(2 * i + 1, b.lsb);
+  }
+  const auto levels = NandArray::bits_to_levels(bits);
+  ASSERT_EQ(levels.size(), bits.size() / 2);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(levels[i], level_at(i)) << "cell " << i;
+    EXPECT_EQ(levels[i],
+              bits_to_level(Bits2{bits.get(2 * i), bits.get(2 * i + 1)}));
+  }
+}
+
+TEST(Array, ReadPagePlacesEveryLevelAtEveryWordOffset) {
+  NandArray array(tiny_config());
+  const Geometry& geometry = array.config().geometry;
+  BitVec data(geometry.bits_per_page());
+  for (std::size_t i = 0; i < geometry.cells_per_page(); ++i) {
+    const Bits2 b = level_to_bits(level_at(i % 128));
+    data.set(2 * i, b.msb);
+    data.set(2 * i + 1, b.lsb);
+  }
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppDv);
+  const BitVec read = array.read_page({0, 0});
+  // Per-bit oracle over the sensed levels.
+  EXPECT_EQ(read, NandArray::levels_to_bits(array.read_levels({0, 0})));
+  EXPECT_LE(read.hamming_distance(data), 2u);
+  // An erased page reads all ones (L0 = 11) up to the erase tail.
+  const BitVec erased = array.read_page({0, 1});
+  EXPECT_EQ(erased, NandArray::levels_to_bits(array.read_levels({0, 1})));
+  EXPECT_GE(erased.popcount(), erased.size() - 2);
 }
 
 }  // namespace

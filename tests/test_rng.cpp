@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/stats.hpp"
 
@@ -160,6 +162,81 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (parent.next() == child.next()) ++same;
   }
   EXPECT_EQ(same, 0);
+}
+
+
+// --- discard_gaussians: the same stream as drawing the values -------
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// A fixed mix of every draw kind after the discard (or its oracle):
+// three Gaussians per round, so the Box-Muller cache alternates
+// between rounds and the uniform/next/fork draws land on both sides
+// of a cached value.
+std::vector<std::uint64_t> draw_mix(Rng& rng) {
+  std::vector<std::uint64_t> out;
+  for (int round = 0; round < 3; ++round) {
+    out.push_back(bits_of(rng.gaussian()));
+    out.push_back(bits_of(rng.gaussian(-3.0, 0.4)));
+    out.push_back(bits_of(rng.uniform()));
+    out.push_back(rng.next());
+    out.push_back(rng.fork().next());
+    out.push_back(bits_of(rng.gaussian(14.0, 0.28)));
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<std::uint64_t>& a,
+               const std::vector<std::uint64_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof a[0]) == 0;
+}
+
+enum class Start { kFresh, kCachedValue, kPendingPair };
+
+// Brings a fresh generator to `start`. The pending pair comes from an
+// odd discard; its oracle draws the same three values instead.
+void prepare(Rng& rng, Start start, bool discard) {
+  if (start == Start::kCachedValue) rng.gaussian();
+  if (start != Start::kPendingPair) return;
+  if (discard) {
+    rng.discard_gaussians(3);
+  } else {
+    for (int i = 0; i < 3; ++i) rng.gaussian();
+  }
+}
+
+TEST(Rng, DiscardGaussiansMatchesDrawingThem) {
+  // 51,840 = three draws per cell of a 17,280-cell page: what an erase
+  // discards.
+  const std::uint64_t counts[] = {0, 1, 2, 3, 4, 5, 6, 7, 51840};
+  for (Start start :
+       {Start::kFresh, Start::kCachedValue, Start::kPendingPair}) {
+    for (std::uint64_t n : counts) {
+      Rng skipped(0xC0FFEE), drawn(0xC0FFEE);
+      prepare(skipped, start, true);
+      prepare(drawn, start, false);
+      skipped.discard_gaussians(n);
+      for (std::uint64_t i = 0; i < n; ++i) drawn.gaussian();
+      EXPECT_TRUE(same_bits(draw_mix(skipped), draw_mix(drawn)))
+          << "start " << static_cast<int>(start) << ", n " << n;
+    }
+  }
+}
+
+TEST(Rng, CopyOfAPendingPairReplaysIdentically) {
+  Rng original(77);
+  original.discard_gaussians(5);  // ends halfway through a pair
+  Rng copy = original;
+  Rng drawn(77);
+  for (int i = 0; i < 5; ++i) drawn.gaussian();
+  const std::vector<std::uint64_t> expected = draw_mix(drawn);
+  EXPECT_TRUE(same_bits(draw_mix(copy), expected));
+  EXPECT_TRUE(same_bits(draw_mix(original), expected));
 }
 
 }  // namespace
