@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
+#include <bit>
+#include <cmath>
+#include <limits>
 
 #include "src/util/expect.hpp"
 
@@ -13,7 +15,9 @@ namespace {
 // threshold (VariabilitySampler::sample_erased), then the onset offset
 // and sharpness (VariabilitySampler::sample).
 constexpr std::uint64_t kDrawsPerCell = 3;
-constexpr std::uint64_t kParamDraws = kDrawsPerCell - 1;
+
+// Page words hold 32 cells; cell i's MSB is bit 2i, its LSB bit 2i+1.
+constexpr std::uint64_t kMsbBits = 0x5555555555555555ull;
 
 // A cell's page bits 2i (MSB) and 2i+1 (LSB) as the two low bits of a
 // word, per level.
@@ -25,6 +29,99 @@ std::array<std::uint64_t, 4> level_bit_pairs() {
         std::uint64_t{b.msb} | std::uint64_t{b.lsb} << 1;
   }
   return pairs;
+}
+
+// The level written to cell `cell` of a page's bits.
+Level written_level(const BitVec& bits, std::size_t cell) {
+  const std::uint64_t pair = bits.word(cell / 32) >> (2 * (cell % 32));
+  return bits_to_level(Bits2{(pair & 1u) != 0, (pair & 2u) != 0});
+}
+
+// Cells of page word `w` written to L0 (MSB and LSB set) and to a
+// programmed level, as MSB bit positions. Bits past the page are zero,
+// which would read as L2, so the last word is masked to the page.
+struct WordCells {
+  std::uint64_t erased;
+  std::uint64_t programmed;
+};
+WordCells word_cells(const BitVec& bits, std::size_t w) {
+  const std::uint64_t word = bits.word(w);
+  const std::uint64_t erased = word & (word >> 1) & kMsbBits;
+  const std::size_t tail = bits.size() - 64 * w;
+  const std::uint64_t page = tail >= 64 ? kMsbBits
+                                        : kMsbBits & ((1ull << tail) - 1);
+  return {erased, page & ~erased};
+}
+
+// The cells of a page written to L1..L3, taken in ascending order:
+// select(j) is the cell of the j-th of them, for ascending j.
+class ProgrammedCells {
+ public:
+  explicit ProgrammedCells(const BitVec& bits) : bits_(bits) {}
+  std::uint32_t select(std::uint64_t j) {
+    for (;; ++word_) {
+      std::uint64_t mask = word_cells(bits_, word_).programmed;
+      const auto count = static_cast<std::uint64_t>(std::popcount(mask));
+      if (j - before_ < count) {
+        for (std::uint64_t skip = j - before_; skip > 0; --skip) {
+          mask &= mask - 1;
+        }
+        return static_cast<std::uint32_t>(32 * word_ +
+                                          std::countr_zero(mask) / 2);
+      }
+      before_ += count;
+    }
+  }
+
+ private:
+  const BitVec& bits_;
+  std::size_t word_ = 0;
+  std::uint64_t before_ = 0;  // programmed cells in the words before
+};
+
+// A floor that reports every draw: no pair's u1 bits exceed 2^53 - 1.
+constexpr std::uint64_t kSenseAll = (std::uint64_t{1} << 53) - 1;
+
+// The sensing floor of a level: the largest u1 bits (next() >> 11) of
+// a Box-Muller pair whose draw z might place mean + sigma * z outside
+// the level's band, where the cell reads another level or is
+// over-programmed. A draw whose pair's u1 bits exceed the floor stays
+// inside, proved by its radius alone. The bands are L0 (-inf, R1),
+// L1 [R1, R2), L2 [R2, R3) and L3 [R3, OP]; the ordering every plan
+// is checked for (VoltagePlan::consistent) makes reading a level the
+// same as lying in its band.
+//
+// The proof, with r = min(mean - lo, hi - mean) / sigma. A draw's
+// value is fl(rho * c), with rho = fl(sqrt(-2 log u1)) and |c| <= 1
+// for libm's cos and sin, so |z| <= rho by monotone rounding. A draw
+// is admitted when u1 > exp(-r_a^2 / 2), at r_a = r (1 - 1e-6). The
+// last-ulp errors of exp, log and sqrt then keep rho / r_a below
+// 1 + 2^-51 / r_a^2 + 2^-50: under 1e-9 for r_a >= 1e-3, far inside
+// the gap to r_c = r (1 - 1e-7). So |z| <= r_c, and by monotone
+// rounding mean + sigma * z lies between mean - sigma * r_c and
+// mean + sigma * r_c, which are checked against the band in floating
+// point, by the very expression a cell's threshold takes. A level
+// that fails the check (its mean outside its band, or sigma zero), or
+// whose r_a is below 1e-3, admits nothing: every draw is reported.
+std::uint64_t sense_floor(const VoltagePlan& plan, Level level,
+                          const LevelDistribution& dist) {
+  const auto k = static_cast<std::size_t>(level);
+  const double lo = level == Level::kL0
+                        ? -std::numeric_limits<double>::infinity()
+                        : plan.read[k - 1].value();
+  const double hi = level == Level::kL3 ? plan.over_program.value()
+                                        : plan.read[k].value();
+  const double mean = dist.mean.value();
+  const double sigma = dist.sigma.value();
+  const double r = std::min(mean - lo, hi - mean) / sigma;
+  const double r_check = r * (1.0 - 1e-7);
+  const double r_admit = r * (1.0 - 1e-6);
+  if (!(r_admit >= 1e-3) || !(mean + sigma * -r_check >= lo) ||
+      !(mean + sigma * r_check < hi)) {
+    return kSenseAll;
+  }
+  return static_cast<std::uint64_t>(std::exp(-0.5 * r_admit * r_admit) *
+                                    0x1.0p53);
 }
 
 }  // namespace
@@ -40,6 +137,9 @@ NandArray::NandArray(const ArrayConfig& config)
       rng_(config.seed),
       block_wear_(config.geometry.blocks, 0.0),
       erase_wear_(config.geometry.blocks, 0.0),
+      erased_floor_(sense_floor(config.plan, Level::kL0,
+                                {config.plan.erased_mean,
+                                 config.plan.erased_sigma})),
       pages_(config.geometry.pages()) {
   XLF_EXPECT(config.geometry.blocks >= 1);
   XLF_EXPECT(config.geometry.pages_per_block >= 1);
@@ -73,9 +173,18 @@ void NandArray::erase_block(std::uint32_t block) {
   for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
     PageState& state = pages_[block * config_.geometry.pages_per_block + p];
     state.erase_stream = rng_;
+    state.erase_exceptions.clear();
     state.materialised = false;
     state.programmed = false;
-    rng_.discard_gaussians(draws);
+    // Of a cell's three draws only the first, its erased threshold, is
+    // ever sensed.
+    rng_.discard_gaussians(
+        draws, erased_floor_, [&](std::uint64_t i, const Rng::NormalDraw&) {
+          if (i % kDrawsPerCell != 0) return;
+          state.erase_exceptions.push_back(  // xlf-lint: allow(hot-alloc)
+              static_cast<std::uint32_t>(i / kDrawsPerCell));
+          ++sense_counts_.erase_exceptions;
+        });
   }
 }
 
@@ -84,15 +193,40 @@ std::vector<Volts>& NandArray::storage(PageState& state) {
   return state.vth;
 }
 
-std::vector<Volts> NandArray::erased_vth(const PageState& state) const {
+Volts NandArray::erased_vth(ErasedReplay& replay, std::uint32_t cell) const {
+  XLF_EXPECT(kDrawsPerCell * cell >= replay.drawn);  // ascending cells
+  replay.stream.discard_gaussians(kDrawsPerCell * cell - replay.drawn);
+  replay.drawn = kDrawsPerCell * cell + 1;
+  return variability_.sample_erased(replay.stream, config_.plan.erased_mean,
+                                    config_.plan.erased_sigma);
+}
+
+std::vector<Volts> NandArray::replay(const PageState& state) const {
   std::vector<Volts> vth(config_.geometry.cells_per_page());
-  Rng stream = state.erase_stream;
-  for (Volts& v : vth) {
-    v = variability_.sample_erased(stream, config_.plan.erased_mean,
-                                   config_.plan.erased_sigma);
-    stream.discard_gaussians(kParamDraws);
+  ErasedReplay erased{state.erase_stream};
+  for (std::uint32_t i = 0; i < vth.size(); ++i) {
+    vth[i] = erased_vth(erased, i);
   }
+  if (state.programmed) write_programmed(state, vth);
   return vth;
+}
+
+void NandArray::write_programmed(const PageState& state,
+                                 std::vector<Volts>& vth) const {
+  Rng stream = state.program_stream;
+  for (std::size_t i = 0; i < vth.size(); ++i) {
+    const Level level = written_level(state.written, i);
+    if (level == Level::kL0) continue;
+    const LevelDistribution& dist =
+        state.dist[static_cast<std::size_t>(level)];
+    vth[i] = Volts{stream.gaussian(dist.mean.value(), dist.sigma.value())};
+  }
+}
+
+void NandArray::materialise(PageState& state) {
+  if (state.materialised) return;
+  state.vth = replay(state);
+  state.materialised = true;
 }
 
 double NandArray::wear(std::uint32_t block) const {
@@ -112,14 +246,9 @@ bool NandArray::is_erased(PageAddress addr) const {
 
 std::vector<Level> NandArray::bits_to_levels(const BitVec& bits) {
   XLF_EXPECT(bits.size() % 2 == 0);
-  // Level of each bit pair, indexed MSB | LSB << 1.
-  std::array<Level, 4> level_of{};
-  for (unsigned pair = 0; pair < 4; ++pair) {
-    level_of[pair] = bits_to_level(Bits2{(pair & 1u) != 0, (pair & 2u) != 0});
-  }
   std::vector<Level> levels(bits.size() / 2);
   for (std::size_t i = 0; i < levels.size(); ++i) {
-    levels[i] = level_of[(bits.word(i / 32) >> (2 * (i % 32))) & 3u];
+    levels[i] = written_level(bits, i);
   }
   return levels;
 }
@@ -140,54 +269,102 @@ ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
   PageState& state = page(addr);
   XLF_EXPECT(!state.programmed);  // NAND constraint: program-after-erase
   XLF_EXPECT(bits.size() == config_.geometry.bits_per_page());
-  const auto targets = bits_to_levels(bits);
   const double pe = block_wear_[addr.block];
 
   ProgramResult result;
   if (mode == ProgramMode::kIsppSimulation) {
-    result.trace =
-        program_ispp(state, targets, algo, pe, erase_wear_[addr.block]);
+    result.trace = program_ispp(state, bits_to_levels(bits), algo, pe,
+                                erase_wear_[addr.block]);
     result.ok = result.trace->converged;
+    state.materialised = true;
+    for (Volts vth : state.vth) {
+      result.over_programmed_cells += config_.plan.is_over_programmed(vth);
+    }
   } else {
-    program_statistical(state, targets, algo, pe);
+    result.over_programmed_cells = program_statistical(state, bits, algo, pe);
   }
-  state.materialised = true;
   state.programmed = true;
-
-  for (Volts vth : state.vth) {
-    if (config_.plan.is_over_programmed(vth)) ++result.over_programmed_cells;
-  }
   return result;
 }
 
-void NandArray::program_statistical(PageState& state,
-                                    std::span<const Level> targets,
-                                    ProgramAlgorithm algo, double pe) {
-  // Sample each programmed cell from the calibrated read-time
-  // distribution of its level. Erased cells stay put, so only they
-  // need their erased threshold: the replay computes those and skips
-  // every other cell's draws.
-  const bool replay = !state.materialised;
-  std::vector<Volts>& vth = storage(state);
-  Rng stream = state.erase_stream;
-  std::uint64_t skipped = 0;  // erase-stream draws not yet discarded
-  std::array<std::optional<LevelDistribution>, 4> dist;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] == Level::kL0) {
-      if (replay) {
-        stream.discard_gaussians(skipped);
-        vth[i] = variability_.sample_erased(stream, config_.plan.erased_mean,
-                                            config_.plan.erased_sigma);
-        skipped = kParamDraws;
-      }
-      continue;
-    }
-    skipped += kDrawsPerCell;
-    std::optional<LevelDistribution>& level =
-        dist[static_cast<std::size_t>(targets[i])];
-    if (!level) level = rber_.distribution(targets[i], algo, pe);
-    vth[i] = Volts{rng_.gaussian(level->mean.value(), level->sigma.value())};
+unsigned NandArray::program_statistical(PageState& state, const BitVec& bits,
+                                        ProgramAlgorithm algo, double pe) {
+  // Each programmed cell takes one draw from the calibrated read-time
+  // distribution of its level, in cell order; erased cells stay put.
+  // The level distributions are looked up once per level the page
+  // holds, which fills RberModel's sigma cache through the same calls
+  // as a per-cell lookup.
+  std::array<std::uint64_t, 4> cells{};  // per level
+  const auto add = [&](Level level, std::uint64_t mask) {
+    cells[static_cast<std::size_t>(level)] +=
+        static_cast<std::uint64_t>(std::popcount(mask));
+  };
+  for (std::size_t w = 0; w < bits.words().size(); ++w) {
+    const std::uint64_t msb = bits.word(w) & kMsbBits;
+    const std::uint64_t lsb = bits.word(w) >> 1 & kMsbBits;
+    const WordCells split = word_cells(bits, w);
+    add(Level::kL0, split.erased);
+    add(Level::kL1, ~msb & lsb);
+    add(Level::kL2, split.programmed & ~msb & ~lsb);
+    add(Level::kL3, msb & ~lsb);
   }
+  std::array<std::uint64_t, 4> floors{};
+  for (Level level : {Level::kL1, Level::kL2, Level::kL3}) {
+    const auto k = static_cast<std::size_t>(level);
+    if (cells[k] == 0) continue;
+    state.dist[k] = rber_.distribution(level, algo, pe);
+    floors[k] = sense_floor(config_.plan, level, state.dist[k]);
+  }
+  state.program_stream = rng_;
+  state.written = bits;
+  const std::uint64_t draws = cells[1] + cells[2] + cells[3];
+
+  if (state.materialised) {
+    // Thresholds stored before the program (read disturb of the erased
+    // page) stay stored: the erased cells keep theirs, and the
+    // programmed cells take the draws replayed from the program stream.
+    rng_.discard_gaussians(draws);
+    write_programmed(state, state.vth);
+    unsigned over = 0;
+    for (Volts vth : state.vth) over += config_.plan.is_over_programmed(vth);
+    return over;
+  }
+
+  // Sense: a draw whose radius keeps it inside its level's band reads
+  // as written. The walk reports the draws at or below the highest
+  // floor of the page's levels; those at or below their own level's
+  // floor, and the erased cells the erase recorded, get an exact
+  // threshold. A held value has no radius (u1 = 0) and is evaluated.
+  state.misreads.clear();
+  unsigned over = 0;
+  const auto sense = [&](std::uint32_t cell, Level written, Volts vth) {
+    ++sense_counts_.exact_cells;
+    const Level level = config_.plan.read_level(vth);
+    if (level != written) {
+      state.misreads.push_back({cell, level});  // xlf-lint: allow(hot-alloc)
+    }
+    over += config_.plan.is_over_programmed(vth);
+  };
+  ProgrammedCells programmed(bits);
+  rng_.discard_gaussians(
+      draws, *std::max_element(floors.begin(), floors.end()),
+      [&](std::uint64_t j, const Rng::NormalDraw& draw) {
+        const std::uint32_t cell = programmed.select(j);
+        const Level level = written_level(bits, cell);
+        const auto k = static_cast<std::size_t>(level);
+        // u1 > floor / 2^53 exactly when u1's bits exceed the floor.
+        if (draw.u1 > static_cast<double>(floors[k]) * 0x1.0p-53) return;
+        const LevelDistribution& dist = state.dist[k];
+        sense(cell, level,
+              Volts{dist.mean.value() + dist.sigma.value() * draw.value()});
+      });
+  ErasedReplay erased{state.erase_stream};
+  for (std::uint32_t cell : state.erase_exceptions) {
+    if (written_level(bits, cell) == Level::kL0) {
+      sense(cell, Level::kL0, erased_vth(erased, cell));
+    }
+  }
+  return over;
 }
 
 IsppTrace NandArray::program_ispp(PageState& state,
@@ -234,20 +411,38 @@ IsppTrace NandArray::program_ispp(PageState& state,
 
 BitVec NandArray::read_page(PageAddress addr) const {
   const PageState& state = page(addr);
-  const std::vector<Volts> replayed =
-      state.materialised ? std::vector<Volts>() : erased_vth(state);
-  const std::vector<Volts>& vth = state.materialised ? state.vth : replayed;
-  // 32 cells per 64-bit word.
   const std::array<std::uint64_t, 4> pairs = level_bit_pairs();
   BitVec bits(config_.geometry.bits_per_page());
-  for (std::size_t first = 0; first < vth.size(); first += 32) {
-    const std::size_t last = std::min(vth.size(), first + 32);
-    std::uint64_t word = 0;
-    for (std::size_t i = first; i < last; ++i) {
-      const Level level = config_.plan.read_level(vth[i]);
-      word |= pairs[static_cast<std::size_t>(level)] << (2 * (i - first));
+  if (state.materialised) {
+    // 32 cells per 64-bit word.
+    const std::vector<Volts>& vth = state.vth;
+    for (std::size_t first = 0; first < vth.size(); first += 32) {
+      const std::size_t last = std::min(vth.size(), first + 32);
+      std::uint64_t word = 0;
+      for (std::size_t i = first; i < last; ++i) {
+        const Level level = config_.plan.read_level(vth[i]);
+        word |= pairs[static_cast<std::size_t>(level)] << (2 * (i - first));
+      }
+      bits.set_word(first / 32, word);
     }
-    bits.set_word(first / 32, word);
+    return bits;
+  }
+  const auto patch = [&](std::uint32_t cell, Level level) {
+    const std::size_t w = cell / 32;
+    const unsigned shift = 2 * (cell % 32);
+    bits.set_word(w, (bits.word(w) & ~(3ull << shift)) |
+                         pairs[static_cast<std::size_t>(level)] << shift);
+  };
+  if (state.programmed) {
+    bits = state.written;
+    for (const Misread& m : state.misreads) patch(m.cell, m.level);
+    return bits;
+  }
+  // A page left erased reads L0 (all ones) but for its exceptions.
+  for (std::size_t w = 0; w < bits.words().size(); ++w) bits.set_word(w, ~0ull);
+  ErasedReplay erased{state.erase_stream};
+  for (std::uint32_t cell : state.erase_exceptions) {
+    patch(cell, config_.plan.read_level(erased_vth(erased, cell)));
   }
   return bits;
 }
@@ -263,12 +458,13 @@ std::vector<Level> NandArray::read_levels(PageAddress addr) const {
 
 std::vector<Volts> NandArray::thresholds(PageAddress addr) const {
   const PageState& state = page(addr);
-  return state.materialised ? state.vth : erased_vth(state);
+  return state.materialised ? state.vth : replay(state);
 }
 
 void NandArray::apply_retention(PageAddress addr, double hours) {
   PageState& state = page(addr);
   XLF_EXPECT(state.programmed && "retention stress targets written data");
+  materialise(state);
   const double pe = block_wear_[addr.block];
   const double mean = disturb_.retention_mean(hours, pe).value();
   const double sigma = disturb_.retention_sigma(hours, pe).value();
@@ -284,10 +480,7 @@ void NandArray::apply_retention(PageAddress addr, double hours) {
 void NandArray::apply_read_disturb(PageAddress addr,
                                    unsigned long long reads) {
   PageState& state = page(addr);
-  if (!state.materialised) {
-    state.vth = erased_vth(state);
-    state.materialised = true;
-  }
+  materialise(state);
   const double mean = disturb_.read_disturb_shift(reads).value();
   for (Volts& vth : state.vth) {
     // Weak gate stress mostly moves the erased population upward.
@@ -318,8 +511,9 @@ double monte_carlo_rber(const ArrayConfig& base_config, ProgramAlgorithm algo,
     array.erase_block(0);
     array.set_wear(0, pe_cycles);
     BitVec data(config.geometry.bits_per_page());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data.set(i, data_rng.chance(0.5));
+    for (std::size_t w = 0; w < data.words().size(); ++w) {
+      data.set_word(w, data_rng.coin_flips(static_cast<unsigned>(
+                           std::min<std::size_t>(64, data.size() - 64 * w))));
     }
     array.program_page(addr, data, algo, mode);
     errors += array.read_page(addr).hamming_distance(data);

@@ -11,10 +11,22 @@
 // stream past the draws an eager erase would make: per cell, the
 // erased threshold and the cell's onset offset and sharpness. The
 // page's erased cells are a pure function of that stream, so they are
-// replayed when first needed: a program stores the page's thresholds,
-// and reads of a never-programmed page replay into a scratch buffer.
+// replayed when needed.
+//
+// A statistical program senses instead of sampling. It takes each
+// programmed cell's draw from the array's stream, exactly as sampling
+// would, but decides the cell's read level from the radius of the
+// draw's Box-Muller pair, and computes the threshold only when the
+// radius could carry it past a read reference or the over-programming
+// bound. The erase records the erased cells whose draw could cross R1.
+// A sensed page stores its written bits, its two stream positions and
+// the few cells that read another level; a read is a copy plus a
+// patch, and exact thresholds are replayed from the streams. ISPP
+// programs, retention and read disturb store one threshold per cell.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -48,8 +60,8 @@ enum class ProgramMode {
   // Full ISPP pulse-by-pulse simulation plus wear spread: slow,
   // bit-true, produces a real IsppTrace.
   kIsppSimulation,
-  // Direct sampling from the calibrated read-time distributions:
-  // fast, statistically identical for RBER purposes.
+  // Placement from the calibrated read-time distributions, sensed
+  // (see above): fast, statistically identical for RBER purposes.
   kStatistical,
 };
 
@@ -97,25 +109,62 @@ class NandArray {
   // upward toward R1.
   void apply_read_disturb(PageAddress addr, unsigned long long reads);
 
+  // How sensing went over the array's lifetime (diagnostics, tests).
+  struct SenseCounts {
+    // Cells whose threshold a statistical program computed exactly,
+    // because the radius bound could not decide their read level.
+    std::uint64_t exact_cells = 0;
+    // Erased cells an erase recorded because their draw could reach R1.
+    std::uint64_t erase_exceptions = 0;
+  };
+  const SenseCounts& sense_counts() const { return sense_counts_; }
+
  private:
+  // A cell of a sensed page that reads another level than written.
+  struct Misread {
+    std::uint32_t cell = 0;
+    Level level = Level::kL0;
+  };
   struct PageState {
     // The array's noise stream as it stood at this page's erase.
     Rng erase_stream;
-    // One threshold per cell; valid once materialised (by a program,
-    // or by read disturb of the erased page).
+    // Cells whose erased threshold may read above L0, ascending.
+    std::vector<std::uint32_t> erase_exceptions;  // xlf: arena(grows)
+    // A statistical program: the array's stream at its start, the
+    // level distributions it drew from, and the written bits.
+    Rng program_stream;
+    std::array<LevelDistribution, 4> dist{};
+    BitVec written;
+    // Sensed pages: the cells whose threshold reads another level.
+    std::vector<Misread> misreads;  // xlf: arena(grows)
+    // One threshold per cell; valid once materialised (by an ISPP
+    // program, retention, or read disturb).
     std::vector<Volts> vth;
     bool materialised = false;
     bool programmed = false;
+  };
+  // A page's erase stream replayed forward: the erased threshold of
+  // each cell asked for, in ascending cell order.
+  struct ErasedReplay {
+    Rng stream;
+    std::uint64_t drawn = 0;  // draws of the stream already taken
   };
   PageState& page(PageAddress addr);
   const PageState& page(PageAddress addr) const;
   void check_addr(PageAddress addr) const;
   // The page's threshold storage, sized on first use; erases keep it.
   std::vector<Volts>& storage(PageState& state);
-  // Every cell's erased threshold, replayed from the erase stream.
-  std::vector<Volts> erased_vth(const PageState& state) const;
-  void program_statistical(PageState& state, std::span<const Level> targets,
-                           ProgramAlgorithm algo, double pe);
+  Volts erased_vth(ErasedReplay& replay, std::uint32_t cell) const;
+  // Every cell's exact threshold, replayed from the page's streams.
+  std::vector<Volts> replay(const PageState& state) const;
+  // Overwrites the programmed (non-L0) cells of `vth` with the draws a
+  // statistical program took for them.
+  void write_programmed(const PageState& state, std::vector<Volts>& vth) const;
+  // Stores the page's exact thresholds; the page then reads from them.
+  void materialise(PageState& state);
+  // Returns the over-programmed cell count.
+  unsigned program_statistical(PageState& state, const BitVec& bits,
+                               ProgramAlgorithm algo, double pe);
   IsppTrace program_ispp(PageState& state, std::span<const Level> targets,
                          ProgramAlgorithm algo, double pe, double erase_wear);
 
@@ -129,7 +178,10 @@ class NandArray {
   std::vector<double> block_wear_;
   // Wear at each block's last erase: what its cells were sampled at.
   std::vector<double> erase_wear_;
+  // The erase's sensing floor for the erased threshold (see array.cpp).
+  std::uint64_t erased_floor_;
   std::vector<PageState> pages_;
+  SenseCounts sense_counts_;
 };
 
 // Monte-Carlo RBER measurement: program `pages` pages of random data

@@ -43,10 +43,9 @@ BitVec SubsystemSimulator::random_payload() {
   const std::uint32_t bits =
       controller_->device().geometry().data_bits_per_page();
   BitVec data(bits);
-  for (std::size_t w = 0; w < (bits + 63) / 64; ++w) {
-    for (std::size_t b = 0; b < 64 && w * 64 + b < bits; ++b) {
-      if (data_rng_.chance(0.5)) data.set(w * 64 + b, true);
-    }
+  for (std::size_t w = 0; w < data.words().size(); ++w) {
+    data.set_word(w, data_rng_.coin_flips(static_cast<unsigned>(
+                         std::min<std::size_t>(64, bits - 64 * w))));
   }
   return data;
 }

@@ -15,32 +15,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -58,22 +37,16 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   }
 }
 
-void Rng::draw_pair(double& u1, double& u2) {
-  u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  u2 = uniform();
-}
-
-double Rng::gaussian() {
+// Forced inline: gaussian(mean, sigma) is the ISPP kernel's call per
+// cell and pulse, and a second call per draw costs it measurably.
+[[gnu::always_inline]] inline double Rng::standard_normal() {
   if (cached_ == Cached::kValue) {
     cached_ = Cached::kNone;
     return cached_gaussian_;
   }
   if (cached_ == Cached::kPair) {
-    // The sine half of the pair, by the same expression as below.
     cached_ = Cached::kNone;
-    return std::sqrt(-2.0 * std::log(cached_u1_)) *
-           std::sin(2.0 * M_PI * cached_u2_);
+    return NormalDraw{NormalDraw::Half::kSin, cached_u1_, cached_u2_}.value();
   }
   double u1 = 0.0;
   double u2 = 0.0;
@@ -85,27 +58,29 @@ double Rng::gaussian() {
   return radius * std::cos(angle);
 }
 
+double Rng::gaussian() { return standard_normal(); }
+
+double Rng::NormalDraw::value() const {
+  // The expressions of gaussian()'s fresh pair, term for term.
+  switch (half) {
+    case Half::kCos:
+      return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    case Half::kSin:
+      return std::sqrt(-2.0 * std::log(u1)) * std::sin(2.0 * M_PI * u2);
+    case Half::kValue:
+      break;
+  }
+  return held;
+}
+
 void Rng::discard_gaussians(std::uint64_t n) {
-  if (n == 0) return;
-  if (cached_ != Cached::kNone) {
-    cached_ = Cached::kNone;
-    --n;
-  }
-  // draw_pair's draws without the doubles: uniform() is 0 exactly
-  // when the top 53 bits of next() are.
-  for (; n >= 2; n -= 2) {
-    while ((next() >> 11) == 0) {}  // u1 (rejection)
-    next();                         // u2
-  }
-  if (n == 1) {
-    draw_pair(cached_u1_, cached_u2_);
-    cached_ = Cached::kPair;
-  }
+  // No pair's u1 bits are 0, so only a held draw is reported.
+  discard_gaussians(n, 0, [](std::uint64_t, const NormalDraw&) {});
 }
 
 double Rng::gaussian(double mean, double sigma) {
   XLF_EXPECT(sigma >= 0.0);
-  return mean + sigma * gaussian();
+  return mean + sigma * standard_normal();
 }
 
 bool Rng::chance(double p) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/util/stats.hpp"
 #include "tests/digest.hpp"
@@ -237,8 +241,271 @@ std::uint64_t array_script_digest() {
   return digest.value();
 }
 
+// --- sensed programs -------------------------------------------------
+// A statistical program decides most cells' read levels from the
+// radius of their draw and computes exact thresholds only near a read
+// reference. The steps below drive every branch of that walk, and the
+// digest of their thresholds and reads was captured from a build that
+// sampled every threshold.
+
+// Plans that force the walk's rare branches; each stays consistent().
+std::vector<std::pair<std::string, ArrayConfig>> sensing_configs() {
+  ArrayConfig base;
+  base.geometry.blocks = 10;
+  base.geometry.pages_per_block = 4;
+  base.seed = 0x5E45ED;
+  std::vector<std::pair<std::string, ArrayConfig>> configs;
+  configs.emplace_back("default", base);
+  // R1 2 sigma above the erased mean: erase exceptions, L0 misreads.
+  configs.emplace_back("r1_near", base);
+  configs.back().second.plan.read[0] = Volts{-2.2};
+  // OP below L3's ISPP-SV mean: L3 admits nothing there, and cells are
+  // over-programmed.
+  configs.emplace_back("op_low", base);
+  configs.back().second.plan.over_program = Volts{3.85};
+  // An erased sigma wider than the erased mean's distance to R1.
+  configs.emplace_back("wide_erased", base);
+  configs.back().second.plan.erased_sigma = Volts{2.5};
+  // A page whose last word holds 8 cells, not 32.
+  configs.emplace_back("tail_word", base);
+  configs.back().second.geometry.spare_bytes_per_page = 226;
+  return configs;
+}
+
+BitVec uniform_page(const Geometry& geometry, Level level) {
+  const Bits2 b = level_to_bits(level);
+  BitVec bits(geometry.bits_per_page());
+  for (std::size_t i = 0; i < geometry.cells_per_page(); ++i) {
+    bits.set(2 * i, b.msb);
+    bits.set(2 * i + 1, b.lsb);
+  }
+  return bits;
+}
+
+// Random data with an odd (or even) number of cells written to L1..L3,
+// i.e. of draws a statistical program takes.
+BitVec random_page_with_draws(const Geometry& geometry, Rng& rng, bool odd) {
+  BitVec bits = random_page_bits(geometry, rng);
+  std::size_t draws = 0;
+  for (Level level : NandArray::bits_to_levels(bits)) {
+    draws += level != Level::kL0;
+  }
+  if ((draws % 2 == 1) != odd) {
+    // Cell 0 from L0 (11) to L3 (10), or from L1..L3 to L0.
+    const bool erased = bits.get(0) && bits.get(1);
+    bits.set(0, true);
+    bits.set(1, !erased);
+  }
+  return bits;
+}
+
+constexpr double kSensingWear[] = {1.0, 1e3, 1e4, 1e5, 1e6};
+constexpr ProgramAlgorithm kSensingAlgos[] = {ProgramAlgorithm::kIsppSv,
+                                              ProgramAlgorithm::kIsppDv};
+// Grid pages (see sensing_steps) written all L0 and all L3.
+constexpr std::uint32_t kErasedPage = 1;
+constexpr std::uint32_t kL3Page = 2;
+
+// Every (algorithm, wear) pair gets a block: a random page, an all-L0
+// page, an all-L3 page and an all-L1 page. visit(addr, result) follows
+// each program; then visit(addr, nullptr) covers every page.
+template <typename Visit>
+void sensing_steps(NandArray& array, Rng& data_rng, Visit&& visit) {
+  const Geometry& geometry = array.config().geometry;
+  std::uint32_t block = 0;
+  for (ProgramAlgorithm algo : kSensingAlgos) {
+    for (double pe : kSensingWear) {
+      array.set_wear(block, pe);
+      const BitVec pages[] = {random_page_bits(geometry, data_rng),
+                              uniform_page(geometry, Level::kL0),
+                              uniform_page(geometry, Level::kL3),
+                              uniform_page(geometry, Level::kL1)};
+      for (std::uint32_t p = 0; p < 4; ++p) {
+        const ProgramResult result =
+            array.program_page({block, p}, pages[p], algo);
+        visit(PageAddress{block, p}, &result);
+      }
+      ++block;
+    }
+  }
+  for (std::uint32_t b = 0; b < geometry.blocks; ++b) {
+    for (std::uint32_t p = 0; p < geometry.pages_per_block; ++p) {
+      visit(PageAddress{b, p}, nullptr);
+    }
+  }
+}
+
+// Programs and erases that start while the array's stream holds a
+// value or half a pair, retention and read disturb of sensed pages,
+// and a statistical program of a page read-disturbed while erased.
+// The draw counts are steered by the data: a statistical program takes
+// one draw per cell written to L1..L3, an erase an even number, and
+// retention one per cell at or above R1.
+template <typename Visit>
+void stream_state_steps(NandArray& array, Rng& data_rng, Visit&& visit) {
+  const Geometry& geometry = array.config().geometry;
+  const auto program = [&](PageAddress addr, const BitVec& bits,
+                           ProgramAlgorithm algo) {
+    const ProgramResult result = array.program_page(addr, bits, algo);
+    visit(addr, &result);
+  };
+  BitVec one_cell = uniform_page(geometry, Level::kL0);
+  one_cell.set(10, true);  // cell 5 to L3 (10)
+  one_cell.set(11, false);
+  const auto at_or_above_r1 = [&](PageAddress addr) {
+    std::size_t cells = 0;
+    for (Volts v : array.thresholds(addr)) {
+      cells += v >= array.config().plan.read[0];
+    }
+    return cells;
+  };
+  // Fresh stream, one draw: half a pair held.
+  program({0, 0}, one_cell, ProgramAlgorithm::kIsppSv);
+  array.erase_block(1);  // every page's erase starts with half a pair
+  program({1, 0}, random_page_with_draws(geometry, data_rng, false),
+          ProgramAlgorithm::kIsppDv);  // starts with half a pair
+  // 1 + even draws leave half a pair held; one more draw clears it.
+  program({0, 1}, one_cell, ProgramAlgorithm::kIsppSv);
+  // Retention of the one-cell page draws once: a value held.
+  EXPECT_EQ(at_or_above_r1({0, 0}), 1u);
+  array.apply_retention({0, 0}, 500.0);
+  program({1, 1}, random_page_with_draws(geometry, data_rng, true),
+          ProgramAlgorithm::kIsppSv);  // starts with a held value
+  // 1 + odd draws clear the stream; retention holds a value again,
+  // which is all a one-cell program draws.
+  EXPECT_EQ(at_or_above_r1({0, 1}), 1u);
+  array.apply_retention({0, 1}, 800.0);
+  program({0, 2}, one_cell, ProgramAlgorithm::kIsppDv);
+  EXPECT_EQ(at_or_above_r1({0, 2}), 1u);
+  array.apply_retention({0, 2}, 300.0);
+  array.set_wear(2, 2e5);
+  array.erase_block(2);  // the first erase starts with a held value
+  program({2, 0}, random_page_with_draws(geometry, data_rng, true),
+          ProgramAlgorithm::kIsppDv);
+  // Materialise sensed pages by retention and by read disturb.
+  array.apply_retention({1, 0}, 2000.0);
+  array.apply_read_disturb({1, 1}, 100000);
+  // Read disturb of an erased page, then a statistical program of it.
+  array.apply_read_disturb({2, 1}, 400000);
+  program({2, 1}, random_page_bits(geometry, data_rng),
+          ProgramAlgorithm::kIsppSv);
+  array.apply_retention({2, 1}, 100.0);
+  for (std::uint32_t b = 0; b < 3; ++b) {
+    for (std::uint32_t p = 0; p < geometry.pages_per_block; ++p) {
+      visit(PageAddress{b, p}, nullptr);
+    }
+  }
+}
+
+std::uint64_t sensing_script_digest() {
+  test::Fnv1a digest;
+  const auto hash = [&](NandArray& array) {
+    return [&digest, &array](PageAddress addr, const ProgramResult* result) {
+      if (result != nullptr) {
+        hash_program(digest, *result);
+      } else {
+        hash_page(digest, array, addr);
+      }
+    };
+  };
+  for (const auto& [name, config] : sensing_configs()) {
+    NandArray array(config);
+    Rng data_rng(0xDA7A5);
+    sensing_steps(array, data_rng, hash(array));
+    if (name == "default") {
+      NandArray fresh(config);
+      stream_state_steps(fresh, data_rng, hash(fresh));
+    }
+  }
+  return digest.value();
+}
+
 TEST(Array, ScriptThresholdsAndReadsArePinned) {
   EXPECT_EQ(array_script_digest(), 0x29F17C0AFFC56328ull);
+  EXPECT_EQ(sensing_script_digest(), 0x012AEAC574427ABEull);
+}
+
+// read_page senses what the replayed thresholds read, and a program
+// counted exactly the over-programmed thresholds.
+void expect_sensed_exactly(const NandArray& array, PageAddress addr,
+                           const ProgramResult* result) {
+  const VoltagePlan& plan = array.config().plan;
+  const std::vector<Volts> vth = array.thresholds(addr);
+  std::vector<Level> levels(vth.size());
+  unsigned over = 0;
+  for (std::size_t i = 0; i < vth.size(); ++i) {
+    levels[i] = plan.read_level(vth[i]);
+    over += plan.is_over_programmed(vth[i]);
+  }
+  EXPECT_EQ(array.read_page(addr), NandArray::levels_to_bits(levels))
+      << "page " << addr.block << "/" << addr.page;
+  if (result != nullptr) {
+    EXPECT_EQ(result->over_programmed_cells, over)
+        << "page " << addr.block << "/" << addr.page;
+  }
+}
+
+// Runs `steps` on `array` with the exactness check, and returns the
+// cells each program evaluated exactly, by page.
+template <typename Steps>
+std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
+run_checked(NandArray& array, Steps&& steps) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> exact;
+  std::uint64_t before = array.sense_counts().exact_cells;
+  Rng data_rng(0xDA7A5);
+  steps(array, data_rng, [&](PageAddress addr, const ProgramResult* result) {
+    if (result != nullptr) {
+      exact[{addr.block, addr.page}] =
+          array.sense_counts().exact_cells - before;
+      before = array.sense_counts().exact_cells;
+    }
+    expect_sensed_exactly(array, addr, result);
+  });
+  return exact;
+}
+
+TEST(Array, SensedProgramsReadExactlyTheReplayedThresholds) {
+  for (const auto& [name, config] : sensing_configs()) {
+    SCOPED_TRACE(name);
+    NandArray array(config);
+    const auto exact = run_checked(array, [](auto&&... args) {
+      sensing_steps(std::forward<decltype(args)>(args)...);
+    });
+    const Geometry& geometry = config.geometry;
+    const NandArray::SenseCounts& counts = array.sense_counts();
+    EXPECT_GT(counts.exact_cells, 0u);
+    if (name == "r1_near" || name == "wide_erased") {
+      EXPECT_GT(counts.erase_exceptions, 0u);
+      // All-L0 pages have cells whose erased threshold reads L1.
+      for (std::uint32_t b = 0; b < 10; ++b) {
+        EXPECT_LT(array.read_page({b, kErasedPage}).popcount(),
+                  geometry.bits_per_page());
+      }
+    }
+    if (name == "wide_erased") {
+      // Most erased draws could cross R1.
+      EXPECT_GT(counts.erase_exceptions,
+                std::uint64_t{geometry.cells_per_page()} * geometry.pages() /
+                    2);
+    }
+    if (name == "op_low") {
+      // Under ISPP-SV, L3's mean lies above OP: L3 admits nothing, and
+      // every cell of an all-L3 page is evaluated.
+      for (std::uint32_t b = 0; b < 5; ++b) {
+        EXPECT_EQ(exact.at({b, kL3Page}), geometry.cells_per_page());
+      }
+    }
+  }
+}
+
+TEST(Array, SensingIsExactFromEveryStreamState) {
+  NandArray array(sensing_configs().front().second);
+  const auto exact = run_checked(array, [](auto&&... args) {
+    stream_state_steps(std::forward<decltype(args)>(args)...);
+  });
+  // A held value has no radius to bound: the one-cell program that
+  // drew only a held value evaluated it.
+  EXPECT_EQ(exact.at({0, 2}), 1u);
 }
 
 std::uint64_t bits_of(double v) {

@@ -239,5 +239,177 @@ TEST(Rng, CopyOfAPendingPairReplaysIdentically) {
   EXPECT_TRUE(same_bits(draw_mix(original), expected));
 }
 
+// --- unevaluated draws: the same stream as gaussian() -----------------
+
+// One step of a draw mix. kDraw takes a normal without evaluating it
+// and kDrawValue evaluates it; the oracle takes both by gaussian().
+enum class Step {
+  kDraw,
+  kDrawValue,
+  kGaussian,
+  kGaussianScaled,
+  kDiscard,
+  kReportingDiscard,
+  kUniform,
+  kNext,
+  kFork,
+};
+
+// Runs `steps`; with `oracle`, every normal is taken by gaussian().
+std::vector<std::uint64_t> run_steps(Rng& rng, const std::vector<Step>& steps,
+                                     bool oracle) {
+  std::vector<std::uint64_t> out;
+  const auto draws = [&](int n) {
+    for (int i = 0; i < n; ++i) rng.gaussian();
+  };
+  for (Step step : steps) {
+    switch (step) {
+      case Step::kDraw:
+        if (oracle) {
+          rng.gaussian();
+        } else {
+          rng.draw_normal();
+        }
+        break;
+      case Step::kDrawValue:
+        out.push_back(
+            bits_of(oracle ? rng.gaussian() : rng.draw_normal().value()));
+        break;
+      case Step::kGaussian:
+        out.push_back(bits_of(rng.gaussian()));
+        break;
+      case Step::kGaussianScaled:
+        out.push_back(bits_of(rng.gaussian(2.5, 0.15)));
+        break;
+      case Step::kDiscard:
+        if (oracle) {
+          draws(3);
+        } else {
+          rng.discard_gaussians(3);
+        }
+        break;
+      case Step::kReportingDiscard:
+        if (oracle) {
+          draws(5);
+        } else {
+          rng.discard_gaussians(5, std::uint64_t{1} << 52,
+                                [](std::uint64_t, const Rng::NormalDraw&) {});
+        }
+        break;
+      case Step::kUniform:
+        out.push_back(bits_of(rng.uniform()));
+        break;
+      case Step::kNext:
+        out.push_back(rng.next());
+        break;
+      case Step::kFork:
+        out.push_back(rng.fork().next());
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(Rng, UnevaluatedDrawsMatchGaussianCalls) {
+  // A seeded mix long enough to take every step from every cache state
+  // (nothing held, a held value, a held pair).
+  Rng pick(0x5EED);
+  std::vector<Step> steps;
+  for (int i = 0; i < 400; ++i) {
+    steps.push_back(static_cast<Step>(pick.below(9)));
+  }
+  for (Start start :
+       {Start::kFresh, Start::kCachedValue, Start::kPendingPair}) {
+    Rng unevaluated(0xD1CE), drawn(0xD1CE);
+    prepare(unevaluated, start, true);
+    prepare(drawn, start, false);
+    const std::vector<std::uint64_t> got = run_steps(unevaluated, steps, false);
+    const std::vector<std::uint64_t> want = run_steps(drawn, steps, true);
+    EXPECT_TRUE(same_bits(got, want)) << "start " << static_cast<int>(start);
+    EXPECT_TRUE(same_bits(draw_mix(unevaluated), draw_mix(drawn)))
+        << "start " << static_cast<int>(start);
+  }
+}
+
+TEST(Rng, ReportingDiscardReportsExactlyTheLowDraws) {
+  struct Report {
+    std::uint64_t index;
+    std::uint64_t value;
+    bool operator==(const Report&) const = default;
+  };
+  const std::uint64_t floors[] = {0, std::uint64_t{1} << 50,
+                                  std::uint64_t{1} << 52,
+                                  (std::uint64_t{1} << 53) - 1};
+  const std::uint64_t counts[] = {0, 1, 2, 3, 4, 5, 6, 7, 1001};
+  for (Start start :
+       {Start::kFresh, Start::kCachedValue, Start::kPendingPair}) {
+    for (std::uint64_t floor : floors) {
+      for (std::uint64_t n : counts) {
+        Rng reporting(0xFACE), plain(0xFACE), pairs(0xFACE), values(0xFACE);
+        for (Rng* rng : {&reporting, &plain, &pairs}) prepare(*rng, start, true);
+        prepare(values, start, false);
+
+        std::vector<Report> got;
+        reporting.discard_gaussians(
+            n, floor, [&](std::uint64_t i, const Rng::NormalDraw& draw) {
+              got.push_back({i, bits_of(draw.value())});
+            });
+        plain.discard_gaussians(n);
+
+        // The evaluating oracle: every value by gaussian(), and each
+        // fresh pair's u1 by uniform(); a held draw is always reported.
+        std::vector<std::uint64_t> value_bits;
+        for (std::uint64_t i = 0; i < n; ++i) {
+          value_bits.push_back(bits_of(values.gaussian()));
+        }
+        std::vector<Report> want;
+        std::uint64_t i = 0;
+        if (start != Start::kFresh && n > 0) {
+          pairs.gaussian();
+          want.push_back({i, value_bits[i]});
+          ++i;
+        }
+        for (; i < n; i += 2) {
+          double u1 = pairs.uniform();
+          while (u1 <= 0.0) u1 = pairs.uniform();
+          pairs.uniform();
+          if (u1 * 0x1.0p53 > static_cast<double>(floor)) continue;
+          want.push_back({i, value_bits[i]});
+          if (i + 1 < n) want.push_back({i + 1, value_bits[i + 1]});
+        }
+        EXPECT_TRUE(got == want) << "start " << static_cast<int>(start)
+                                 << ", floor " << floor << ", n " << n;
+        EXPECT_TRUE(same_bits(draw_mix(reporting), draw_mix(plain)))
+            << "start " << static_cast<int>(start) << ", floor " << floor
+            << ", n " << n;
+      }
+    }
+  }
+}
+
+TEST(Rng, DrawMagnitudeIsBoundedByItsRadius) {
+  Rng rng(0xB0B);
+  for (int i = 0; i < 1000000; ++i) {
+    const Rng::NormalDraw draw = rng.draw_normal();
+    ASSERT_NE(draw.half, Rng::NormalDraw::Half::kValue);
+    ASSERT_LE(std::abs(draw.value()), std::sqrt(-2.0 * std::log(draw.u1)))
+        << "draw " << i;
+  }
+}
+
+TEST(Rng, CoinFlipsMatchFairChances) {
+  for (unsigned n : {0u, 1u, 13u, 63u, 64u}) {
+    Rng flips(99), chances(99);
+    const std::uint64_t word = flips.coin_flips(n);
+    for (unsigned i = 0; i < n; ++i) {
+      EXPECT_EQ((word >> i & 1u) != 0, chances.chance(0.5)) << "bit " << i;
+    }
+    if (n < 64) {
+      EXPECT_EQ(word >> n, 0u);
+    }
+    EXPECT_EQ(flips.next(), chances.next());
+  }
+}
+
 }  // namespace
 }  // namespace xlf
