@@ -1,11 +1,9 @@
 #include "src/explore/ftl_sweep.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
 #include "src/ftl/fault.hpp"
-#include "src/sim/die_shard.hpp"
 #include "src/sim/host_workload.hpp"
 #include "src/util/expect.hpp"
 #include "src/util/stopwatch.hpp"
@@ -24,9 +22,6 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT(spec.requests > 0);
   XLF_EXPECT(spec.trim_fraction >= 0.0 && spec.trim_fraction < 1.0);
   XLF_EXPECT(!spec.fail_blocks.empty());
-  XLF_EXPECT_MSG(spec.data_plane || !spec.shard_dies,
-                 "shard_dies defers cell-array work, which metadata-only "
-                 "devices do not have");
 
   // Every fail-block count must leave each die its logical share plus
   // the GC slack (the same viability bound Ftl's constructor enforces,
@@ -122,10 +117,6 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
 
     Rng stream = streams[index];
     ftl::Ssd ssd(config);
-    // Sharded mode: this combo owns the whole pool (combos run
-    // serially), so the per-die cell queues drain in parallel.
-    std::optional<sim::DieShardExecutor> shards;
-    if (spec.shard_dies) shards.emplace(ssd, pool);
 
     // Grown-bad injection: the combo's fail count retires the lowest
     // block ids of every die on their first erase — the blocks every
@@ -153,7 +144,6 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
             static_cast<std::ptrdiff_t>(
                 std::min(queues, spec.queue_weights.size())));
     sim_config.data_seed = stream.next();
-    if (shards.has_value()) sim_config.data_plane_shards = &*shards;
     sim::SsdSimulator simulator(ssd, sim_config);
     if (spec.prepopulate) simulator.prepopulate();
 
@@ -190,9 +180,6 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     } else {
       row.stats = simulator.run(commands);
     }
-    // Land any deferred cell work and revert to inline execution
-    // before the scrub / remount / read-back tail touches the arrays.
-    shards.reset();
     // One maintenance scrub after the request stream: the refresh
     // policy's effect shows up as preventive relocations in the row.
     // Unconditional — a policy that refreshes nothing (the "none"
@@ -213,14 +200,7 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     row.rebuild_mismatches = simulator.verify_stored();
     result.rows[index] = std::move(row);
   };
-  if (spec.shard_dies) {
-    // The pool is not reentrant: sharded combos borrow it for their
-    // per-die flushes, so the combo loop itself runs serially. Row
-    // order — and row content — is identical either way.
-    for (std::size_t index = 0; index < combos; ++index) run_combo(index);
-  } else {
-    pool.parallel_for(combos, run_combo);
-  }
+  pool.parallel_for(combos, run_combo);
   return result;
 }
 

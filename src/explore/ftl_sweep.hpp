@@ -13,9 +13,8 @@
 // the cartesian product topology x queue depth x queue count x
 // arbitration x gc x wear x tuning x refresh, in that nesting order;
 // axes default to a single entry, so the historical (topology x QD x
-// GC) grid is the default shape, and the default single-queue
-// round-robin host interface reproduces the pre-redesign single-
-// stream rows byte for byte.
+// GC) grid is the default shape. One queue means one tenant, whose
+// command stream tests/test_host_workload.cpp pins.
 //
 // Determinism contract (same as sweep/monte_carlo): every combo's
 // randomness comes from its own serially pre-forked Rng stream, each
@@ -58,9 +57,9 @@ struct FtlSweepSpec {
   // leave the die enough healthy blocks for its logical share plus
   // the GC slack.
   std::vector<std::uint32_t> fail_blocks{0};
-  // Hot/cold overwrite traffic driving GC (see HotColdWorkload /
-  // MultiTenantWorkload). trim_fraction > 0 makes each tenant
-  // deallocate that share of its non-read requests.
+  // Hot/cold overwrite traffic driving GC (see MultiTenantWorkload).
+  // trim_fraction > 0 makes each tenant deallocate that share of its
+  // non-read requests.
   double hot_fraction = 0.25;
   double hot_write_fraction = 0.85;
   double read_fraction = 0.3;
@@ -75,11 +74,6 @@ struct FtlSweepSpec {
   // blocks/die, millions of commands) tractable. The post-run
   // read-back audit still runs but has no payloads to compare.
   bool data_plane = true;
-  // Shard each combo's cell work into per-die queues drained on the
-  // sweep's ThreadPool (sim::DieShardExecutor). Combos then run
-  // serially so the pool belongs to the per-die flushes; rows are
-  // byte-identical either way. Requires data_plane.
-  bool shard_dies = false;
   // Measure wall-clock simulation throughput per combo (fills
   // FtlSweepResult::throughput_commands_per_second). Off by default:
   // wall-clock readings are run-dependent and must stay out of the

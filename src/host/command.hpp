@@ -9,9 +9,9 @@
 // driver expands an extent into per-page FTL operations and completes
 // the command when the last page lands.
 //
-// Replaces the flat std::vector<HostRequest> edge of the simulator:
-// multi-tenant, QoS and trim/retention scenarios need queues and a
-// command vocabulary, not a single anonymous request stream.
+// It is the simulator's only host vocabulary: multi-tenant, QoS and
+// trim/retention scenarios need queues and a command set, not a
+// single anonymous request stream.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ struct Command {
   // Submission queue this command is enqueued on.
   std::uint16_t queue = 0;
   // Free-form stream tag (multi-tenant workloads stamp the tenant
-  // index; single-stream conversions leave it 0).
+  // index; 0 for a single tenant).
   std::uint16_t tenant = 0;
   // Inter-arrival time before this command enters its queue, relative
   // to the previous command of the *merged* host stream (the open-loop

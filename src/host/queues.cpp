@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/policy/arbitration_impl.hpp"
 #include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 
@@ -24,14 +23,6 @@ HostInterface::HostInterface(const HostConfig& config)
   arbitration_ =
       policy::PolicyRegistry<policy::ArbitrationPolicy>::instance()
           .make_shared(config.arbitration);
-  // The registry call above stays authoritative (name validation,
-  // custom registrations); the enum only short-circuits the per-pick
-  // virtual dispatch for the two built-ins.
-  if (config.arbitration == "round-robin") {
-    builtin_arb_ = BuiltinArb::kRoundRobin;
-  } else if (config.arbitration == "weighted") {
-    builtin_arb_ = BuiltinArb::kWeighted;
-  }
   states_.resize(config.queues);
   views_.resize(config.queues);
   for (std::size_t q = 0; q < config.queue_weights.size(); ++q) {
@@ -111,24 +102,11 @@ std::optional<std::uint32_t> HostInterface::arbitrate() const {
     any = any || views_[q].eligible;
   }
   if (!any) return std::nullopt;
-  std::uint32_t pick = 0;
-  switch (builtin_arb_) {
-    case BuiltinArb::kRoundRobin:
-      pick = policy::detail::round_robin_pick(views_.data(), views_.size(),
-                                              last_queue_);
-      break;
-    case BuiltinArb::kWeighted:
-      pick = policy::detail::weighted_pick(views_.data(), views_.size());
-      break;
-    case BuiltinArb::kCustom: {
-      policy::ArbitrationContext ctx;
-      ctx.queues = views_.data();
-      ctx.queue_count = views_.size();
-      ctx.last_queue = last_queue_;
-      pick = arbitration_->pick(ctx);
-      break;
-    }
-  }
+  policy::ArbitrationContext ctx;
+  ctx.queues = views_.data();
+  ctx.queue_count = views_.size();
+  ctx.last_queue = last_queue_;
+  const std::uint32_t pick = arbitration_->pick(ctx);
   // A policy that picks an out-of-range or ineligible queue would
   // stall or corrupt the issue loop; fail loudly instead.
   XLF_ENSURE(pick < views_.size() && views_[pick].eligible);

@@ -141,17 +141,10 @@ class HostInterface {
     QueueStats stats;
   };
 
-  // Built-in arbitration policies devirtualized by registry name: the
-  // once-per-issued-command pick runs the shared inline scan from
-  // policy/arbitration_impl.hpp instead of the virtual call. kCustom
-  // routes through the registry-resolved policy object.
-  enum class BuiltinArb { kCustom, kRoundRobin, kWeighted };
-
   const QueueState& state(std::size_t q) const;
   static std::uint32_t acquire_slot(QueueState& s);
 
   std::shared_ptr<const policy::ArbitrationPolicy> arbitration_;
-  BuiltinArb builtin_arb_ = BuiltinArb::kCustom;
   std::vector<QueueState> states_;
   bool record_completions_;
   // == queues() before the first issue (the round-robin start cue).

@@ -42,21 +42,6 @@ const NandArray& NandDevice::array() const {
   return *array_;
 }
 
-void NandDevice::attach_data_plane(DataPlaneQueue* queue) {
-  if (queue != nullptr) {
-    XLF_EXPECT(config_.data_plane &&
-               "metadata-only devices have no cell work to defer");
-    XLF_EXPECT(config_.program_mode == ProgramMode::kStatistical &&
-               "ISPP-trace timing needs the cells at program time");
-    // Catch a mid-stream re-attach that would drop another queue's
-    // pending jobs.
-    XLF_EXPECT(deferred_ == nullptr || !deferred_->pending());
-  } else if (deferred_ != nullptr) {
-    deferred_->drain();  // detaching must leave the array current
-  }
-  deferred_ = queue;
-}
-
 std::size_t NandDevice::page_index(PageAddress addr) const {
   XLF_EXPECT(addr.block < geometry().blocks &&
              addr.page < geometry().pages_per_block);
@@ -82,10 +67,6 @@ void NandDevice::upload_algorithm(ProgramAlgorithm algo) {
 ReadOutcome NandDevice::read_page(PageAddress addr) const {
   XLF_EXPECT(array_ != nullptr && "metadata-only devices service reads from "
                                   "the controller's timing models");
-  // A read senses the cells as they stand, so any deferred program /
-  // erase work for this die must land first (in push order — the
-  // array's noise stream stays byte-identical to inline execution).
-  if (deferred_ != nullptr) deferred_->drain();
   ReadOutcome outcome;
   outcome.data = array_->read_page(addr);
   outcome.busy_time = timing_->read_time();
@@ -106,22 +87,6 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
         true,
         timing_->page_write_time(active_algorithm_, wear_now,
                                  geometry().bits_per_page() / 8, strategy),
-        0};
-  }
-  if (deferred_ != nullptr) {
-    // Statistical mode (enforced at attach): timing and success are
-    // already determined by (algorithm, wear, size), so the cell
-    // placement can run later on the die's own queue. The sampled
-    // over-programmed count is not recoverable here; deferred runs
-    // report 0.
-    deferred_->push(
-        [this, addr, bits = data, algo = active_algorithm_] {
-          array_->program_page(addr, bits, algo, config_.program_mode);
-        });
-    return ProgramOutcome{
-        true,
-        timing_->page_write_time(active_algorithm_, wear_now, data.size() / 8,
-                                 strategy),
         0};
   }
   const ProgramResult result =
@@ -146,14 +111,9 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
 EraseOutcome NandDevice::erase_block(std::uint32_t block) {
   XLF_EXPECT(block < geometry().blocks);
   XLF_EXPECT(!bad_[block] && "erasing a retired (grown-bad) block");
-  if (deferred_ != nullptr) {
-    deferred_->push([this, block] { array_->erase_block(block); });
-  } else if (array_ != nullptr) {
-    array_->erase_block(block);
-  }
+  if (array_ != nullptr) array_->erase_block(block);
   // Mirror the array's own P/E accounting (erase_block adds one
-  // cycle) so wear reads stay exact while the cell work is deferred
-  // or absent.
+  // cycle) so wear reads stay exact when the array is absent.
   wear_[block] += 1.0;
   // The spare area is erased with the data, and the durable erase
   // counter advances — this pair is what rebuild reads at mount.
@@ -206,11 +166,7 @@ double NandDevice::wear(std::uint32_t block) const {
 void NandDevice::set_wear(std::uint32_t block, double cycles) {
   XLF_EXPECT(block < geometry().blocks);
   wear_[block] = cycles;
-  if (deferred_ != nullptr) {
-    deferred_->push([this, block, cycles] { array_->set_wear(block, cycles); });
-  } else if (array_ != nullptr) {
-    array_->set_wear(block, cycles);
-  }
+  if (array_ != nullptr) array_->set_wear(block, cycles);
 }
 
 void NandDevice::set_uniform_wear(double cycles) {

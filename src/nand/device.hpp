@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/nand/array.hpp"
-#include "src/nand/data_plane.hpp"
 #include "src/nand/oob.hpp"
 #include "src/nand/timing.hpp"
 
@@ -86,15 +85,6 @@ class NandDevice {
     return timing_;
   }
 
-  // Defer cell-array mutations (programs, erases, wear jumps) into
-  // `queue` instead of running them inline; nullptr detaches. While
-  // attached, wear reads come from the device's synchronously
-  // maintained shadow and reads drain the queue first, so results are
-  // byte-identical to undeferred execution (see data_plane.hpp for
-  // the ordering contract). Statistical-mode data-plane devices only:
-  // ISPP-trace timing needs the cells at program time.
-  void attach_data_plane(DataPlaneQueue* queue);
-
   // --- the cross-layer knob -----------------------------------------
   // Selects the ISPP variant for subsequent programs. Rejects
   // algorithms not resident in the code store.
@@ -126,13 +116,13 @@ class NandDevice {
   // FTL allocator's DRAM copy, which is rebuilt from this).
   std::uint32_t erase_count(std::uint32_t block) const;
   // Whether the page has been programmed since its block's last erase
-  // (tracked at device level, so it answers in metadata-only and
-  // deferred modes too — the FTL's rebuild frontier scan reads this).
+  // (tracked at device level, so it answers in metadata-only mode
+  // too — the FTL's rebuild frontier scan reads this).
   bool page_programmed(PageAddress addr) const;
 
   // --- wear / lifetime -------------------------------------------------
   // Device-level wear, kept in lockstep with the array's own counter
-  // (and authoritative when the array is deferred or absent).
+  // (and authoritative when the array is absent).
   double wear(std::uint32_t block) const;
   void set_wear(std::uint32_t block, double cycles);
   // Convenience: age every block (uniform wear-levelled device).
@@ -159,12 +149,11 @@ class NandDevice {
   std::vector<std::optional<OobRecord>> oob_;
   std::vector<std::uint32_t> erase_counts_;
   std::vector<char> bad_;
-  // Device-level mirrors of array state, valid in every mode: wear_
-  // answers wear() while cell work is deferred (or absent), and
-  // programmed_ answers page_programmed().
+  // Device-level mirrors of array state, valid in every mode (the
+  // metadata-only device has no array to ask): wear_ answers wear(),
+  // and programmed_ answers page_programmed().
   std::vector<double> wear_;
   std::vector<char> programmed_;
-  DataPlaneQueue* deferred_ = nullptr;
 };
 
 }  // namespace xlf::nand

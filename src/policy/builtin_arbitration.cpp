@@ -7,10 +7,9 @@
 //    eligible queue with the smallest issued/weight ratio, so issue
 //    opportunities converge to the configured weight proportions and
 //    heavy queues drain (and complete) first under contention.
-//
-// The scan bodies live in arbitration_impl.hpp, shared with the host
-// interface's devirtualized fast path for these two names.
-#include "src/policy/arbitration_impl.hpp"
+#include <cstddef>
+#include <limits>
+
 #include "src/policy/policy.hpp"
 #include "src/policy/registry.hpp"
 
@@ -19,16 +18,41 @@ namespace {
 
 class RoundRobinArbitration final : public ArbitrationPolicy {
  public:
+  // First eligible queue scanning circularly from just past the last
+  // issuer (queue 0 before anything has issued).
   std::uint32_t pick(const ArbitrationContext& ctx) const override {
-    return detail::round_robin_pick(ctx.queues, ctx.queue_count,
-                                    ctx.last_queue);
+    const std::size_t n = ctx.queue_count;
+    const std::size_t start =
+        ctx.last_queue >= n ? 0 : (ctx.last_queue + 1) % n;
+    for (std::size_t step = 0; step < n; ++step) {
+      const std::size_t q = (start + step) % n;
+      if (ctx.queues[q].eligible) return ctx.queues[q].id;
+    }
+    // The contract guarantees an eligible queue; reaching here is a
+    // host-interface bug.
+    return ctx.queues[0].id;
   }
 };
 
 class WeightedArbitration final : public ArbitrationPolicy {
  public:
+  // The eligible queue furthest behind its weighted issue share goes
+  // next; strict < keeps ties on the lowest id.
   std::uint32_t pick(const ArbitrationContext& ctx) const override {
-    return detail::weighted_pick(ctx.queues, ctx.queue_count);
+    double best = std::numeric_limits<double>::infinity();
+    std::uint32_t pick = ctx.queues[0].id;
+    bool found = false;
+    for (std::size_t q = 0; q < ctx.queue_count; ++q) {
+      const QueueView& view = ctx.queues[q];
+      if (!view.eligible) continue;
+      const double share = static_cast<double>(view.issued) / view.weight;
+      if (!found || share < best) {
+        best = share;
+        pick = view.id;
+        found = true;
+      }
+    }
+    return pick;
   }
 };
 

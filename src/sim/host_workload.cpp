@@ -24,12 +24,10 @@ void check_tenant(const TenantSpec& tenant) {
   XLF_EXPECT(tenant.trim_fraction >= 0.0 && tenant.trim_fraction < 1.0);
 }
 
-// One tenant's command stream — the HotColdWorkload draw sequence
-// (gap, read-or-not, target) extended with a trim branch. The trim
-// draw is gated on trim_fraction > 0 so a trim-free tenant consumes
-// the Rng exactly like HotColdWorkload::generate: that gate is what
-// keeps the single-tenant degenerate case byte-identical to the
-// pre-redesign single-stream path.
+// One tenant's command stream: per command a gap, a read-or-not
+// draw, then a target. The trim draw is gated on trim_fraction > 0,
+// so a trim-free tenant consumes no draw for it and keeps the
+// single-stream rows' bytes.
 std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
                                            std::uint32_t logical_pages,
                                            std::size_t count,
@@ -59,7 +57,11 @@ std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
       written.pop_back();
     } else {
       command.type = host::CmdType::kWrite;
-      if (rng.chance(tenant.hot_write_fraction)) {
+      // An all-hot LPA space (hot_fraction 1.0) has no cold range, so
+      // such a write stays hot — after the same draw, which keeps
+      // every other input's stream.
+      const bool hot = rng.chance(tenant.hot_write_fraction);
+      if (hot || hot_pages == logical_pages) {
         // Hot set: the low end of the LPA space.
         command.lba = static_cast<ftl::Lpa>(rng.below(hot_pages));
       } else {
@@ -75,89 +77,6 @@ std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
 
 }  // namespace
 
-HotColdWorkload::HotColdWorkload(double hot_fraction,
-                                 double hot_write_fraction,
-                                 double read_fraction, Seconds mean_gap)
-    : hot_fraction_(hot_fraction),
-      hot_write_fraction_(hot_write_fraction),
-      read_fraction_(read_fraction),
-      mean_gap_(mean_gap) {
-  XLF_EXPECT(hot_fraction > 0.0 && hot_fraction <= 1.0);
-  XLF_EXPECT(hot_write_fraction >= 0.0 && hot_write_fraction <= 1.0);
-  XLF_EXPECT(read_fraction >= 0.0 && read_fraction < 1.0);
-}
-
-std::vector<HostRequest> HotColdWorkload::generate(std::uint32_t logical_pages,
-                                                   std::size_t count,
-                                                   Rng& rng) const {
-  // One draw loop for both shapes: this is tenant_commands with the
-  // trim branch gated off, converted back to flat requests — so the
-  // single-tenant degenerate case of the multi-queue generator cannot
-  // drift from this stream (it IS this stream).
-  TenantSpec tenant;
-  tenant.hot_fraction = hot_fraction_;
-  tenant.hot_write_fraction = hot_write_fraction_;
-  tenant.read_fraction = read_fraction_;
-  tenant.trim_fraction = 0.0;
-  tenant.mean_gap = mean_gap_;
-  const std::vector<host::Command> commands =
-      tenant_commands(tenant, logical_pages, count, 0, rng);
-  std::vector<HostRequest> out;
-  out.reserve(commands.size());
-  for (const host::Command& command : commands) {
-    out.push_back(HostRequest{command.type == host::CmdType::kWrite
-                                  ? OpType::kWrite
-                                  : OpType::kRead,
-                              command.lba, command.gap});
-  }
-  return out;
-}
-
-SequentialOverwriteWorkload::SequentialOverwriteWorkload(Seconds mean_gap)
-    : mean_gap_(mean_gap) {}
-
-std::vector<HostRequest> SequentialOverwriteWorkload::generate(
-    std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
-  XLF_EXPECT(logical_pages >= 1);
-  std::vector<HostRequest> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(HostRequest{
-        OpType::kWrite,
-        static_cast<ftl::Lpa>(i % logical_pages),
-        draw_gap(mean_gap_, rng)});
-  }
-  return out;
-}
-
-UniformOverwriteWorkload::UniformOverwriteWorkload(double read_fraction,
-                                                   Seconds mean_gap)
-    : read_fraction_(read_fraction), mean_gap_(mean_gap) {
-  XLF_EXPECT(read_fraction >= 0.0 && read_fraction < 1.0);
-}
-
-std::vector<HostRequest> UniformOverwriteWorkload::generate(
-    std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
-  XLF_EXPECT(logical_pages >= 1);
-  std::vector<HostRequest> out;
-  out.reserve(count);
-  std::vector<ftl::Lpa> written;
-  for (std::size_t i = 0; i < count; ++i) {
-    HostRequest request;
-    request.gap = draw_gap(mean_gap_, rng);
-    if (!written.empty() && rng.chance(read_fraction_)) {
-      request.type = OpType::kRead;
-      request.lpa = written[rng.below(written.size())];
-    } else {
-      request.type = OpType::kWrite;
-      request.lpa = static_cast<ftl::Lpa>(rng.below(logical_pages));
-      written.push_back(request.lpa);
-    }
-    out.push_back(request);
-  }
-  return out;
-}
-
 MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantSpec> tenants)
     : tenants_(std::move(tenants)) {
   XLF_EXPECT(!tenants_.empty());
@@ -168,7 +87,7 @@ std::vector<host::Command> MultiTenantWorkload::generate(
     std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
   // Single tenant: consume the caller's stream directly — no fork, no
   // merge (the merge's absolute-time round trip would perturb gap
-  // bits) — so the degenerate case stays on the pre-redesign stream.
+  // bits).
   if (tenants_.size() == 1) {
     return tenant_commands(tenants_[0], logical_pages, count, 0, rng);
   }
@@ -219,21 +138,6 @@ std::vector<host::Command> MultiTenantWorkload::generate(
     p.command.gap = Seconds{p.arrival - previous};
     previous = p.arrival;
     out.push_back(p.command);
-  }
-  return out;
-}
-
-std::vector<host::Command> to_commands(
-    const std::vector<HostRequest>& requests) {
-  std::vector<host::Command> out;
-  out.reserve(requests.size());
-  for (const HostRequest& request : requests) {
-    host::Command command;
-    command.type = request.type == OpType::kWrite ? host::CmdType::kWrite
-                                                  : host::CmdType::kRead;
-    command.lba = request.lpa;
-    command.gap = request.gap;
-    out.push_back(command);
   }
   return out;
 }

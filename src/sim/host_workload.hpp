@@ -1,6 +1,6 @@
-// Host-level (LBA) workload generators for the open-loop SSD
+// Host-level (LBA) workload generator for the open-loop SSD
 // simulator. Unlike the physical-address workloads in workload.hpp,
-// these address the FTL's logical page space, and their defining
+// it addresses the FTL's logical page space, and its defining
 // feature is *overwrite*: re-writing live LPAs is what invalidates
 // physical pages, triggers garbage collection, and spreads wear — the
 // machinery the per-block adaptive configuration pays off on.
@@ -13,86 +13,19 @@
 #include <string>
 #include <vector>
 
-#include "src/ftl/mapping.hpp"
 #include "src/host/command.hpp"
-#include "src/sim/workload.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/units.hpp"
 
 namespace xlf::sim {
 
-struct HostRequest {
-  OpType type = OpType::kWrite;
-  ftl::Lpa lpa = 0;
-  // Inter-arrival time before this request enters the host queue.
-  Seconds gap{0.0};
-};
-
-class HostWorkload {
- public:
-  virtual ~HostWorkload() = default;
-  virtual std::string name() const = 0;
-  // Generate `count` requests over an LPA space of `logical_pages`.
-  virtual std::vector<HostRequest> generate(std::uint32_t logical_pages,
-                                            std::size_t count,
-                                            Rng& rng) const = 0;
-};
-
-// Skewed overwrite traffic: a `hot_fraction` slice of the LPA space
-// receives `hot_write_fraction` of all writes (the classic hot/cold
-// split; 0.2/0.8 approximates the usual "80% of writes hit 20% of
-// data"). Reads, a `read_fraction` of requests, target LPAs the
-// stream has already written, so every read hits mapped data.
-class HotColdWorkload final : public HostWorkload {
- public:
-  HotColdWorkload(double hot_fraction, double hot_write_fraction,
-                  double read_fraction, Seconds mean_gap = Seconds{0.0});
-  std::string name() const override { return "hot-cold"; }
-  std::vector<HostRequest> generate(std::uint32_t logical_pages,
-                                    std::size_t count,
-                                    Rng& rng) const override;
-
- private:
-  double hot_fraction_;
-  double hot_write_fraction_;
-  double read_fraction_;
-  Seconds mean_gap_;
-};
-
-// Sequential overwrite: cycles through the LPA space writing every
-// page in order, pass after pass — uniform wear, GC of fully invalid
-// blocks (the write-amplification floor).
-class SequentialOverwriteWorkload final : public HostWorkload {
- public:
-  explicit SequentialOverwriteWorkload(Seconds mean_gap = Seconds{0.0});
-  std::string name() const override { return "seq-overwrite"; }
-  std::vector<HostRequest> generate(std::uint32_t logical_pages,
-                                    std::size_t count,
-                                    Rng& rng) const override;
-
- private:
-  Seconds mean_gap_;
-};
-
-// Uniformly random overwrites (no skew): the GC stress case — every
-// block ends up a mix of valid and invalid pages.
-class UniformOverwriteWorkload final : public HostWorkload {
- public:
-  UniformOverwriteWorkload(double read_fraction,
-                           Seconds mean_gap = Seconds{0.0});
-  std::string name() const override { return "uniform-overwrite"; }
-  std::vector<HostRequest> generate(std::uint32_t logical_pages,
-                                    std::size_t count,
-                                    Rng& rng) const override;
-
- private:
-  double read_fraction_;
-  Seconds mean_gap_;
-};
-
-// One tenant of the multi-queue composite generator: hot/cold
-// overwrite traffic (the HotColdWorkload shape) extended with trim —
-// a `trim_fraction` share of the non-read requests deallocates a
+// One tenant of the multi-queue composite generator: skewed
+// overwrite traffic plus trim. A `hot_fraction` slice of the LPA
+// space receives `hot_write_fraction` of all writes (the classic
+// hot/cold split; 0.2/0.8 approximates the usual "80% of writes hit
+// 20% of data"). Reads, a `read_fraction` of requests, target LPAs
+// the stream has already written, so every read hits mapped data. A
+// `trim_fraction` share of the non-read requests deallocates a
 // previously written LPA instead of overwriting one, which is what
 // hands the FTL's GC cheap (invalid-page-rich) victims.
 struct TenantSpec {
@@ -109,12 +42,10 @@ struct TenantSpec {
 // sequence ordered by absolute arrival time (ties break by tenant,
 // then sequence — deterministic).
 //
-// Degenerate-case contract: with exactly one tenant and
-// trim_fraction == 0, the generator consumes the caller's Rng
-// identically to HotColdWorkload::generate (no fork, no extra draws)
-// and emits the same stream as host commands on queue 0 — which is
-// how the multi-queue sweep reproduces the pre-redesign single-stream
-// output byte for byte (tests/test_host_workload.cpp pins this).
+// Single-tenant contract: with exactly one tenant the generator
+// consumes the caller's Rng directly (no fork, no merge) and emits
+// the tenant's stream on queue 0 — the single-queue sweep rows rest
+// on that stream (tests/test_host_workload.cpp pins it).
 class MultiTenantWorkload {
  public:
   explicit MultiTenantWorkload(std::vector<TenantSpec> tenants);
@@ -130,13 +61,5 @@ class MultiTenantWorkload {
  private:
   std::vector<TenantSpec> tenants_;
 };
-
-// The flat single-stream view converted onto the command API: every
-// HostRequest becomes a one-page read/write command on queue 0 with
-// the same arrival gap. The legacy SsdSimulator::run(requests) path
-// goes through this, so both entry points execute identical command
-// streams.
-std::vector<host::Command> to_commands(
-    const std::vector<HostRequest>& requests);
 
 }  // namespace xlf::sim

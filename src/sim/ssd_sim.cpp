@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/sim/die_shard.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::sim {
@@ -44,13 +43,6 @@ SsdSimulator::SsdSimulator(ftl::Ssd& ssd, const SsdSimConfig& config)
   }
 }
 
-void SsdSimulator::maybe_flush_shards() {
-  if (config_.data_plane_shards != nullptr &&
-      config_.data_plane_shards->batch_ready()) {
-    config_.data_plane_shards->flush();
-  }
-}
-
 BitVec SsdSimulator::random_payload() {
   const std::uint32_t bits = ssd_->die_geometry().data_bits_per_page();
   BitVec data(bits);
@@ -69,7 +61,6 @@ void SsdSimulator::prepopulate() {
     } else {
       ssd_->ftl().write(lpa, BitVec(0));
     }
-    maybe_flush_shards();
   }
 }
 
@@ -225,15 +216,7 @@ void SsdSimulator::try_issue(SsdSimStats& stats) {
     if (!q.has_value()) break;
     const auto [command, arrival] = host_->pop(*q);
     issue(*q, command, arrival, stats);
-    // Between commands is a safe point (no FTL/controller operation
-    // in progress): drain accumulated per-die cell work in parallel
-    // once a batch is worth the fork-join.
-    maybe_flush_shards();
   }
-}
-
-SsdSimStats SsdSimulator::run(const std::vector<HostRequest>& requests) {
-  return run(to_commands(requests));
 }
 
 std::size_t SsdSimulator::verify_stored() {
@@ -305,10 +288,6 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
     outstanding_ = 0;
     stats.power_loss = true;
   }
-  // Deferred cell work models data already on the cells (its OOB
-  // record committed at issue); land it before anyone reads the
-  // arrays — including the post-crash remount audit.
-  if (config_.data_plane_shards != nullptr) config_.data_plane_shards->flush();
 
   stats.elapsed = queue_.now() - start;
   const ftl::FtlStats& ftl_after = ssd_->ftl().stats();

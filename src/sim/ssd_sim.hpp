@@ -19,11 +19,6 @@
 // command previously issued from its queue has, and holds that
 // queue's later commands until then. Single-threaded and
 // event-ordered, so runs are bit-reproducible.
-//
-// The pre-redesign single-stream interface survives as the 1-queue
-// round-robin degenerate case: run(requests) converts the flat
-// request vector onto queue 0 and produces byte-identical statistics
-// to the old flat-vector simulator.
 #pragma once
 
 #include <cstddef>
@@ -34,12 +29,9 @@
 #include "src/host/command.hpp"
 #include "src/host/queues.hpp"
 #include "src/sim/event_queue.hpp"
-#include "src/sim/host_workload.hpp"
 #include "src/util/stats.hpp"
 
 namespace xlf::sim {
-
-class DieShardExecutor;
 
 struct SsdSimConfig {
   // Maximum commands in flight across the whole SSD (shared by all
@@ -50,12 +42,6 @@ struct SsdSimConfig {
   // Verify read payloads bit-for-bit against the host's write record.
   bool verify_data = true;
   std::uint64_t data_seed = 0xDA7A5EED;
-  // Optional sharded data plane (see die_shard.hpp): the simulator
-  // asks it to flush between commands whenever a batch is ready, and
-  // always before a run returns. Attach/detach is the caller's job;
-  // results are byte-identical with or without it, for any thread
-  // count.
-  DieShardExecutor* data_plane_shards = nullptr;
   // Skip payload generation and the host write oracle — for
   // metadata-only devices (no cells to hold data) and for throughput
   // measurements where the host-side payload RNG would dominate.
@@ -141,9 +127,6 @@ class SsdSimulator {
   // oracle keeps every acknowledged write, so verify_stored() audits
   // the rebuilt device).
   SsdSimStats run(const std::vector<host::Command>& commands);
-  // Degenerate single-stream form: the flat request vector converted
-  // onto queue 0 (see to_commands).
-  SsdSimStats run(const std::vector<HostRequest>& requests);
 
   // Recovery audit: read every LPA the host holds a payload for and
   // count the ones that come back unmapped or bit-different. Zero is
@@ -162,8 +145,6 @@ class SsdSimulator {
   // issue step), recycling the slot.
   void complete_slot(std::uint32_t slot);
   std::uint32_t acquire_inflight();
-  // Flush the attached sharded data plane when a batch is ready.
-  void maybe_flush_shards();
 
   ftl::Ssd* ssd_;
   SsdSimConfig config_;

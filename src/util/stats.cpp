@@ -50,43 +50,6 @@ double RunningStats::max() const {
   return n_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  XLF_EXPECT(hi > lo);
-  XLF_EXPECT(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double unit = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long long>(unit * static_cast<double>(counts_.size()));
-  idx = std::clamp<long long>(idx, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
-}
-
-double Histogram::quantile(double q) const {
-  XLF_EXPECT(q >= 0.0 && q <= 1.0);
-  XLF_EXPECT(total_ > 0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double within =
-          counts_[i] == 0 ? 0.0 : (target - cumulative) / static_cast<double>(counts_[i]);
-      return lo_ + (static_cast<double>(i) + within) * width;
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
 double percentile(std::vector<double> samples, double q) {
   XLF_EXPECT(!samples.empty());
   XLF_EXPECT(q >= 0.0 && q <= 1.0);

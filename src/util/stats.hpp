@@ -41,28 +41,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-// edge bins so the total count is preserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_center(std::size_t i) const;
-  // Value below which `q` (0..1) of the mass lies, by linear
-  // interpolation within the bin.
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 // Exact percentile of a sample vector (copies and sorts; test-scale).
 double percentile(std::vector<double> samples, double q);
 

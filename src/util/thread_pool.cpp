@@ -89,7 +89,7 @@ void ThreadPool::parallel_for(std::size_t count,
     return;
   }
   // One control block per parallel batch, not per item.
-  auto job = std::make_shared<Job>();  // xlf-lint: allow(hot-alloc)
+  auto job = std::make_shared<Job>();
   job->body = &body;
   job->count = count;
   {

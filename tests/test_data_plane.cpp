@@ -1,23 +1,11 @@
-// Data-plane execution modes: the sharded per-die cell queues
-// (sim::DieShardExecutor) must leave every statistic byte-identical
-// to inline execution for any thread count, and the metadata-only
-// device mode (DeviceConfig::data_plane = false) must reproduce the
-// bit-true run's FTL decisions — write amplification, GC relocations,
-// erases, tuning spread, wear — exactly, differing only in the
-// latency/timing columns its worst-case decode model changes.
+// Metadata-only device mode (DeviceConfig::data_plane = false) must
+// reproduce the bit-true run's FTL decisions — write amplification,
+// GC relocations, erases, tuning spread, wear — exactly, differing
+// only in the latency/timing columns its worst-case decode model
+// changes.
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "src/explore/ftl_sweep.hpp"
-#include "src/explore/report.hpp"
-#include "src/ftl/ssd.hpp"
-#include "src/sim/die_shard.hpp"
-#include "src/sim/host_workload.hpp"
-#include "src/sim/ssd_sim.hpp"
-#include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace xlf {
@@ -36,18 +24,6 @@ explore::FtlSweepSpec small_spec() {
   spec.requests = 48;
   spec.seed = 0xD1E5;
   return spec;
-}
-
-TEST(DataPlane, ShardedSweepIsByteIdenticalToInline) {
-  const explore::FtlSweepSpec inline_spec = small_spec();
-  explore::FtlSweepSpec sharded = inline_spec;
-  sharded.shard_dies = true;
-
-  ThreadPool serial(1), pool(4);
-  const std::string baseline =
-      explore::ftl_csv(explore::ftl_sweep(inline_spec, serial));
-  EXPECT_EQ(baseline, explore::ftl_csv(explore::ftl_sweep(sharded, serial)));
-  EXPECT_EQ(baseline, explore::ftl_csv(explore::ftl_sweep(sharded, pool)));
 }
 
 TEST(DataPlane, MetadataModeReproducesBitTrueDecisions) {
@@ -84,69 +60,6 @@ TEST(DataPlane, MetadataModeReproducesBitTrueDecisions) {
     EXPECT_EQ(y.stats.data_mismatches, 0u) << "row " << i;
     EXPECT_EQ(y.rebuild_mismatches, 0u) << "row " << i;
   }
-}
-
-// Direct simulator-level check on a 4-die SSD with bit-true payload
-// verification: attaching the shard executor (cell work deferred into
-// per-die queues, drained on 4 worker threads) changes nothing — not
-// the payloads read back, not a single latency sample.
-TEST(DataPlane, ShardedSimulatorMatchesInlineBitForBit) {
-  const auto make_config = [] {
-    ftl::SsdConfig config;
-    config.topology = {2, 2};
-    config.die.device.array.geometry.blocks = 8;
-    config.die.device.array.geometry.pages_per_block = 4;
-    config.initial_pe_cycles = 1e4;
-    config.ftl.pe_cycles_per_erase = 3e4;
-    return config;
-  };
-
-  sim::TenantSpec tenant;
-  tenant.read_fraction = 0.3;
-  tenant.trim_fraction = 0.05;
-  const sim::MultiTenantWorkload workload({tenant});
-
-  const auto run_once = [&](bool sharded, ThreadPool& pool) {
-    ftl::Ssd ssd(make_config());
-    sim::SsdSimConfig sim_config;
-    sim_config.queue_depth = 4;
-    std::optional<sim::DieShardExecutor> shards;
-    // Tiny batch threshold so the mid-run flushes (not just the final
-    // one) actually fire on this small workload.
-    if (sharded) shards.emplace(ssd, pool, 8);
-    if (shards.has_value()) sim_config.data_plane_shards = &*shards;
-    sim::SsdSimulator simulator(ssd, sim_config);
-    simulator.prepopulate();
-    Rng stream(0xF00D);
-    const std::vector<host::Command> commands =
-        workload.generate(ssd.logical_pages(), 128, stream);
-    sim::SsdSimStats stats = simulator.run(commands);
-    shards.reset();
-    EXPECT_EQ(simulator.verify_stored(), 0u);
-    return stats;
-  };
-
-  ThreadPool serial(1), pool(4);
-  const sim::SsdSimStats a = run_once(false, serial);
-  const sim::SsdSimStats b = run_once(true, pool);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.trims, b.trims);
-  EXPECT_EQ(a.trimmed_pages, b.trimmed_pages);
-  EXPECT_EQ(a.uncorrectable, b.uncorrectable);
-  EXPECT_EQ(a.data_mismatches, 0u);
-  EXPECT_EQ(b.data_mismatches, 0u);
-  EXPECT_EQ(a.corrected_bits, b.corrected_bits);
-  EXPECT_EQ(a.gc_relocations, b.gc_relocations);
-  EXPECT_EQ(a.erases, b.erases);
-  EXPECT_EQ(a.write_amplification, b.write_amplification);
-  EXPECT_EQ(a.elapsed.v, b.elapsed.v);
-  EXPECT_EQ(a.ecc_energy.v, b.ecc_energy.v);
-  EXPECT_EQ(a.nand_energy.v, b.nand_energy.v);
-  EXPECT_EQ(a.read_latency.mean(), b.read_latency.mean());
-  EXPECT_EQ(a.read_latency.max(), b.read_latency.max());
-  EXPECT_EQ(a.write_latency.mean(), b.write_latency.mean());
-  EXPECT_EQ(a.write_latency.max(), b.write_latency.max());
 }
 
 }  // namespace

@@ -333,10 +333,10 @@ TEST(Ftl, SkewedOverwritesDivergeWearAndPerBlockT) {
   sim::SsdSimulator simulator(ssd, sim_config);
   simulator.prepopulate();
 
-  const sim::HotColdWorkload workload(0.25, 0.85, 0.3);
+  const sim::MultiTenantWorkload workload({sim::TenantSpec{0.25, 0.85, 0.3}});
   Rng rng(2026);
-  const auto requests = workload.generate(ssd.logical_pages(), 220, rng);
-  const sim::SsdSimStats stats = simulator.run(requests);
+  const auto commands = workload.generate(ssd.logical_pages(), 220, rng);
+  const sim::SsdSimStats stats = simulator.run(commands);
 
   // GC actually ran.
   EXPECT_GT(stats.gc_relocations, 0u);
@@ -374,10 +374,10 @@ TEST(Ftl, StaticWearLevelingSwapsColdBlocks) {
 
   // Heavy skew: nearly all writes hit 20% of the space, pinning the
   // cold majority in place — exactly what static WL exists to break.
-  const sim::HotColdWorkload workload(0.2, 0.97, 0.0);
+  const sim::MultiTenantWorkload workload({sim::TenantSpec{0.2, 0.97, 0.0}});
   Rng rng(7);
-  const auto requests = workload.generate(ssd.logical_pages(), 200, rng);
-  const sim::SsdSimStats stats = simulator.run(requests);
+  const auto commands = workload.generate(ssd.logical_pages(), 200, rng);
+  const sim::SsdSimStats stats = simulator.run(commands);
   EXPECT_GT(stats.wl_swaps, 0u);
   EXPECT_EQ(stats.data_mismatches, 0u);
 }
@@ -430,10 +430,11 @@ TEST(Ftl, RunsAreDeterministic) {
     Ssd ssd(small_ssd());
     sim::SsdSimulator simulator(ssd);
     simulator.prepopulate();
-    const sim::HotColdWorkload workload(0.25, 0.85, 0.3);
+    const sim::MultiTenantWorkload workload(
+        {sim::TenantSpec{0.25, 0.85, 0.3}});
     Rng rng(99);
-    const auto requests = workload.generate(ssd.logical_pages(), 80, rng);
-    return simulator.run(requests);
+    const auto commands = workload.generate(ssd.logical_pages(), 80, rng);
+    return simulator.run(commands);
   };
   const sim::SsdSimStats a = run_once();
   const sim::SsdSimStats b = run_once();

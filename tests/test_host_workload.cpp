@@ -1,44 +1,21 @@
-// Host workload generators: fixed-seed determinism (byte-identical
-// request/command streams), empirical hot/cold skew, the
-// single-tenant degenerate-case contract of MultiTenantWorkload, and
-// trim emission.
+// Host workload generator: fixed-seed determinism (byte-identical
+// command streams), empirical hot/cold skew, the single-tenant stream
+// pin, trim emission, and an all-hot LPA space.
 #include "src/sim/host_workload.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "tests/digest.hpp"
+
 namespace xlf::sim {
 namespace {
-
-bool same_request(const HostRequest& a, const HostRequest& b) {
-  return a.type == b.type && a.lpa == b.lpa &&
-         a.gap.value() == b.gap.value();
-}
 
 bool same_command(const host::Command& a, const host::Command& b) {
   return a.type == b.type && a.lba == b.lba && a.length == b.length &&
          a.queue == b.queue && a.tenant == b.tenant &&
          a.gap.value() == b.gap.value();
-}
-
-TEST(HostWorkload, FixedSeedGivesByteIdenticalStreams) {
-  const HotColdWorkload hot_cold(0.25, 0.85, 0.3, Seconds{1e-4});
-  const SequentialOverwriteWorkload sequential(Seconds{1e-4});
-  const UniformOverwriteWorkload uniform(0.2, Seconds{1e-4});
-  for (const HostWorkload* workload :
-       {static_cast<const HostWorkload*>(&hot_cold),
-        static_cast<const HostWorkload*>(&sequential),
-        static_cast<const HostWorkload*>(&uniform)}) {
-    Rng a(12345), b(12345);
-    const auto first = workload->generate(64, 500, a);
-    const auto second = workload->generate(64, 500, b);
-    ASSERT_EQ(first.size(), second.size()) << workload->name();
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      ASSERT_TRUE(same_request(first[i], second[i]))
-          << workload->name() << " diverges at request " << i;
-    }
-  }
 }
 
 TEST(HostWorkload, MultiTenantFixedSeedIsByteIdentical) {
@@ -61,53 +38,70 @@ TEST(HostWorkload, HotColdSkewMatchesConfiguredFractions) {
   const double hot_fraction = 0.2;
   const double hot_write_fraction = 0.8;
   const double read_fraction = 0.3;
-  const HotColdWorkload workload(hot_fraction, hot_write_fraction,
-                                 read_fraction);
+  const MultiTenantWorkload workload({TenantSpec{
+      hot_fraction, hot_write_fraction, read_fraction}});
   const std::uint32_t logical_pages = 1000;
   Rng rng(42);
-  const auto requests = workload.generate(logical_pages, 10000, rng);
+  const auto commands = workload.generate(logical_pages, 10000, rng);
 
   const std::uint32_t hot_pages =
       static_cast<std::uint32_t>(logical_pages * hot_fraction);
   std::size_t writes = 0, hot_writes = 0, reads = 0;
-  for (const HostRequest& request : requests) {
-    if (request.type == OpType::kRead) {
+  for (const host::Command& command : commands) {
+    if (command.type == host::CmdType::kRead) {
       ++reads;
       continue;
     }
     ++writes;
-    if (request.lpa < hot_pages) ++hot_writes;
+    if (command.lba < hot_pages) ++hot_writes;
   }
   const double observed_hot =
       static_cast<double>(hot_writes) / static_cast<double>(writes);
   EXPECT_NEAR(observed_hot, hot_write_fraction, 0.03);
   const double observed_reads =
-      static_cast<double>(reads) / static_cast<double>(requests.size());
+      static_cast<double>(reads) / static_cast<double>(commands.size());
   EXPECT_NEAR(observed_reads, read_fraction, 0.03);
   // Hot writes actually stay inside the hot slice's address range.
-  for (const HostRequest& request : requests) {
-    EXPECT_LT(request.lpa, logical_pages);
+  for (const host::Command& command : commands) {
+    EXPECT_LT(command.lba, logical_pages);
   }
 }
 
-// The degenerate-case contract the multi-queue sweep's byte-identity
-// rests on: one tenant with trim_fraction 0 consumes the Rng exactly
-// like HotColdWorkload and emits the converted stream on queue 0.
-TEST(HostWorkload, SingleTenantWithoutTrimMatchesHotColdExactly) {
-  const TenantSpec tenant{0.25, 0.85, 0.3, 0.0, Seconds{2e-4}};
-  const MultiTenantWorkload composite(std::vector<TenantSpec>{tenant});
-  const HotColdWorkload flat(tenant.hot_fraction, tenant.hot_write_fraction,
-                             tenant.read_fraction, tenant.mean_gap);
-  Rng a(0xFEED), b(0xFEED);
-  const auto commands = composite.generate(64, 400, a);
-  const auto converted = to_commands(flat.generate(64, 400, b));
-  ASSERT_EQ(commands.size(), converted.size());
-  for (std::size_t i = 0; i < commands.size(); ++i) {
-    ASSERT_TRUE(same_command(commands[i], converted[i]))
-        << "degenerate case diverges at command " << i;
+// The stream the single-queue sweep rows rest on: one tenant consumes
+// the caller's Rng directly and emits its commands on queue 0. The
+// digest covers every command field plus the Rng's next draw, so a
+// changed draw count shows up too. Captured from a reference build.
+TEST(HostWorkload, SingleTenantStreamIsPinned) {
+  const MultiTenantWorkload workload(
+      {TenantSpec{0.25, 0.85, 0.3, 0.0, Seconds{2e-4}}});
+  Rng rng(0xFEED);
+  const auto commands = workload.generate(64, 400, rng);
+  ASSERT_EQ(commands.size(), 400u);
+  test::Fnv1a digest;
+  for (const host::Command& command : commands) {
+    digest.u64(static_cast<std::uint64_t>(command.type));
+    digest.u64(command.lba);
+    digest.u64(command.length);
+    digest.u64(command.queue);
+    digest.u64(command.tenant);
+    digest.f64(command.gap.value());
   }
-  // And the two Rngs sit at the same point afterwards.
-  EXPECT_EQ(a.next(), b.next());
+  digest.u64(rng.next());
+  EXPECT_EQ(digest.value(), 0xD6F0F145ECB3B5A1ull);
+}
+
+// hot_fraction 1.0 leaves no cold range: a write that draws "cold"
+// must land in the (whole-space) hot slice instead of asking the Rng
+// for a draw below 0.
+TEST(HostWorkload, AllHotLpaSpaceGenerates) {
+  const MultiTenantWorkload workload({TenantSpec{1.0, 0.85, 0.3}});
+  const std::uint32_t logical_pages = 64;
+  Rng rng(5);
+  const auto commands = workload.generate(logical_pages, 2000, rng);
+  ASSERT_EQ(commands.size(), 2000u);
+  for (const host::Command& command : commands) {
+    EXPECT_LT(command.lba, logical_pages);
+  }
 }
 
 TEST(HostWorkload, MultiTenantSplitsRequestsAcrossQueues) {
@@ -149,7 +143,7 @@ TEST(HostWorkload, TrimFractionEmitsTrimsOfWrittenLpasOnly) {
       case host::CmdType::kTrim:
         // Trims only target LPAs the stream wrote earlier. (The
         // written list carries overwrite duplicates — deliberately,
-        // to keep read-target skew identical to HotColdWorkload — so
+        // to keep the trim-free stream's read-target skew — so
         // an LPA can occasionally be trimmed twice without a rewrite
         // in between; the FTL services that as a no-op.)
         EXPECT_EQ(ever_written.count(command.lba), 1u)

@@ -70,16 +70,25 @@ TEST(DieDispatcher, DiesStripeRoundRobinAcrossChannels) {
 TEST(SsdSimulator, AccountsEveryRequest) {
   ftl::Ssd ssd(ssd_config(2, 1));
   SsdSimulator simulator(ssd);
-  const UniformOverwriteWorkload workload(0.25);
+  // Uniform overwrites: the whole LPA space is the hot slice.
+  const MultiTenantWorkload workload({TenantSpec{1.0, 1.0, 0.25}});
   Rng rng(11);
-  const auto requests = workload.generate(ssd.logical_pages(), 60, rng);
-  const SsdSimStats stats = simulator.run(requests);
+  const auto commands = workload.generate(ssd.logical_pages(), 60, rng);
+  const SsdSimStats stats = simulator.run(commands);
   EXPECT_EQ(stats.reads + stats.writes + stats.unmapped_reads,
-            requests.size());
+            commands.size());
   EXPECT_EQ(stats.unmapped_reads, 0u);  // reads only target written LPAs
   EXPECT_GT(stats.elapsed.value(), 0.0);
   EXPECT_EQ(stats.die_utilisation.size(), 2u);
   EXPECT_EQ(stats.data_mismatches, 0u);
+  // The single queue's view agrees with the globals.
+  ASSERT_EQ(stats.queue_stats.size(), 1u);
+  EXPECT_EQ(stats.queue_stats[0].reads + stats.queue_stats[0].writes,
+            commands.size());
+  EXPECT_DOUBLE_EQ(stats.queue_stats[0].read_latency.mean(),
+                   stats.read_latency.mean());
+  EXPECT_DOUBLE_EQ(stats.queue_stats[0].write_latency.mean(),
+                   stats.write_latency.mean());
 }
 
 TEST(SsdSimulator, PrepopulateMapsEveryLogicalPage) {
@@ -92,18 +101,18 @@ TEST(SsdSimulator, PrepopulateMapsEveryLogicalPage) {
 }
 
 TEST(SsdSimulator, MoreDiesAndDepthFinishSooner) {
-  // Identical sequential write load; the 2-die SSD at QD 4 overlaps
+  // Identical uniform write load; the 2-die SSD at QD 4 overlaps
   // programs that the 1-die QD-1 SSD must serialise.
   const auto run = [](std::uint32_t channels, std::size_t qd) {
     ftl::Ssd ssd(ssd_config(channels, 1));
     SsdSimConfig config;
     config.queue_depth = qd;
     SsdSimulator simulator(ssd, config);
-    const SequentialOverwriteWorkload workload;
+    const MultiTenantWorkload workload({TenantSpec{1.0, 1.0, 0.0}});
     Rng rng(5);
     // Fixed request count (not capacity-scaled) for comparability.
-    const auto requests = workload.generate(12, 40, rng);
-    return simulator.run(requests);
+    const auto commands = workload.generate(12, 40, rng);
+    return simulator.run(commands);
   };
   const SsdSimStats serial = run(1, 1);
   const SsdSimStats overlapped = run(2, 4);
@@ -113,12 +122,21 @@ TEST(SsdSimulator, MoreDiesAndDepthFinishSooner) {
   EXPECT_NEAR(serial.die_util_max(), 1.0, 1e-9);
 }
 
+host::Command command(host::CmdType type, ftl::Lpa lba,
+                      std::uint16_t queue = 0) {
+  host::Command cmd;
+  cmd.type = type;
+  cmd.lba = lba;
+  cmd.queue = queue;
+  return cmd;
+}
+
 TEST(SsdSimulator, UnmappedReadsCompleteInstantly) {
   ftl::Ssd ssd(ssd_config(1, 1));
   SsdSimulator simulator(ssd);
-  std::vector<HostRequest> requests{{OpType::kRead, 0, Seconds{0.0}},
-                                    {OpType::kRead, 1, Seconds{0.0}}};
-  const SsdSimStats stats = simulator.run(requests);
+  const std::vector<host::Command> commands{
+      command(host::CmdType::kRead, 0), command(host::CmdType::kRead, 1)};
+  const SsdSimStats stats = simulator.run(commands);
   EXPECT_EQ(stats.unmapped_reads, 2u);
   EXPECT_EQ(stats.reads, 0u);
   EXPECT_DOUBLE_EQ(stats.elapsed.value(), 0.0);
@@ -134,45 +152,6 @@ TEST(SsdSimStats, EmptyUtilisationSummariesAreNaN) {
   EXPECT_TRUE(std::isnan(stats.die_util_min()));
   EXPECT_TRUE(std::isnan(stats.die_util_max()));
   EXPECT_TRUE(std::isnan(stats.die_util_mean()));
-}
-
-host::Command command(host::CmdType type, ftl::Lpa lba,
-                      std::uint16_t queue = 0) {
-  host::Command cmd;
-  cmd.type = type;
-  cmd.lba = lba;
-  cmd.queue = queue;
-  return cmd;
-}
-
-TEST(SsdSimulator, LegacyRequestPathEqualsOneQueueCommandPath) {
-  // The flat request vector and its command conversion on a 1-queue
-  // round-robin interface are the same simulation, stat for stat.
-  const auto run_with = [](bool as_commands) {
-    ftl::Ssd ssd(ssd_config(2, 1));
-    SsdSimulator simulator(ssd);
-    const UniformOverwriteWorkload workload(0.25);
-    Rng rng(11);
-    const auto requests = workload.generate(ssd.logical_pages(), 60, rng);
-    return as_commands ? simulator.run(to_commands(requests))
-                       : simulator.run(requests);
-  };
-  const SsdSimStats legacy = run_with(false);
-  const SsdSimStats commands = run_with(true);
-  EXPECT_EQ(legacy.reads, commands.reads);
-  EXPECT_EQ(legacy.writes, commands.writes);
-  EXPECT_EQ(legacy.gc_relocations, commands.gc_relocations);
-  EXPECT_DOUBLE_EQ(legacy.elapsed.value(), commands.elapsed.value());
-  EXPECT_DOUBLE_EQ(legacy.read_latency.mean(), commands.read_latency.mean());
-  EXPECT_DOUBLE_EQ(legacy.write_latency.mean(),
-                   commands.write_latency.mean());
-  // The command path also reports the single queue's view, which must
-  // agree with the globals.
-  ASSERT_EQ(commands.queue_stats.size(), 1u);
-  EXPECT_EQ(commands.queue_stats[0].reads + commands.queue_stats[0].writes,
-            60u);
-  EXPECT_DOUBLE_EQ(commands.queue_stats[0].write_latency.mean(),
-                   commands.write_latency.mean());
 }
 
 TEST(SsdSimulator, TrimUnmapsAndReadsComeBackUnmapped) {

@@ -128,32 +128,6 @@ TEST(RunningStats, ChainedShardMergeMatchesSerial) {
   EXPECT_DOUBLE_EQ(merged.max(), serial.max());
 }
 
-TEST(Histogram, BinningAndQuantile) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(0.5);  // all in first bin
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.bin_count(0), 100u);
-  EXPECT_NEAR(h.bin_center(0), 0.5, 1e-12);
-  EXPECT_LT(h.quantile(0.5), 1.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, QuantileOfUniformSamples) {
-  Rng rng(7);
-  Histogram h(0.0, 1.0, 100);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
 TEST(Percentile, ExactValues) {
   std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);

@@ -70,6 +70,24 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "misspelled flag must exit non-zero (got 0)")
 endif()
 
+# --- the retired sharded data plane's flag is unknown ----------------
+execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-shard-dies
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "--ftl-shard-dies must exit non-zero (got 0)")
+endif()
+if(NOT err MATCHES "unknown flag '--ftl-shard-dies'")
+  message(FATAL_ERROR "--ftl-shard-dies must be an unknown flag, got: ${err}")
+endif()
+
+# --- an all-hot LPA space runs (cold writes fall back to hot) --------
+execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-requests 64
+                        --ftl-hot-fraction 1.0
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--ftl-hot-fraction 1.0 must exit 0 (got ${rc}): ${err}")
+endif()
+
 # --- missing spec file: non-zero with a clear message ----------------
 execute_process(COMMAND ${XLF_EXPLORE} --spec /nonexistent/spec.json
                 RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)

@@ -388,9 +388,9 @@ void analyze_locks(LintState& st, std::size_t file_index,
     }
   }
 
-  // New locks in the replayed layers are suspect by default: the data
-  // plane is sharded so every piece of state has one owner, and a
-  // mutex usually papers over a missing ordering.
+  // New locks in the replayed layers are suspect by default: one event
+  // loop owns every die's state, and a mutex usually papers over a
+  // missing ordering.
   if (tu.layer == "nand" || tu.layer == "sim") {
     for (std::size_t t = 0; t < tu.code.size(); ++t) {
       if (!mutex_class(tu.code[t].text) ||

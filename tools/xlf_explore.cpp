@@ -118,10 +118,6 @@ void usage() {
       "  --ftl-data-plane M    bit-true | meta: cell arrays or metadata-only\n"
       "                        devices (timing/energy models, no payload\n"
       "                        bits; default bit-true)\n"
-      "  --ftl-shard-dies      shard each combo's cell work into per-die\n"
-      "                        queues drained on the thread pool (combos\n"
-      "                        then run serially; rows are byte-identical\n"
-      "                        either way; needs bit-true data plane)\n"
       "  --ftl-perf            report wall-clock commands/s per combo\n"
       "                        beside the deterministic rows (JSON only)\n";
 }
@@ -402,9 +398,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
                   << mode << "\n";
         return false;
       }
-    } else if (arg == "--ftl-shard-dies") {
-      shape();
-      exp.ftl.shard_dies = true;
     } else if (arg == "--ftl-perf") {
       shape();
       exp.ftl.measure_throughput = true;
@@ -413,12 +406,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
                 << "' (try --help)\n";
       return false;
     }
-  }
-  if (!exp.ftl.data_plane && exp.ftl.shard_dies) {
-    std::cerr << "xlf_explore: --ftl-shard-dies needs the bit-true data "
-                 "plane (metadata-only devices have no cell work to "
-                 "shard)\n";
-    return false;
   }
   if (!opt.spec_path.empty() && opt.shaped_by_flags) {
     std::cerr << "xlf_explore: --spec is exclusive with the sweep-shaping "
