@@ -168,7 +168,8 @@ std::vector<std::uint32_t> Decoder::chien_search(
 }
 
 DecodeResult Decoder::run_pipeline(
-    BitVec& received, const std::vector<gf::Element>& syndromes) const {
+    BitVec& received, const std::vector<gf::Element>& syndromes,
+    const std::vector<std::size_t>* errors) const {
   DecodeResult result;
   const bool clean = std::all_of(syndromes.begin(), syndromes.end(),
                                  [](gf::Element s) { return s == 0; });
@@ -184,7 +185,16 @@ DecodeResult Decoder::run_pipeline(
     return result;
   }
 
-  auto roots = chien_search(lambda);
+  // decode_with_reference's verified roots (decoder.hpp).
+  const auto is_root = [&](std::size_t p) {
+    const gf::Element x = field_->alpha_pow(-static_cast<long long>(p));
+    return lambda.eval(*field_, x) == 0;
+  };
+  std::vector<std::uint32_t> roots =
+      errors != nullptr && degree == static_cast<long long>(errors->size()) &&
+              std::all_of(errors->begin(), errors->end(), is_root)
+          ? std::vector<std::uint32_t>(errors->begin(), errors->end())
+          : chien_search(lambda);
   if (roots.size() != static_cast<std::size_t>(degree)) {
     // Locator roots fell outside the shortened range or were repeated:
     // more than t errors, detected.
@@ -209,7 +219,8 @@ DecodeResult Decoder::decode_with_reference(BitVec& received,
   XLF_EXPECT(reference.size() == params_.n());
   BitVec error = received;
   error ^= reference;
-  return run_pipeline(received, syndromes_from_errors(error.set_positions()));
+  const std::vector<std::size_t> positions = error.set_positions();
+  return run_pipeline(received, syndromes_from_errors(positions), &positions);
 }
 
 }  // namespace xlf::bch

@@ -68,13 +68,20 @@ class Decoder {
 
   // Full pipeline; corrects `received` in place.
   DecodeResult decode(BitVec& received) const;
-  // Full pipeline with the simulation fast path (see file comment).
+  // Full pipeline with the simulation fast path (see file comment). It
+  // knows the error positions E: when BM's lambda has degree |E| and
+  // vanishes at alpha^-p for every p in E (distinct, as p < n < 2^m),
+  // those are all its roots, so it returns E without the Chien sweep.
+  // Weight <= t always verifies and weight > t never (deg <= t < |E|),
+  // so every result equals decode()'s, miscorrections included.
   DecodeResult decode_with_reference(BitVec& received,
                                      const BitVec& reference) const;
 
  private:
-  DecodeResult run_pipeline(BitVec& received,
-                            const std::vector<gf::Element>& syndromes) const;
+  // `errors`: the known error positions, ascending.
+  DecodeResult run_pipeline(
+      BitVec& received, const std::vector<gf::Element>& syndromes,
+      const std::vector<std::size_t>* errors = nullptr) const;
 
   const gf::Gf2m* field_;
   CodeParams params_;

@@ -7,17 +7,17 @@
 namespace xlf::bch {
 namespace {
 
-// One bit of LFSR division over a byte register, MSB-first.
-void lfsr_step_bytes(std::vector<std::uint8_t>& reg,
-                     const std::vector<std::uint8_t>& gen_low, bool in_bit) {
-  const std::size_t bytes = reg.size();
-  const bool feedback = (((reg[bytes - 1] >> 7) & 1u) != 0) != in_bit;
-  for (std::size_t i = bytes; i-- > 1;) {
-    reg[i] = static_cast<std::uint8_t>((reg[i] << 1) | (reg[i - 1] >> 7));
+// One bit of LFSR division on a left-aligned register, MSB-first:
+// the register's top bit XOR the input bit selects the feedback row.
+void shift_in_bit(std::uint64_t* reg, std::size_t words,
+                  const std::uint64_t* feedback_row, bool in_bit) {
+  const bool feedback = (reg[words - 1] >> 63 != 0) != in_bit;
+  for (std::size_t i = words; i-- > 1;) {
+    reg[i] = (reg[i] << 1) | (reg[i - 1] >> 63);
   }
-  reg[0] = static_cast<std::uint8_t>(reg[0] << 1);
+  reg[0] <<= 1;
   if (feedback) {
-    for (std::size_t i = 0; i < bytes; ++i) reg[i] ^= gen_low[i];
+    for (std::size_t i = 0; i < words; ++i) reg[i] ^= feedback_row[i];
   }
 }
 
@@ -29,89 +29,80 @@ Encoder::Encoder(CodeParams params, const gf::Gf2Poly& generator)
   XLF_EXPECT(generator.degree() >= 1);
   w_ = static_cast<std::uint32_t>(generator.degree());
   XLF_EXPECT(w_ <= params_.parity_bits());
+  const std::size_t words = (w_ + 63) / 64;
+  const std::uint32_t pad = static_cast<std::uint32_t>(64 * words) - w_;
 
-  gen_low_words_.assign((w_ + 63) / 64, 0);
+  // T_0[1] = x^w mod g = g - x^w, the single-bit feedback. Each
+  // T_b[2^j] = x^(w + 8b + j) mod g is the one before it times x, and
+  // every other row is the XOR of two smaller ones.
+  tables_.assign(8 * 256 * words, 0);
+  std::uint64_t* feedback = tables_.data() + words;
   for (std::uint32_t i = 0; i < w_; ++i) {
-    if (generator.coeff(i)) gen_low_words_[i / 64] |= 1ull << (i % 64);
+    if (generator.coeff(i)) {
+      feedback[(i + pad) / 64] |= 1ull << ((i + pad) % 64);
+    }
   }
-
-  byte_fast_ =
-      params_.k % 8 == 0 && w_ % 8 == 0 && w_ == params_.parity_bits();
-  if (byte_fast_) {
-    gen_low_bytes_.assign(w_ / 8, 0);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      if (generator.coeff(i)) {
-        gen_low_bytes_[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  const std::uint64_t* prev = feedback;
+  for (unsigned bit = 1; bit < 64; ++bit) {
+    std::uint64_t* next =
+        tables_.data() + ((bit / 8) * 256 + (1u << (bit % 8))) * words;
+    std::copy_n(prev, words, next);
+    shift_in_bit(next, words, feedback, false);
+    prev = next;
+  }
+  for (std::size_t slice = 0; slice < 8; ++slice) {
+    std::uint64_t* table = tables_.data() + slice * 256 * words;
+    for (unsigned v = 3; v < 256; ++v) {
+      for (std::size_t i = 0; i < words; ++i) {
+        table[v * words + i] = table[(v & (v - 1)) * words + i] ^
+                                table[(v & (0u - v)) * words + i];
       }
     }
-    build_byte_table();
   }
-}
-
-void Encoder::build_byte_table() {
-  const std::size_t bytes = gen_low_bytes_.size();
-  table_.assign(256, std::vector<std::uint8_t>(bytes, 0));
-  for (unsigned v = 0; v < 256; ++v) {
-    std::vector<std::uint8_t> reg(bytes, 0);
-    reg[bytes - 1] = static_cast<std::uint8_t>(v);
-    for (int bit = 0; bit < 8; ++bit) lfsr_step_bytes(reg, gen_low_bytes_, false);
-    table_[v] = std::move(reg);
-  }
-}
-
-BitVec Encoder::parity_bytewise(const BitVec& message) const {
-  const std::size_t bytes = gen_low_bytes_.size();
-  std::vector<std::uint8_t> reg(bytes, 0);
-  // Message bytes MSB-first: the register's top byte XOR the incoming
-  // byte is the feedback selecting the table row.
-  for (std::size_t j = params_.k / 8; j-- > 0;) {
-    const std::uint8_t feedback =
-        static_cast<std::uint8_t>(reg[bytes - 1] ^ message.byte(j));
-    for (std::size_t i = bytes; i-- > 1;) reg[i] = reg[i - 1];
-    reg[0] = 0;
-    const auto& update = table_[feedback];
-    for (std::size_t i = 0; i < bytes; ++i) reg[i] ^= update[i];
-  }
-  BitVec out(params_.parity_bits());
-  for (std::size_t i = 0; i < bytes; ++i) out.set_byte(i, reg[i]);
-  return out;
-}
-
-BitVec Encoder::parity_bitserial(const BitVec& message) const {
-  // Word-packed register of w bits; top bit sits at index w-1.
-  std::vector<std::uint64_t> reg(gen_low_words_.size(), 0);
-  const std::uint32_t top_word = (w_ - 1) / 64;
-  const std::uint32_t top_bit = (w_ - 1) % 64;
-
-  const auto step = [&](bool in_bit) {
-    const bool feedback = (((reg[top_word] >> top_bit) & 1u) != 0) != in_bit;
-    for (std::size_t i = reg.size(); i-- > 1;) {
-      reg[i] = (reg[i] << 1) | (reg[i - 1] >> 63);
-    }
-    reg[0] <<= 1;
-    if (feedback) {
-      for (std::size_t i = 0; i < reg.size(); ++i) reg[i] ^= gen_low_words_[i];
-    }
-    // Bits above w-1 never influence the remainder; keep them clear.
-    if (top_bit == 63) return;
-    reg[top_word] &= (1ull << (top_bit + 1)) - 1;
-  };
-
-  for (std::size_t i = params_.k; i-- > 0;) step(message.get(i));
-  // Architected parity width beyond deg g: multiply the remainder by
-  // x^(r - w), i.e. feed trailing zeros.
-  for (std::uint32_t i = 0; i < params_.parity_bits() - w_; ++i) step(false);
-
-  BitVec out(params_.parity_bits());
-  for (std::uint32_t i = 0; i < w_; ++i) {
-    if ((reg[i / 64] >> (i % 64)) & 1u) out.set(i, true);
-  }
-  return out;
 }
 
 BitVec Encoder::parity(const BitVec& message) const {
   XLF_EXPECT(message.size() == params_.k);
-  return byte_fast_ ? parity_bytewise(message) : parity_bitserial(message);
+  const std::size_t words = (w_ + 63) / 64;
+  std::vector<std::uint64_t> reg(words, 0);
+  const std::uint64_t* tables = tables_.data();
+  const std::uint64_t* feedback = tables + words;  // T_0[1]
+  const std::vector<std::uint64_t>& msg = message.words();
+  const std::size_t full_words = params_.k / 64;
+
+  // The top k mod 64 message bits, one at a time.
+  for (std::size_t i = params_.k; i-- > 64 * full_words;) {
+    shift_in_bit(reg.data(), words, feedback,
+                 ((msg[full_words] >> (i % 64)) & 1u) != 0);
+  }
+  // Then 64 bits per step: the top register word XOR the message word
+  // is the feedback; the register moves up a word and takes one row
+  // per feedback byte, each word summing its eight row words before
+  // one store.
+  for (std::size_t j = full_words; j-- > 0;) {
+    const std::uint64_t fb = reg[words - 1] ^ msg[j];
+    const std::uint64_t* row[8];
+    for (unsigned b = 0; b < 8; ++b) {
+      row[b] = tables + (b * 256 + ((fb >> (8 * b)) & 0xff)) * words;
+    }
+    for (std::size_t i = words; i-- > 0;) {
+      const std::uint64_t below = i > 0 ? reg[i - 1] : 0;
+      reg[i] = below ^ ((row[0][i] ^ row[1][i]) ^ (row[2][i] ^ row[3][i])) ^
+               ((row[4][i] ^ row[5][i]) ^ (row[6][i] ^ row[7][i]));
+    }
+  }
+  // Architected parity width beyond deg g: multiply the remainder by
+  // x^(r - w), i.e. feed trailing zeros.
+  for (std::uint32_t i = w_; i < params_.parity_bits(); ++i) {
+    shift_in_bit(reg.data(), words, feedback, false);
+  }
+
+  // The remainder is the register's top w bits.
+  BitVec left(64 * words);
+  for (std::size_t i = 0; i < words; ++i) left.set_word(i, reg[i]);
+  BitVec out(params_.parity_bits());
+  out.insert(0, left.slice(64 * words - w_, w_));
+  return out;
 }
 
 BitVec Encoder::parity_reference(const BitVec& message) const {

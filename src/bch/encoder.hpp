@@ -3,16 +3,14 @@
 // The codeword is c(x) = m(x) x^r + p(x) with p(x) the remainder of
 // m(x) x^r divided by the generator g(x); bits [0, r) of the codeword
 // hold the parity (stored in the flash spare area), bits [r, n) hold
-// the message. The software model mirrors the hardware's LFSR
-// division. Two paths exist:
-//  * a byte-at-a-time table method (the software twin of the paper's
-//    parallel LFSR with parallelism p = 8), used when message and
-//    generator are byte-aligned — always true for the production
-//    GF(2^16) codes where deg g = 16 t;
-//  * a generic bit-serial path for arbitrary k/r (textbook codes over
-//    small fields used in tests and microbenches).
-// An independent polynomial-arithmetic reference (`parity_reference`)
-// backs both in tests.
+// the message. The software model is LFSR division on one word
+// register, the w = deg g remainder bits left-aligned in ceil(w/64)
+// words: each step takes 64 message bits through eight byte-slice
+// tables T_b[v] = v x^(8b) x^w mod g, and the top k mod 64 message
+// bits and the r - w trailing zeros (r > deg g) shift in one bit at a
+// time, so every (k, r, deg g) takes this one path. ecc_hw prices the
+// paper's parallel LFSR (p = 8) instead. An independent polynomial-
+// arithmetic reference (`parity_reference`) backs it in tests.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +29,6 @@ class Encoder {
   Encoder(CodeParams params, const gf::Gf2Poly& generator);
 
   const CodeParams& params() const { return params_; }
-  // True when the byte-table fast path is active.
-  bool byte_accelerated() const { return byte_fast_; }
 
   // r parity bits for a k-bit message (LFSR division).
   BitVec parity(const BitVec& message) const;
@@ -46,18 +42,13 @@ class Encoder {
   BitVec extract_message(const BitVec& codeword) const;
 
  private:
-  void build_byte_table();
-  BitVec parity_bitserial(const BitVec& message) const;
-  BitVec parity_bytewise(const BitVec& message) const;
-
   CodeParams params_;
   gf::Gf2Poly generator_;
   std::uint32_t w_ = 0;  // generator degree (LFSR register width)
-  bool byte_fast_ = false;
-  std::vector<std::uint64_t> gen_low_words_;  // g minus x^w, packed bits
-  std::vector<std::uint8_t> gen_low_bytes_;   // same, byte view (fast path)
-  // table_[v] = remainder update for feedback byte v, w/8 bytes each.
-  std::vector<std::vector<std::uint8_t>> table_;
+  // The eight byte-slice tables, rows left-aligned in ceil(w/64) words
+  // like the register: word i of T_b[v] is tables_[(b * 256 + v) *
+  // words + i].
+  std::vector<std::uint64_t> tables_;
 };
 
 }  // namespace xlf::bch

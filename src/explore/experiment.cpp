@@ -188,6 +188,7 @@ void parse_monte_carlo(StrictObject& root, ExperimentSpec& spec) {
   }
   if (const JsonValue* v = obj.find("requests")) {
     spec.mc_requests = as_index(*v, "requests");
+    if (spec.mc_requests < 1) spec_error("'requests' must be >= 1");
   }
   if (const JsonValue* v = obj.find("age")) {
     spec.mc_age = as_number(*v, "age");
@@ -251,15 +252,26 @@ void parse_workload(StrictObject& root, ExperimentSpec& spec) {
   StrictObject obj(*workload, "workload");
   if (const JsonValue* v = obj.find("requests")) {
     spec.ftl.requests = as_index(*v, "requests");
+    if (spec.ftl.requests < 1) spec_error("'requests' must be >= 1");
   }
   if (const JsonValue* v = obj.find("read_fraction")) {
     spec.ftl.read_fraction = as_number(*v, "read_fraction");
+    if (spec.ftl.read_fraction < 0.0 || spec.ftl.read_fraction >= 1.0) {
+      spec_error("'read_fraction' must lie in [0, 1)");
+    }
   }
   if (const JsonValue* v = obj.find("hot_fraction")) {
     spec.ftl.hot_fraction = as_number(*v, "hot_fraction");
+    if (spec.ftl.hot_fraction <= 0.0 || spec.ftl.hot_fraction > 1.0) {
+      spec_error("'hot_fraction' must lie in (0, 1]");
+    }
   }
   if (const JsonValue* v = obj.find("hot_write_fraction")) {
     spec.ftl.hot_write_fraction = as_number(*v, "hot_write_fraction");
+    if (spec.ftl.hot_write_fraction < 0.0 ||
+        spec.ftl.hot_write_fraction > 1.0) {
+      spec_error("'hot_write_fraction' must lie in [0, 1]");
+    }
   }
   if (const JsonValue* v = obj.find("trim_fraction")) {
     spec.ftl.trim_fraction = as_number(*v, "trim_fraction");

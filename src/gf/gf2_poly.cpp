@@ -10,8 +10,7 @@ constexpr std::size_t kBits = 64;
 }
 
 Gf2Poly::Gf2Poly(std::uint64_t bits) {
-  // Single-word polynomial temporary; pooling tracked in ROADMAP.
-  if (bits != 0) words_.push_back(bits);  // xlf-lint: allow(hot-alloc)
+  if (bits != 0) words_.push_back(bits);
 }
 
 Gf2Poly Gf2Poly::monomial(std::size_t e) {

@@ -27,16 +27,6 @@ double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t Rng::below(std::uint64_t bound) {
-  XLF_EXPECT(bound > 0);
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 // Forced inline: gaussian(mean, sigma) is the ISPP kernel's call per
 // cell and pulse, and a second call per draw costs it measurably.
 [[gnu::always_inline]] inline double Rng::standard_normal() {
@@ -81,11 +71,6 @@ void Rng::discard_gaussians(std::uint64_t n) {
 double Rng::gaussian(double mean, double sigma) {
   XLF_EXPECT(sigma >= 0.0);
   return mean + sigma * standard_normal();
-}
-
-bool Rng::chance(double p) {
-  XLF_EXPECT(p >= 0.0 && p <= 1.0);
-  return uniform() < p;
 }
 
 std::uint64_t Rng::poisson(double lambda) {

@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 
+#include "src/util/expect.hpp"
+
 namespace xlf {
 
 class Rng {
@@ -60,7 +62,15 @@ class Rng {
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   // Uniform integer in [0, bound).
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    XLF_EXPECT(bound > 0);
+    // Rejection sampling to remove modulo bias.
+    const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
   // Standard normal via Box-Muller (cached second draw).
   double gaussian();
   double gaussian(double mean, double sigma);
@@ -84,7 +94,10 @@ class Rng {
   void discard_gaussians(std::uint64_t n, std::uint64_t floor,
                          OnLow&& on_low);
   // Bernoulli trial.
-  bool chance(double p);
+  bool chance(double p) {
+    XLF_EXPECT(p >= 0.0 && p <= 1.0);
+    return uniform() < p;
+  }
   // `n` (<= 64) fair coin flips, one next() each: bit i is set exactly
   // when the i-th of n chance(0.5) calls would be true, because
   // uniform() < 0.5 exactly when bit 63 of next() is 0.

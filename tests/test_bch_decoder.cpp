@@ -197,6 +197,44 @@ TEST(Decoder, DecodeWithReferenceMatchesHonestDecode) {
   }
 }
 
+TEST(Decoder, DecodeWithReferenceEqualsFullDecodeAtEveryWeight) {
+  // The reference decode checks the locator at the known positions and
+  // skips the Chien sweep when they are its roots; at every weight its
+  // result must be decode()'s: status, count, positions and word.
+  struct Shape {
+    unsigned m;
+    std::uint32_t k;
+    unsigned t;
+  };
+  for (const Shape shape : {Shape{16, 32768, 3}, Shape{16, 32768, 14},
+                            Shape{16, 32768, 65}, Shape{6, 45, 3}}) {
+    auto code = make_code(shape.m, shape.k, shape.t);
+    Rng rng(100 + shape.t);
+    const unsigned t = shape.t;
+    int uncorrectable = 0;
+    for (const unsigned weight : {0u, 1u, t - 1, t, t + 1, t + 2}) {
+      for (int draw = 0; draw < 3; ++draw) {
+        const BitVec clean = code.encoder.encode(random_message(shape.k, rng));
+        BitVec full = clean;
+        inject_exact(full, weight, rng);
+        BitVec fast = full;
+        const DecodeResult r1 = code.decoder.decode(full);
+        const DecodeResult r2 = code.decoder.decode_with_reference(fast, clean);
+        EXPECT_EQ(r1.status, r2.status) << "t " << t << " weight " << weight;
+        EXPECT_EQ(r1.corrected, r2.corrected);
+        EXPECT_EQ(r1.positions, r2.positions);
+        EXPECT_EQ(full, fast);
+        if (weight <= t) {
+          EXPECT_EQ(fast, clean);
+        }
+        if (r2.status == DecodeStatus::kUncorrectable) ++uncorrectable;
+      }
+    }
+    // Weights above t reach the sweep and are detected somewhere.
+    EXPECT_GT(uncorrectable, 0) << "t " << t;
+  }
+}
+
 TEST(Decoder, ErrorInParitySectionIsAlsoCorrected) {
   auto code = make_code(8, 64, 4);
   Rng rng(11);

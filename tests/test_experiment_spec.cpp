@@ -102,6 +102,42 @@ TEST(ExperimentSpec, MultiQueueKnobsParseAndValidate) {
   EXPECT_NE(what.find("round-robin"), std::string::npos) << what;
 }
 
+TEST(ExperimentSpec, WorkloadKnobsOutsideTheirRangesAreRejected) {
+  const struct {
+    const char* workload;
+    const char* message;
+  } cases[] = {
+      {R"({"requests": 0})", "'requests' must be >= 1"},
+      {R"({"read_fraction": 1.0})", "'read_fraction' must lie in [0, 1)"},
+      {R"({"read_fraction": -0.1})", "'read_fraction' must lie in [0, 1)"},
+      {R"({"hot_fraction": 0})", "'hot_fraction' must lie in (0, 1]"},
+      {R"({"hot_fraction": 1.5})", "'hot_fraction' must lie in (0, 1]"},
+      {R"({"hot_write_fraction": 1.5})",
+       "'hot_write_fraction' must lie in [0, 1]"},
+      {R"({"hot_write_fraction": -1})",
+       "'hot_write_fraction' must lie in [0, 1]"},
+  };
+  for (const auto& c : cases) {
+    const std::string what = error_of(
+        std::string(R"({"mode": "ftl-sweep", "workload": )") + c.workload +
+        "}");
+    EXPECT_NE(what.find(c.message), std::string::npos)
+        << c.workload << ": " << what;
+  }
+  EXPECT_NE(error_of(R"({"mode": "space", "monte_carlo": {"requests": 0}})")
+                .find("'requests' must be >= 1"),
+            std::string::npos);
+  // The edges each range admits still parse.
+  const ExperimentSpec edges = parse_experiment_text(R"({
+    "mode": "ftl-sweep",
+    "workload": {"requests": 1, "read_fraction": 0, "hot_fraction": 1,
+                 "hot_write_fraction": 1}
+  })");
+  EXPECT_EQ(edges.ftl.requests, 1u);
+  EXPECT_DOUBLE_EQ(edges.ftl.hot_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(edges.ftl.hot_write_fraction, 1.0);
+}
+
 TEST(ExperimentSpec, UnknownPolicyNamesFailListingRegistered) {
   const std::string what = error_of(
       R"({"mode": "ftl-sweep", "sweep": {"gc_policies": ["fifo"]}})");

@@ -2,8 +2,9 @@
 #   cmake -DXLF_EXPLORE=<binary> -DSPEC=<example spec> -P xlf_explore_cli.cmake
 #
 # Checks the teaching-error satellite (unknown flags exit non-zero and
-# point at --help instead of being silently ignored), spec error
-# handling, and that a shipped example spec runs clean.
+# point at --help instead of being silently ignored), numeric flag
+# values (whole token, in range, or an error naming the flag), spec
+# error handling, and that a shipped example spec runs clean.
 
 if(NOT DEFINED XLF_EXPLORE OR NOT DEFINED SPEC)
   message(FATAL_ERROR "usage: cmake -DXLF_EXPLORE=... -DSPEC=... -P xlf_explore_cli.cmake")
@@ -86,6 +87,55 @@ execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-requests 64
                 RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--ftl-hot-fraction 1.0 must exit 0 (got ${rc}): ${err}")
+endif()
+
+# --- numeric flags: whole token, in range, or a named-flag error -----
+# Each case is "<flag to name>|<argument list>"; none may reach an
+# internal precondition.
+foreach(case
+    "--ftl-blocks|--ftl-sweep;--ftl-blocks;-1;--ftl-requests;8"
+    "--ftl-requests|--ftl-sweep;--ftl-requests;-1"
+    "--mc-replicas|--mc-replicas;-1"
+    "--threads|--threads;1e3"
+    "--ftl-qd|--ftl-sweep;--ftl-qd;4x"
+    "--ftl-fail-blocks|--ftl-sweep;--ftl-fail-blocks;1,x"
+    "--ftl-requests|--ftl-sweep;--ftl-requests;0"
+    "--ftl-requests|--ftl-sweep;--ftl-requests;abc"
+    "--ftl-pages|--ftl-sweep;--ftl-pages;0"
+    "--ftl-read-fraction|--ftl-sweep;--ftl-read-fraction;1.0"
+    "--ftl-hot-fraction|--ftl-sweep;--ftl-hot-fraction;0"
+    "--ftl-hot-writes|--ftl-sweep;--ftl-hot-writes;1.5"
+    "--ftl-initial-wear|--ftl-sweep;--ftl-initial-wear;-5")
+  string(REPLACE "|" ";" parts "${case}")
+  list(POP_FRONT parts flag)
+  string(REPLACE ";" " " shown "${parts}")
+  execute_process(COMMAND ${XLF_EXPLORE} ${parts}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "'${shown}' must exit non-zero (got 0)")
+  endif()
+  string(FIND "${err}" "${flag} must be" named)
+  if(named EQUAL -1)
+    message(FATAL_ERROR "'${shown}' must name ${flag}, got: ${err}")
+  endif()
+  if(err MATCHES "precondition failed")
+    message(FATAL_ERROR "'${shown}' reached a precondition: ${err}")
+  endif()
+endforeach()
+
+# --- --seed keeps strtoull's literal bases: 17 = 0x11 = 021 ----------
+foreach(seed 17 0x11 021)
+  execute_process(COMMAND ${XLF_EXPLORE} --ages 1:1e6:2 --mc-replicas 1
+                          --mc-requests 4 --workloads mixed --seed ${seed}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE seed_out_${seed}
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "--seed ${seed} must exit 0 (got ${rc}): ${err}")
+  endif()
+endforeach()
+if(NOT seed_out_17 STREQUAL seed_out_0x11 OR
+   NOT seed_out_17 STREQUAL seed_out_021)
+  message(FATAL_ERROR "--seed 17, 0x11 and 021 must give the same report")
 endif()
 
 # --- missing spec file: non-zero with a clear message ----------------

@@ -20,13 +20,15 @@
 // byte-identical for every --threads value (parallel tasks write
 // preallocated slots; reduction is serial) — so exploration results
 // are reproducible artifacts, not run-dependent samples.
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/explore/experiment.hpp"
@@ -154,6 +156,66 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+// Every numeric flag value goes through here. The whole token must
+// parse as a T (std::from_chars: no sign on unsigned types, no
+// trailing characters, finite) and satisfy `valid`; otherwise the
+// error names the flag and what it accepts, e.g. "--ftl-pages must be
+// an integer >= 1, got '0'". Base 0 reads C literal prefixes as
+// strtoull does: 0x hex, a leading 0 octal, else decimal.
+template <typename T, typename Valid>
+bool parse_number(const std::string& flag, std::string_view text,
+                  const char* accepts, Valid valid, T& out, int base = 10) {
+  std::string_view digits = text;
+  T value{};
+  std::from_chars_result parsed{};
+  if constexpr (std::is_integral_v<T>) {
+    if (base == 0) {
+      base = 10;
+      if (digits.size() > 2 &&
+          (digits.starts_with("0x") || digits.starts_with("0X"))) {
+        digits.remove_prefix(2);
+        base = 16;
+      } else if (digits.size() > 1 && digits[0] == '0') {
+        digits.remove_prefix(1);
+        base = 8;
+      }
+    }
+    parsed = std::from_chars(digits.data(), digits.data() + digits.size(),
+                             value, base);
+  } else {
+    parsed = std::from_chars(digits.data(), digits.data() + digits.size(),
+                             value);
+  }
+  bool ok = parsed.ec == std::errc() &&
+            parsed.ptr == digits.data() + digits.size() && !digits.empty();
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok || !valid(value)) {
+    std::cerr << "xlf_explore: " << flag << " must be "
+              << (std::is_integral_v<T> ? "an integer" : "a number")
+              << (*accepts != '\0' ? " " : "") << accepts << ", got '"
+              << text << "'\n";
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+// A comma list of numbers, each checked as by parse_number.
+template <typename T, typename Valid>
+bool parse_list(const std::string& flag, const std::string& list,
+                const char* accepts, Valid valid, std::vector<T>& out) {
+  out.clear();
+  for (const std::string& part : split(list, ',')) {
+    T value{};
+    if (!parse_number(flag, part, accepts, valid, value)) return false;
+    out.push_back(value);
+  }
+  return true;
+}
+
+constexpr auto kAny = [](auto) { return true; };
+constexpr auto kPositive = [](auto x) { return x > 0; };
+
 bool parse_topologies(const std::string& list, Options& opt) {
   opt.experiment.ftl.topologies.clear();
   for (const std::string& part : split(list, ',')) {
@@ -208,9 +270,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
         std::cerr << "xlf_explore: --ages expects LO:HI:POINTS\n";
         return false;
       }
-      exp.age_lo = std::atof(parts[0].c_str());
-      exp.age_hi = std::atof(parts[1].c_str());
-      exp.age_points = static_cast<std::size_t>(std::atoll(parts[2].c_str()));
+      const char* grid = "in LO:HI:POINTS";
+      if (!parse_number(arg, parts[0], grid, kAny, exp.age_lo) ||
+          !parse_number(arg, parts[1], grid, kAny, exp.age_hi) ||
+          !parse_number(arg, parts[2], grid, kAny, exp.age_points)) {
+        return false;
+      }
       if (exp.age_points < 2 || exp.age_lo <= 0.0 ||
           exp.age_hi <= exp.age_lo) {
         std::cerr << "xlf_explore: invalid --ages grid\n";
@@ -218,12 +283,10 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
     } else if (arg == "--threads") {
       if ((v = value(i)) == nullptr) return false;
-      const long threads = std::atol(v);
-      if (threads < 0 || threads > 4096) {
-        std::cerr << "xlf_explore: --threads must be in [0, 4096]\n";
+      if (!parse_number(arg, v, "in [0, 4096]",
+                        [](unsigned n) { return n <= 4096; }, opt.threads)) {
         return false;
       }
-      opt.threads = static_cast<unsigned>(threads);
     } else if (arg == "--format") {
       if ((v = value(i)) == nullptr) return false;
       opt.format = v;
@@ -237,7 +300,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--uber-target") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.uber_target = std::atof(v);
+      if (!parse_number(arg, v, "in (0, 1)",
+                        [](double x) { return x > 0.0 && x < 1.0; },
+                        exp.uber_target)) {
+        return false;
+      }
     } else if (arg == "--point") {
       shape();
       if ((v = value(i)) == nullptr) return false;
@@ -249,19 +316,24 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--mc-replicas") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.mc_replicas = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(arg, v, ">= 0", kAny, exp.mc_replicas)) return false;
     } else if (arg == "--mc-requests") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.mc_requests = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(arg, v, ">= 1", kPositive, exp.mc_requests)) {
+        return false;
+      }
     } else if (arg == "--mc-age") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.mc_age = std::atof(v);
+      if (!parse_number(arg, v, "", kAny, exp.mc_age)) return false;
     } else if (arg == "--seed") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.seed = std::strtoull(v, nullptr, 0);
+      if (!parse_number(arg, v, "(decimal, 0x hex or 0 octal)", kAny,
+                        exp.seed, 0)) {
+        return false;
+      }
     } else if (arg == "--ftl-sweep") {
       shape();
       exp.mode = explore::ExperimentSpec::Mode::kFtlSweep;
@@ -272,26 +344,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--ftl-qd") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.queue_depths.clear();
-      for (const std::string& part : split(v, ',')) {
-        const long qd = std::atol(part.c_str());
-        if (qd < 1) {
-          std::cerr << "xlf_explore: --ftl-qd entries must be >= 1\n";
-          return false;
-        }
-        exp.ftl.queue_depths.push_back(static_cast<std::size_t>(qd));
+      if (!parse_list(arg, v, ">= 1", kPositive, exp.ftl.queue_depths)) {
+        return false;
       }
     } else if (arg == "--ftl-queues") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.queue_counts.clear();
-      for (const std::string& part : split(v, ',')) {
-        const long queues = std::atol(part.c_str());
-        if (queues < 1) {
-          std::cerr << "xlf_explore: --ftl-queues entries must be >= 1\n";
-          return false;
-        }
-        exp.ftl.queue_counts.push_back(static_cast<std::size_t>(queues));
+      if (!parse_list(arg, v, ">= 1", kPositive, exp.ftl.queue_counts)) {
+        return false;
       }
     } else if (arg == "--ftl-arbitration") {
       shape();
@@ -300,22 +360,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--ftl-queue-weights") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.queue_weights.clear();
-      for (const std::string& part : split(v, ',')) {
-        const double weight = std::atof(part.c_str());
-        if (weight <= 0.0) {
-          std::cerr << "xlf_explore: --ftl-queue-weights entries must be "
-                       "> 0\n";
-          return false;
-        }
-        exp.ftl.queue_weights.push_back(weight);
+      if (!parse_list(arg, v, "> 0", kPositive, exp.ftl.queue_weights)) {
+        return false;
       }
     } else if (arg == "--ftl-trim-fraction") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.trim_fraction = std::atof(v);
-      if (exp.ftl.trim_fraction < 0.0 || exp.ftl.trim_fraction >= 1.0) {
-        std::cerr << "xlf_explore: --ftl-trim-fraction must lie in [0, 1)\n";
+      if (!parse_number(arg, v, "in [0, 1)",
+                        [](double x) { return x >= 0.0 && x < 1.0; },
+                        exp.ftl.trim_fraction)) {
         return false;
       }
     } else if (arg == "--ftl-gc") {
@@ -337,53 +390,76 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--ftl-fail-blocks") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.fail_blocks.clear();
-      for (const std::string& part : split(v, ',')) {
-        const long fail = std::atol(part.c_str());
-        if (fail < 0) {
-          std::cerr << "xlf_explore: --ftl-fail-blocks entries must be >= 0\n";
-          return false;
-        }
-        exp.ftl.fail_blocks.push_back(static_cast<std::uint32_t>(fail));
+      if (!parse_list(arg, v, ">= 0", kAny, exp.ftl.fail_blocks)) {
+        return false;
       }
     } else if (arg == "--ftl-requests") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.requests = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(arg, v, ">= 1", kPositive, exp.ftl.requests)) {
+        return false;
+      }
     } else if (arg == "--ftl-blocks") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.die.device.array.geometry.blocks =
-          static_cast<std::uint32_t>(std::atol(v));
+      if (!parse_number(arg, v, ">= 1", kPositive,
+                        exp.ftl.base.die.device.array.geometry.blocks)) {
+        return false;
+      }
     } else if (arg == "--ftl-pages") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.die.device.array.geometry.pages_per_block =
-          static_cast<std::uint32_t>(std::atol(v));
+      if (!parse_number(
+              arg, v, ">= 1", kPositive,
+              exp.ftl.base.die.device.array.geometry.pages_per_block)) {
+        return false;
+      }
     } else if (arg == "--ftl-initial-wear") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.initial_pe_cycles = std::atof(v);
+      if (!parse_number(arg, v, ">= 0", [](double x) { return x >= 0.0; },
+                        exp.ftl.base.initial_pe_cycles)) {
+        return false;
+      }
     } else if (arg == "--ftl-wear-per-erase") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.ftl.pe_cycles_per_erase = std::atof(v);
+      if (!parse_number(arg, v, ">= 1", [](double x) { return x >= 1.0; },
+                        exp.ftl.base.ftl.pe_cycles_per_erase)) {
+        return false;
+      }
     } else if (arg == "--ftl-logical-fraction") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.base.ftl.logical_fraction = std::atof(v);
+      if (!parse_number(arg, v, "in (0, 1)",
+                        [](double x) { return x > 0.0 && x < 1.0; },
+                        exp.ftl.base.ftl.logical_fraction)) {
+        return false;
+      }
     } else if (arg == "--ftl-read-fraction") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.read_fraction = std::atof(v);
+      if (!parse_number(arg, v, "in [0, 1)",
+                        [](double x) { return x >= 0.0 && x < 1.0; },
+                        exp.ftl.read_fraction)) {
+        return false;
+      }
     } else if (arg == "--ftl-hot-fraction") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.hot_fraction = std::atof(v);
+      if (!parse_number(arg, v, "in (0, 1]",
+                        [](double x) { return x > 0.0 && x <= 1.0; },
+                        exp.ftl.hot_fraction)) {
+        return false;
+      }
     } else if (arg == "--ftl-hot-writes") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      exp.ftl.hot_write_fraction = std::atof(v);
+      if (!parse_number(arg, v, "in [0, 1]",
+                        [](double x) { return x >= 0.0 && x <= 1.0; },
+                        exp.ftl.hot_write_fraction)) {
+        return false;
+      }
     } else if (arg == "--ftl-data-plane") {
       shape();
       if ((v = value(i)) == nullptr) return false;
