@@ -7,28 +7,40 @@
 #include <iomanip>
 #include <iostream>
 
-#include "src/core/subsystem.hpp"
-#include "src/sim/subsystem_sim.hpp"
-#include "src/sim/workload.hpp"
+#include "src/ftl/ssd.hpp"
+#include "src/sim/host_workload.hpp"
+#include "src/sim/ssd_sim.hpp"
 
 using namespace xlf;
 
 int main() {
   std::cout << "=== self-adaptive ECC over the device lifetime ===\n\n";
-  core::SubsystemConfig config = core::SubsystemConfig::defaults();
-  config.controller.tuning_policy = "feedback";
+  // One die behind the FTL, on the smallest geometry it accepts.
+  ftl::SsdConfig config;
+  config.topology = {1, 1};
+  config.die.device.array.geometry.blocks = 8;
+  config.die.device.array.geometry.pages_per_block = 4;
+  config.die.controller.tuning_policy = "feedback";
   // Snappier estimator for the demo's coarse age steps.
-  config.controller.reliability.ewma_alpha = 0.15;
-  core::MemorySubsystem subsystem(config);
-  auto& ctrl = subsystem.controller();
+  config.die.controller.reliability.ewma_alpha = 0.15;
+  ftl::Ssd ssd(config);
+  core::MemorySubsystem& die = ssd.die(0);
+  auto& ctrl = die.controller();
+
+  sim::SsdSimConfig sim_config;
+  sim_config.queue_depth = 1;
+  sim::SsdSimulator simulator(ssd, sim_config);
+  simulator.prepopulate();  // every read hits mapped data
 
   std::cout << std::left << std::setw(12) << "PE cycles" << std::setw(14)
             << "est. RBER" << std::setw(12) << "model RBER" << std::setw(12)
             << "t feedback" << std::setw(10) << "t model" << "uncorrectable\n";
 
-  const sim::MixedWorkload workload(/*read_fraction=*/0.8);
+  sim::AccessPattern workload;
+  workload.kind = sim::Pattern::kMixed;
+  workload.read_fraction = 0.8;
   for (double cycles : {1e2, 1e3, 1e4, 1e5, 5e5, 1e6}) {
-    subsystem.device().set_uniform_wear(cycles);
+    die.device().set_uniform_wear(cycles);
 
     // Run traffic in rounds, letting the manager react between them —
     // the continuous loop a deployed controller executes. The first
@@ -38,10 +50,8 @@ int main() {
     unsigned t_feedback = ctrl.correction_capability();
     for (int round = 0; round < 3; ++round) {
       Rng rng(static_cast<std::uint64_t>(cycles) + round);
-      const auto requests =
-          workload.generate(subsystem.device().geometry(), 48, rng);
-      sim::SubsystemSimulator simulator(ctrl);
-      const sim::SimStats stats = simulator.run(requests);
+      const sim::SsdSimStats stats = simulator.run(
+          sim::generate_pattern(workload, ssd.logical_pages(), 48, rng));
       uncorrectable += stats.uncorrectable;
       t_feedback = ctrl.adapt_ecc(cycles);
     }
@@ -50,7 +60,7 @@ int main() {
 
     std::cout << std::left << std::setw(12) << cycles << std::setw(14)
               << ctrl.reliability().estimated_rber() << std::setw(12)
-              << subsystem.device().config().array.aging.rber(
+              << die.device().config().array.aging.rber(
                      ctrl.program_algorithm(), cycles)
               << std::setw(12) << t_feedback << std::setw(10) << t_model
               << uncorrectable << '\n';

@@ -3,15 +3,15 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/explore/monte_carlo.hpp"
 #include "src/explore/report.hpp"
 #include "src/explore/sweep.hpp"
+#include "src/nand/rber_model.hpp"
 #include "src/policy/registry.hpp"
-#include "src/sim/workload.hpp"
+#include "src/sim/host_workload.hpp"
 #include "src/util/stats.hpp"
 
 namespace xlf::explore {
@@ -139,24 +139,20 @@ core::OperatingPoint make_point(const std::string& name) {
   return core::OperatingPoint::baseline();
 }
 
-std::unique_ptr<sim::Workload> make_workload(const std::string& name) {
-  if (name == "sequential-read") {
-    return std::make_unique<sim::SequentialReadWorkload>();
+// The CLI/spec workload names. AccessPattern's defaults are theirs:
+// mixed reads 70 % of the time, streaming runs at 8 MiB/s.
+std::optional<sim::AccessPattern> make_workload(const std::string& name) {
+  static const std::pair<const char*, sim::Pattern> kNames[] = {
+      {"sequential-read", sim::Pattern::kSequentialRead},
+      {"random-read", sim::Pattern::kRandomRead},
+      {"write-burst", sim::Pattern::kWriteBurst},
+      {"mixed", sim::Pattern::kMixed},
+      {"streaming", sim::Pattern::kStreaming},
+  };
+  for (const auto& [known, kind] : kNames) {
+    if (name == known) return sim::AccessPattern{kind};
   }
-  if (name == "random-read") {
-    return std::make_unique<sim::RandomReadWorkload>();
-  }
-  if (name == "write-burst") {
-    return std::make_unique<sim::WriteBurstWorkload>();
-  }
-  if (name == "mixed") {
-    return std::make_unique<sim::MixedWorkload>(0.7);
-  }
-  if (name == "streaming") {
-    return std::make_unique<sim::MultimediaStreamingWorkload>(
-        BytesPerSecond::mib(8.0));
-  }
-  return nullptr;
+  return std::nullopt;
 }
 
 void parse_ages(StrictObject& root, ExperimentSpec& spec) {
@@ -198,7 +194,7 @@ void parse_monte_carlo(StrictObject& root, ExperimentSpec& spec) {
   }
   obj.finish();
   for (const std::string& name : spec.mc_workloads) {
-    if (make_workload(name) == nullptr) {
+    if (!make_workload(name).has_value()) {
       spec_error("unknown workload '" + name +
                  "'; available: sequential-read random-read write-burst "
                  "mixed streaming");
@@ -381,6 +377,50 @@ std::optional<controller::DispatchConfig> parse_topology(
   return controller::DispatchConfig{channels, dies};
 }
 
+void check_ages(const ExperimentSpec& spec, InputNames names) {
+  const bool flags = names == InputNames::kFlags;
+  const auto check = [&](double age, double limit, const char* flag,
+                         const char* key, const char* why) {
+    if (age < limit) return;
+    std::ostringstream msg;
+    if (!flags) msg << "experiment spec: ";
+    msg << (flags ? flag : key) << " must be below " << limit
+        << " P/E cycles (" << why << "), got " << age;
+    throw std::invalid_argument(msg.str());
+  };
+  const auto array_limit = [](const nand::ArrayConfig& a) {
+    return nand::RberModel(a.plan, a.aging, a.ispp, a.variability,
+                           a.interference)
+        .max_cycles();
+  };
+  constexpr const char* kArrayWhy =
+      "the bit-true array's limit: past it the aging law's RBER outgrows "
+      "the widest read-time distribution the model solves for";
+
+  if (spec.mode == ExperimentSpec::Mode::kFtlSweep) {
+    if (spec.ftl.data_plane) {
+      check(spec.ftl.base.initial_pe_cycles,
+            array_limit(spec.ftl.base.die.device.array), "--ftl-initial-wear",
+            "'initial_pe_cycles'", kArrayWhy);
+    }
+    return;
+  }
+  // Space mode evaluates, and validates on, the default die.
+  const nand::ArrayConfig array =
+      core::SubsystemConfig::defaults().device.array;
+  check(spec.age_hi, array.aging.max_cycles(), "--ages HI", "'ages.hi'",
+        "the aging law's RBER reaches 1 there");
+  if (spec.mc_replicas == 0) return;
+  if (spec.mc_age >= 0.0) {
+    check(spec.mc_age, array_limit(array), "--mc-age", "'monte_carlo.age'",
+          kArrayWhy);
+  } else {
+    check(spec.age_hi, array_limit(array),
+          "--mc-age (unset, so the last --ages age)",
+          "'monte_carlo.age' (unset, so 'ages.hi')", kArrayWhy);
+  }
+}
+
 ExperimentSpec ExperimentSpec::defaults() {
   ExperimentSpec spec;
   spec.ftl.base.die.device.array.geometry.blocks = 8;
@@ -438,6 +478,7 @@ ExperimentSpec parse_experiment(const JsonValue& root) {
   parse_sweep(obj, spec);
 
   obj.finish();
+  check_ages(spec, InputNames::kSpecKeys);
   return spec;
 }
 
@@ -508,20 +549,23 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
     Rng workload_seeder(spec.seed);
     for (const std::string& name : spec.mc_workloads) {
       const std::uint64_t workload_seed = workload_seeder.next();
-      const std::unique_ptr<sim::Workload> workload = make_workload(name);
-      if (workload == nullptr) {
+      const std::optional<sim::AccessPattern> workload = make_workload(name);
+      if (!workload.has_value()) {
         throw std::invalid_argument("unknown workload " + name);
       }
       MonteCarloSpec mc;
       mc.subsystem = subsystem;
+      // Each replica is a 1x1 SSD on the FTL sweep's default die.
+      mc.subsystem.device.array.geometry =
+          ExperimentSpec::defaults().ftl.base.die.device.array.geometry;
       mc.point = make_point(spec.point);
       mc.pe_cycles = mc_age;
-      mc.workload = workload.get();
+      mc.workload = *workload;
       mc.requests_per_replica = spec.mc_requests;
       mc.replicas = spec.mc_replicas;
       mc.seed = workload_seed;
-      validations.push_back(WorkloadValidation{workload->name(), mc_age,
-                                               run_monte_carlo(mc, pool)});
+      validations.push_back(WorkloadValidation{
+          workload->label(), mc_age, run_monte_carlo(mc, pool)});
     }
   }
 

@@ -96,6 +96,18 @@ struct ExperimentSpec {
 std::optional<controller::DispatchConfig> parse_topology(
     const std::string& text);
 
+// Whether an input error names the CLI's flags or the spec's keys.
+enum class InputNames { kFlags, kSpecKeys };
+
+// Throws std::invalid_argument, naming the flag or key and the limit,
+// for an age the run would evaluate outside the models' domain: the
+// space grid's top past nand::AgingLaw::max_cycles (RBER 1), or the
+// Monte-Carlo age or bit-true initial wear past
+// nand::RberModel::max_cycles (the cell array's limit).
+// parse_experiment runs it; tools/xlf_explore runs it on the spec its
+// flags build.
+void check_ages(const ExperimentSpec& spec, InputNames names);
+
 // Builds a spec from parsed JSON / raw text / a file on disk.
 // Validation is strict (see file comment).
 ExperimentSpec parse_experiment(const JsonValue& root);

@@ -42,7 +42,8 @@ struct FrameworkSpec {
 
 struct SweepSpec {
   FrameworkSpec framework;
-  // P/E cycle grid; see sim::lifetime_grid for the paper's axis.
+  // P/E cycle grid. The paper's axes span 1..1e6 log-spaced, e.g.
+  // log_space(1.0, 1e6, 13), the CLI's default --ages.
   std::vector<double> ages;
 };
 

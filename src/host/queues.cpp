@@ -9,8 +9,7 @@
 namespace xlf::host {
 
 HostInterface::HostInterface(const HostConfig& config)
-    : record_completions_(config.record_completions),
-      last_queue_(static_cast<std::uint32_t>(config.queues)) {
+    : last_queue_(static_cast<std::uint32_t>(config.queues)) {
   XLF_EXPECT_MSG(config.queues >= 1,
                  "host interface needs at least one submission queue");
   XLF_EXPECT_MSG(config.queue_weights.size() <= config.queues, [&] {
@@ -160,8 +159,6 @@ void HostInterface::note_scheduled_completion(std::uint32_t q,
 void HostInterface::complete(const Completion& entry) {
   XLF_EXPECT(entry.queue < states_.size());
   QueueState& s = states_[entry.queue];
-  // Trace capture only: gated off in perf runs.
-  if (record_completions_) s.completion.push_back(entry);  // xlf-lint: allow(hot-alloc)
   const double latency = entry.latency().value();
   switch (entry.type) {
     case CmdType::kRead:
@@ -179,13 +176,6 @@ void HostInterface::complete(const Completion& entry) {
       ++s.stats.flushes;
       break;
   }
-}
-
-std::vector<Completion> HostInterface::drain(std::uint32_t q) {
-  XLF_EXPECT(q < states_.size());
-  std::vector<Completion> out = std::move(states_[q].completion);
-  states_[q].completion.clear();
-  return out;
 }
 
 const QueueStats& HostInterface::stats(std::size_t q) const {

@@ -43,10 +43,6 @@ struct HostConfig {
   // with 1.0 (so one template serves several queue counts); longer
   // lists are a configuration error. Empty = equal weights.
   std::vector<double> queue_weights;
-  // Retain Completion entries for drain(). Off by default: a driver
-  // that only reads the aggregated QueueStats (the simulator) must
-  // not accumulate O(commands) of ring memory per run.
-  bool record_completions = false;
 };
 
 // Per-queue service statistics, filled as completions post.
@@ -100,12 +96,8 @@ class HostInterface {
   // Record that a command issued from `q` will complete at
   // `completion` (keeps the flush horizon current).
   void note_scheduled_completion(std::uint32_t q, Seconds completion);
-  // Post a completion-queue entry: fold it into the queue's stats
-  // and, under record_completions, retain it for drain().
+  // Post a completion-queue entry: fold it into the queue's stats.
   void complete(const Completion& entry);
-  // Drain queue `q`'s retained completion entries (moves them out;
-  // always empty unless record_completions is set).
-  std::vector<Completion> drain(std::uint32_t q);
 
   const QueueStats& stats(std::size_t q) const;
   // Copy of all per-queue statistics, queue 0 first.
@@ -133,7 +125,6 @@ class HostInterface {
     std::uint32_t head = kNilSlot;       // FIFO front (next pop)
     std::uint32_t tail = kNilSlot;
     std::size_t backlog = 0;
-    std::vector<Completion> completion;
     std::uint64_t issued = 0;
     double weight = 1.0;
     bool blocked = false;
@@ -146,7 +137,6 @@ class HostInterface {
 
   std::shared_ptr<const policy::ArbitrationPolicy> arbitration_;
   std::vector<QueueState> states_;
-  bool record_completions_;
   // == queues() before the first issue (the round-robin start cue).
   std::uint32_t last_queue_;
   // Scratch for arbitrate()'s per-decision snapshot — reused so the

@@ -1,5 +1,6 @@
 #include "src/nand/aging.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/util/expect.hpp"
@@ -15,6 +16,18 @@ double AgingLaw::rber(ProgramAlgorithm algo, double cycles) const {
   const double growth = 1.0 + std::pow(cycles / knee_cycles, exponent);
   const double sv = rber0_sv * growth;
   return algo == ProgramAlgorithm::kIsppSv ? sv : sv / dv_improvement;
+}
+
+double AgingLaw::cycles_at_rber(ProgramAlgorithm algo, double rber) const {
+  const double sv = algo == ProgramAlgorithm::kIsppSv ? rber
+                                                      : rber * dv_improvement;
+  XLF_EXPECT(sv >= rber0_sv);
+  return knee_cycles * std::pow(sv / rber0_sv - 1.0, 1.0 / exponent);
+}
+
+double AgingLaw::max_cycles() const {
+  return std::min(cycles_at_rber(ProgramAlgorithm::kIsppSv, 1.0),
+                  cycles_at_rber(ProgramAlgorithm::kIsppDv, 1.0));
 }
 
 Volts AgingLaw::k_shift(double cycles) const {

@@ -37,6 +37,13 @@ struct AgingLaw {
   double speed_spread_growth_eol = 0.6;
 
   double rber(ProgramAlgorithm algo, double cycles) const;
+  // Inverse of rber(), in closed form: the age at which `algo`
+  // reaches `rber` (at least its beginning-of-life rate).
+  double cycles_at_rber(ProgramAlgorithm algo, double rber) const;
+  // The law's domain: below this age every algorithm's RBER stays
+  // under 1, which the UBER and t arithmetic need. The law itself
+  // grows without bound.
+  double max_cycles() const;
   // Onset shift at the given cycle count.
   Volts k_shift(double cycles) const;
   // Multiplier on the BOL cell-speed spread sigma_K.

@@ -1,6 +1,8 @@
 #include "src/nand/rber_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/expect.hpp"
 #include "src/util/stats.hpp"
@@ -164,7 +166,7 @@ Volts RberModel::effective_sigma(ProgramAlgorithm algo, double cycles) const {
 
   const double target = rber(algo, cycles);
   // Overlap RBER grows monotonically with sigma: bisection.
-  double lo = 0.01, hi = 1.5;
+  double lo = 0.01, hi = kMaxSigmaVolts;
   XLF_ENSURE(rber_from_overlap(algo, Volts{hi}) > target);
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
@@ -177,6 +179,17 @@ Volts RberModel::effective_sigma(ProgramAlgorithm algo, double cycles) const {
   const double solved = 0.5 * (lo + hi);
   sigma_cache_.emplace(key, solved);
   return Volts{solved};
+}
+
+double RberModel::max_cycles() const {
+  double limit = std::numeric_limits<double>::infinity();
+  for (ProgramAlgorithm algo :
+       {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
+    limit = std::min(limit, aging_.cycles_at_rber(
+                                algo, rber_from_overlap(
+                                          algo, Volts{kMaxSigmaVolts})));
+  }
+  return limit;
 }
 
 Volts RberModel::wear_sigma(ProgramAlgorithm algo, double cycles) const {

@@ -58,6 +58,14 @@ class RberModel {
   // Effective read-time sigma of the programmed levels, solved so the
   // Gaussian overlap equals the macro law. Cached per (algo, cycles).
   Volts effective_sigma(ProgramAlgorithm algo, double cycles) const;
+  // Top of effective_sigma's bisection bracket: the widest read-time
+  // distribution the model solves for.
+  static constexpr double kMaxSigmaVolts = 1.5;
+  // The model's domain: below this age the law's RBER stays under the
+  // overlap at kMaxSigmaVolts for every algorithm, so effective_sigma
+  // (and with it the bit-true array) can solve. It falls where the
+  // ISPP-SV RBER reaches about 0.2.
+  double max_cycles() const;
 
   // Wear-induced spread to add on top of the ISPP placement so the
   // total matches effective_sigma: sqrt(eff^2 - placement^2).

@@ -1,7 +1,9 @@
-// Minimal discrete-event core for the subsystem simulator: a
-// time-ordered queue of callbacks with a monotonic clock. Events at
-// equal timestamps fire in scheduling order (stable sequence
-// numbers), which keeps request/completion chains deterministic.
+// Minimal discrete-event core for the SSD simulator: a time-ordered
+// queue of callbacks with a monotonic clock. Events at equal
+// timestamps fire in scheduling order (stable sequence numbers),
+// which keeps completion chains deterministic. The driver owns the
+// loop: it steps the queue one event at a time and streams arrivals
+// in from outside the heap (advance_to).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@ class EventQueue {
 
   Seconds now() const { return now_; }
   bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
   // Timestamp of the earliest pending event (the queue must not be
   // empty).
   Seconds next_time() const;
@@ -30,8 +31,6 @@ class EventQueue {
 
   // Schedule `fn` at absolute time `when` (>= now).
   void schedule_at(Seconds when, Callback fn);
-  // Schedule `fn` after a delay.
-  void schedule_in(Seconds delay, Callback fn);
 
   // Drop every pending event without running it — the power-loss
   // path: a killed simulation must not fire callbacks scheduled by
@@ -40,13 +39,8 @@ class EventQueue {
 
   // Run the next event; returns false when the queue is empty.
   bool step();
-  // Default runaway guard: the most events one run may execute.
+  // Runaway guard: the most events one driver loop may execute.
   static constexpr std::size_t kRunLimit = 100000000;
-
-  // Run everything (or until `limit` events, as a runaway guard).
-  std::size_t run(std::size_t limit = kRunLimit);
-  // Run until the clock passes `until` (events beyond stay queued).
-  std::size_t run_until(Seconds until);
 
  private:
   struct Event {

@@ -142,4 +142,61 @@ std::vector<host::Command> MultiTenantWorkload::generate(
   return out;
 }
 
+std::string AccessPattern::label() const {
+  // Indexed by Pattern, in declaration order.
+  static constexpr const char* kLabels[] = {
+      "sequential-read", "random-read", "write-burst", "mixed-r",
+      "multimedia-streaming"};
+  std::string label = kLabels[static_cast<int>(kind)];
+  if (kind == Pattern::kMixed) {
+    label += std::to_string(static_cast<int>(read_fraction * 100));
+  }
+  return label;
+}
+
+std::vector<host::Command> generate_pattern(const AccessPattern& pattern,
+                                            std::uint32_t logical_pages,
+                                            std::size_t count, Rng& rng) {
+  XLF_EXPECT(logical_pages >= 1);
+  XLF_EXPECT(pattern.read_fraction >= 0.0 && pattern.read_fraction <= 1.0);
+  XLF_EXPECT(pattern.bitrate.value() > 0.0);
+  const Seconds period{4096.0 / pattern.bitrate.value()};
+  const auto sequential = [&](std::size_t n) {
+    return static_cast<ftl::Lpa>(n % logical_pages);
+  };
+  const auto uniform = [&] {
+    return static_cast<ftl::Lpa>(rng.below(logical_pages));
+  };
+  std::vector<host::Command> out(count);
+  std::size_t write_cursor = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    host::Command& command = out[i];
+    switch (pattern.kind) {
+      case Pattern::kSequentialRead:
+        command.lba = sequential(i);
+        break;
+      case Pattern::kRandomRead:
+        command.lba = uniform();
+        break;
+      case Pattern::kWriteBurst:
+        command.type = host::CmdType::kWrite;
+        command.lba = sequential(i);
+        break;
+      case Pattern::kMixed:
+        if (rng.chance(pattern.read_fraction)) {
+          command.lba = uniform();
+        } else {
+          command.type = host::CmdType::kWrite;
+          command.lba = sequential(write_cursor++);
+        }
+        break;
+      case Pattern::kStreaming:
+        command.lba = sequential(i);
+        command.gap = period;
+        break;
+    }
+  }
+  return out;
+}
+
 }  // namespace xlf::sim

@@ -1,13 +1,17 @@
-// Host-level (LBA) workload generator for the open-loop SSD
-// simulator. Unlike the physical-address workloads in workload.hpp,
-// it addresses the FTL's logical page space, and its defining
-// feature is *overwrite*: re-writing live LPAs is what invalidates
-// physical pages, triggers garbage collection, and spreads wear — the
-// machinery the per-block adaptive configuration pays off on.
+// Host-level (LBA) workload generators for the SSD simulator, both
+// over the FTL's logical page space:
 //
-// Arrival gaps are inter-arrival times of an open-loop stream (the
-// host issues on its own clock, not on completions). A zero mean gap
-// degenerates to maximum pressure (back-to-back arrivals).
+// * MultiTenantWorkload, whose defining feature is *overwrite*:
+//   re-writing live LPAs is what invalidates physical pages, triggers
+//   garbage collection, and spreads wear — the machinery the
+//   per-block adaptive configuration pays off on. Its arrival gaps are
+//   inter-arrival times of an open-loop stream (the host issues on its
+//   own clock, not on completions); a zero mean gap degenerates to
+//   maximum pressure (back-to-back arrivals).
+// * generate_pattern, the paper's motivating access patterns
+//   (Sections 6.3.1/6.3.2) that Monte-Carlo validation replays:
+//   multimedia streaming and picture browsing (reads), OS upgrades
+//   and backups (sequential writes), web transactions (mixed).
 #pragma once
 
 #include <string>
@@ -61,5 +65,33 @@ class MultiTenantWorkload {
  private:
   std::vector<TenantSpec> tenants_;
 };
+
+enum class Pattern {
+  kSequentialRead,  // reads LPA 0, 1, 2, ... (wrapping)
+  kRandomRead,      // reads uniform LPAs
+  kWriteBurst,      // writes LPA 0, 1, 2, ... (wrapping)
+  kMixed,           // a read (uniform LPA) with read_fraction, else the
+                    // next sequential write
+  kStreaming,       // sequential reads paced at `bitrate`
+};
+
+struct AccessPattern {
+  Pattern kind = Pattern::kSequentialRead;
+  double read_fraction = 0.7;                         // kMixed
+  BytesPerSecond bitrate = BytesPerSecond::mib(8.0);  // kStreaming
+
+  // Report label: sequential-read, random-read, write-burst,
+  // mixed-r<read percent>, multimedia-streaming.
+  std::string label() const;
+};
+
+// `count` one-page commands of `pattern` on queue 0 over LPAs
+// [0, logical_pages). Draws: one chance per mixed command, then one
+// below per read of a uniform LPA; the sequential patterns draw
+// nothing. Only streaming carries gaps: a media consumer takes one
+// 4 KiB page (the paper's page) per 4096 B / bitrate.
+std::vector<host::Command> generate_pattern(const AccessPattern& pattern,
+                                            std::uint32_t logical_pages,
+                                            std::size_t count, Rng& rng);
 
 }  // namespace xlf::sim

@@ -30,17 +30,14 @@ double SsdSimStats::die_util_mean() const {
 }
 
 SsdSimulator::SsdSimulator(ftl::Ssd& ssd, const SsdSimConfig& config)
-    : ssd_(&ssd), config_(config), data_rng_(config.data_seed) {
+    : ssd_(&ssd),
+      config_(config),
+      payloads_(ssd.die(0).device().config().data_plane),
+      data_rng_(config.data_seed) {
   XLF_EXPECT(config.queue_depth >= 1);
   // Surface a bad queue shape / arbitration name at construction, not
   // mid-run: building a throwaway interface runs all the checks.
   host::HostInterface probe(config_.host);
-  // Metadata-only devices hold no payload bits: nothing to generate,
-  // nothing to verify.
-  if (!ssd.die(0).device().config().data_plane) {
-    config_.generate_payloads = false;
-    config_.verify_data = false;
-  }
 }
 
 BitVec SsdSimulator::random_payload() {
@@ -54,7 +51,7 @@ BitVec SsdSimulator::random_payload() {
 
 void SsdSimulator::prepopulate() {
   for (ftl::Lpa lpa = 0; lpa < ssd_->logical_pages(); ++lpa) {
-    if (config_.generate_payloads) {
+    if (payloads_) {
       BitVec payload = random_payload();
       ssd_->ftl().write(lpa, payload);
       written_[lpa] = std::move(payload);
@@ -84,10 +81,9 @@ void SsdSimulator::issue(std::uint32_t q, const host::Command& command,
     case host::CmdType::kWrite: {
       for (std::uint32_t p = 0; p < command.length; ++p) {
         const ftl::Lpa lpa = command.lba + p;
-        BitVec payload =
-            config_.generate_payloads ? random_payload() : BitVec(0);
+        BitVec payload = payloads_ ? random_payload() : BitVec(0);
         const ftl::FtlOpResult res = ssd_->ftl().write(lpa, payload);
-        if (config_.generate_payloads) written_[lpa] = std::move(payload);
+        if (payloads_) written_[lpa] = std::move(payload);
         stats.gc_busy += res.gc_time;
         stats.ecc_energy += res.ecc_energy;
         stats.nand_energy += res.nand_energy;
@@ -117,7 +113,7 @@ void SsdSimulator::issue(std::uint32_t q, const host::Command& command,
         if (res.uncorrectable) {
           ++stats.uncorrectable;
           entry.ok = false;
-        } else if (config_.verify_data) {
+        } else if (payloads_) {
           const auto it = written_.find(lpa);
           if (it != written_.end() && !(res.data == it->second)) {
             ++stats.data_mismatches;
@@ -263,7 +259,7 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
       arrival += commands[next].gap;
     };
     stamp_next();
-    // Runaway guard over arrivals + completions, EventQueue::run's.
+    // Runaway guard over arrivals + completions.
     for (std::size_t executed = 0; executed < EventQueue::kRunLimit;
          ++executed) {
       if (next < commands.size() &&

@@ -39,14 +39,8 @@ struct SsdSimConfig {
   std::size_t queue_depth = 4;
   // Submission/completion queue shape + arbitration policy name.
   host::HostConfig host;
-  // Verify read payloads bit-for-bit against the host's write record.
-  bool verify_data = true;
+  // Seeds the host's write payloads (bit-true devices only).
   std::uint64_t data_seed = 0xDA7A5EED;
-  // Skip payload generation and the host write oracle — for
-  // metadata-only devices (no cells to hold data) and for throughput
-  // measurements where the host-side payload RNG would dominate.
-  // Implies no data verification.
-  bool generate_payloads = true;
 };
 
 struct SsdSimStats {
@@ -148,6 +142,10 @@ class SsdSimulator {
 
   ftl::Ssd* ssd_;
   SsdSimConfig config_;
+  // The device's data plane: bit-true writes carry random payloads
+  // that reads verify against the host's record; a metadata-only
+  // device holds no payload bits.
+  bool payloads_;
   EventQueue queue_;
   Rng data_rng_;
   // Host view of every LPA's current payload (verification oracle);

@@ -171,6 +171,39 @@ TEST(ExperimentSpec, MalformedValuesRejected) {
             std::string::npos);
 }
 
+TEST(ExperimentSpec, AgesOutsideTheModelsDomainAreRejected) {
+  const struct {
+    const char* spec;
+    const char* message;
+  } cases[] = {
+      {R"({"mode": "space", "ages": {"lo": 1, "hi": 1e8, "points": 3}})",
+       "'ages.hi' must be below"},
+      {R"({"mode": "space", "monte_carlo": {"replicas": 1, "requests": 2,
+           "age": 1e8, "workloads": ["mixed"]}})",
+       "'monte_carlo.age' must be below"},
+      {R"({"mode": "space", "ages": {"lo": 1, "hi": 5e7, "points": 3},
+           "monte_carlo": {"replicas": 1}})",
+       "'monte_carlo.age' (unset, so 'ages.hi') must be below"},
+      {R"({"mode": "ftl-sweep", "initial_pe_cycles": 5e7})",
+       "'initial_pe_cycles' must be below"},
+  };
+  for (const auto& c : cases) {
+    const std::string what = error_of(c.spec);
+    EXPECT_NE(what.find(c.message), std::string::npos) << c.spec << ": " << what;
+    EXPECT_NE(what.find("P/E cycles"), std::string::npos) << what;
+  }
+  // Inside the limits the specs parse, and an age nothing evaluates
+  // (Monte-Carlo off) is not checked.
+  EXPECT_NO_THROW(parse_experiment_text(
+      R"({"mode": "space", "ages": {"lo": 1, "hi": 9e7, "points": 3}})"));
+  EXPECT_NO_THROW(parse_experiment_text(
+      R"({"mode": "space", "monte_carlo": {"replicas": 1, "age": 3e7}})"));
+  EXPECT_NO_THROW(parse_experiment_text(
+      R"({"mode": "space", "monte_carlo": {"replicas": 0, "age": 1e8}})"));
+  EXPECT_NO_THROW(
+      parse_experiment_text(R"({"mode": "ftl-sweep", "initial_pe_cycles": 3e7})"));
+}
+
 // The acceptance property: the shipped example spec is the CI smoke
 // grid. A spec authored in JSON and the equivalent flag-built spec
 // must render byte-identical reports in both formats.

@@ -18,11 +18,26 @@
 namespace xlf::explore {
 namespace {
 
+// The smallest die a replica's FTL accepts at its default logical
+// fraction: 8 blocks x 4 pages, the FTL sweep's default die.
 core::SubsystemConfig small_subsystem() {
   core::SubsystemConfig config = core::SubsystemConfig::defaults();
-  config.device.array.geometry.blocks = 2;
+  config.device.array.geometry.blocks = 8;
   config.device.array.geometry.pages_per_block = 4;
   return config;
+}
+
+sim::AccessPattern pattern(sim::Pattern kind, double read_fraction = 0.7) {
+  sim::AccessPattern p;
+  p.kind = kind;
+  p.read_fraction = read_fraction;
+  return p;
+}
+
+sim::AccessPattern stream_at(double mib_per_second) {
+  sim::AccessPattern p = pattern(sim::Pattern::kStreaming);
+  p.bitrate = BytesPerSecond::mib(mib_per_second);
+  return p;
 }
 
 SweepSpec small_sweep() {
@@ -157,19 +172,13 @@ void expect_same_double(double a, double b) {
   EXPECT_EQ(a, b);
 }
 
-void expect_identical(const sim::SimStats& a, const sim::SimStats& b) {
+void expect_identical(const ValidationStats& a, const ValidationStats& b) {
   EXPECT_EQ(a.reads, b.reads);
   EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.erases, b.erases);
   EXPECT_EQ(a.uncorrectable, b.uncorrectable);
   EXPECT_EQ(a.data_mismatches, b.data_mismatches);
-  EXPECT_EQ(a.corrected_bits, b.corrected_bits);
   EXPECT_EQ(a.qos_misses, b.qos_misses);
   EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.read_busy, b.read_busy);
-  EXPECT_EQ(a.write_busy, b.write_busy);
-  EXPECT_EQ(a.ecc_energy, b.ecc_energy);
-  EXPECT_EQ(a.nand_energy, b.nand_energy);
   EXPECT_EQ(a.read_latency.count(), b.read_latency.count());
   EXPECT_EQ(a.read_latency.mean(), b.read_latency.mean());
   EXPECT_EQ(a.read_latency.variance(), b.read_latency.variance());
@@ -180,12 +189,24 @@ void expect_identical(const sim::SimStats& a, const sim::SimStats& b) {
   expect_same_double(a.write_latency.max(), b.write_latency.max());
 }
 
+MonteCarloSpec eol_spec(const core::OperatingPoint& point,
+                        const sim::AccessPattern& workload,
+                        std::size_t requests) {
+  MonteCarloSpec spec;
+  spec.subsystem = small_subsystem();
+  spec.point = point;
+  spec.pe_cycles = 1e6;
+  spec.workload = workload;
+  spec.requests_per_replica = requests;
+  spec.replicas = 1;
+  return spec;
+}
+
 TEST(MonteCarlo, ParallelIsBitIdenticalToSerial) {
-  const sim::MixedWorkload workload(0.7);
   MonteCarloSpec spec;
   spec.subsystem = small_subsystem();
   spec.pe_cycles = 1e5;
-  spec.workload = &workload;
+  spec.workload = pattern(sim::Pattern::kMixed, 0.7);
   spec.requests_per_replica = 10;
   spec.replicas = 5;
   spec.seed = 99;
@@ -198,11 +219,10 @@ TEST(MonteCarlo, ParallelIsBitIdenticalToSerial) {
 }
 
 TEST(MonteCarlo, AccountsEveryRequestOfEveryReplica) {
-  const sim::SequentialReadWorkload workload;
   MonteCarloSpec spec;
   spec.subsystem = small_subsystem();
   spec.pe_cycles = 1.0;  // beginning of life
-  spec.workload = &workload;
+  spec.workload = pattern(sim::Pattern::kSequentialRead);
   spec.requests_per_replica = 8;
   spec.replicas = 3;
 
@@ -218,11 +238,10 @@ TEST(MonteCarlo, AccountsEveryRequestOfEveryReplica) {
 }
 
 TEST(MonteCarlo, DifferentSeedsGiveDifferentRuns) {
-  const sim::MixedWorkload workload(0.5);
   MonteCarloSpec spec;
   spec.subsystem = small_subsystem();
   spec.pe_cycles = 1e4;
-  spec.workload = &workload;
+  spec.workload = pattern(sim::Pattern::kMixed, 0.5);
   spec.requests_per_replica = 20;
   spec.replicas = 2;
 
@@ -238,12 +257,55 @@ TEST(MonteCarlo, DifferentSeedsGiveDifferentRuns) {
               a.merged.read_latency.mean() != b.merged.read_latency.mean());
 }
 
+// The replica decodes at the t its point resolved, not at the t the
+// active algorithm's RBER would suggest: at 1e6 P/E, MinUber (ISPP-DV
+// on the SV schedule) holds t = 65 and MaxRead t = 16. The read
+// service time shows it: the t = 65 decode takes about 50 us longer.
+TEST(MonteCarlo, ReplicaHoldsTheOperatingPointsT) {
+  ThreadPool pool(2);
+  const sim::AccessPattern reads = pattern(sim::Pattern::kSequentialRead);
+  const MonteCarloResult min_uber = run_monte_carlo(
+      eol_spec(core::OperatingPoint::min_uber(), reads, 16), pool);
+  const MonteCarloResult max_read = run_monte_carlo(
+      eol_spec(core::OperatingPoint::max_read(), reads, 16), pool);
+  EXPECT_EQ(min_uber.merged.uncorrectable, 0u);
+  EXPECT_EQ(max_read.merged.uncorrectable, 0u);
+  EXPECT_NEAR(min_uber.merged.read_latency.mean() * 1e6, 237.0, 5.0);
+  EXPECT_NEAR(max_read.merged.read_latency.mean() * 1e6, 186.0, 5.0);
+}
+
+// A stream paced well below the device's service rate never stalls,
+// and its simulated time is the stream's own clock.
+TEST(MonteCarlo, PacedStreamTracksItsSchedule) {
+  ThreadPool pool(1);
+  const std::size_t count = 10;
+  const MonteCarloResult result = run_monte_carlo(
+      eol_spec(core::OperatingPoint::baseline(), stream_at(2.0), count),
+      pool);
+  EXPECT_EQ(result.merged.reads, count);
+  EXPECT_EQ(result.merged.qos_misses, 0u);
+  const double period = 4096.0 / BytesPerSecond::mib(2.0).value();
+  EXPECT_GE(result.merged.elapsed.value(), count * period);
+}
+
+// Just above what the aged baseline serves (t = 65 decode), the
+// stream misses deadlines; the MaxRead point's relaxed decoder keeps
+// up with it.
+TEST(MonteCarlo, OverloadedStreamMissesQosOnlyOnTheBaseline) {
+  ThreadPool pool(1);
+  const MonteCarloResult baseline = run_monte_carlo(
+      eol_spec(core::OperatingPoint::baseline(), stream_at(18.0), 30), pool);
+  const MonteCarloResult max_read = run_monte_carlo(
+      eol_spec(core::OperatingPoint::max_read(), stream_at(18.0), 30), pool);
+  EXPECT_GT(baseline.merged.qos_misses, 0u);
+  EXPECT_EQ(max_read.merged.qos_misses, 0u);
+}
+
 TEST(Report, QosTablesCoverAllValidations) {
-  const sim::SequentialReadWorkload workload;
   MonteCarloSpec spec;
   spec.subsystem = small_subsystem();
   spec.pe_cycles = 1.0;
-  spec.workload = &workload;
+  spec.workload = pattern(sim::Pattern::kSequentialRead);
   spec.requests_per_replica = 4;
   spec.replicas = 2;
   ThreadPool pool(1);

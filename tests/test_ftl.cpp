@@ -329,7 +329,6 @@ TEST(Ftl, SkewedOverwritesDivergeWearAndPerBlockT) {
   Ssd ssd(small_ssd());
   sim::SsdSimConfig sim_config;
   sim_config.queue_depth = 4;
-  sim_config.verify_data = true;
   sim::SsdSimulator simulator(ssd, sim_config);
   simulator.prepopulate();
 

@@ -152,10 +152,9 @@ TEST(HostInterface, WeightedTieBreaksTowardLowestId) {
   EXPECT_EQ(*pick, 0u);
 }
 
-TEST(HostInterface, CompletionsFeedPerQueueStatsAndDrain) {
+TEST(HostInterface, CompletionsFeedPerQueueStats) {
   HostConfig config;
   config.queues = 2;
-  config.record_completions = true;
   HostInterface host(config);
 
   Completion write;
@@ -175,23 +174,6 @@ TEST(HostInterface, CompletionsFeedPerQueueStatsAndDrain) {
   EXPECT_EQ(host.stats(1).commands(), 2u);
   EXPECT_DOUBLE_EQ(host.stats(1).write_latency.mean(), 2.0);
   EXPECT_EQ(host.stats(0).commands(), 0u);
-
-  const std::vector<Completion> drained = host.drain(1);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].type, CmdType::kWrite);
-  EXPECT_TRUE(host.drain(1).empty());
-}
-
-TEST(HostInterface, CompletionRingStaysEmptyUnlessRequested) {
-  // Stats-only consumers (the simulator) must not accumulate
-  // O(commands) of ring memory: retention is opt-in.
-  HostConfig config;
-  HostInterface host(config);
-  Completion entry;
-  entry.type = CmdType::kWrite;
-  host.complete(entry);
-  EXPECT_EQ(host.stats(0).writes, 1u);
-  EXPECT_TRUE(host.drain(0).empty());
 }
 
 TEST(HostInterface, FlushHorizonTracksLatestScheduledCompletion) {

@@ -7,8 +7,9 @@
 #include "src/core/cross_layer.hpp"
 #include "src/core/paper.hpp"
 #include "src/core/subsystem.hpp"
-#include "src/sim/lifetime.hpp"
-#include "src/sim/subsystem_sim.hpp"
+#include "src/ftl/ssd.hpp"
+#include "src/sim/host_workload.hpp"
+#include "src/sim/ssd_sim.hpp"
 
 namespace xlf::core {
 namespace {
@@ -128,17 +129,32 @@ TEST(PaperClaims, PowerStoryHoldsTogether) {
 TEST(PaperClaims, BitTrueLifetimeRunsStayCorrectable) {
   // Drive real traffic through the full stack at three ages under the
   // MaxRead point: every page must decode, every payload must match.
-  Fixture fx;
-  fx.subsystem->apply(OperatingPoint::max_read());
-  sim::MixedWorkload workload(0.75);
+  // One 1x1 SSD per age, its die holding the point's t (static
+  // tuning) on the smallest geometry the FTL accepts.
+  sim::AccessPattern workload;
+  workload.kind = sim::Pattern::kMixed;
+  workload.read_fraction = 0.75;
   for (double cycles : {1e2, 1e5, 1e6}) {
-    fx.subsystem->device().set_uniform_wear(cycles);
-    fx.subsystem->refresh();
-    const sim::LifetimePoint point = sim::run_at_age(
-        fx.subsystem->controller(), workload, 24, cycles, /*seed=*/17);
-    EXPECT_EQ(point.stats.uncorrectable, 0u) << cycles;
-    EXPECT_EQ(point.stats.data_mismatches, 0u) << cycles;
-    EXPECT_LE(point.uber, paper::kUberTarget * 1.0001) << cycles;
+    ftl::SsdConfig config;
+    config.topology = {1, 1};
+    config.die.device.array.geometry.blocks = 8;
+    config.die.device.array.geometry.pages_per_block = 4;
+    config.die.controller.tuning_policy = "static";
+    config.initial_pe_cycles = cycles;
+    config.point = OperatingPoint::max_read();
+    ftl::Ssd ssd(config);
+    sim::SsdSimConfig sim_config;
+    sim_config.queue_depth = 1;
+    sim::SsdSimulator simulator(ssd, sim_config);
+    simulator.prepopulate();
+    Rng rng(17);
+    const sim::SsdSimStats stats = simulator.run(
+        sim::generate_pattern(workload, ssd.logical_pages(), 24, rng));
+    EXPECT_EQ(stats.uncorrectable, 0u) << cycles;
+    EXPECT_EQ(stats.data_mismatches, 0u) << cycles;
+    const Metrics predicted = ssd.die(0).framework().evaluate(
+        OperatingPoint::max_read(), cycles);
+    EXPECT_LE(predicted.uber, paper::kUberTarget * 1.0001) << cycles;
   }
 }
 

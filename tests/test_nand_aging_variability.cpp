@@ -44,6 +44,23 @@ TEST(AgingLaw, MicroEffectsScaleWithWear) {
   EXPECT_GT(law.dv_zone_multiplier(1e6), 2.0);
 }
 
+TEST(AgingLaw, InversionAndDomainLimitFollowTheLaw) {
+  const AgingLaw law;
+  for (ProgramAlgorithm algo :
+       {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
+    for (double c : {1e3, 1e6, 3e7}) {
+      EXPECT_NEAR(law.cycles_at_rber(algo, law.rber(algo, c)) / c, 1.0, 1e-9);
+    }
+  }
+  // The law grows without bound; its domain ends where ISPP-SV, the
+  // worse algorithm, reaches RBER 1 (about 9.2e7 P/E cycles).
+  const double limit = law.max_cycles();
+  EXPECT_NEAR(law.rber(ProgramAlgorithm::kIsppSv, limit), 1.0, 1e-9);
+  EXPECT_GT(limit, 9e7);
+  EXPECT_LT(limit, 1e8);
+  EXPECT_LT(law.rber(ProgramAlgorithm::kIsppDv, limit), 1.0);
+}
+
 TEST(AgingLaw, NegativeCyclesRejected) {
   const AgingLaw law;
   EXPECT_THROW(law.rber(ProgramAlgorithm::kIsppSv, -1.0),

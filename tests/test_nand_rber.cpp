@@ -51,6 +51,24 @@ TEST(RberModel, EffectiveSigmaReproducesMacroLaw) {
   }
 }
 
+TEST(RberModel, DomainEndsWhereTheSigmaBracketDoes) {
+  const RberModel model = default_model();
+  const double limit = model.max_cycles();
+  // ISPP-SV sets the limit, near RBER 0.2 (about 3.2e7 P/E cycles).
+  EXPECT_NEAR(model.rber(ProgramAlgorithm::kIsppSv, limit),
+              model.rber_from_overlap(ProgramAlgorithm::kIsppSv,
+                                      Volts{RberModel::kMaxSigmaVolts}),
+              1e-9);
+  EXPECT_GT(limit, 3e7);
+  EXPECT_LT(limit, 3.5e7);
+  // Just inside, the bisection solves; just outside, it cannot.
+  EXPECT_LT(model.effective_sigma(ProgramAlgorithm::kIsppSv, limit * 0.999)
+                .value(),
+            RberModel::kMaxSigmaVolts);
+  EXPECT_THROW(model.effective_sigma(ProgramAlgorithm::kIsppSv, limit * 1.001),
+               std::logic_error);
+}
+
 TEST(RberModel, SigmaGrowsWithAgeAndDvIsTighter) {
   const RberModel model = default_model();
   for (auto algo : {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/sim/event_queue.hpp"
-#include "src/sim/workload.hpp"
+#include "src/sim/host_workload.hpp"
 
 namespace xlf::sim {
 namespace {
+
+// Steps the queue until it is empty, as a driver loop does; returns
+// the number of events run.
+std::size_t drain(EventQueue& queue) {
+  std::size_t executed = 0;
+  while (queue.step()) ++executed;
+  return executed;
+}
 
 TEST(EventQueue, ExecutesInTimeOrder) {
   EventQueue queue;
@@ -12,7 +22,7 @@ TEST(EventQueue, ExecutesInTimeOrder) {
   queue.schedule_at(Seconds::micros(30.0), [&] { order.push_back(3); });
   queue.schedule_at(Seconds::micros(10.0), [&] { order.push_back(1); });
   queue.schedule_at(Seconds::micros(20.0), [&] { order.push_back(2); });
-  queue.run();
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_NEAR(queue.now().micros(), 30.0, 1e-9);
 }
@@ -23,7 +33,7 @@ TEST(EventQueue, EqualTimesKeepSchedulingOrder) {
   for (int i = 0; i < 5; ++i) {
     queue.schedule_at(Seconds::micros(5.0), [&order, i] { order.push_back(i); });
   }
-  queue.run();
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -44,29 +54,23 @@ TEST(EventQueue, CollidingTimestampsInterleavedStayDeterministic) {
   queue.schedule_at(Seconds::micros(20.0), [&] { order.push_back(5); });
   queue.schedule_at(Seconds::micros(10.0), [&] { order.push_back(2); });
   queue.schedule_at(Seconds::micros(10.0), [&] { order.push_back(3); });
-  queue.run();
+  drain(queue);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
-TEST(EventQueue, RunDrainingExactlyLimitEventsIsNotRunaway) {
+TEST(EventQueue, StepRunsOneEventAtATime) {
   EventQueue queue;
   int fired = 0;
   for (int i = 0; i < 5; ++i) {
     queue.schedule_at(Seconds::micros(static_cast<double>(i)), [&] { ++fired; });
   }
-  // The budget equals the queue depth: a legitimate completion, not a
-  // runaway simulation.
-  EXPECT_EQ(queue.run(5), 5u);
+  EXPECT_TRUE(queue.step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(drain(queue), 4u);
   EXPECT_EQ(fired, 5);
-}
-
-TEST(EventQueue, RunFlagsRunawayWhenEventsRemain) {
-  EventQueue queue;
-  std::function<void()> forever = [&] {
-    queue.schedule_in(Seconds::micros(1.0), forever);
-  };
-  queue.schedule_in(Seconds::micros(1.0), forever);
-  EXPECT_THROW(queue.run(100), std::logic_error);
+  // An empty queue reports false and leaves the clock alone.
+  EXPECT_FALSE(queue.step());
+  EXPECT_NEAR(queue.now().micros(), 4.0, 1e-9);
 }
 
 TEST(EventQueue, CallbacksMayScheduleMore) {
@@ -74,34 +78,38 @@ TEST(EventQueue, CallbacksMayScheduleMore) {
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
-    if (fired < 4) queue.schedule_in(Seconds::micros(1.0), chain);
+    if (fired < 4) {
+      queue.schedule_at(queue.now() + Seconds::micros(1.0), chain);
+    }
   };
-  queue.schedule_in(Seconds::micros(1.0), chain);
-  queue.run();
+  queue.schedule_at(Seconds::micros(1.0), chain);
+  EXPECT_EQ(drain(queue), 4u);
   EXPECT_EQ(fired, 4);
   EXPECT_NEAR(queue.now().micros(), 4.0, 1e-9);
 }
 
-TEST(EventQueue, RunUntilLeavesFutureEvents) {
+TEST(EventQueue, AdvanceBetweenEventsLeavesLaterOnesQueued) {
+  // The driver's arrival step: run what is due, move the clock to an
+  // arrival that lands before the next event, and keep that event.
   EventQueue queue;
   int fired = 0;
   queue.schedule_at(Seconds::micros(10.0), [&] { ++fired; });
   queue.schedule_at(Seconds::micros(50.0), [&] { ++fired; });
-  queue.run_until(Seconds::micros(20.0));
+  EXPECT_TRUE(queue.step());
+  queue.advance_to(Seconds::micros(20.0));
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(queue.pending(), 1u);
-  EXPECT_NEAR(queue.now().micros(), 20.0, 1e-9);  // clock advanced
-  queue.run();
+  EXPECT_FALSE(queue.empty());
+  EXPECT_NEAR(queue.next_time().micros(), 50.0, 1e-9);
+  EXPECT_NEAR(queue.now().micros(), 20.0, 1e-9);
+  drain(queue);
   EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, PastSchedulingRejected) {
   EventQueue queue;
   queue.schedule_at(Seconds::micros(10.0), [] {});
-  queue.run();
+  drain(queue);
   EXPECT_THROW(queue.schedule_at(Seconds::micros(5.0), [] {}),
-               std::invalid_argument);
-  EXPECT_THROW(queue.schedule_in(Seconds::micros(-1.0), [] {}),
                std::invalid_argument);
 }
 
@@ -122,86 +130,139 @@ TEST(EventQueue, AdvanceToMovesTheClockForwardOnly) {
   queue.schedule_at(Seconds::micros(50.0), [] {});
   queue.advance_to(Seconds::micros(20.0));
   EXPECT_NEAR(queue.now().micros(), 20.0, 1e-9);
-  EXPECT_EQ(queue.pending(), 1u);  // nothing ran
+  EXPECT_FALSE(queue.empty());  // nothing ran
   queue.advance_to(Seconds::micros(20.0));  // standing still is fine
   EXPECT_THROW(queue.advance_to(Seconds::micros(19.0)),
                std::invalid_argument);
   // Events may now only land at or after the advanced clock.
   EXPECT_THROW(queue.schedule_at(Seconds::micros(10.0), [] {}),
                std::invalid_argument);
-  queue.run();
+  drain(queue);
   EXPECT_NEAR(queue.now().micros(), 50.0, 1e-9);
 }
 
-nand::Geometry geometry() {
-  nand::Geometry g;
-  g.blocks = 2;
-  g.pages_per_block = 4;
-  return g;
+std::vector<host::Command> generate(Pattern kind, std::uint32_t pages,
+                                    std::size_t count, Rng& rng) {
+  AccessPattern pattern;
+  pattern.kind = kind;
+  return generate_pattern(pattern, pages, count, rng);
 }
 
-TEST(Workload, SequentialReadCoversPagesInOrder) {
+std::size_t reads_in(const std::vector<host::Command>& commands) {
+  return static_cast<std::size_t>(
+      std::count_if(commands.begin(), commands.end(), [](const auto& c) {
+        return c.type == host::CmdType::kRead;
+      }));
+}
+
+TEST(AccessPattern, EveryPatternEmitsCountSinglePageCommands) {
+  for (Pattern kind : {Pattern::kSequentialRead, Pattern::kRandomRead,
+                       Pattern::kWriteBurst, Pattern::kMixed,
+                       Pattern::kStreaming}) {
+    Rng rng(1);
+    const auto commands = generate(kind, 8, 37, rng);
+    ASSERT_EQ(commands.size(), 37u);
+    for (const host::Command& c : commands) {
+      EXPECT_LT(c.lba, 8u);
+      EXPECT_EQ(c.length, 1u);
+      EXPECT_EQ(c.queue, 0u);
+    }
+  }
+}
+
+TEST(AccessPattern, SequentialReadCoversPagesInOrder) {
   Rng rng(1);
-  const auto requests = SequentialReadWorkload().generate(geometry(), 10, rng);
-  ASSERT_EQ(requests.size(), 10u);
-  EXPECT_EQ(requests[0].addr, (nand::PageAddress{0, 0}));
-  EXPECT_EQ(requests[3].addr, (nand::PageAddress{0, 3}));
-  EXPECT_EQ(requests[4].addr, (nand::PageAddress{1, 0}));
-  EXPECT_EQ(requests[8].addr, (nand::PageAddress{0, 0}));  // wraps
-  for (const auto& r : requests) EXPECT_EQ(r.type, OpType::kRead);
+  const auto commands = generate(Pattern::kSequentialRead, 8, 10, rng);
+  EXPECT_EQ(commands[0].lba, 0u);
+  EXPECT_EQ(commands[7].lba, 7u);
+  EXPECT_EQ(commands[8].lba, 0u);  // wraps
+  EXPECT_EQ(reads_in(commands), 10u);
+  for (const auto& c : commands) EXPECT_EQ(c.gap.value(), 0.0);
 }
 
-TEST(Workload, RandomReadStaysInBounds) {
-  Rng rng(2);
-  const auto requests = RandomReadWorkload().generate(geometry(), 200, rng);
-  for (const auto& r : requests) {
-    EXPECT_LT(r.addr.block, 2u);
-    EXPECT_LT(r.addr.page, 4u);
-  }
+TEST(AccessPattern, WriteBurstWritesPagesInOrder) {
+  Rng rng(1);
+  const auto commands = generate(Pattern::kWriteBurst, 8, 10, rng);
+  EXPECT_EQ(reads_in(commands), 0u);
+  EXPECT_EQ(commands[3].lba, 3u);
+  EXPECT_EQ(commands[9].lba, 1u);  // wraps
 }
 
-TEST(Workload, MixedRespectsReadFraction) {
-  Rng rng(3);
-  const auto requests = MixedWorkload(0.75).generate(geometry(), 4000, rng);
-  const auto reads = static_cast<double>(
-      std::count_if(requests.begin(), requests.end(),
-                    [](const Request& r) { return r.type == OpType::kRead; }));
-  EXPECT_NEAR(reads / 4000.0, 0.75, 0.03);
-  EXPECT_THROW(MixedWorkload(1.5), std::invalid_argument);
-}
-
-TEST(Workload, StreamingPacesRequests) {
-  Rng rng(4);
-  const MultimediaStreamingWorkload stream(BytesPerSecond::mib(8.0), 4096);
-  const auto requests = stream.generate(geometry(), 10, rng);
-  // 4096 B at 8 MiB/s: 488.28 us between pages.
-  for (const auto& r : requests) {
-    EXPECT_NEAR(r.gap.micros(), 4096.0 / (8.0 * 1024 * 1024) * 1e6, 1e-6);
-    EXPECT_EQ(r.type, OpType::kRead);
-  }
-}
-
-TEST(Workload, TraceReplayIsDeterministic) {
-  const auto a = record_trace(RandomReadWorkload(), geometry(), 50, 42);
-  const auto b = record_trace(RandomReadWorkload(), geometry(), 50, 42);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].addr, b[i].addr);
-    EXPECT_EQ(a[i].type, b[i].type);
-  }
-  const auto c = record_trace(RandomReadWorkload(), geometry(), 50, 43);
+TEST(AccessPattern, RandomReadStaysInBoundsAndFollowsTheSeed) {
+  Rng a(42), b(42), c(43);
+  const auto first = generate(Pattern::kRandomRead, 19, 200, a);
+  EXPECT_EQ(reads_in(first), 200u);
+  for (const auto& command : first) EXPECT_LT(command.lba, 19u);
+  const auto same = generate(Pattern::kRandomRead, 19, 200, b);
+  const auto other = generate(Pattern::kRandomRead, 19, 200, c);
   bool any_different = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i].addr == c[i].addr)) any_different = true;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].lba, same[i].lba);
+    if (first[i].lba != other[i].lba) any_different = true;
   }
   EXPECT_TRUE(any_different);
 }
 
-TEST(Workload, NamesAreStable) {
-  EXPECT_EQ(SequentialReadWorkload().name(), "sequential-read");
-  EXPECT_EQ(MixedWorkload(0.8).name(), "mixed-r80");
-  EXPECT_EQ(MultimediaStreamingWorkload(BytesPerSecond::mib(1.0)).name(),
-            "multimedia-streaming");
+TEST(AccessPattern, MixedRespectsReadFractionAndWritesSequentially) {
+  AccessPattern mixed;
+  mixed.kind = Pattern::kMixed;
+  mixed.read_fraction = 0.75;
+  Rng rng(3);
+  const auto commands = generate_pattern(mixed, 19, 4000, rng);
+  EXPECT_NEAR(static_cast<double>(reads_in(commands)) / 4000.0, 0.75, 0.03);
+  ftl::Lpa next_write = 0;
+  for (const auto& c : commands) {
+    if (c.type != host::CmdType::kWrite) continue;
+    EXPECT_EQ(c.lba, next_write);
+    next_write = (next_write + 1) % 19;
+  }
+  mixed.read_fraction = 1.5;
+  EXPECT_THROW(generate_pattern(mixed, 19, 4, rng), std::invalid_argument);
+}
+
+TEST(AccessPattern, DrawsOneChancePerMixedCommandThenOneBelowPerRead) {
+  // The Monte-Carlo read/write split rests on this draw order.
+  AccessPattern mixed;
+  mixed.kind = Pattern::kMixed;
+  Rng generated(7), expected(7);
+  generate_pattern(mixed, 19, 100, generated);
+  for (int i = 0; i < 100; ++i) {
+    if (expected.chance(0.7)) expected.below(19);
+  }
+  EXPECT_EQ(generated.next(), expected.next());
+
+  Rng random_read(8), below_only(8);
+  generate(Pattern::kRandomRead, 19, 50, random_read);
+  for (int i = 0; i < 50; ++i) below_only.below(19);
+  EXPECT_EQ(random_read.next(), below_only.next());
+}
+
+TEST(AccessPattern, StreamingPacesReads) {
+  AccessPattern stream;
+  stream.kind = Pattern::kStreaming;
+  stream.bitrate = BytesPerSecond::mib(8.0);
+  Rng rng(4);
+  const auto commands = generate_pattern(stream, 8, 10, rng);
+  // 4096 B at 8 MiB/s: 488.28 us between pages.
+  for (const auto& c : commands) {
+    EXPECT_NEAR(c.gap.micros(), 4096.0 / (8.0 * 1024 * 1024) * 1e6, 1e-6);
+    EXPECT_EQ(c.type, host::CmdType::kRead);
+  }
+}
+
+TEST(AccessPattern, LabelsAreStable) {
+  AccessPattern pattern;
+  EXPECT_EQ(pattern.label(), "sequential-read");
+  pattern.kind = Pattern::kRandomRead;
+  EXPECT_EQ(pattern.label(), "random-read");
+  pattern.kind = Pattern::kWriteBurst;
+  EXPECT_EQ(pattern.label(), "write-burst");
+  pattern.kind = Pattern::kMixed;
+  EXPECT_EQ(pattern.label(), "mixed-r70");
+  pattern.read_fraction = 0.8;
+  EXPECT_EQ(pattern.label(), "mixed-r80");
+  pattern.kind = Pattern::kStreaming;
+  EXPECT_EQ(pattern.label(), "multimedia-streaming");
 }
 
 }  // namespace

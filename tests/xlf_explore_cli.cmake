@@ -3,8 +3,9 @@
 #
 # Checks the teaching-error satellite (unknown flags exit non-zero and
 # point at --help instead of being silently ignored), numeric flag
-# values (whole token, in range, or an error naming the flag), spec
-# error handling, and that a shipped example spec runs clean.
+# values (whole token, in range, or an error naming the flag), wear
+# ages outside the models' domain, spec error handling, and that a
+# shipped example spec runs clean.
 
 if(NOT DEFINED XLF_EXPLORE OR NOT DEFINED SPEC)
   message(FATAL_ERROR "usage: cmake -DXLF_EXPLORE=... -DSPEC=... -P xlf_explore_cli.cmake")
@@ -120,6 +121,51 @@ foreach(case
   endif()
   if(err MATCHES "precondition failed")
     message(FATAL_ERROR "'${shown}' reached a precondition: ${err}")
+  endif()
+endforeach()
+
+# --- ages outside the models' domain: a named error, not an internal -
+# check. The aging law's RBER grows without bound: it reaches 1 near
+# 9.2e7 P/E cycles (the UBER arithmetic's end) and outgrows what the
+# bit-true array can place near 3.2e7. Each case is "<text to
+# find>|<argument list>".
+set(age_spec ${CMAKE_CURRENT_BINARY_DIR}/xlf_explore_cli_mc_age.json)
+file(WRITE ${age_spec} [=[{"mode": "space", "monte_carlo": {"replicas": 1,
+  "requests": 2, "age": 1e8, "workloads": ["mixed"]}}]=])
+foreach(case
+    "--mc-age|--mc-age;3.5e7;--mc-replicas;1;--mc-requests;2;--workloads;mixed"
+    "--mc-age (unset|--ages;1:5e7:3;--mc-replicas;1;--mc-requests;2;--workloads;mixed"
+    "--ftl-initial-wear|--ftl-sweep;--ftl-initial-wear;5e7;--ftl-requests;8"
+    "--ages HI|--ages;1:1e8:3"
+    "'monte_carlo.age'|--spec;${age_spec}")
+  string(REPLACE "|" ";" parts "${case}")
+  list(POP_FRONT parts named)
+  string(REPLACE ";" " " shown "${parts}")
+  execute_process(COMMAND ${XLF_EXPLORE} ${parts}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "'${shown}' must exit non-zero (got 0)")
+  endif()
+  string(FIND "${err}" "${named}" found)
+  if(found EQUAL -1 OR NOT err MATCHES "must be below")
+    message(FATAL_ERROR "'${shown}' must name ${named} and its limit, got: ${err}")
+  endif()
+  if(err MATCHES "precondition failed" OR err MATCHES "invariant failed")
+    message(FATAL_ERROR "'${shown}' reached an internal check: ${err}")
+  endif()
+endforeach()
+file(REMOVE ${age_spec})
+# The edges inside the domain still run, and the meta plane has no
+# cell array to outgrow.
+foreach(args
+    "--ages;1:9e7:3"
+    "--ages;1:1e6:2;--mc-age;3e7;--mc-replicas;1;--mc-requests;2;--workloads;mixed"
+    "--ftl-sweep;--ftl-data-plane;meta;--ftl-initial-wear;1e8;--ftl-requests;16")
+  execute_process(COMMAND ${XLF_EXPLORE} ${args}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    string(REPLACE ";" " " shown "${args}")
+    message(FATAL_ERROR "'${shown}' must exit 0 (got ${rc}): ${err}")
   endif()
 endforeach()
 

@@ -511,6 +511,8 @@ int main(int argc, char** argv) {
   try {
     if (!opt.spec_path.empty()) {
       opt.experiment = explore::load_experiment(opt.spec_path);
+    } else {
+      explore::check_ages(opt.experiment, explore::InputNames::kFlags);
     }
     const std::string format = opt.format.empty() ? "csv" : opt.format;
 
