@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include "src/util/expect.hpp"
 
@@ -133,6 +134,7 @@ NandArray::NandArray(const ArrayConfig& config)
       interference_(config.interference),
       rber_(config.plan, config.aging, config.ispp, config.variability,
             config.interference),
+      max_cycles_(rber_.max_cycles()),
       disturb_(config.disturb),
       rng_(config.seed),
       block_wear_(config.geometry.blocks, 0.0),
@@ -164,8 +166,20 @@ const NandArray::PageState& NandArray::page(PageAddress addr) const {
   return pages_[addr.block * config_.geometry.pages_per_block + addr.page];
 }
 
+void NandArray::check_wear(std::uint32_t block, double pe_cycles) const {
+  XLF_EXPECT_MSG(pe_cycles < max_cycles_, [&] {
+    std::ostringstream msg;
+    msg << "bit-true block " << block << " would reach " << pe_cycles
+        << " P/E cycles, at or past the array's limit of " << max_cycles_
+        << " (past it the aging law's RBER outgrows the widest read-time "
+           "distribution the model solves for)";
+    return msg.str();
+  }());
+}
+
 void NandArray::erase_block(std::uint32_t block) {
   XLF_EXPECT(block < config_.geometry.blocks);
+  check_wear(block, block_wear_[block] + 1.0);
   block_wear_[block] += 1.0;
   erase_wear_[block] = block_wear_[block];
   const std::uint64_t draws =
@@ -237,6 +251,7 @@ double NandArray::wear(std::uint32_t block) const {
 void NandArray::set_wear(std::uint32_t block, double pe_cycles) {
   XLF_EXPECT(block < config_.geometry.blocks);
   XLF_EXPECT(pe_cycles >= 0.0);
+  check_wear(block, pe_cycles);
   block_wear_[block] = pe_cycles;
 }
 
@@ -375,11 +390,13 @@ IsppTrace NandArray::program_ispp(PageState& state,
   // ones), with the parameters the erase drew at its wear.
   std::vector<FloatingGateCell> cells(targets.size());
   Rng stream = state.erase_stream;
+  const VariabilitySampler::AtWear at_erase =
+      variability_.at_wear(erase_wear);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Volts erased = variability_.sample_erased(
         stream, config_.plan.erased_mean, config_.plan.erased_sigma);
     cells[i] = FloatingGateCell(state.materialised ? state.vth[i] : erased,
-                                variability_.sample(stream, erase_wear));
+                                at_erase.sample(stream));
   }
   std::vector<Volts> before(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) before[i] = cells[i].vth();

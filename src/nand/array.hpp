@@ -83,9 +83,13 @@ class NandArray {
   // Erase returns every page of the block to a fresh draw from the
   // erased distribution (recorded, not sampled; see above) and counts
   // one P/E cycle. The cells' parameters follow the wear at the erase.
+  // Throws std::invalid_argument, changing nothing, when the cycle
+  // would take the block to or past the model's domain
+  // (RberModel::max_cycles()).
   void erase_block(std::uint32_t block);
   double wear(std::uint32_t block) const;
-  // Jump a block ahead in its lifetime (lifetime experiments).
+  // Jump a block ahead in its lifetime (lifetime experiments); the same
+  // domain check as erase_block.
   void set_wear(std::uint32_t block, double pe_cycles);
 
   // --- page operations ------------------------------------------------
@@ -152,6 +156,9 @@ class NandArray {
   PageState& page(PageAddress addr);
   const PageState& page(PageAddress addr) const;
   void check_addr(PageAddress addr) const;
+  // Throws std::invalid_argument naming the wear and the limit when
+  // `pe_cycles` is at or past max_cycles_.
+  void check_wear(std::uint32_t block, double pe_cycles) const;
   // The page's threshold storage, sized on first use; erases keep it.
   std::vector<Volts>& storage(PageState& state);
   Volts erased_vth(ErasedReplay& replay, std::uint32_t cell) const;
@@ -173,6 +180,8 @@ class NandArray {
   IsppEngine ispp_;
   InterferenceModel interference_;
   RberModel rber_;
+  // rber_.max_cycles(): past it effective_sigma cannot solve.
+  double max_cycles_;
   DisturbModel disturb_;
   Rng rng_;
   std::vector<double> block_wear_;

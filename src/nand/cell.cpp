@@ -11,7 +11,7 @@ Volts FloatingGateCell::expected_step(Volts vcg) const {
   // arguments it is the argument itself.
   const double x = overdrive / s;
   double step;
-  if (x > 30.0) {
+  if (x > kLinearOnsetRatio) {
     step = overdrive;
   } else {
     step = s * std::log1p(std::exp(x));
@@ -22,7 +22,7 @@ Volts FloatingGateCell::expected_step(Volts vcg) const {
 void FloatingGateCell::apply_pulse(Volts vcg, Rng& rng, Volts bitline_bias) {
   const Volts effective_vcg = vcg - bitline_bias;
   const double step = expected_step(effective_vcg).value();
-  if (step <= 1e-9) return;  // below onset: nothing tunnels
+  if (step <= kMinStepVolts) return;  // below onset: nothing tunnels
   // Shot noise grows with the square root of the transferred charge.
   const double sigma =
       params_.injection_sigma.value() * std::sqrt(std::max(step, 0.0));

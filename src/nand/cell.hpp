@@ -31,6 +31,13 @@ struct CellParams {
 
 class FloatingGateCell {
  public:
+  // Past this overdrive-to-sharpness ratio expected_step() returns the
+  // overdrive itself (the softplus is linear there to double precision).
+  static constexpr double kLinearOnsetRatio = 30.0;
+  // A step at or below this does not tunnel: apply_pulse() leaves the
+  // threshold alone and takes no injection-noise draw.
+  static constexpr double kMinStepVolts = 1e-9;
+
   FloatingGateCell() = default;
   FloatingGateCell(Volts initial_vth, CellParams params)
       : vth_(initial_vth), params_(params) {}

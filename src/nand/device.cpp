@@ -165,8 +165,10 @@ double NandDevice::wear(std::uint32_t block) const {
 
 void NandDevice::set_wear(std::uint32_t block, double cycles) {
   XLF_EXPECT(block < geometry().blocks);
-  wear_[block] = cycles;
+  // The array checks its domain first, so a rejected wear leaves the
+  // device's mirror untouched too.
   if (array_ != nullptr) array_->set_wear(block, cycles);
+  wear_[block] = cycles;
 }
 
 void NandDevice::set_uniform_wear(double cycles) {

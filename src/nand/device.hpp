@@ -122,7 +122,10 @@ class NandDevice {
 
   // --- wear / lifetime -------------------------------------------------
   // Device-level wear, kept in lockstep with the array's own counter
-  // (and authoritative when the array is absent).
+  // (and authoritative when the array is absent). On a data-plane
+  // device, set_wear and erase_block throw std::invalid_argument,
+  // changing nothing, when they would take a block to or past the
+  // array's limit (NandArray::erase_block).
   double wear(std::uint32_t block) const;
   void set_wear(std::uint32_t block, double cycles);
   // Convenience: age every block (uniform wear-levelled device).

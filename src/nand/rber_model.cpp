@@ -77,10 +77,11 @@ double RberModel::measure_placement_sigma(ProgramAlgorithm algo) const {
   std::vector<Level> targets;
   cells.reserve(kCells);
   targets.reserve(kCells);
+  const VariabilitySampler::AtWear fresh = sampler.at_wear(0.0);
   for (unsigned i = 0; i < kCells; ++i) {
     cells.emplace_back(
         sampler.sample_erased(rng, plan_.erased_mean, plan_.erased_sigma),
-        sampler.sample(rng, 0.0));
+        fresh.sample(rng));
     targets.push_back(static_cast<Level>(rng.below(4)));
   }
   std::vector<Volts> before(cells.size());

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/nand/ispp_certified.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::nand {
@@ -32,28 +33,10 @@ IsppTrace NandTiming::characterize(ProgramAlgorithm algo, double pe_cycles,
   // draw but very stable in expectation.
   constexpr unsigned kRuns = 3;
   characterisations_.fetch_add(1, std::memory_order_relaxed);
-  const double zone = aging_.dv_zone_multiplier(pe_cycles);
   IsppTrace averaged;
   double pulses = 0.0, verify_ops = 0.0, failed = 0.0;
   for (unsigned run = 0; run < kRuns; ++run) {
-    Rng rng(config_.sample_seed ^ (static_cast<std::uint64_t>(algo) << 32) ^
-            (static_cast<std::uint64_t>(run) << 40) ^
-            static_cast<std::uint64_t>(pe_cycles));
-    std::vector<FloatingGateCell> cells;
-    std::vector<Level> targets;
-    cells.reserve(config_.sample_cells);
-    targets.reserve(config_.sample_cells);
-    for (unsigned i = 0; i < config_.sample_cells; ++i) {
-      const Volts erased = variability_.sample_erased(rng, plan_.erased_mean,
-                                                      plan_.erased_sigma);
-      cells.emplace_back(erased, variability_.sample(rng, pe_cycles));
-      if (pattern.has_value()) {
-        targets.push_back(*pattern);
-      } else {
-        targets.push_back(static_cast<Level>(rng.below(4)));
-      }
-    }
-    const IsppTrace trace = engine_.program(cells, targets, algo, rng, zone);
+    const IsppTrace trace = run_trace(algo, pe_cycles, pattern, run);
     averaged.algorithm = trace.algorithm;
     averaged.converged = averaged.converged && trace.converged;
     averaged.setup_time = trace.setup_time;
@@ -71,8 +54,79 @@ IsppTrace NandTiming::characterize(ProgramAlgorithm algo, double pe_cycles,
   return averaged;
 }
 
+std::uint64_t NandTiming::run_seed(ProgramAlgorithm algo, double pe_cycles,
+                                   unsigned run) const {
+  return config_.sample_seed ^ (static_cast<std::uint64_t>(algo) << 32) ^
+         (static_cast<std::uint64_t>(run) << 40) ^
+         static_cast<std::uint64_t>(pe_cycles);
+}
+
+template <typename Emit>
+void NandTiming::sample_population(Rng& rng, double pe_cycles,
+                                   std::optional<Level> pattern,
+                                   Emit&& emit) const {
+  const VariabilitySampler::AtWear at_age = variability_.at_wear(pe_cycles);
+  for (unsigned i = 0; i < config_.sample_cells; ++i) {
+    const Volts erased = variability_.sample_erased(rng, plan_.erased_mean,
+                                                    plan_.erased_sigma);
+    const CellParams params = at_age.sample(rng);
+    emit(erased, params,
+         pattern.has_value() ? *pattern : static_cast<Level>(rng.below(4)));
+  }
+}
+
+IsppTrace NandTiming::run_trace(ProgramAlgorithm algo, double pe_cycles,
+                                std::optional<Level> pattern, unsigned run,
+                                double margin_scale) const {
+  if (host_ispp_kernel() == IsppKernel::kAvx2) {
+    // The certified population is released before a fallback samples
+    // the run again from its seed, so one run holds one population.
+    if (const std::optional<IsppTrace> trace = certified_run_trace(
+            algo, pe_cycles, pattern, run, margin_scale)) {
+      return *trace;
+    }
+    fallback_runs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return exact_run_trace(algo, pe_cycles, pattern, run);
+}
+
+std::optional<IsppTrace> NandTiming::certified_run_trace(
+    ProgramAlgorithm algo, double pe_cycles, std::optional<Level> pattern,
+    unsigned run, double margin_scale) const {
+  Rng rng(run_seed(algo, pe_cycles, run));
+  CellColumns cells;
+  cells.reserve(config_.sample_cells);
+  sample_population(rng, pe_cycles, pattern,
+                    [&](Volts erased, const CellParams& params, Level target) {
+                      cells.add_cell(erased, params, target);
+                    });
+  return program_certified(engine_, cells, algo, rng,
+                           aging_.dv_zone_multiplier(pe_cycles), margin_scale);
+}
+
+IsppTrace NandTiming::exact_run_trace(ProgramAlgorithm algo, double pe_cycles,
+                                      std::optional<Level> pattern,
+                                      unsigned run) const {
+  Rng rng(run_seed(algo, pe_cycles, run));
+  std::vector<FloatingGateCell> cells;
+  std::vector<Level> targets;
+  cells.reserve(config_.sample_cells);
+  targets.reserve(config_.sample_cells);
+  sample_population(rng, pe_cycles, pattern,
+                    [&](Volts erased, const CellParams& params, Level target) {
+                      cells.emplace_back(erased, params);
+                      targets.push_back(target);
+                    });
+  return engine_.program(cells, targets, algo, rng,
+                         aging_.dv_zone_multiplier(pe_cycles));
+}
+
 long NandTiming::age_key(double pe_cycles) {
   return std::lround(std::log10(std::max(pe_cycles, 1.0)) * 12.0);
+}
+
+double NandTiming::canonical_age(long key) {
+  return std::pow(10.0, static_cast<double>(key) / 12.0);
 }
 
 const IsppTrace& NandTiming::sample_trace(ProgramAlgorithm algo,
@@ -96,9 +150,7 @@ const IsppTrace& NandTiming::sample_trace(ProgramAlgorithm algo,
   // caller of a key being filled waits for that fill instead of
   // repeating it.
   std::call_once(entry->filled, [&] {
-    const double canonical_age =
-        std::pow(10.0, static_cast<double>(quantised) / 12.0);
-    entry->trace = characterize(algo, canonical_age, pattern);
+    entry->trace = characterize(algo, canonical_age(quantised), pattern);
   });
   return entry->trace;
 }

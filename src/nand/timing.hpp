@@ -70,11 +70,34 @@ class NandTiming {
   // the ISPP sample run is expensive.
   static long age_key(double pe_cycles);
 
+  // The age a key is characterised at: 10^(key / 12).
+  static double canonical_age(long key);
+
   // How many ISPP characterisations this object has run: one per
   // distinct cache key touched so far.
   std::uint64_t characterisations() const {
     return characterisations_.load(std::memory_order_relaxed);
   }
+  // How many of their runs (three per characterisation) the certified
+  // kernel handed to the exact engine because a decision fell within
+  // its error bound. Stays 0 on hosts without the kernel.
+  std::uint64_t fallback_runs() const {
+    return fallback_runs_.load(std::memory_order_relaxed);
+  }
+
+  // Run `run` (0..2) of the characterisation at `pe_cycles`, as
+  // sample_trace runs it: the certified kernel where the host has it
+  // (host_ispp_kernel()), the exact engine where it does not or where
+  // the kernel falls back; the trace is the exact engine's either way.
+  // `margin_scale` (>= 1) multiplies the kernel's error bounds; only
+  // tests raise it, to force fallbacks.
+  IsppTrace run_trace(ProgramAlgorithm algo, double pe_cycles,
+                      std::optional<Level> pattern, unsigned run,
+                      double margin_scale = 1.0) const;
+  // The same run on the exact engine, IsppEngine::program: the
+  // reference the certified kernel is checked against.
+  IsppTrace exact_run_trace(ProgramAlgorithm algo, double pe_cycles,
+                            std::optional<Level> pattern, unsigned run) const;
 
   Seconds program_time(ProgramAlgorithm algo, double pe_cycles) const;
 
@@ -88,6 +111,18 @@ class NandTiming {
  private:
   IsppTrace characterize(ProgramAlgorithm algo, double pe_cycles,
                          std::optional<Level> pattern) const;
+  // The run's population and noise stream: seeded from (sample_seed,
+  // algo, run, age); emit(erased V_TH, CellParams, target) per cell.
+  std::uint64_t run_seed(ProgramAlgorithm algo, double pe_cycles,
+                         unsigned run) const;
+  template <typename Emit>
+  void sample_population(Rng& rng, double pe_cycles,
+                         std::optional<Level> pattern, Emit&& emit) const;
+  std::optional<IsppTrace> certified_run_trace(ProgramAlgorithm algo,
+                                               double pe_cycles,
+                                               std::optional<Level> pattern,
+                                               unsigned run,
+                                               double margin_scale) const;
 
   TimingConfig config_;
   IsppConfig ispp_config_;
@@ -110,6 +145,7 @@ class NandTiming {
   mutable std::mutex cache_mutex_;  // xlf-lint: allow(lock-order)
   mutable std::map<std::tuple<int, int, long>, CacheEntry> cache_;
   mutable std::atomic<std::uint64_t> characterisations_{0};
+  mutable std::atomic<std::uint64_t> fallback_runs_{0};
 };
 
 }  // namespace xlf::nand

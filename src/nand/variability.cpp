@@ -8,13 +8,16 @@ VariabilitySampler::VariabilitySampler(const VariabilityConfig& config,
                                        const AgingLaw& aging)
     : config_(config), aging_(aging) {}
 
-CellParams VariabilitySampler::sample(Rng& rng, double pe_cycles) const {
-  CellParams params;
+VariabilitySampler::AtWear VariabilitySampler::at_wear(double pe_cycles) const {
   const double spread_mult = aging_.speed_spread_multiplier(pe_cycles);
-  params.k_onset =
-      Volts{rng.gaussian(config_.k_nominal.value() +
-                             aging_.k_shift(pe_cycles).value(),
-                         config_.k_sigma.value() * spread_mult)};
+  return AtWear(config_,
+                config_.k_nominal.value() + aging_.k_shift(pe_cycles).value(),
+                config_.k_sigma.value() * spread_mult);
+}
+
+CellParams VariabilitySampler::AtWear::sample(Rng& rng) const {
+  CellParams params;
+  params.k_onset = Volts{rng.gaussian(k_mean_, k_sigma_)};
   params.onset_sharpness = Volts{std::max(
       0.05, rng.gaussian(config_.onset_sharpness.value(),
                          config_.onset_sharpness.value() *

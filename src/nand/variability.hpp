@@ -28,10 +28,33 @@ struct VariabilityConfig {
 
 class VariabilitySampler {
  public:
+  // The static-parameter distribution at one wear state. Its wear
+  // terms (AgingLaw::k_shift, a std::pow, and speed_spread_multiplier,
+  // a std::sqrt) are evaluated once, so a population drawn at one age
+  // pays for them once; sample(rng, pe) draws through it too, so both
+  // give the same values.
+  class AtWear {
+   public:
+    // Sample the static parameters of one cell.
+    CellParams sample(Rng& rng) const;
+
+   private:
+    friend class VariabilitySampler;
+    AtWear(const VariabilityConfig& config, double k_mean, double k_sigma)
+        : config_(config), k_mean_(k_mean), k_sigma_(k_sigma) {}
+
+    VariabilityConfig config_;
+    double k_mean_;
+    double k_sigma_;
+  };
+
   VariabilitySampler(const VariabilityConfig& config, const AgingLaw& aging);
 
+  AtWear at_wear(double pe_cycles) const;
   // Sample the static parameters of one cell at the given wear state.
-  CellParams sample(Rng& rng, double pe_cycles) const;
+  CellParams sample(Rng& rng, double pe_cycles) const {
+    return at_wear(pe_cycles).sample(rng);
+  }
 
   // Sample an erased threshold voltage.
   Volts sample_erased(Rng& rng, Volts mean, Volts sigma) const;

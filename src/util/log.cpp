@@ -1,11 +1,13 @@
 #include "src/util/log.hpp"
 
+#include <atomic>
 #include <iostream>
 
 namespace xlf {
 namespace {
 
-LogLevel g_level = LogLevel::kWarn;
+// Read by every log line, on worker threads too.
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::string* g_capture = nullptr;
 
 const char* level_name(LogLevel level) {
@@ -21,12 +23,14 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
+void set_log_level(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 void set_log_capture(std::string* sink) { g_capture = sink; }
 
 void log_message(LogLevel level, const std::string& msg) {
-  if (level < g_level) return;
+  if (level < log_level()) return;
   std::string line = std::string("[xlf ") + level_name(level) + "] " + msg + "\n";
   if (g_capture != nullptr) {
     *g_capture += line;

@@ -3,9 +3,11 @@
 // The simulator and the reliability manager emit occasional diagnostic
 // lines (reconfiguration events, calibration summaries). A global
 // level keeps example/bench output clean by default while tests can
-// raise verbosity when debugging.
+// raise verbosity when debugging. A line below the level costs one
+// relaxed load: it builds no stream and formats none of its operands.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -24,17 +26,22 @@ void log_message(LogLevel level, const std::string& msg);
 namespace detail {
 class LogLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level) {}
-  ~LogLine() { log_message(level_, stream_.str()); }
+  explicit LogLine(LogLevel level) : level_(level) {
+    if (level >= log_level()) stream_.emplace();
+  }
+  ~LogLine() {
+    if (stream_.has_value()) log_message(level_, stream_->str());
+  }
   template <class T>
   LogLine& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_.has_value()) *stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::ostringstream stream_;
+  // Engaged only when the line is at or above the level at creation.
+  std::optional<std::ostringstream> stream_;
 };
 }  // namespace detail
 

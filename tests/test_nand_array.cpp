@@ -4,10 +4,12 @@
 
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/nand/device.hpp"
 #include "src/util/stats.hpp"
 #include "tests/digest.hpp"
 
@@ -114,6 +116,51 @@ TEST(Array, WearControls) {
   EXPECT_DOUBLE_EQ(array.wear(1), 5e5);
   EXPECT_THROW(array.set_wear(9, 1.0), std::invalid_argument);
   EXPECT_THROW(array.set_wear(0, -1.0), std::invalid_argument);
+}
+
+TEST(Array, WearStopsAtTheModelDomain) {
+  // An erase or set_wear that would take a block to or past
+  // RberModel::max_cycles() fails with a named error and changes
+  // nothing; one short of it still erases.
+  NandArray array(tiny_config());
+  const double limit = array.rber_model().max_cycles();
+  array.set_wear(0, limit - 1.5);
+  array.erase_block(0);
+  EXPECT_EQ(array.wear(0), limit - 0.5);
+  try {
+    array.erase_block(0);
+    FAIL() << "an erase reaching the limit must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bit-true block 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("at or past the array's limit of 3.21208e+07"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(array.wear(0), limit - 0.5);
+  EXPECT_THROW(array.set_wear(1, limit), std::invalid_argument);
+  EXPECT_EQ(array.wear(1), 0.0);
+}
+
+TEST(Array, DeviceWearStopsAtTheArrayLimitAndKeepsItsMirror) {
+  DeviceConfig config;
+  config.array.geometry.blocks = 2;
+  config.array.geometry.pages_per_block = 2;
+  NandDevice device(config);
+  const double limit = device.array().rber_model().max_cycles();
+  device.set_wear(0, limit - 1.5);
+  device.erase_block(0);
+  EXPECT_THROW(device.erase_block(0), std::invalid_argument);
+  EXPECT_THROW(device.set_wear(1, limit + 1.0), std::invalid_argument);
+  EXPECT_EQ(device.wear(0), limit - 0.5);
+  EXPECT_EQ(device.erase_count(0), 1u);
+  EXPECT_EQ(device.wear(1), 0.0);
+  // A metadata-only device has no cell array and so no such limit.
+  config.data_plane = false;
+  NandDevice meta(config);
+  meta.set_wear(0, 2.0 * limit);
+  meta.erase_block(0);
+  EXPECT_EQ(meta.wear(0), 2.0 * limit + 1.0);
 }
 
 TEST(Array, ErasedThresholdsAreNegative) {

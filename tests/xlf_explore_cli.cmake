@@ -48,7 +48,8 @@ foreach(flag --version --build-info)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${flag} must exit 0 (got ${rc}): ${err}")
   endif()
-  foreach(field "xlf_explore " "compiler:" "build type:" "sanitizers:")
+  foreach(field "xlf_explore " "compiler:" "build type:" "sanitizers:"
+                "ispp kernel: (avx2|scalar)\n")
     if(NOT out MATCHES "${field}")
       message(FATAL_ERROR "${flag} output missing '${field}': ${out}")
     endif()
@@ -155,6 +156,25 @@ foreach(case
   endif()
 endforeach()
 file(REMOVE ${age_spec})
+# A bit-true sweep that starts inside the array's limit but crosses it
+# through pe_cycles_per_erase: the erase that would reach the limit
+# fails with a named error that gives the wear and the limit.
+execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-data-plane bit-true
+                        --ftl-initial-wear 3.2e7 --ftl-requests 200
+                        --ftl-topologies 1x1 --ftl-qd 1
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "a bit-true sweep crossing the array's limit must exit "
+                      "non-zero (got 0)")
+endif()
+if(NOT err MATCHES "P/E cycles, at or past the array's limit of 3\\.21")
+  message(FATAL_ERROR "crossing the array's limit must name the wear and the "
+                      "limit, got: ${err}")
+endif()
+if(err MATCHES "precondition failed" OR err MATCHES "invariant failed")
+  message(FATAL_ERROR "crossing the array's limit reached an internal check: "
+                      "${err}")
+endif()
 # The edges inside the domain still run, and the meta plane has no
 # cell array to outgrow.
 foreach(args

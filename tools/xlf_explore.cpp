@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/explore/experiment.hpp"
+#include "src/nand/ispp_certified.hpp"
 #include "src/policy/policy.hpp"
 #include "src/policy/registry.hpp"
 #include "src/util/thread_pool.hpp"
@@ -52,13 +53,17 @@ struct Options {
 
 // Build provenance (--version/--build-info): with sweeps feeding CSV
 // artifacts into papers, the binary must be able to say exactly what
-// produced the bytes — compiler, build type, sanitizer runtimes. The
-// macros are injected per-configure from tools/CMakeLists.txt.
+// produced the bytes — compiler, build type, sanitizer runtimes, and
+// the ISPP kernel this host selects (the bytes are the same either
+// way; the time is not). The macros are injected per-configure from
+// tools/CMakeLists.txt.
 void print_build_info() {
   std::cout << "xlf_explore " << XLF_VERSION << "\n"
             << "compiler: " << XLF_COMPILER << "\n"
             << "build type: " << XLF_BUILD_TYPE << "\n"
-            << "sanitizers: " << XLF_SANITIZERS << "\n";
+            << "sanitizers: " << XLF_SANITIZERS << "\n"
+            << "ispp kernel: " << nand::to_string(nand::host_ispp_kernel())
+            << "\n";
 }
 
 void usage() {
@@ -70,8 +75,9 @@ void usage() {
       "  --list-policies       print the registered policy names per kind\n"
       "                        (tuning, gc, wear, refresh, arbitration) and exit\n"
       "  --version             print version + build provenance (compiler,\n"
-      "  --build-info          build type, sanitizer flags) and exit;\n"
-      "                        exclusive with --spec\n"
+      "  --build-info          build type, sanitizer flags, the ISPP kernel\n"
+      "                        this host selects) and exit; exclusive with\n"
+      "                        --spec\n"
       "  --threads N           total threads, 1 = serial (default: hardware)\n"
       "  --format csv|json     output format (default csv)\n"
       "  --out PATH            write to PATH instead of stdout\n"
