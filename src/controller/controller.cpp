@@ -1,6 +1,5 @@
 #include "src/controller/controller.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "src/util/expect.hpp"
@@ -24,12 +23,8 @@ MemoryController::MemoryController(const ControllerConfig& config,
                               config.codec.t_max};
   XLF_EXPECT(worst.n() <= device.geometry().bits_per_page());
   XLF_EXPECT(config.codec.k == device.geometry().data_bits_per_page());
-  // Per-page t is stored in one byte.
+  // Per-page t is stored in one spare-area byte.
   XLF_EXPECT(config.codec.t_max <= std::numeric_limits<std::uint8_t>::max());
-  page_t_.assign(device.geometry().pages(), 0);
-  if (device.config().data_plane && config.simulation_fast_decode) {
-    reference_.resize(device.geometry().pages());
-  }
   registers_.set_ecc_capability(ecc_.correction_capability());
   registers_.set_program_algorithm(device.program_algorithm());
 }
@@ -50,14 +45,6 @@ void MemoryController::set_program_algorithm(nand::ProgramAlgorithm algo) {
 
 nand::ProgramAlgorithm MemoryController::program_algorithm() const {
   return device_->program_algorithm();
-}
-
-std::size_t MemoryController::page_index(nand::PageAddress addr) const {
-  const nand::Geometry& geometry = device_->geometry();
-  XLF_EXPECT(addr.block < geometry.blocks &&
-             addr.page < geometry.pages_per_block);
-  return static_cast<std::size_t>(addr.block) * geometry.pages_per_block +
-         addr.page;
 }
 
 unsigned MemoryController::adapt_ecc(double pe_cycles) {
@@ -101,10 +88,8 @@ WriteResult MemoryController::write_page(nand::PageAddress addr,
   result.ok = programmed.ok;
   result.latency += programmed.busy_time;
   result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
+  device_->write_ecc_t(addr, static_cast<std::uint8_t>(result.t_used));
 
-  const std::size_t index = page_index(addr);
-  page_t_[index] = static_cast<std::uint8_t>(result.t_used);
-  if (!reference_.empty()) reference_[index] = encoded.codeword;
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
@@ -138,16 +123,15 @@ WriteResult MemoryController::write_page_meta(nand::PageAddress addr,
   result.ok = programmed.ok;
   result.latency += programmed.busy_time;
   result.nand_energy += nand_power_.program_energy(program_algorithm(), wear);
+  device_->write_ecc_t(addr, static_cast<std::uint8_t>(result.t_used));
 
-  page_t_[page_index(addr)] = static_cast<std::uint8_t>(result.t_used);
   registers_.set_busy(false);
   registers_.set_error(!result.ok);
   return result;
 }
 
 ReadResult MemoryController::read_page(nand::PageAddress addr) {
-  const std::size_t index = page_index(addr);
-  const unsigned page_t = page_t_[index];
+  const unsigned page_t = device_->ecc_t(addr);
   XLF_EXPECT(page_t != 0 && "reading an unwritten page");
   if (!device_->config().data_plane) return read_page_meta(page_t);
 
@@ -159,15 +143,14 @@ ReadResult MemoryController::read_page(nand::PageAddress addr) {
   result.latency += raw.busy_time;
   result.nand_energy += nand_power_.read_energy();
 
-  // Decode with the capability the page was written at.
+  // Decode with the capability the page was written at, against the
+  // codeword the array was programmed with.
   const unsigned current_t = ecc_.correction_capability();
   ecc_.set_correction_capability(page_t);
   const bch::CodeParams params = ecc_.current_params();
   BitVec codeword = raw.data.slice(0, params.n());
-  const DecodeOutcome decoded =
-      reference_.empty()
-          ? ecc_.decode(codeword)
-          : ecc_.decode_with_reference(codeword, reference_[index]);
+  const DecodeOutcome decoded = ecc_.decode_with_reference(
+      codeword, device_->array().written(addr).slice(0, params.n()));
   result.latency += decoded.latency;
   result.ecc_energy += decoded.energy;
   result.corrected_bits = decoded.result.corrected;
@@ -229,12 +212,8 @@ ReadResult MemoryController::read_page_meta(unsigned t) {
 }
 
 Seconds MemoryController::erase_block(std::uint32_t block) {
-  const nand::EraseOutcome outcome = device_->erase_block(block);
-  // Invalidate metadata of the erased pages.
-  const std::size_t first = page_index({block, 0});
-  std::fill_n(page_t_.begin() + static_cast<std::ptrdiff_t>(first),
-              device_->geometry().pages_per_block, std::uint8_t{0});
-  return outcome.busy_time;
+  // The erase clears the pages' t bytes with their data.
+  return device_->erase_block(block).busy_time;
 }
 
 Seconds MemoryController::worst_case_read_latency() const {

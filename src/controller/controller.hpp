@@ -5,16 +5,15 @@
 // which is what the throughput figures integrate.
 //
 // Per-page metadata: a page is decoded with the correction capability
-// it was encoded with, so the controller keeps the t used at write
-// time in a dense one-byte-per-page array indexed by (block, page) —
-// the model of the config metadata a real controller stores in the
-// spare area. In bit-true mode with simulation_fast_decode it also
-// keeps each page's written codeword as the decoder's reference.
+// it was encoded with, so the controller writes the t into the page's
+// spare area with the program (NandDevice::write_ecc_t) and reads it
+// back before decoding. A bit-true read decodes against the array's
+// written bits as the reference, whose error positions spare the
+// decoder its Chien sweep (same result; see bch::Decoder).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <string>
 
 #include "src/controller/ecc_unit.hpp"
 #include "src/controller/ocp.hpp"
@@ -37,10 +36,6 @@ struct ControllerConfig {
   // "feedback", or any policy registered by a downstream TU).
   std::string tuning_policy = "model_based";
   nand::LoadStrategy load_strategy = nand::LoadStrategy::kFullSequence;
-  // Use the decoder's sparse-syndrome fast path with the known
-  // written codeword as reference (simulation accelerator; bit-exact
-  // per bch::Decoder's linearity, asserted in tests).
-  bool simulation_fast_decode = true;
 };
 
 struct WriteResult {
@@ -96,7 +91,8 @@ class MemoryController {
   // page buffer -> ECC encode -> NAND program.
   WriteResult write_page(nand::PageAddress addr, const BitVec& data);
   // Read it back: NAND read -> ECC decode (+ feedback) -> OCP burst.
-  // Rejects unwritten (or erased) pages and out-of-range addresses.
+  // Rejects pages with no t byte (unwritten, erased, or programmed
+  // past the controller) and out-of-range addresses.
   // On a metadata-only device the result carries no payload.
   ReadResult read_page(nand::PageAddress addr);
   Seconds erase_block(std::uint32_t block);
@@ -107,9 +103,6 @@ class MemoryController {
   Seconds write_latency(double pe_cycles) const;
 
  private:
-  // Index of a page in page_t_ / reference_.
-  std::size_t page_index(nand::PageAddress addr) const;
-
   // Metadata-only device service (DeviceConfig::data_plane == false):
   // the same pipeline arithmetic fed from the timing/energy models
   // alone — no payload bits move, reads model a clean worst-case
@@ -125,13 +118,6 @@ class MemoryController {
   EccUnit ecc_;
   ReliabilityManager reliability_;
   hv::NandPowerModel nand_power_;
-  // t each page was written at; 0 = not written (the codec's t_min
-  // is at least 1).
-  std::vector<std::uint8_t> page_t_;
-  // Written codeword per page, for the simulation fast decode; empty
-  // unless the device is bit-true and simulation_fast_decode is on.
-  // Stale entries need no clearing: a page whose t is 0 is never read.
-  std::vector<BitVec> reference_;
 };
 
 }  // namespace xlf::controller

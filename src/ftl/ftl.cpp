@@ -129,8 +129,8 @@ void Ftl::unmap_page(Lpa lpa) {
 unsigned Ftl::adapt_block_t(std::uint32_t die, std::uint32_t block) {
   // The paper's schedule at block granularity: the reliability
   // manager re-selects t for the target block's own P/E count, and
-  // the controller keeps per-page metadata so older pages still
-  // decode at the t they were written with.
+  // each page's spare-area t byte lets older pages still decode at
+  // the t they were written with.
   const unsigned t = ctrl(die).adapt_ecc(device(die).wear(block));
   block_t_[die][block] = t;
   stats_.min_t_used = std::min(stats_.min_t_used, t);
@@ -192,15 +192,14 @@ Seconds Ftl::relocate_valid_pages(std::uint32_t die, std::uint32_t block,
     if (rd.uncorrectable) ++stats_.gc_uncorrectable;
 
     const auto [dst_block, dst_page] = alloc.take_page(DieAllocator::Stream::kGc);
-    const unsigned t = adapt_block_t(die, dst_block);
+    adapt_block_t(die, dst_block);
     const controller::WriteResult wr =
         ctrl(die).write_page({dst_block, dst_page}, rd.data);
     // The torn-program window: data committed, record not yet. A kill
     // here leaves the source copy (lower seq, still on flash until
     // the erase below) as the LPA's surviving version.
     fault(FaultPoint::kMidGcProgram);
-    device(die).write_oob({dst_block, dst_page},
-                          {owner, ++seq_, t, 1, clock_});
+    device(die).write_oob({dst_block, dst_page}, {owner, ++seq_, 1, clock_});
 
     map_page(owner, Ppa{die, dst_block, dst_page});
     // Relocated data keeps the current logical time without advancing
@@ -279,8 +278,7 @@ FtlOpResult Ftl::write(Lpa lpa, const BitVec& data) {
   // here must leave the LPA reading its previous version at rebuild.
   fault(FaultPoint::kMidHostProgram);
   ++clock_;
-  device(die).write_oob({block, page},
-                        {lpa, ++seq_, result.t_used, 0, clock_});
+  device(die).write_oob({block, page}, {lpa, ++seq_, 0, clock_});
   result.ok = wr.ok;
   map_page(lpa, Ppa{die, block, page});
   allocators_[die].stamp_write(block, clock_);
@@ -470,17 +468,19 @@ void Ftl::rebuild_from_oob() {
       for (std::uint32_t p = 0; p < ppb; ++p) {
         const std::optional<nand::OobRecord>& rec = dev.oob({b, p});
         if (!rec.has_value()) continue;
+        // The page's t byte, programmed with the data the record names.
+        const unsigned t = dev.ecc_t({b, p});
         replay.push_back({rec->seq, rec->lba, Ppa{d, b, p}, false});
         if (rec->seq >= best_seq) {
           best_seq = rec->seq;
-          last_t = rec->t;
+          last_t = t;
           last_stream = rec->stream;
         }
         block_stamp = std::max(block_stamp, rec->stamp);
         clock_ = std::max(clock_, rec->stamp);
         seq_ = std::max(seq_, rec->seq);
-        stats_.min_t_used = std::min(stats_.min_t_used, rec->t);
-        stats_.max_t_used = std::max(stats_.max_t_used, rec->t);
+        stats_.min_t_used = std::min(stats_.min_t_used, t);
+        stats_.max_t_used = std::max(stats_.max_t_used, t);
         any = true;
       }
       // Frontier rule: the erased-and-unrecorded suffix is where the

@@ -23,8 +23,8 @@
 //    than cold blocks in the same run, and every page remembers the t
 //    it was written with, so reads decode correctly either way;
 //  * crash consistency: every program writes an OOB record (LBA,
-//    monotonic seq, stream, clock stamp, t) into the page's spare
-//    area, trims journal tombstones that flush() persists, and
+//    monotonic seq, stream, clock stamp) beside the page's t byte in
+//    its spare area, trims journal tombstones that flush() persists, and
 //    rebuild_from_oob() reconstructs the whole DRAM state — L2P map,
 //    valid counters, frontiers, erase counters, per-block t — from
 //    the surviving NAND after a power loss (see fault.hpp for the

@@ -137,7 +137,6 @@ NandArray::NandArray(const ArrayConfig& config)
       max_cycles_(rber_.max_cycles()),
       disturb_(config.disturb),
       rng_(config.seed),
-      block_wear_(config.geometry.blocks, 0.0),
       erase_wear_(config.geometry.blocks, 0.0),
       erased_floor_(sense_floor(config.plan, Level::kL0,
                                 {config.plan.erased_mean,
@@ -145,9 +144,10 @@ NandArray::NandArray(const ArrayConfig& config)
       pages_(config.geometry.pages()) {
   XLF_EXPECT(config.geometry.blocks >= 1);
   XLF_EXPECT(config.geometry.pages_per_block >= 1);
+  // The factory erase draws the cells at one cycle, though the block
+  // is counted fresh (NandDevice starts every wear at 0).
   for (std::uint32_t b = 0; b < config_.geometry.blocks; ++b) {
-    erase_block(b);
-    block_wear_[b] = 0.0;  // factory-fresh: the first erase is free
+    erase_block(b, 1.0);
   }
 }
 
@@ -167,6 +167,8 @@ const NandArray::PageState& NandArray::page(PageAddress addr) const {
 }
 
 void NandArray::check_wear(std::uint32_t block, double pe_cycles) const {
+  XLF_EXPECT(block < config_.geometry.blocks);
+  XLF_EXPECT(pe_cycles >= 0.0);
   XLF_EXPECT_MSG(pe_cycles < max_cycles_, [&] {
     std::ostringstream msg;
     msg << "bit-true block " << block << " would reach " << pe_cycles
@@ -177,11 +179,9 @@ void NandArray::check_wear(std::uint32_t block, double pe_cycles) const {
   }());
 }
 
-void NandArray::erase_block(std::uint32_t block) {
-  XLF_EXPECT(block < config_.geometry.blocks);
-  check_wear(block, block_wear_[block] + 1.0);
-  block_wear_[block] += 1.0;
-  erase_wear_[block] = block_wear_[block];
+void NandArray::erase_block(std::uint32_t block, double pe_cycles) {
+  check_wear(block, pe_cycles);
+  erase_wear_[block] = pe_cycles;
   const std::uint64_t draws =
       kDrawsPerCell * config_.geometry.cells_per_page();
   for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
@@ -243,20 +243,14 @@ void NandArray::materialise(PageState& state) {
   state.materialised = true;
 }
 
-double NandArray::wear(std::uint32_t block) const {
-  XLF_EXPECT(block < config_.geometry.blocks);
-  return block_wear_[block];
-}
-
-void NandArray::set_wear(std::uint32_t block, double pe_cycles) {
-  XLF_EXPECT(block < config_.geometry.blocks);
-  XLF_EXPECT(pe_cycles >= 0.0);
-  check_wear(block, pe_cycles);
-  block_wear_[block] = pe_cycles;
-}
-
 bool NandArray::is_erased(PageAddress addr) const {
   return !page(addr).programmed;
+}
+
+const BitVec& NandArray::written(PageAddress addr) const {
+  const PageState& state = page(addr);
+  XLF_EXPECT(state.programmed);
+  return state.written;
 }
 
 std::vector<Level> NandArray::bits_to_levels(const BitVec& bits) {
@@ -279,16 +273,16 @@ BitVec NandArray::levels_to_bits(const std::vector<Level>& levels) {
 }
 
 ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
-                                      ProgramAlgorithm algo,
+                                      ProgramAlgorithm algo, double pe_cycles,
                                       ProgramMode mode) {
   PageState& state = page(addr);
   XLF_EXPECT(!state.programmed);  // NAND constraint: program-after-erase
   XLF_EXPECT(bits.size() == config_.geometry.bits_per_page());
-  const double pe = block_wear_[addr.block];
+  state.written = bits;
 
   ProgramResult result;
   if (mode == ProgramMode::kIsppSimulation) {
-    result.trace = program_ispp(state, bits_to_levels(bits), algo, pe,
+    result.trace = program_ispp(state, bits_to_levels(bits), algo, pe_cycles,
                                 erase_wear_[addr.block]);
     result.ok = result.trace->converged;
     state.materialised = true;
@@ -296,7 +290,8 @@ ProgramResult NandArray::program_page(PageAddress addr, const BitVec& bits,
       result.over_programmed_cells += config_.plan.is_over_programmed(vth);
     }
   } else {
-    result.over_programmed_cells = program_statistical(state, bits, algo, pe);
+    result.over_programmed_cells =
+        program_statistical(state, bits, algo, pe_cycles);
   }
   state.programmed = true;
   return result;
@@ -331,7 +326,6 @@ unsigned NandArray::program_statistical(PageState& state, const BitVec& bits,
     floors[k] = sense_floor(config_.plan, level, state.dist[k]);
   }
   state.program_stream = rng_;
-  state.written = bits;
   const std::uint64_t draws = cells[1] + cells[2] + cells[3];
 
   if (state.materialised) {
@@ -478,13 +472,13 @@ std::vector<Volts> NandArray::thresholds(PageAddress addr) const {
   return state.materialised ? state.vth : replay(state);
 }
 
-void NandArray::apply_retention(PageAddress addr, double hours) {
+void NandArray::apply_retention(PageAddress addr, double hours,
+                                double pe_cycles) {
   PageState& state = page(addr);
   XLF_EXPECT(state.programmed && "retention stress targets written data");
   materialise(state);
-  const double pe = block_wear_[addr.block];
-  const double mean = disturb_.retention_mean(hours, pe).value();
-  const double sigma = disturb_.retention_sigma(hours, pe).value();
+  const double mean = disturb_.retention_mean(hours, pe_cycles).value();
+  const double sigma = disturb_.retention_sigma(hours, pe_cycles).value();
   for (Volts& vth : state.vth) {
     // Only cells holding charge detrap; the erased level is its own
     // equilibrium.
@@ -522,17 +516,15 @@ double monte_carlo_rber(const ArrayConfig& base_config, ProgramAlgorithm algo,
   std::uint64_t bits_total = 0;
   const PageAddress addr{0, 0};
   for (unsigned p = 0; p < pages; ++p) {
-    // Set the wear before erasing so the fresh cell population is
-    // sampled with the aged parameters.
-    array.set_wear(0, pe_cycles);
-    array.erase_block(0);
-    array.set_wear(0, pe_cycles);
+    // The erase's cycle samples the fresh cells with the aged
+    // parameters; the page programs at the requested age.
+    array.erase_block(0, pe_cycles + 1.0);
     BitVec data(config.geometry.bits_per_page());
     for (std::size_t w = 0; w < data.words().size(); ++w) {
       data.set_word(w, data_rng.coin_flips(static_cast<unsigned>(
                            std::min<std::size_t>(64, data.size() - 64 * w))));
     }
-    array.program_page(addr, data, algo, mode);
+    array.program_page(addr, data, algo, pe_cycles, mode);
     errors += array.read_page(addr).hamming_distance(data);
     bits_total += data.size();
   }

@@ -23,6 +23,9 @@
 // the few cells that read another level; a read is a copy plus a
 // patch, and exact thresholds are replayed from the streams. ISPP
 // programs, retention and read disturb store one threshold per cell.
+//
+// The array keeps no wear count: the caller (NandDevice) owns it and
+// passes it to every erase, program and retention bake.
 #pragma once
 
 #include <array>
@@ -81,23 +84,25 @@ class NandArray {
 
   // --- block operations ---------------------------------------------
   // Erase returns every page of the block to a fresh draw from the
-  // erased distribution (recorded, not sampled; see above) and counts
-  // one P/E cycle. The cells' parameters follow the wear at the erase.
-  // Throws std::invalid_argument, changing nothing, when the cycle
-  // would take the block to or past the model's domain
+  // erased distribution (recorded, not sampled; see above). The cells'
+  // parameters follow `pe_cycles`, the block's wear with this erase
+  // counted. Throws std::invalid_argument, changing nothing, when
+  // check_wear rejects it.
+  void erase_block(std::uint32_t block, double pe_cycles);
+  // Throws std::invalid_argument when `pe_cycles` is negative or, naming
+  // the wear and the limit, at or past the model's domain
   // (RberModel::max_cycles()).
-  void erase_block(std::uint32_t block);
-  double wear(std::uint32_t block) const;
-  // Jump a block ahead in its lifetime (lifetime experiments); the same
-  // domain check as erase_block.
-  void set_wear(std::uint32_t block, double pe_cycles);
+  void check_wear(std::uint32_t block, double pe_cycles) const;
 
   // --- page operations ------------------------------------------------
+  // `pe_cycles` is the block's wear at the program (or bake).
   bool is_erased(PageAddress addr) const;
   ProgramResult program_page(PageAddress addr, const BitVec& bits,
-                             ProgramAlgorithm algo,
+                             ProgramAlgorithm algo, double pe_cycles,
                              ProgramMode mode = ProgramMode::kStatistical);
   BitVec read_page(PageAddress addr) const;
+  // The bits a programmed page was written with.
+  const BitVec& written(PageAddress addr) const;
   // Raw level view for distribution diagnostics.
   std::vector<Level> read_levels(PageAddress addr) const;
   std::vector<Volts> thresholds(PageAddress addr) const;
@@ -108,7 +113,7 @@ class NandArray {
   // --- stress injection (beyond the average-case RBER law) -----------
   // Retention bake: programmed cells of the page lose charge for
   // `hours` at the block's wear state (erased cells are unaffected).
-  void apply_retention(PageAddress addr, double hours);
+  void apply_retention(PageAddress addr, double hours, double pe_cycles);
   // Read disturb: `reads` block reads creep the page's erased cells
   // upward toward R1.
   void apply_read_disturb(PageAddress addr, unsigned long long reads);
@@ -134,11 +139,12 @@ class NandArray {
     Rng erase_stream;
     // Cells whose erased threshold may read above L0, ascending.
     std::vector<std::uint32_t> erase_exceptions;  // xlf: arena(grows)
-    // A statistical program: the array's stream at its start, the
-    // level distributions it drew from, and the written bits.
+    // The bits the page was programmed with (either mode).
+    BitVec written;
+    // A statistical program: the array's stream at its start and the
+    // level distributions it drew from.
     Rng program_stream;
     std::array<LevelDistribution, 4> dist{};
-    BitVec written;
     // Sensed pages: the cells whose threshold reads another level.
     std::vector<Misread> misreads;  // xlf: arena(grows)
     // One threshold per cell; valid once materialised (by an ISPP
@@ -156,9 +162,6 @@ class NandArray {
   PageState& page(PageAddress addr);
   const PageState& page(PageAddress addr) const;
   void check_addr(PageAddress addr) const;
-  // Throws std::invalid_argument naming the wear and the limit when
-  // `pe_cycles` is at or past max_cycles_.
-  void check_wear(std::uint32_t block, double pe_cycles) const;
   // The page's threshold storage, sized on first use; erases keep it.
   std::vector<Volts>& storage(PageState& state);
   Volts erased_vth(ErasedReplay& replay, std::uint32_t cell) const;
@@ -184,7 +187,6 @@ class NandArray {
   double max_cycles_;
   DisturbModel disturb_;
   Rng rng_;
-  std::vector<double> block_wear_;
   // Wear at each block's last erase: what its cells were sampled at.
   std::vector<double> erase_wear_;
   // The erase's sensing floor for the erased threshold (see array.cpp).

@@ -26,9 +26,10 @@ NandDevice::NandDevice(const DeviceConfig& config,
   XLF_EXPECT(g.blocks >= 1 && g.pages_per_block >= 1);
   oob_.assign(static_cast<std::size_t>(g.blocks) * g.pages_per_block,
               std::nullopt);
+  ecc_t_.assign(oob_.size(), 0);
   erase_counts_.assign(g.blocks, 0);
   bad_.assign(g.blocks, 0);
-  wear_.assign(g.blocks, 0.0);  // factory-fresh, like the array's ctor
+  wear_.assign(g.blocks, 0.0);  // factory-fresh
   programmed_.assign(oob_.size(), 0);
 }
 
@@ -80,40 +81,24 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
              "NAND constraint: program-after-erase only");
   programmed_[index] = 1;
   const double wear_now = wear_[addr.block];
-  if (array_ == nullptr) {
-    // Metadata-only: the statistical mode's deterministic service
-    // time, no cells to place.
-    return ProgramOutcome{
-        true,
-        timing_->page_write_time(active_algorithm_, wear_now,
-                                 geometry().bits_per_page() / 8, strategy),
-        0};
-  }
-  const ProgramResult result =
-      array_->program_page(addr, data, active_algorithm_, config_.program_mode);
   ProgramOutcome outcome;
-  outcome.ok = result.ok;
-  outcome.over_programmed_cells = result.over_programmed_cells;
-  if (result.trace.has_value()) {
-    // Bit-true mode: the actual trace of this very page.
-    outcome.busy_time = result.trace->duration() +
-                        timing_->io_transfer_time(data.size() / 8) -
-                        (strategy == LoadStrategy::kTwoRound
-                             ? timing_->io_transfer_time(data.size() / 16)
-                             : Seconds{0.0});
-  } else {
-    outcome.busy_time = timing_->page_write_time(
-        active_algorithm_, wear_now, data.size() / 8, strategy);
+  // Metadata-only devices place no cells; both modes take the
+  // characterised service time.
+  if (array_ != nullptr) {
+    outcome.ok =
+        array_->program_page(addr, data, active_algorithm_, wear_now).ok;
   }
+  outcome.busy_time = timing_->page_write_time(
+      active_algorithm_, wear_now, geometry().bits_per_page() / 8, strategy);
   return outcome;
 }
 
 EraseOutcome NandDevice::erase_block(std::uint32_t block) {
   XLF_EXPECT(block < geometry().blocks);
   XLF_EXPECT(!bad_[block] && "erasing a retired (grown-bad) block");
-  if (array_ != nullptr) array_->erase_block(block);
-  // Mirror the array's own P/E accounting (erase_block adds one
-  // cycle) so wear reads stay exact when the array is absent.
+  // Each erase counts one cycle; the array checks it first, so a
+  // rejected erase changes nothing.
+  if (array_ != nullptr) array_->erase_block(block, wear_[block] + 1.0);
   wear_[block] += 1.0;
   // The spare area is erased with the data, and the durable erase
   // counter advances — this pair is what rebuild reads at mount.
@@ -121,6 +106,7 @@ EraseOutcome NandDevice::erase_block(std::uint32_t block) {
       static_cast<std::size_t>(block) * geometry().pages_per_block;
   for (std::uint32_t p = 0; p < geometry().pages_per_block; ++p) {
     oob_[base + p].reset();
+    ecc_t_[base + p] = 0;
     programmed_[base + p] = 0;
   }
   ++erase_counts_[block];
@@ -137,6 +123,16 @@ void NandDevice::write_oob(PageAddress addr, const OobRecord& record) {
 
 const std::optional<OobRecord>& NandDevice::oob(PageAddress addr) const {
   return oob_[page_index(addr)];
+}
+
+void NandDevice::write_ecc_t(PageAddress addr, std::uint8_t t) {
+  const std::size_t index = page_index(addr);
+  XLF_EXPECT(programmed_[index] && "the t byte rides the page's program");
+  ecc_t_[index] = t;
+}
+
+unsigned NandDevice::ecc_t(PageAddress addr) const {
+  return ecc_t_[page_index(addr)];
 }
 
 void NandDevice::mark_bad(std::uint32_t block) {
@@ -165,9 +161,7 @@ double NandDevice::wear(std::uint32_t block) const {
 
 void NandDevice::set_wear(std::uint32_t block, double cycles) {
   XLF_EXPECT(block < geometry().blocks);
-  // The array checks its domain first, so a rejected wear leaves the
-  // device's mirror untouched too.
-  if (array_ != nullptr) array_->set_wear(block, cycles);
+  if (array_ != nullptr) array_->check_wear(block, cycles);
   wear_[block] = cycles;
 }
 

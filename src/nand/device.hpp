@@ -37,13 +37,11 @@ struct DeviceConfig {
   // Microcode footprint model (Section 6.4).
   std::size_t base_microcode_bytes = 24 * 1024;
   std::size_t bytes_per_algorithm = 2 * 1024;
-  // Default array programming fidelity.
-  ProgramMode program_mode = ProgramMode::kStatistical;
   // Instantiate the bit-true cell array (true, the default) or run
   // metadata-only (false): no cells exist, programs and erases update
-  // only the durable metadata plane and the device-level wear /
-  // programmed-page trackers, and service times come from the same
-  // NandTiming models the statistical mode uses. Metadata-only
+  // only the durable metadata plane and the device's wear and
+  // programmed-page state, and service times come from the same
+  // NandTiming models the data-plane device uses. Metadata-only
   // devices make production block counts (64k+ blocks/die) cheap to
   // construct and simulate; controller reads then return an empty
   // payload, so drivers must not verify data.
@@ -58,7 +56,6 @@ struct ReadOutcome {
 struct ProgramOutcome {
   bool ok = true;
   Seconds busy_time{0.0};
-  unsigned over_programmed_cells = 0;
 };
 
 struct EraseOutcome {
@@ -108,6 +105,11 @@ class NandDevice {
   // The page's surviving record; nullopt for erased pages and for
   // torn programs (data committed, crash before the OOB step).
   const std::optional<OobRecord>& oob(PageAddress addr) const;
+  // Spare-area byte beside the record: the BCH t the page's codeword
+  // was encoded with, 0 when none. The controller writes it with the
+  // page's program, so it needs no record; erase clears it.
+  void write_ecc_t(PageAddress addr, std::uint8_t t);
+  unsigned ecc_t(PageAddress addr) const;
   // Grown-bad bookkeeping: a block whose erase failed is retired into
   // the durable bad-block table and never touched again.
   void mark_bad(std::uint32_t block);
@@ -121,11 +123,11 @@ class NandDevice {
   bool page_programmed(PageAddress addr) const;
 
   // --- wear / lifetime -------------------------------------------------
-  // Device-level wear, kept in lockstep with the array's own counter
-  // (and authoritative when the array is absent). On a data-plane
+  // P/E cycles per block, in either data-plane mode: the array keeps
+  // none and is told this on every erase and program. On a data-plane
   // device, set_wear and erase_block throw std::invalid_argument,
   // changing nothing, when they would take a block to or past the
-  // array's limit (NandArray::erase_block).
+  // array's limit (NandArray::check_wear).
   double wear(std::uint32_t block) const;
   void set_wear(std::uint32_t block, double cycles);
   // Convenience: age every block (uniform wear-levelled device).
@@ -141,20 +143,21 @@ class NandDevice {
   DeviceConfig config_;
   // nullptr on metadata-only devices. Constructing the array still
   // advances its noise stream past three draws per cell of every block,
-  // and each programmed page stores a threshold per cell: the time and
+  // and each programmed page stores its written bits: the time and
   // memory that mode avoids.
   std::unique_ptr<NandArray> array_;
   std::shared_ptr<const NandTiming> timing_;
   std::vector<ProgramAlgorithm> resident_;
   ProgramAlgorithm active_algorithm_ = ProgramAlgorithm::kIsppSv;
-  // Durable metadata plane: per-page spare records, per-block erase
-  // counters and the grown-bad table.
+  // Durable metadata plane: per-page spare records and t bytes,
+  // per-block erase counters and the grown-bad table.
   std::vector<std::optional<OobRecord>> oob_;
+  std::vector<std::uint8_t> ecc_t_;
   std::vector<std::uint32_t> erase_counts_;
   std::vector<char> bad_;
-  // Device-level mirrors of array state, valid in every mode (the
-  // metadata-only device has no array to ask): wear_ answers wear(),
-  // and programmed_ answers page_programmed().
+  // Valid in every mode: wear_ answers wear(), and programmed_
+  // answers page_programmed() (a standalone array keeps its own
+  // programmed state, which it needs to sense a page).
   std::vector<double> wear_;
   std::vector<char> programmed_;
 };

@@ -6,8 +6,9 @@
 // per-page record that makes its DRAM state reconstructible after
 // power loss: which LPA the page holds, a device-wide monotonic
 // sequence number (the replay order), and enough of the write-time
-// context (stream, logical clock, block t) to restore the allocator
-// frontiers and the per-block operating point.
+// context (stream, logical clock) to restore the allocator frontiers.
+// The per-block operating point comes from the t byte the controller
+// writes beside it (NandDevice::ecc_t).
 //
 // The device stores the record opaquely — it defines no semantics for
 // the fields, it only guarantees the record is durable iff the page's
@@ -34,9 +35,6 @@ struct OobRecord {
   // surviving records in increasing seq order reproduces the L2P map:
   // for every LBA the highest surviving seq wins.
   std::uint64_t seq = 0;
-  // BCH correction capability the page was encoded with (the paper's
-  // per-block t at program time).
-  unsigned t = 0;
   // Which write frontier programmed the page: 0 = host stream,
   // 1 = GC/relocation stream. Mount uses it to reopen a partially
   // written block on the right frontier.

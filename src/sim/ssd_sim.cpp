@@ -12,6 +12,17 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
+std::uint64_t payload_digest(const BitVec& payload) {
+  std::uint64_t h = 0;
+  for (std::uint64_t w : payload.words()) {
+    h += w;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
 double SsdSimStats::die_util_min() const {
   if (die_utilisation.empty()) return kNaN;
   return *std::min_element(die_utilisation.begin(), die_utilisation.end());
@@ -35,6 +46,10 @@ SsdSimulator::SsdSimulator(ftl::Ssd& ssd, const SsdSimConfig& config)
       payloads_(ssd.die(0).device().config().data_plane),
       data_rng_(config.data_seed) {
   XLF_EXPECT(config.queue_depth >= 1);
+  if (payloads_) {
+    digests_.assign(ssd.logical_pages(), 0);
+    held_.assign(ssd.logical_pages(), 0);
+  }
   // Surface a bad queue shape / arbitration name at construction, not
   // mid-run: building a throwaway interface runs all the checks.
   host::HostInterface probe(config_.host);
@@ -52,9 +67,10 @@ BitVec SsdSimulator::random_payload() {
 void SsdSimulator::prepopulate() {
   for (ftl::Lpa lpa = 0; lpa < ssd_->logical_pages(); ++lpa) {
     if (payloads_) {
-      BitVec payload = random_payload();
+      const BitVec payload = random_payload();
       ssd_->ftl().write(lpa, payload);
-      written_[lpa] = std::move(payload);
+      digests_[lpa] = payload_digest(payload);
+      held_[lpa] = 1;
     } else {
       ssd_->ftl().write(lpa, BitVec(0));
     }
@@ -81,9 +97,12 @@ void SsdSimulator::issue(std::uint32_t q, const host::Command& command,
     case host::CmdType::kWrite: {
       for (std::uint32_t p = 0; p < command.length; ++p) {
         const ftl::Lpa lpa = command.lba + p;
-        BitVec payload = payloads_ ? random_payload() : BitVec(0);
+        const BitVec payload = payloads_ ? random_payload() : BitVec(0);
         const ftl::FtlOpResult res = ssd_->ftl().write(lpa, payload);
-        if (payloads_) written_[lpa] = std::move(payload);
+        if (payloads_) {
+          digests_[lpa] = payload_digest(payload);
+          held_[lpa] = 1;
+        }
         stats.gc_busy += res.gc_time;
         stats.ecc_energy += res.ecc_energy;
         stats.nand_energy += res.nand_energy;
@@ -113,11 +132,9 @@ void SsdSimulator::issue(std::uint32_t q, const host::Command& command,
         if (res.uncorrectable) {
           ++stats.uncorrectable;
           entry.ok = false;
-        } else if (payloads_) {
-          const auto it = written_.find(lpa);
-          if (it != written_.end() && !(res.data == it->second)) {
-            ++stats.data_mismatches;
-          }
+        } else if (payloads_ && held_[lpa] &&
+                   payload_digest(res.data) != digests_[lpa]) {
+          ++stats.data_mismatches;
         }
         const controller::DispatchSlot slot =
             dispatcher.submit_read(res.die, now, res.io_time, res.cell_time);
@@ -129,7 +146,7 @@ void SsdSimulator::issue(std::uint32_t q, const host::Command& command,
       for (std::uint32_t p = 0; p < command.length; ++p) {
         const ftl::Lpa lpa = command.lba + p;
         ssd_->ftl().trim(lpa);
-        written_.erase(lpa);
+        if (payloads_) held_[lpa] = 0;
       }
       // Host-level count (one per command; trimmed_pages comes from
       // the FTL-stats delta like the other FTL activity).
@@ -217,9 +234,12 @@ void SsdSimulator::try_issue(SsdSimStats& stats) {
 
 std::size_t SsdSimulator::verify_stored() {
   std::size_t mismatches = 0;
-  for (const auto& [lpa, payload] : written_) {
+  for (ftl::Lpa lpa = 0; lpa < held_.size(); ++lpa) {
+    if (!held_[lpa]) continue;
     const ftl::FtlOpResult res = ssd_->ftl().read(lpa);
-    if (res.unmapped || !(res.data == payload)) ++mismatches;
+    if (res.unmapped || payload_digest(res.data) != digests_[lpa]) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }

@@ -22,7 +22,7 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include "src/ftl/ssd.hpp"
@@ -106,6 +106,12 @@ struct SsdSimStats {
   double die_util_mean() const;
 };
 
+// The host oracle's digest of a payload: h <- mix(h + w) over its
+// 64-bit words, where mix (splitmix64's finaliser) is a bijection. A
+// difference confined to one word always changes the digest; any other
+// escapes with probability 2^-64.
+std::uint64_t payload_digest(const BitVec& payload);
+
 class SsdSimulator {
  public:
   explicit SsdSimulator(ftl::Ssd& ssd, const SsdSimConfig& config = {});
@@ -122,8 +128,9 @@ class SsdSimulator {
   // the rebuilt device).
   SsdSimStats run(const std::vector<host::Command>& commands);
 
-  // Recovery audit: read every LPA the host holds a payload for and
-  // count the ones that come back unmapped or bit-different. Zero is
+  // Recovery audit: read every LPA the host holds a payload for, in
+  // ascending order, and count the ones that come back unmapped or
+  // with another digest. Zero is
   // the expected answer even after a crash + remount — acknowledged
   // writes are durable, and trims (whose resurrection is legal until
   // flushed) left the oracle at trim time. Direct FTL reads, outside
@@ -148,9 +155,11 @@ class SsdSimulator {
   bool payloads_;
   EventQueue queue_;
   Rng data_rng_;
-  // Host view of every LPA's current payload (verification oracle);
-  // trims erase their entry, matching the device's deallocation.
-  std::map<ftl::Lpa, BitVec> written_;
+  // Host view of every LPA's current payload (verification oracle): its
+  // digest, and whether the host holds one (trims drop it, matching the
+  // device's deallocation). Empty on metadata-only devices.
+  std::vector<std::uint64_t> digests_;
+  std::vector<char> held_;
 
   // Per-run issue state (valid while run() executes). run_stats_
   // exists so completion callbacks capture only {this, slot}: 16 bytes

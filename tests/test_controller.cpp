@@ -190,26 +190,30 @@ TEST(Controller, MetaReadCarriesNoPayloadAndKeepsItsCost) {
   EXPECT_EQ(read.nand_energy.value(), 1.3606049999999998e-05);
 }
 
+// read_page decodes against the bits the array was programmed with;
+// the full decode of the device's raw read at the page's t agrees.
 TEST(Controller, HonestAndFastDecodeAgree) {
-  ControllerConfig honest_config;
-  honest_config.simulation_fast_decode = false;
-  Fixture honest(honest_config);
-  Fixture fast;
+  Fixture fx;
+  fx.device.set_uniform_wear(1e6);
+  const unsigned t = fx.controller.adapt_ecc(1e6);
+  const BitVec data = fx.random_data(6);
+  fx.controller.write_page({0, 0}, data);
+  fx.controller.set_correction_capability(3);
+  const ReadResult fast = fx.controller.read_page({0, 0});
+  ASSERT_EQ(fx.device.ecc_t({0, 0}), t);
 
-  honest.device.set_uniform_wear(1e5);
-  fast.device.set_uniform_wear(1e5);
-  honest.controller.adapt_ecc(1e5);
-  fast.controller.adapt_ecc(1e5);
-
-  const BitVec data = honest.random_data(6);
-  honest.controller.write_page({0, 0}, data);
-  fast.controller.write_page({0, 0}, data);
-  const ReadResult a = honest.controller.read_page({0, 0});
-  const ReadResult b = fast.controller.read_page({0, 0});
-  EXPECT_TRUE(a.ok);
-  EXPECT_TRUE(b.ok);
-  EXPECT_EQ(a.data, data);
-  EXPECT_EQ(b.data, data);
+  const ControllerConfig config;
+  EccUnit honest(config.codec, config.ecc_hw);
+  honest.set_correction_capability(t);
+  BitVec codeword =
+      fx.device.read_page({0, 0}).data.slice(0, honest.current_params().n());
+  const DecodeOutcome decoded = honest.decode(codeword);
+  // The page carries errors, so both decoders had something to find.
+  EXPECT_GE(decoded.result.corrected, 1u);
+  EXPECT_EQ(fast.corrected_bits, decoded.result.corrected);
+  EXPECT_EQ(fast.data, honest.extract_message(codeword));
+  EXPECT_TRUE(fast.ok);
+  EXPECT_EQ(fast.data, data);
 }
 
 TEST(Controller, WorstCaseLatenciesMatchModels) {

@@ -22,8 +22,11 @@ std::atomic<std::size_t> g_allocations{0};
 
 // The replaceable allocation functions every other form (nothrow,
 // array) forwards to in libstdc++. malloc/free are the point here: the
-// counter must sit below every C++ allocation.
-void* operator new(std::size_t size) {
+// counter must sit below every C++ allocation. Both stay out of line:
+// GCC 12 otherwise inlines one but not the other at some call sites
+// (which ones depends on the flags, e.g. -fsanitize=thread) and flags
+// the malloc/free pair with -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   // NOLINTNEXTLINE(cppcoreguidelines-no-malloc)
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
@@ -31,7 +34,7 @@ void* operator new(std::size_t size) {
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 // NOLINTNEXTLINE(cppcoreguidelines-no-malloc)
-void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }

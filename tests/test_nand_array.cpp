@@ -35,7 +35,6 @@ TEST(Array, StartsEresedEverywhere) {
     for (std::uint32_t p = 0; p < 4; ++p) {
       EXPECT_TRUE(array.is_erased({b, p}));
     }
-    EXPECT_DOUBLE_EQ(array.wear(b), 0.0);  // factory fresh
   }
 }
 
@@ -55,7 +54,7 @@ TEST(Array, ProgramReadRoundTripAtBol) {
   Rng rng(2);
   const BitVec data = random_page_bits(array.config().geometry, rng);
   const ProgramResult result =
-      array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv,
+      array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0,
                          ProgramMode::kStatistical);
   EXPECT_TRUE(result.ok);
   EXPECT_FALSE(array.is_erased({0, 0}));
@@ -67,8 +66,9 @@ TEST(Array, IsppModeRoundTripAtBol) {
   NandArray array(tiny_config());
   Rng rng(3);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  const ProgramResult result = array.program_page(
-      {0, 1}, data, ProgramAlgorithm::kIsppDv, ProgramMode::kIsppSimulation);
+  const ProgramResult result =
+      array.program_page({0, 1}, data, ProgramAlgorithm::kIsppDv, 0.0,
+                         ProgramMode::kIsppSimulation);
   EXPECT_TRUE(result.ok);
   ASSERT_TRUE(result.trace.has_value());
   EXPECT_TRUE(result.trace->converged);
@@ -81,54 +81,53 @@ TEST(Array, ProgramWithoutEraseRejected) {
   NandArray array(tiny_config());
   Rng rng(4);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
-  EXPECT_THROW(array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv),
-               std::invalid_argument);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0);
+  EXPECT_THROW(
+      array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0),
+      std::invalid_argument);
 }
 
 TEST(Array, EraseRestoresProgrammability) {
   NandArray array(tiny_config());
   Rng rng(5);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
-  array.erase_block(0);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0);
+  array.erase_block(0, 1.0);
   EXPECT_TRUE(array.is_erased({0, 0}));
-  EXPECT_DOUBLE_EQ(array.wear(0), 1.0);
   EXPECT_NO_THROW(
-      array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv));
+      array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 1.0));
 }
 
 TEST(Array, EraseIsPerBlock) {
   NandArray array(tiny_config());
   Rng rng(6);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
-  array.program_page({1, 0}, data, ProgramAlgorithm::kIsppSv);
-  array.erase_block(0);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0);
+  array.program_page({1, 0}, data, ProgramAlgorithm::kIsppSv, 0.0);
+  array.erase_block(0, 1.0);
   EXPECT_TRUE(array.is_erased({0, 0}));
   EXPECT_FALSE(array.is_erased({1, 0}));
-  EXPECT_DOUBLE_EQ(array.wear(1), 0.0);
 }
 
 TEST(Array, WearControls) {
-  NandArray array(tiny_config());
-  array.set_wear(1, 5e5);
-  EXPECT_DOUBLE_EQ(array.wear(1), 5e5);
-  EXPECT_THROW(array.set_wear(9, 1.0), std::invalid_argument);
-  EXPECT_THROW(array.set_wear(0, -1.0), std::invalid_argument);
+  const NandArray array(tiny_config());
+  EXPECT_NO_THROW(array.check_wear(1, 5e5));
+  EXPECT_THROW(array.check_wear(9, 1.0), std::invalid_argument);
+  EXPECT_THROW(array.check_wear(0, -1.0), std::invalid_argument);
 }
 
 TEST(Array, WearStopsAtTheModelDomain) {
-  // An erase or set_wear that would take a block to or past
-  // RberModel::max_cycles() fails with a named error and changes
-  // nothing; one short of it still erases.
+  // An erase or wear at or past RberModel::max_cycles() fails with a
+  // named error, and the erase changes nothing; one short of it still
+  // erases.
   NandArray array(tiny_config());
   const double limit = array.rber_model().max_cycles();
-  array.set_wear(0, limit - 1.5);
-  array.erase_block(0);
-  EXPECT_EQ(array.wear(0), limit - 0.5);
+  array.erase_block(0, limit - 0.5);
+  Rng rng(6);
+  const BitVec data = random_page_bits(array.config().geometry, rng);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, limit - 0.5);
   try {
-    array.erase_block(0);
+    array.erase_block(0, limit + 0.5);
     FAIL() << "an erase reaching the limit must throw";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -137,12 +136,11 @@ TEST(Array, WearStopsAtTheModelDomain) {
               std::string::npos)
         << what;
   }
-  EXPECT_EQ(array.wear(0), limit - 0.5);
-  EXPECT_THROW(array.set_wear(1, limit), std::invalid_argument);
-  EXPECT_EQ(array.wear(1), 0.0);
+  EXPECT_FALSE(array.is_erased({0, 0}));
+  EXPECT_THROW(array.check_wear(1, limit), std::invalid_argument);
 }
 
-TEST(Array, DeviceWearStopsAtTheArrayLimitAndKeepsItsMirror) {
+TEST(Array, DeviceWearStopsAtTheArrayLimitAndChangesNothing) {
   DeviceConfig config;
   config.array.geometry.blocks = 2;
   config.array.geometry.pages_per_block = 2;
@@ -176,7 +174,7 @@ TEST(Array, ReadLevelsMatchProgrammedTargets) {
   NandArray array(tiny_config());
   Rng rng(7);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  array.program_page({1, 2}, data, ProgramAlgorithm::kIsppSv);
+  array.program_page({1, 2}, data, ProgramAlgorithm::kIsppSv, 0.0);
   const auto levels = array.read_levels({1, 2});
   const auto targets = NandArray::bits_to_levels(data);
   std::size_t mismatches = 0;
@@ -190,11 +188,10 @@ TEST(Array, AgedPagesShowMoreErrors) {
   ArrayConfig config = tiny_config();
   NandArray fresh(config);
   NandArray aged(config);
-  aged.set_wear(0, 1e6);
   Rng rng(8);
   const BitVec data = random_page_bits(config.geometry, rng);
-  fresh.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
-  aged.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
+  fresh.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0);
+  aged.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 1e6);
   const auto fresh_errors = fresh.read_page({0, 0}).hamming_distance(data);
   const auto aged_errors = aged.read_page({0, 0}).hamming_distance(data);
   // EOL SV RBER 1e-3 over 34.5k bits: ~35 expected errors.
@@ -206,13 +203,13 @@ TEST(Array, OutOfRangeAddressesRejected) {
   NandArray array(tiny_config());
   EXPECT_THROW(array.read_page({2, 0}), std::invalid_argument);
   EXPECT_THROW(array.read_page({0, 4}), std::invalid_argument);
-  EXPECT_THROW(array.erase_block(5), std::invalid_argument);
+  EXPECT_THROW(array.erase_block(5, 1.0), std::invalid_argument);
 }
 
 TEST(Array, WrongPageSizeRejected) {
   NandArray array(tiny_config());
   EXPECT_THROW(
-      array.program_page({0, 0}, BitVec(100), ProgramAlgorithm::kIsppSv),
+      array.program_page({0, 0}, BitVec(100), ProgramAlgorithm::kIsppSv, 0.0),
       std::invalid_argument);
 }
 
@@ -242,7 +239,7 @@ void hash_program(test::Fnv1a& digest, const ProgramResult& result) {
 
 // Both program modes and algorithms, reads and thresholds of erased
 // pages, read disturb on an erased and on a programmed page,
-// retention, set_wear before and after an erase, and re-erase.
+// retention, a wear jump before and after an erase, and re-erase.
 std::uint64_t array_script_digest() {
   ArrayConfig config;
   config.geometry.blocks = 3;
@@ -251,10 +248,13 @@ std::uint64_t array_script_digest() {
   NandArray array(config);
   Rng data_rng(0xDA7A);
   test::Fnv1a digest;
+  // Each block's wear, as a device counts it: fresh blocks at 0.
+  double wear[3] = {0.0, 0.0, 0.0};
   const auto program = [&](PageAddress addr, ProgramAlgorithm algo,
                            ProgramMode mode) {
     const BitVec data = random_page_bits(config.geometry, data_rng);
-    hash_program(digest, array.program_page(addr, data, algo, mode));
+    hash_program(digest, array.program_page(addr, data, algo,
+                                            wear[addr.block], mode));
   };
 
   hash_page(digest, array, {0, 0});  // erased page, before programming
@@ -266,18 +266,18 @@ std::uint64_t array_script_digest() {
   program({0, 2}, ProgramAlgorithm::kIsppDv, ProgramMode::kStatistical);
   array.apply_read_disturb({0, 3}, 200000);  // erased page
   program({0, 3}, ProgramAlgorithm::kIsppSv, ProgramMode::kIsppSimulation);
-  array.set_wear(1, 3e4);
+  wear[1] = 3e4;
   program({1, 0}, ProgramAlgorithm::kIsppSv, ProgramMode::kIsppSimulation);
   program({1, 1}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
-  array.apply_retention({0, 0}, 1000.0);
+  array.apply_retention({0, 0}, 1000.0, wear[0]);
   array.apply_read_disturb({0, 1}, 100000);  // programmed page
   array.apply_read_disturb({1, 2}, 300000);  // erased, left unprogrammed
   hash_page(digest, array, {1, 2});
-  array.erase_block(0);
+  array.erase_block(0, ++wear[0]);
   program({0, 0}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
-  array.set_wear(2, 1e5);
-  array.erase_block(2);
-  array.set_wear(2, 5e5);  // after the erase: the cells keep 1e5 + 1
+  wear[2] = 1e5;
+  array.erase_block(2, ++wear[2]);
+  wear[2] = 5e5;  // after the erase: the cells keep 1e5 + 1
   program({2, 1}, ProgramAlgorithm::kIsppDv, ProgramMode::kIsppSimulation);
   program({2, 2}, ProgramAlgorithm::kIsppSv, ProgramMode::kStatistical);
   for (std::uint32_t b = 0; b < config.geometry.blocks; ++b) {
@@ -362,14 +362,13 @@ void sensing_steps(NandArray& array, Rng& data_rng, Visit&& visit) {
   std::uint32_t block = 0;
   for (ProgramAlgorithm algo : kSensingAlgos) {
     for (double pe : kSensingWear) {
-      array.set_wear(block, pe);
       const BitVec pages[] = {random_page_bits(geometry, data_rng),
                               uniform_page(geometry, Level::kL0),
                               uniform_page(geometry, Level::kL3),
                               uniform_page(geometry, Level::kL1)};
       for (std::uint32_t p = 0; p < 4; ++p) {
         const ProgramResult result =
-            array.program_page({block, p}, pages[p], algo);
+            array.program_page({block, p}, pages[p], algo, pe);
         visit(PageAddress{block, p}, &result);
       }
       ++block;
@@ -391,9 +390,11 @@ void sensing_steps(NandArray& array, Rng& data_rng, Visit&& visit) {
 template <typename Visit>
 void stream_state_steps(NandArray& array, Rng& data_rng, Visit&& visit) {
   const Geometry& geometry = array.config().geometry;
+  double wear[3] = {0.0, 0.0, 0.0};  // as a device counts it
   const auto program = [&](PageAddress addr, const BitVec& bits,
                            ProgramAlgorithm algo) {
-    const ProgramResult result = array.program_page(addr, bits, algo);
+    const ProgramResult result =
+        array.program_page(addr, bits, algo, wear[addr.block]);
     visit(addr, &result);
   };
   BitVec one_cell = uniform_page(geometry, Level::kL0);
@@ -408,35 +409,37 @@ void stream_state_steps(NandArray& array, Rng& data_rng, Visit&& visit) {
   };
   // Fresh stream, one draw: half a pair held.
   program({0, 0}, one_cell, ProgramAlgorithm::kIsppSv);
-  array.erase_block(1);  // every page's erase starts with half a pair
+  // Every page's erase starts with half a pair.
+  array.erase_block(1, ++wear[1]);
   program({1, 0}, random_page_with_draws(geometry, data_rng, false),
           ProgramAlgorithm::kIsppDv);  // starts with half a pair
   // 1 + even draws leave half a pair held; one more draw clears it.
   program({0, 1}, one_cell, ProgramAlgorithm::kIsppSv);
   // Retention of the one-cell page draws once: a value held.
   EXPECT_EQ(at_or_above_r1({0, 0}), 1u);
-  array.apply_retention({0, 0}, 500.0);
+  array.apply_retention({0, 0}, 500.0, wear[0]);
   program({1, 1}, random_page_with_draws(geometry, data_rng, true),
           ProgramAlgorithm::kIsppSv);  // starts with a held value
   // 1 + odd draws clear the stream; retention holds a value again,
   // which is all a one-cell program draws.
   EXPECT_EQ(at_or_above_r1({0, 1}), 1u);
-  array.apply_retention({0, 1}, 800.0);
+  array.apply_retention({0, 1}, 800.0, wear[0]);
   program({0, 2}, one_cell, ProgramAlgorithm::kIsppDv);
   EXPECT_EQ(at_or_above_r1({0, 2}), 1u);
-  array.apply_retention({0, 2}, 300.0);
-  array.set_wear(2, 2e5);
-  array.erase_block(2);  // the first erase starts with a held value
+  array.apply_retention({0, 2}, 300.0, wear[0]);
+  wear[2] = 2e5;
+  // The first erase starts with a held value.
+  array.erase_block(2, ++wear[2]);
   program({2, 0}, random_page_with_draws(geometry, data_rng, true),
           ProgramAlgorithm::kIsppDv);
   // Materialise sensed pages by retention and by read disturb.
-  array.apply_retention({1, 0}, 2000.0);
+  array.apply_retention({1, 0}, 2000.0, wear[1]);
   array.apply_read_disturb({1, 1}, 100000);
   // Read disturb of an erased page, then a statistical program of it.
   array.apply_read_disturb({2, 1}, 400000);
   program({2, 1}, random_page_bits(geometry, data_rng),
           ProgramAlgorithm::kIsppSv);
-  array.apply_retention({2, 1}, 100.0);
+  array.apply_retention({2, 1}, 100.0, wear[2]);
   for (std::uint32_t b = 0; b < 3; ++b) {
     for (std::uint32_t p = 0; p < geometry.pages_per_block; ++p) {
       visit(PageAddress{b, p}, nullptr);
@@ -590,8 +593,9 @@ TEST(Array, ReadingAnErasedPageLeavesTheStreamAlone) {
     (void)looked.read_levels({0, 1});
     (void)looked.thresholds({0, 1});
     for (NandArray* array : {&looked, &untouched}) {
-      array->program_page({0, 0}, first, ProgramAlgorithm::kIsppSv, mode);
-      array->program_page({0, 1}, second, ProgramAlgorithm::kIsppDv, mode);
+      array->program_page({0, 0}, first, ProgramAlgorithm::kIsppSv, 0.0, mode);
+      array->program_page({0, 1}, second, ProgramAlgorithm::kIsppDv, 0.0,
+                          mode);
     }
     EXPECT_EQ(looked.thresholds({0, 0}), untouched.thresholds({0, 0}));
     EXPECT_EQ(looked.thresholds({0, 1}), untouched.thresholds({0, 1}));
@@ -639,7 +643,7 @@ TEST(Array, ReadPagePlacesEveryLevelAtEveryWordOffset) {
     data.set(2 * i, b.msb);
     data.set(2 * i + 1, b.lsb);
   }
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppDv);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppDv, 0.0);
   const BitVec read = array.read_page({0, 0});
   // Per-bit oracle over the sensed levels.
   EXPECT_EQ(read, NandArray::levels_to_bits(array.read_levels({0, 0})));

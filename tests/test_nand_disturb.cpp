@@ -71,13 +71,12 @@ BitVec random_page_bits(const Geometry& geometry, Rng& rng) {
 
 TEST(ArrayDisturb, RetentionBakeCreatesDownwardErrors) {
   NandArray array(tiny_config());
-  array.set_wear(0, 1e4);
   Rng rng(1);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 1e4);
   const auto before = array.read_page({0, 0}).hamming_distance(data);
 
-  array.apply_retention({0, 0}, /*hours=*/20000.0);
+  array.apply_retention({0, 0}, /*hours=*/20000.0, 1e4);
   const auto after = array.read_page({0, 0}).hamming_distance(data);
   EXPECT_GT(after, before + 5);
 
@@ -93,11 +92,10 @@ TEST(ArrayDisturb, RetentionBakeCreatesDownwardErrors) {
 TEST(ArrayDisturb, LongerBakeHurtsMore) {
   const auto errors_after = [&](double hours) {
     NandArray array(tiny_config());
-    array.set_wear(0, 1e4);
     Rng rng(2);
     const BitVec data = random_page_bits(array.config().geometry, rng);
-    array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
-    array.apply_retention({0, 0}, hours);
+    array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 1e4);
+    array.apply_retention({0, 0}, hours, 1e4);
     return array.read_page({0, 0}).hamming_distance(data);
   };
   EXPECT_LT(errors_after(1000.0), errors_after(50000.0));
@@ -105,7 +103,8 @@ TEST(ArrayDisturb, LongerBakeHurtsMore) {
 
 TEST(ArrayDisturb, RetentionOnErasedPageRejected) {
   NandArray array(tiny_config());
-  EXPECT_THROW(array.apply_retention({0, 0}, 100.0), std::invalid_argument);
+  EXPECT_THROW(array.apply_retention({0, 0}, 100.0, 0.0),
+               std::invalid_argument);
 }
 
 TEST(ArrayDisturb, ReadDisturbLiftsErasedCells) {
@@ -114,7 +113,7 @@ TEST(ArrayDisturb, ReadDisturbLiftsErasedCells) {
   // All-ones payload = all cells erased (L0).
   BitVec data(array.config().geometry.bits_per_page());
   for (std::size_t i = 0; i < data.size(); ++i) data.set(i, true);
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 0.0);
   EXPECT_EQ(array.read_page({0, 0}).hamming_distance(data), 0u);
 
   // Hammer the block: erased cells creep over R1 eventually.
@@ -126,11 +125,10 @@ TEST(ArrayDisturb, ModerateStressStaysWithinEccReach) {
   // A realistic bake at mid-life must stay within what the SV-EOL
   // correction capability handles — the margin story of the paper.
   NandArray array(tiny_config());
-  array.set_wear(0, 1e4);
   Rng rng(4);
   const BitVec data = random_page_bits(array.config().geometry, rng);
-  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv);
-  array.apply_retention({0, 0}, 3000.0);
+  array.program_page({0, 0}, data, ProgramAlgorithm::kIsppSv, 1e4);
+  array.apply_retention({0, 0}, 3000.0, 1e4);
   const auto errors = array.read_page({0, 0}).hamming_distance(data);
   EXPECT_LT(errors, 65u);  // t = 65 covers it
 }

@@ -90,7 +90,8 @@ struct BakedSsd {
     for (std::uint32_t b = 0; b < geometry.blocks; ++b) {
       for (std::uint32_t p = 0; p < geometry.pages_per_block; ++p) {
         if (!ssd.ftl().map().valid(ftl::Ppa{0, b, p})) continue;
-        ssd.die(0).device().array().apply_retention({b, p}, hours);
+        nand::NandDevice& device = ssd.die(0).device();
+        device.array().apply_retention({b, p}, hours, device.wear(b));
       }
     }
   }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 
 #include "src/controller/dispatch.hpp"
 #include "src/sim/host_workload.hpp"
@@ -98,6 +99,48 @@ TEST(SsdSimulator, PrepopulateMapsEveryLogicalPage) {
   for (ftl::Lpa lpa = 0; lpa < ssd.logical_pages(); ++lpa) {
     EXPECT_TRUE(ssd.ftl().mapped(lpa));
   }
+}
+
+// The oracle's negative control: LPAs rewritten behind the
+// simulator's back, each with one bit flipped, no longer match what
+// the host holds, and both audits count them.
+TEST(SsdSimulator, OracleCountsPayloadsChangedBehindItsBack) {
+  ftl::Ssd ssd(ssd_config(1, 1));
+  SsdSimulator simulator(ssd);
+  simulator.prepopulate();
+  ASSERT_EQ(simulator.verify_stored(), 0u);
+  const ftl::Lpa changed[] = {0, 3, 9};
+  for (ftl::Lpa lpa : changed) {
+    BitVec data = ssd.ftl().read(lpa).data;
+    data.flip(100 * lpa);
+    ssd.ftl().write(lpa, data);
+  }
+  EXPECT_EQ(simulator.verify_stored(), std::size(changed));
+
+  host::Command read;
+  read.type = host::CmdType::kRead;
+  read.lba = 3;
+  const SsdSimStats stats = simulator.run({read});
+  EXPECT_EQ(stats.reads, 1u);
+  EXPECT_EQ(stats.data_mismatches, 1u);
+}
+
+// Any single-bit change of a 4 KiB payload changes its digest.
+TEST(SsdSimulator, PayloadDigestSeesEverySingleBitFlip) {
+  Rng rng(0xD16E57);
+  BitVec payload(32768);
+  for (std::size_t w = 0; w < payload.words().size(); ++w) {
+    payload.set_word(w, rng.next());
+  }
+  const std::uint64_t digest = payload_digest(payload);
+  std::size_t unseen = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload.flip(i);
+    unseen += payload_digest(payload) == digest;
+    payload.flip(i);
+  }
+  EXPECT_EQ(unseen, 0u);
+  EXPECT_EQ(payload_digest(payload), digest);
 }
 
 TEST(SsdSimulator, MoreDiesAndDepthFinishSooner) {
