@@ -18,9 +18,8 @@
 // Policy decisions are delegated to the xlf::policy plane:
 //  * GC victim selection scores closed blocks through a
 //    policy::GcPolicy ("greedy", "cost-benefit", or any registered
-//    strategy) — pick_victim is also available as the pick_victim_scored
-//    template for inlined scoring (benchmarks pin the virtual-dispatch
-//    cost against it);
+//    strategy); pick_victim_scored is the linear scan the victim
+//    index is pinned against;
 //  * free-block preference comes from the policy::WearPolicy's
 //    free_block_score ("none" = by id, "dynamic"/"static" = lowest
 //    erase count).
@@ -131,14 +130,13 @@ class DieAllocator {
   FrontierView frontier_view(Stream stream) const;
 
   // GC victim among closed blocks with at least one invalid page:
-  // the highest-scoring candidate under `score`, lowest block id on
+  // the highest-scoring candidate under `policy`, lowest block id on
   // ties. `valid_count(block)` supplies the live-page signal, `now`
-  // the logical clock. nullopt when nothing is reclaimable. The
-  // template keeps the score call inlinable for hand-rolled scans;
-  // the GcPolicy overload below is the policy-plane entry point.
-  template <class ScoreFn, class ValidCountFn>
+  // the logical clock. nullopt when nothing is reclaimable. This
+  // O(blocks) scan is the oracle the victim index reproduces.
+  template <class ValidCountFn>
   std::optional<std::uint32_t> pick_victim_scored(
-      const ScoreFn& score, const ValidCountFn& valid_count,
+      const policy::GcPolicy& policy, const ValidCountFn& valid_count,
       std::uint64_t now) const;
 
   // Policy-plane victim selection. With the victim index enabled the
@@ -153,11 +151,7 @@ class DieAllocator {
                                            const ValidCountFn& valid_count,
                                            std::uint64_t now) const {
     if (victims_.enabled()) return pick_victim_indexed(policy, now);
-    return pick_victim_scored(
-        [&policy](const policy::GcBlockView& view) {
-          return policy.score(view);
-        },
-        valid_count, now);
+    return pick_victim_scored(policy, valid_count, now);
   }
 
   // Index-backed pick (requires victim_index_enabled()); exposed so
@@ -202,9 +196,9 @@ class DieAllocator {
   std::size_t free_count_ = 0;
 };
 
-template <class ScoreFn, class ValidCountFn>
+template <class ValidCountFn>
 std::optional<std::uint32_t> DieAllocator::pick_victim_scored(
-    const ScoreFn& score, const ValidCountFn& valid_count,
+    const policy::GcPolicy& policy, const ValidCountFn& valid_count,
     std::uint64_t now) const {
   std::optional<std::uint32_t> best;
   double best_score = 0.0;
@@ -219,7 +213,7 @@ std::optional<std::uint32_t> DieAllocator::pick_victim_scored(
     view.erase_count = erase_counts_[b];
     view.last_write = last_write_[b];
     view.now = now;
-    const double candidate = score(view);
+    const double candidate = policy.score(view);
     // Strict > keeps the lowest-id winner on ties (deterministic).
     if (!best.has_value() || candidate > best_score) {
       best = b;

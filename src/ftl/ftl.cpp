@@ -607,9 +607,7 @@ void Ftl::check_consistency() const {
     // the live policy and clock.
     if (alloc.victim_index_enabled()) {
       const std::optional<std::uint32_t> oracle = alloc.pick_victim_scored(
-          [&](const policy::GcBlockView& view) {
-            return gc_policy_->score(view);
-          },
+          *gc_policy_,
           [&](std::uint32_t b) { return map_.valid_count(d, b); }, clock_);
       XLF_ENSURE(alloc.pick_victim_indexed(*gc_policy_, clock_) == oracle);
     }

@@ -98,7 +98,7 @@ class VictimIndex {
   std::uint32_t pages_per_block_ = 0;
   // buckets_[v] holds candidates whose latest valid count is v
   // (v < pages_per_block); min-heap on (key, block id).
-  mutable std::vector<std::vector<Entry>> buckets_;  // xlf: arena(grows)
+  mutable std::vector<std::vector<Entry>> buckets_;
   std::vector<std::uint32_t> version_;    // latest pushed version per block
   std::vector<std::uint32_t> bucket_of_;  // bucket of the latest update
   mutable std::size_t entries_ = 0;       // live + stale, across buckets
@@ -133,7 +133,6 @@ class FreeBlockIndex {
   }
   void compact();
 
-  // xlf: arena(grows)
   mutable std::vector<Entry> heap_;  // max-heap on (score, -block id)
   std::vector<std::uint32_t> version_;
   std::vector<std::uint8_t> is_free_;  // latest push still stands

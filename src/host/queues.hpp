@@ -118,9 +118,10 @@ class HostInterface {
   struct QueueState {
     // Per-queue submission arena: slots slab-allocate once and then
     // recycle through the free list, so the steady-state submit/pop
-    // cycle touches no allocator (the deque this replaces paid node
-    // churn on every command — BM_HostSubmissionPath is the guard).
-    std::vector<SubmissionSlot> slots;  // xlf: arena(grows)
+    // cycle touches no allocator (xlf_lint's hot-alloc rule guards
+    // this: submit is `// xlf: hot`, and acquire_slot's slab growth is
+    // its one allowed allocation).
+    std::vector<SubmissionSlot> slots;
     std::uint32_t free_head = kNilSlot;  // recycled slots
     std::uint32_t head = kNilSlot;       // FIFO front (next pop)
     std::uint32_t tail = kNilSlot;

@@ -138,7 +138,7 @@ class NandArray {
     // The array's noise stream as it stood at this page's erase.
     Rng erase_stream;
     // Cells whose erased threshold may read above L0, ascending.
-    std::vector<std::uint32_t> erase_exceptions;  // xlf: arena(grows)
+    std::vector<std::uint32_t> erase_exceptions;
     // The bits the page was programmed with (either mode).
     BitVec written;
     // A statistical program: the array's stream at its start and the
@@ -146,7 +146,7 @@ class NandArray {
     Rng program_stream;
     std::array<LevelDistribution, 4> dist{};
     // Sensed pages: the cells whose threshold reads another level.
-    std::vector<Misread> misreads;  // xlf: arena(grows)
+    std::vector<Misread> misreads;
     // One threshold per cell; valid once materialised (by an ISPP
     // program, retention, or read disturb).
     std::vector<Volts> vth;

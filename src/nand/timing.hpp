@@ -140,9 +140,7 @@ class NandTiming {
   // across a characterisation. The mutex makes NandTiming
   // non-copyable — callers that used to clone private instances as a
   // thread-safety workaround (the explore sweep) share one instead.
-  // Predates the lock-order rule: a pure memo cache, never held across
-  // a call out of this class, so no ordering can form around it.
-  mutable std::mutex cache_mutex_;  // xlf-lint: allow(lock-order)
+  mutable std::mutex cache_mutex_;
   mutable std::map<std::tuple<int, int, long>, CacheEntry> cache_;
   mutable std::atomic<std::uint64_t> characterisations_{0};
   mutable std::atomic<std::uint64_t> fallback_runs_{0};

@@ -172,7 +172,6 @@ class SsdSimulator {
   SsdSimStats* run_stats_ = nullptr;
   // In-flight Completion arena (bounded by queue_depth + 1; slots
   // recycle through the free list).
-  // xlf: arena(grows)
   std::vector<host::Completion> inflight_;
   std::vector<std::uint32_t> inflight_free_;
 };

@@ -146,9 +146,16 @@ class JsonParser {
     if (eof()) fail("unexpected end of input");
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > JsonValue::kMaxDepth) {
+          fail("nesting depth " + std::to_string(depth_) +
+               " exceeds the limit of " +
+               std::to_string(JsonValue::kMaxDepth));
+        }
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return parse_string_value();
       case 't': {
@@ -340,6 +347,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 JsonValue JsonValue::parse(const std::string& text) {

@@ -5,7 +5,9 @@
 // grammar: objects, arrays, strings with escapes (\uXXXX for the
 // basic multilingual plane), numbers, booleans, null. Errors throw
 // std::invalid_argument with the 1-based line:column of the offending
-// character.
+// character. Arrays and objects nest at most kMaxDepth levels, so a
+// crafted input fails with a named error instead of overflowing the
+// parser's stack.
 //
 // The accessor API is geared toward config parsing: typed as_*()
 // getters throw on type mismatch naming the expected and actual type,
@@ -30,6 +32,10 @@ class JsonValue {
   // Parses exactly one JSON document; trailing non-whitespace is an
   // error.
   static JsonValue parse(const std::string& text);
+
+  // Deepest array/object nesting parse() accepts (the shipped specs
+  // nest 3 levels).
+  static constexpr int kMaxDepth = 64;
 
   JsonValue() = default;
 

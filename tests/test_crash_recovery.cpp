@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -295,6 +296,25 @@ TEST(CrashRecovery, CrashFreeShutdownRebuildReproducesLiveStateExactly) {
   EXPECT_EQ(live.clock, rebuilt.clock);
   EXPECT_EQ(live, rebuilt);
 
+  // The t range the rebuild derives from the spare-area t bytes,
+  // recomputed over every recorded page of every usable block.
+  unsigned min_t = std::numeric_limits<unsigned>::max();
+  unsigned max_t = 0;
+  for (std::size_t d = 0; d < ssd.dies(); ++d) {
+    const nand::NandDevice& dev = ssd.die(d).device();
+    for (std::uint32_t b = 0; b < ssd.die_geometry().blocks; ++b) {
+      if (dev.is_bad(b)) continue;
+      for (std::uint32_t p = 0; p < ssd.die_geometry().pages_per_block; ++p) {
+        if (!dev.oob({b, p}).has_value()) continue;
+        min_t = std::min(min_t, dev.ecc_t({b, p}));
+        max_t = std::max(max_t, dev.ecc_t({b, p}));
+      }
+    }
+  }
+  EXPECT_LT(min_t, max_t) << "pe_cycles_per_erase must spread the t range";
+  EXPECT_EQ(ssd.ftl().stats().min_t_used, min_t);
+  EXPECT_EQ(ssd.ftl().stats().max_t_used, max_t);
+
   // The rebuilt instance keeps working: writes land, reads verify.
   const BitVec more = pattern(bits, 0xF00D);
   ASSERT_TRUE(ssd.ftl().write(0, more).ok);
@@ -427,8 +447,8 @@ TEST(CrashRecovery, VictimIndexRebuildMatchesScratchScanAfterMidGcCrash) {
       const DieAllocator& alloc = ssd.ftl().allocator(d);
       ASSERT_TRUE(alloc.victim_index_enabled());
       const auto scratch = alloc.pick_victim_scored(
-          [&](const policy::GcBlockView& view) { return policy->score(view); },
-          [&](std::uint32_t b) { return alloc.cached_valid(b); }, now);
+          *policy, [&](std::uint32_t b) { return alloc.cached_valid(b); },
+          now);
       EXPECT_EQ(alloc.pick_victim_indexed(*policy, now), scratch)
           << name << " die " << d;
     }

@@ -1,9 +1,14 @@
 // The minimal JSON reader behind experiment specs: value grammar,
-// escapes, strict errors with line:column, and the config-oriented
-// accessor contract (typed getters, missing-key messages).
+// escapes, strict errors with line:column, the nesting limit, and the
+// config-oriented accessor contract (typed getters, missing-key
+// messages).
 #include "src/util/json.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <stdexcept>
+#include <string>
 
 namespace xlf {
 namespace {
@@ -61,6 +66,25 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("01e"), std::invalid_argument);
   EXPECT_THROW(JsonValue::parse("\"\\q\""), std::invalid_argument);
   EXPECT_THROW(JsonValue::parse("\"\\ud800\""), std::invalid_argument);
+}
+
+TEST(Json, NestingPastTheLimitThrowsNamingDepthAndPosition) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const std::size_t limit = JsonValue::kMaxDepth;
+  EXPECT_TRUE(JsonValue::parse(nested(limit)).is_array());
+  const std::string over = std::to_string(limit + 1);
+  try {
+    JsonValue::parse(nested(limit + 1));
+    FAIL() << "nesting past the limit must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "JSON error at 1:" + over + ": nesting depth " + over +
+                  " exceeds the limit of " + std::to_string(limit));
+  }
+  // A million levels fail the same way, not by overflowing the stack.
+  EXPECT_THROW(JsonValue::parse(nested(1000000)), std::invalid_argument);
 }
 
 TEST(Json, AccessorsEnforceTypesAndKeys) {

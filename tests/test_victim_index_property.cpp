@@ -28,8 +28,8 @@ std::optional<std::uint32_t> oracle_pick(const DieAllocator& alloc,
                                          const policy::GcPolicy& policy,
                                          std::uint64_t now) {
   return alloc.pick_victim_scored(
-      [&policy](const policy::GcBlockView& view) { return policy.score(view); },
-      [&alloc](std::uint32_t b) { return alloc.cached_valid(b); }, now);
+      policy, [&alloc](std::uint32_t b) { return alloc.cached_valid(b); },
+      now);
 }
 
 // Allocator-level churn: every transition the Ftl can feed the index

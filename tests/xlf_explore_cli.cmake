@@ -214,6 +214,22 @@ if(NOT err MATCHES "cannot open")
   message(FATAL_ERROR "missing-spec message unclear, got: ${err}")
 endif()
 
+# --- a 100,000-deep spec: a named error, not a stack overflow --------
+set(deep_spec ${CMAKE_CURRENT_BINARY_DIR}/xlf_explore_cli_deep.json)
+string(REPEAT "[" 100000 open)
+string(REPEAT "]" 100000 close)
+file(WRITE ${deep_spec} "${open}${close}")
+execute_process(COMMAND ${XLF_EXPLORE} --spec ${deep_spec}
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+file(REMOVE ${deep_spec})
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "a 100000-deep spec must exit 2 (got ${rc}): ${err}")
+endif()
+if(NOT err MATCHES "at 1:65: nesting depth 65 exceeds the limit of 64")
+  message(FATAL_ERROR "a too-deep spec must name the depth and position, "
+                      "got: ${err}")
+endif()
+
 # --- --spec conflicts with sweep-shaping flags -----------------------
 execute_process(COMMAND ${XLF_EXPLORE} --spec ${SPEC} --ftl-sweep
                 RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)

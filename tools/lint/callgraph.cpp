@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <set>
 
 namespace xlf::lint {
+namespace {
 
+// One call site inside a definition's body.
+struct Call {
+  std::string name;                // bare callee name
+  std::vector<std::string> quals;  // explicit `a::b::` chain, if any
+};
+
+// Names that look like `name(` but never are a function — control
+// flow, word operators, expression keywords.
 bool never_a_function(const std::string& name) {
   static const std::set<std::string> kNames = {
       "if",       "for",      "while",   "switch",   "catch",
@@ -17,6 +27,8 @@ bool never_a_function(const std::string& name) {
   return kNames.count(name) != 0;
 }
 
+// Index of the punct matching `open_text` at `open` (which must hold
+// an `open_text` token), or npos when unbalanced.
 std::size_t match_punct(const std::vector<Token>& code, std::size_t open,
                         const char* open_text, const char* close_text) {
   int depth = 0;
@@ -30,8 +42,6 @@ std::size_t match_punct(const std::vector<Token>& code, std::size_t open,
   }
   return std::string::npos;
 }
-
-namespace {
 
 // Walk the tokens after a candidate's closing ')' looking for the
 // body '{'. Accepts qualifier identifiers (const, noexcept, ...),
@@ -111,8 +121,11 @@ std::size_t skip_template_params(const std::vector<Token>& code,
   return code.size();
 }
 
-}  // namespace
-
+// Scope-qualified definition scan over one TU's structural tokens
+// (comments and preprocessor tokens removed). `tu` is echoed into
+// every Def. Function bodies are skipped (definitions do not nest;
+// lambda tokens belong to the enclosing definition), but class and
+// namespace bodies are walked so member definitions qualify.
 std::vector<Def> find_defs_scoped(const std::vector<Token>& code,
                                   std::size_t tu) {
   std::vector<Def> defs;
@@ -279,6 +292,7 @@ std::vector<Def> find_defs_scoped(const std::vector<Token>& code,
   return defs;
 }
 
+// Call sites in (def.open_tok, def.close_tok).
 std::vector<Call> find_calls(const std::vector<Token>& code, const Def& def) {
   std::vector<Call> calls;
   for (std::size_t t = def.open_tok + 1; t < def.close_tok; ++t) {
@@ -289,8 +303,6 @@ std::vector<Call> find_calls(const std::vector<Token>& code, const Def& def) {
     if (t + 1 >= def.close_tok || code[t + 1].text != "(") continue;
     Call call;
     call.name = tok.text;
-    call.tok = t;
-    call.line = tok.line;
     std::size_t q = t;
     while (q >= def.open_tok + 3 && code[q - 1].text == "::" &&
            code[q - 2].kind == TokKind::kIdentifier) {
@@ -302,21 +314,16 @@ std::vector<Call> find_calls(const std::vector<Token>& code, const Def& def) {
   return calls;
 }
 
-bool def_has_marker(const Def& def, const std::vector<Token>& comments,
-                    const std::regex& re) {
-  for (const Token& c : comments) {
-    if (c.line < def.name_line - 3 || c.line > def.open_line) continue;
-    if (std::regex_search(c.text, re)) return true;
-  }
-  return false;
-}
-
-std::vector<std::size_t> CallGraph::resolve(const Call& call,
-                                            std::size_t from_tu) const {
+// Defs a call from TU `from_tu` can bind to (see the header comment
+// for the matching rule), ascending def index.
+std::vector<std::size_t> resolve(
+    const std::vector<Def>& defs,
+    const std::multimap<std::string, std::size_t>& by_name, const Call& call,
+    std::size_t from_tu) {
   std::vector<std::size_t> out;
-  const auto [begin, end] = by_name_.equal_range(call.name);
+  const auto [begin, end] = by_name.equal_range(call.name);
   for (auto it = begin; it != end; ++it) {
-    const Def& def = defs_[it->second];
+    const Def& def = defs[it->second];
     if (def.tu_local && def.tu != from_tu) continue;
     if (!call.quals.empty()) {
       // The written chain + name must be a suffix of the def's
@@ -339,6 +346,17 @@ std::vector<std::size_t> CallGraph::resolve(const Call& call,
   return out;
 }
 
+}  // namespace
+
+bool def_has_marker(const Def& def, const std::vector<Token>& comments,
+                    const std::regex& re) {
+  for (const Token& c : comments) {
+    if (c.line < def.name_line - 3 || c.line > def.open_line) continue;
+    if (std::regex_search(c.text, re)) return true;
+  }
+  return false;
+}
+
 CallGraph CallGraph::build(
     const std::vector<const std::vector<Token>*>& codes) {
   CallGraph graph;
@@ -346,17 +364,17 @@ CallGraph CallGraph::build(
     std::vector<Def> defs = find_defs_scoped(*codes[tu], tu);
     for (Def& def : defs) graph.defs_.push_back(std::move(def));
   }
+  std::multimap<std::string, std::size_t> by_name;
   for (std::size_t d = 0; d < graph.defs_.size(); ++d) {
-    graph.by_name_.emplace(graph.defs_[d].name, d);
+    by_name.emplace(graph.defs_[d].name, d);
   }
-  graph.calls_.resize(graph.defs_.size());
   graph.out_.resize(graph.defs_.size());
   for (std::size_t d = 0; d < graph.defs_.size(); ++d) {
     const Def& def = graph.defs_[d];
-    graph.calls_[d] = find_calls(*codes[def.tu], def);
     std::set<std::size_t> targets;
-    for (const Call& call : graph.calls_[d]) {
-      const std::vector<std::size_t> hits = graph.resolve(call, def.tu);
+    for (const Call& call : find_calls(*codes[def.tu], def)) {
+      const std::vector<std::size_t> hits =
+          resolve(graph.defs_, by_name, call, def.tu);
       targets.insert(hits.begin(), hits.end());
     }
     graph.out_[d].assign(targets.begin(), targets.end());

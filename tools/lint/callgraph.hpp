@@ -1,6 +1,5 @@
 // Whole-program call graph for xlf_lint: the symbol-resolution layer
-// the cross-TU analyses (hot-alloc propagation, ack-order, arena-ref)
-// sit on.
+// the cross-TU analyses (hot-alloc propagation, ack-order) sit on.
 //
 // Definitions are qualified by lexical scope — `namespace a::b { void
 // f() {...} }` and the out-of-line `void a::b::C::f() {...}` both
@@ -25,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <regex>
 #include <string>
 #include <vector>
@@ -48,43 +46,11 @@ struct Def {
   bool tu_local = false;                // anonymous-namespace scope
 };
 
-// One call site inside a definition's body.
-struct Call {
-  std::string name;                // bare callee name
-  std::vector<std::string> quals;  // explicit `a::b::` chain, if any
-  std::size_t tok = 0;             // token index in the TU's code
-  int line = 0;
-};
-
-// Shared token helpers (the rule TUs use them too). ---------------------
-
-// Names that look like `name(` but never are a function — control
-// flow, word operators, expression keywords.
-bool never_a_function(const std::string& name);
-
-// Index of the punct matching `open_text` at `open` (which must hold
-// an `open_text` token), or npos when unbalanced.
-std::size_t match_punct(const std::vector<Token>& code, std::size_t open,
-                        const char* open_text, const char* close_text);
-
-// Scope-qualified definition scan over one TU's structural tokens
-// (comments and preprocessor tokens removed). `tu` is echoed into
-// every Def. Function bodies are skipped (definitions do not nest;
-// lambda tokens belong to the enclosing definition), but class and
-// namespace bodies are walked so member definitions qualify.
-std::vector<Def> find_defs_scoped(const std::vector<Token>& code,
-                                  std::size_t tu);
-
-// Call sites in (def.open_tok, def.close_tok).
-std::vector<Call> find_calls(const std::vector<Token>& code, const Def& def);
-
 // True when a comment matching `re` sits on the def's signature: up
 // to three lines above the name (multi-line return types) through the
 // line of the opening brace (trailing same-line markers).
 bool def_has_marker(const Def& def, const std::vector<Token>& comments,
                     const std::regex& re);
-
-// The graph itself. -----------------------------------------------------
 
 class CallGraph {
  public:
@@ -97,15 +63,6 @@ class CallGraph {
   const std::vector<std::size_t>& callees(std::size_t def) const {
     return out_[def];
   }
-  // Raw call sites of `def`, in body order.
-  const std::vector<Call>& calls(std::size_t def) const {
-    return calls_[def];
-  }
-
-  // Defs a call from TU `from_tu` can bind to (see file comment for
-  // the matching rule), ascending def index.
-  std::vector<std::size_t> resolve(const Call& call,
-                                   std::size_t from_tu) const;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -123,9 +80,7 @@ class CallGraph {
 
  private:
   std::vector<Def> defs_;
-  std::vector<std::vector<Call>> calls_;       // per def
   std::vector<std::vector<std::size_t>> out_;  // per def, resolved
-  std::multimap<std::string, std::size_t> by_name_;
 };
 
 }  // namespace xlf::lint

@@ -1,6 +1,5 @@
 #include "tools/lint/lexer.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -24,23 +23,17 @@ bool string_prefix(const std::string& id) {
   return id == "u8" || id == "u" || id == "U" || id == "L";
 }
 
-// What a conditional directive's condition evaluates to: only the
-// literal forms `0`/`false`/`1`/`true` are decidable without running
-// the preprocessor; everything else keeps both arms live.
-enum class CondVal { kFalse, kTrue, kUnknown };
-
 class Lexer {
  public:
   explicit Lexer(const std::string& contents) {
     // getline shape: a trailing newline does not create an empty final
-    // line — the same raw-line view the PR 7 stripper produced.
+    // line.
     std::istringstream stream(contents);
     std::string line;
     while (std::getline(stream, line)) {
       out_.code.emplace_back(line.size(), ' ');
       out_.raw.push_back(std::move(line));
     }
-    out_.live.assign(out_.raw.size(), 1);
   }
 
   LexedFile run() {
@@ -68,12 +61,6 @@ class Lexer {
         continue;
       }
       if (c == '#' && fresh_line_) {
-        const std::string kw = peek_directive_keyword();
-        if (conditional_keyword(kw)) {
-          handle_conditional(kw, /*mark_dead=*/false);
-          skip_dead_region();
-          continue;
-        }
         pp_ = true;
         emit_punct_char();
         continue;
@@ -301,121 +288,6 @@ class Lexer {
     keep(ch());
   }
 
-  // --------------------------------------- preprocessor conditionals
-
-  static bool conditional_keyword(const std::string& kw) {
-    return kw == "if" || kw == "ifdef" || kw == "ifndef" || kw == "elif" ||
-           kw == "else" || kw == "endif";
-  }
-
-  // The directive keyword after the `#` the cursor sits on, peeked on
-  // the current physical line only (a splice between `#` and its
-  // keyword is legal but never written).
-  std::string peek_directive_keyword() const {
-    const std::string& l = out_.raw[line_];
-    std::size_t i = col_ + 1;
-    while (i < l.size() && (l[i] == ' ' || l[i] == '\t')) ++i;
-    std::string kw;
-    while (i < l.size() && ident_char(l[i])) kw.push_back(l[i++]);
-    return kw;
-  }
-
-  // `0` and `false` are definitively dead, `1` and `true` definitively
-  // taken; any other condition (macros, defined(...), expressions) is
-  // unknown, which keeps both arms live.
-  static CondVal evaluate(const std::string& kw, std::string cond) {
-    if (kw != "if") return CondVal::kUnknown;  // ifdef/ifndef
-    const auto comment = std::min(cond.find("//"), cond.find("/*"));
-    if (comment != std::string::npos) cond = cond.substr(0, comment);
-    const auto first = cond.find_first_not_of(" \t");
-    if (first == std::string::npos) return CondVal::kUnknown;
-    const auto last = cond.find_last_not_of(" \t");
-    cond = cond.substr(first, last - first + 1);
-    if (cond == "0" || cond == "false") return CondVal::kFalse;
-    if (cond == "1" || cond == "true") return CondVal::kTrue;
-    return CondVal::kUnknown;
-  }
-
-  bool region_live() const {
-    return conds_.empty() ||
-           (conds_.back().parent_live && conds_.back().live);
-  }
-
-  // Consume the directive's logical line (cursor on its `#`), update
-  // the conditional stack. `mark_dead` marks the consumed physical
-  // lines dead — used for directives met while skipping a dead region.
-  void handle_conditional(const std::string& kw, bool mark_dead) {
-    std::string text;
-    while (!at_end()) {
-      if (ch() == '\\' && peek(1) == '\n' &&
-          col_ + 1 >= out_.raw[line_].size()) {  // splice: keep reading
-        if (mark_dead) out_.live[line_] = 0;
-        ++line_;
-        col_ = 0;
-        continue;
-      }
-      if (ch() == '\n') break;
-      text.push_back(ch());
-      bump();
-    }
-    if (mark_dead && !at_end()) out_.live[line_] = 0;
-    if (!at_end()) bump();  // step over the newline to the next line
-    fresh_line_ = true;
-    pp_ = false;
-
-    // Split `#  keyword rest` (text starts at the '#').
-    std::size_t i = 1;
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    while (i < text.size() && ident_char(text[i])) ++i;
-    const std::string cond = text.substr(std::min(i, text.size()));
-
-    if (kw == "if" || kw == "ifdef" || kw == "ifndef") {
-      const CondVal val = evaluate(kw, cond);
-      conds_.push_back(Cond{region_live(), val != CondVal::kFalse,
-                            val == CondVal::kTrue});
-      return;
-    }
-    if (conds_.empty()) return;  // stray elif/else/endif: ignore
-    if (kw == "endif") {
-      conds_.pop_back();
-      return;
-    }
-    Cond& c = conds_.back();
-    if (kw == "else") {
-      c.live = !c.taken;
-      return;
-    }
-    // elif: dead after a definitively-taken arm; otherwise evaluated
-    // like a fresh #if (unknown keeps the arm live).
-    const CondVal val = evaluate("if", cond);
-    c.live = !c.taken && val != CondVal::kFalse;
-    if (val == CondVal::kTrue && !c.taken) c.taken = true;
-  }
-
-  // While the region is dead, consume physical lines without lexing:
-  // only conditional directives are interpreted (they restructure the
-  // region); everything else — code, comments, other directives — is
-  // marked dead and skipped.
-  void skip_dead_region() {
-    while (!region_live() && !at_end()) {
-      const std::string& l = out_.raw[line_];
-      std::size_t i = 0;
-      while (i < l.size() && (l[i] == ' ' || l[i] == '\t')) ++i;
-      if (i < l.size() && l[i] == '#') {
-        col_ = i;
-        const std::string kw = peek_directive_keyword();
-        if (conditional_keyword(kw)) {
-          handle_conditional(kw, /*mark_dead=*/true);
-          continue;
-        }
-      }
-      out_.live[line_] = 0;
-      ++line_;
-      col_ = 0;
-    }
-    fresh_line_ = true;
-  }
-
   // A token started mid-scan (identifier that turned out to be a
   // string prefix) records its original position.
   Token& start_at(TokKind kind, std::size_t line, std::size_t col) {
@@ -434,20 +306,11 @@ class Lexer {
     }
   }
 
-  // One open conditional region. `taken` records whether some arm so
-  // far evaluated definitively true (later arms are then dead).
-  struct Cond {
-    bool parent_live;
-    bool live;
-    bool taken;
-  };
-
   LexedFile out_;
   std::size_t line_ = 0;
   std::size_t col_ = 0;
   bool pp_ = false;
   bool fresh_line_ = true;
-  std::vector<Cond> conds_;
 };
 
 }  // namespace

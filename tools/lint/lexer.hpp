@@ -4,16 +4,13 @@
 //  * a token stream — identifiers, numbers, punctuators, string/char
 //    literals, comments and preprocessor directives, each carrying its
 //    1-based physical line and 0-based column — for the structural
-//    rules (hot-path allocation reachability, lock discipline), and
+//    rules (hot-path allocation and ack-order reachability), and
 //
 //  * a stripped per-line code view — comment text and literal
 //    contents blanked to spaces, shape-identical to the raw lines —
-//    for the line-pattern rules inherited from the PR 7 linter (whose
-//    findings it reproduces byte for byte; the pin fixture under
-//    fixtures/pin holds the frozen reference output).
+//    for the line-pattern rules.
 //
-// Unlike the line-based stripper it replaces, the lexer carries state
-// across physical lines, which fixes the two known weaknesses:
+// The lexer carries state across physical lines:
 //
 //  * raw string literals — R"( ... )" and R"delim( ... )delim" — are
 //    blanked across newlines, custom delimiters and embedded quotes;
@@ -23,15 +20,9 @@
 //
 // Tokens lexed inside a preprocessor directive (from the introducing
 // `#` to the unspliced end of line) are flagged so structural rules
-// can skip macro bodies and header names.
-//
-// Preprocessor conditionals are tracked: a region disabled by a
-// literal `#if 0` / `#if false` (or the `#else` arm of `#if 1`)
-// emits no tokens, stays blank in the code view, and is marked dead
-// in the per-line `live` map. Conditions the lexer cannot evaluate
-// (`#ifdef`, `#if defined(...)`, macro expressions) keep BOTH arms
-// live — over-approximate on purpose, so a rule can miss a finding
-// only in code that provably never compiles.
+// can skip macro bodies and header names. Conditionals are not
+// evaluated: every arm of every `#if` is lexed as live code, so a
+// banned token inside `#if 0` is still a finding.
 #pragma once
 
 #include <string>
@@ -64,10 +55,6 @@ struct LexedFile {
   std::vector<std::string> raw;   // physical lines, as read
   std::vector<std::string> code;  // stripped view, same line count and
                                   // per-line length as `raw`
-  // live[i] == 0 when physical line i sits inside a preprocessor-
-  // disabled region (`#if 0`, the dead arm of `#if 1`): no tokens, no
-  // code view, and rules that look at raw lines must skip it too.
-  std::vector<unsigned char> live;
 };
 
 LexedFile lex(const std::string& contents);

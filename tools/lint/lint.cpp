@@ -16,7 +16,6 @@
 #include "tools/lint/callgraph.hpp"
 #include "tools/lint/lexer.hpp"
 #include "tools/lint/rules.hpp"
-#include "tools/lint/sarif.hpp"
 
 namespace xlf::lint {
 namespace {
@@ -30,9 +29,7 @@ constexpr const char* kNoUnorderedEmit = "no-unordered-emit";
 constexpr const char* kNoPtrOrder = "no-ptr-order";
 constexpr const char* kRawAssert = "raw-assert";
 constexpr const char* kHotAlloc = "hot-alloc";
-constexpr const char* kLockOrder = "lock-order";
 constexpr const char* kAckOrder = "ack-order";
-constexpr const char* kArenaRef = "arena-ref";
 constexpr const char* kUnusedAllow = "unused-allow";
 
 const std::vector<RuleInfo> kRules = {
@@ -57,20 +54,11 @@ const std::vector<RuleInfo> kRules = {
     {kHotAlloc,
      "allocation reachable from a '// xlf: hot' function: hot paths must "
      "run allocation-free after warm-up (arena and pool reuse only)"},
-    {kLockOrder,
-     "lock discipline: no nested mutex acquisition, no inconsistent "
-     "cross-TU lock ordering, no new locks in src/nand or src/sim "
-     "(determinism comes from ordering, not locking)"},
     {kAckOrder,
      "crash-ack ordering: no path from a '// xlf: ack' completion site "
      "may reach a NAND mutation (program_page / erase_block / "
      "write_page_meta) without passing a '// xlf: durable' commit "
      "function on the cross-TU call graph"},
-    {kArenaRef,
-     "arena element lifetime: a reference/pointer/iterator bound into a "
-     "'// xlf: arena(grows)' declaration must not be used across a "
-     "potentially-growing call (try_issue / push_back / emplace_back / "
-     "resize / grow) on that arena"},
     {kUnusedAllow,
      "stale suppression: an '// xlf-lint: allow(...)' comment that "
      "suppresses nothing, or names an unknown rule, hides nothing and "
@@ -164,10 +152,10 @@ const std::regex kColdMarkRe(R"(\bxlf:\s*cold\b)");
 
 // ------------------------------------------------ structural analysis
 //
-// The hot-alloc, lock-order, ack-order, and arena-ref families work
-// on the token stream, not on line patterns. The unit of analysis is
-// the scope-qualified function definition from the whole-program call
-// graph (tools/lint/callgraph.hpp); lambdas are deliberately NOT
+// The hot-alloc and ack-order families work on the token stream, not
+// on line patterns. The unit of analysis is the scope-qualified
+// function definition from the whole-program call graph
+// (tools/lint/callgraph.hpp); lambdas are deliberately NOT
 // definitions — their tokens belong to the enclosing definition, so
 // an allocation inside an event closure is charged to the function
 // that builds the closure. Hot reachability is cross-TU: BFS from the
@@ -222,228 +210,6 @@ void scan_hot_allocs(LintState& st, const CallGraph& graph,
               "allocation into setup/arena code, or mark a documented "
               "arena-growth site with // xlf-lint: allow(hot-alloc)"});
     }
-  }
-}
-
-// ------------------------------------------------------ lock discipline
-
-// One mutex acquisition inside some function body.
-struct HeldLock {
-  std::string mutex;
-  int depth = 0;  // brace depth at the acquisition, for scope-exit pops
-};
-
-// A `first before second` ordering observed at file/line; collected
-// across every TU of a lint_files() call for the inversion check.
-struct OrderSite {
-  std::size_t file = 0;
-  int line = 0;
-};
-using OrderMap =
-    std::map<std::pair<std::string, std::string>, std::vector<OrderSite>>;
-
-bool lock_class(const std::string& s) {
-  return s == "lock_guard" || s == "unique_lock" || s == "scoped_lock" ||
-         s == "shared_lock";
-}
-
-bool mutex_class(const std::string& s) {
-  return s == "mutex" || s == "shared_mutex" || s == "recursive_mutex" ||
-         s == "timed_mutex" || s == "recursive_timed_mutex" ||
-         s == "shared_timed_mutex";
-}
-
-// Split a guard's constructor arguments at top-level commas and name
-// each acquired mutex by the last identifier of its expression
-// (`state_.big_mutex` and `*big_mutex` both name `big_mutex`). An
-// argument list mentioning defer_lock / try_to_lock means the guard
-// does not acquire here; adopt_lock means the lock is already held.
-std::vector<std::string> guard_mutexes(const std::vector<Token>& code,
-                                       std::size_t args_open,
-                                       std::size_t args_close) {
-  std::vector<std::string> names;
-  std::string last_ident;
-  int depth = 0;
-  for (std::size_t t = args_open + 1; t <= args_close; ++t) {
-    const Token& tok = code[t];
-    const bool top_comma =
-        t == args_close ||
-        (tok.kind == TokKind::kPunct && tok.text == "," && depth == 0);
-    if (top_comma) {
-      if (!last_ident.empty()) names.push_back(last_ident);
-      last_ident.clear();
-      continue;
-    }
-    if (tok.kind == TokKind::kPunct) {
-      if (tok.text == "(" || tok.text == "<" || tok.text == "{") ++depth;
-      if (tok.text == ")" || tok.text == ">" || tok.text == "}") --depth;
-      continue;
-    }
-    if (tok.kind == TokKind::kIdentifier) {
-      if (tok.text == "defer_lock" || tok.text == "try_to_lock" ||
-          tok.text == "adopt_lock") {
-        return {};
-      }
-      last_ident = tok.text;
-    }
-  }
-  return names;
-}
-
-void analyze_locks(LintState& st, std::size_t file_index,
-                   const CallGraph& graph, OrderMap& order,
-                   std::vector<Finding>& findings) {
-  const TuAnalysis& tu = st.tus[file_index];
-  const auto report_nested = [&](const std::string& outer,
-                                 const std::string& inner, int line,
-                                 const std::string& fn) {
-    const std::size_t line_index = line - 1;
-    if (is_allowed(st, file_index, line_index, kLockOrder)) return;
-    findings.push_back(Finding{
-        tu.path, line, kLockOrder,
-        "mutex '" + inner + "' acquired while '" + outer +
-            "' is already held in '" + fn +
-            "'; nested acquisition invites deadlock — narrow the critical "
-            "section to one lock, or justify with // xlf-lint: "
-            "allow(lock-order)"});
-  };
-
-  for (const Def& def : graph.defs()) {
-    if (def.tu != file_index) continue;
-    std::vector<HeldLock> held;
-    int depth = 0;
-    for (std::size_t t = def.open_tok + 1; t < def.close_tok; ++t) {
-      const Token& tok = tu.code[t];
-      if (tok.kind == TokKind::kPunct) {
-        if (tok.text == "{") ++depth;
-        if (tok.text == "}") {
-          --depth;
-          while (!held.empty() && held.back().depth > depth) held.pop_back();
-        }
-        continue;
-      }
-      if (tok.kind != TokKind::kIdentifier) continue;
-
-      // RAII guards: std::lock_guard<...> name(m) / std::scoped_lock
-      // name(a, b) / brace-init variants.
-      if (lock_class(tok.text)) {
-        std::size_t k = t + 1;
-        if (k < def.close_tok && tu.code[k].text == "<") {
-          int angles = 0;
-          for (; k < def.close_tok; ++k) {
-            if (tu.code[k].text == "<") ++angles;
-            if (tu.code[k].text == ">" && --angles == 0) break;
-          }
-          ++k;
-        }
-        if (k < def.close_tok && tu.code[k].kind == TokKind::kIdentifier) {
-          ++k;  // the guard variable's name
-        }
-        if (k >= def.close_tok ||
-            (tu.code[k].text != "(" && tu.code[k].text != "{")) {
-          continue;  // a type mention, not a construction
-        }
-        const bool brace = tu.code[k].text == "{";
-        const std::size_t close = match_punct(tu.code, k, brace ? "{" : "(",
-                                              brace ? "}" : ")");
-        if (close == std::string::npos || close > def.close_tok) continue;
-        for (const std::string& m : guard_mutexes(tu.code, k, close)) {
-          if (!held.empty()) {
-            for (const HeldLock& outer : held) {
-              order[{outer.mutex, m}].push_back(
-                  OrderSite{file_index, tok.line});
-            }
-            report_nested(held.back().mutex, m, tok.line, def.name);
-          }
-          held.push_back(HeldLock{m, depth});
-        }
-        t = close;
-        continue;
-      }
-
-      // Manual m.lock() / m->lock() and the matching unlock().
-      if ((tok.text == "lock" || tok.text == "unlock") && t >= 2 &&
-          (tu.code[t - 1].text == "." || tu.code[t - 1].text == "->") &&
-          tu.code[t - 2].kind == TokKind::kIdentifier &&
-          t + 1 < def.close_tok && tu.code[t + 1].text == "(") {
-        const std::string m = tu.code[t - 2].text;
-        if (tok.text == "unlock") {
-          for (auto it = held.rbegin(); it != held.rend(); ++it) {
-            if (it->mutex == m) {
-              held.erase(std::next(it).base());
-              break;
-            }
-          }
-          continue;
-        }
-        if (!held.empty()) {
-          for (const HeldLock& outer : held) {
-            order[{outer.mutex, m}].push_back(OrderSite{file_index, tok.line});
-          }
-          report_nested(held.back().mutex, m, tok.line, def.name);
-        }
-        held.push_back(HeldLock{m, depth});
-        continue;
-      }
-    }
-  }
-
-  // New locks in the replayed layers are suspect by default: one event
-  // loop owns every die's state, and a mutex usually papers over a
-  // missing ordering.
-  if (tu.layer == "nand" || tu.layer == "sim") {
-    for (std::size_t t = 0; t < tu.code.size(); ++t) {
-      if (!mutex_class(tu.code[t].text) ||
-          tu.code[t].kind != TokKind::kIdentifier) {
-        continue;
-      }
-      if (t + 1 >= tu.code.size() ||
-          tu.code[t + 1].kind != TokKind::kIdentifier) {
-        continue;  // template argument or parameter type, not a member
-      }
-      const std::size_t line_index = tu.code[t].line - 1;
-      if (is_allowed(st, file_index, line_index, kLockOrder)) continue;
-      findings.push_back(Finding{
-          tu.path, tu.code[t].line, kLockOrder,
-          "new std::" + tu.code[t].text + " '" + tu.code[t + 1].text +
-              "' declared in layer '" + tu.layer +
-              "': nand/sim stay lock-free by design (determinism comes "
-              "from event ordering); move synchronization to the host "
-              "boundary or justify with // xlf-lint: allow(lock-order)"});
-    }
-  }
-}
-
-void report_inversions(LintState& st, const OrderMap& order,
-                       std::vector<Finding>& findings) {
-  const std::vector<TuAnalysis>& tus = st.tus;
-  const auto first_unallowed = [&](const std::vector<OrderSite>& sites)
-      -> const OrderSite* {
-    for (const OrderSite& s : sites) {
-      if (!is_allowed(st, s.file, s.line - 1, kLockOrder)) return &s;
-    }
-    return nullptr;
-  };
-  for (const auto& [pair, sites] : order) {
-    const auto& [a, b] = pair;
-    if (a >= b) continue;  // handle each unordered pair once, via (a, b)
-    const auto rev = order.find({b, a});
-    if (rev == order.end()) continue;
-    const OrderSite* fwd_site = first_unallowed(sites);
-    const OrderSite* rev_site = first_unallowed(rev->second);
-    const auto report = [&](const OrderSite* site, const std::string& outer,
-                            const std::string& inner,
-                            const OrderSite& other) {
-      if (site == nullptr) return;
-      findings.push_back(Finding{
-          tus[site->file].path, site->line, kLockOrder,
-          "lock order inverted: '" + inner + "' is acquired under '" +
-              outer + "' here but the opposite order appears at " +
-              tus[other.file].path + ":" + std::to_string(other.line) +
-              "; pick one global acquisition order"});
-    };
-    report(fwd_site, a, b, rev->second.front());
-    report(rev_site, b, a, sites.front());
   }
 }
 
@@ -609,8 +375,7 @@ bool is_emitter_tu(const std::string& path) {
 
 namespace {
 
-// The six PR 7 line rules, verbatim, over the lexer's stripped view.
-// Their findings are pinned byte-identical by fixtures/pin.
+// The six line rules, over the lexer's stripped view.
 void lint_lines(LintState& st, std::size_t tu_index, const LayerGraph& graph,
                 std::vector<Finding>& findings) {
   const TuAnalysis& tu = st.tus[tu_index];
@@ -626,10 +391,8 @@ void lint_lines(LintState& st, std::size_t tu_index, const LayerGraph& graph,
     std::smatch match;
 
     // Includes are matched on the RAW line: the lexer blanks string
-    // literals, and the include path is lexically one. The live[] gate
-    // keeps includes inside `#if 0` regions out (the code view is
-    // already blank there; the raw line is not).
-    if (!tu.layer.empty() && graph.has_layer(tu.layer) && tu.lx.live[i] &&
+    // literals, and the include path is lexically one.
+    if (!tu.layer.empty() && graph.has_layer(tu.layer) &&
         std::regex_search(tu.lx.raw[i], match, kIncludeRe)) {
       const std::string target = match[1].str();
       if (graph.allowed(tu.layer).count(target) == 0) {
@@ -720,29 +483,21 @@ std::vector<Finding> lint_files(const std::vector<FileInput>& files,
   }
   scan_hot_allocs(st, cg, cg.reach(hot_roots, &cold), findings);
 
-  OrderMap order;
-  for (std::size_t fi = 0; fi < st.tus.size(); ++fi) {
-    analyze_locks(st, fi, cg, order, findings);
-  }
-  report_inversions(st, order, findings);
-
   std::vector<TuView> views;
   views.reserve(st.tus.size());
   for (const TuAnalysis& tu : st.tus) {
-    views.push_back(TuView{&tu.path, &tu.lx, &tu.code, &tu.comments});
+    views.push_back(TuView{&tu.path, &tu.code, &tu.comments});
   }
   const AllowFn allowed = [&st](std::size_t tu, std::size_t line,
                                 const std::string& rule) {
     return is_allowed(st, tu, line, rule);
   };
   check_ack_order(views, cg, allowed, findings);
-  check_arena_ref(views, allowed, findings);
 
   if (options.report_unused_allows) scan_unused_allows(st, findings);
 
   // One global order regardless of which analysis produced a finding:
-  // by file, then line, then the rule's --list-rules position. This
-  // reproduces the PR 7 per-line rule order exactly.
+  // by file, then line, then the rule's --list-rules position.
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {
                      if (a.file != b.file) return a.file < b.file;
@@ -809,17 +564,14 @@ std::vector<Finding> lint_tree(const std::string& root,
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
   std::string layers_path = "tools/lint/layers.txt";
-  std::string sarif_path;
   LintOptions options;
   std::vector<std::string> targets;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--help" || arg == "-h") {
-      out << "usage: xlf_lint [--layers FILE] [--sarif FILE]\n"
-             "                [--report-unused-allows] [--list-rules] "
-             "PATH...\n"
+      out << "usage: xlf_lint [--layers FILE] [--report-unused-allows]\n"
+             "                [--list-rules] PATH...\n"
              "  --layers FILE   layer DAG (default tools/lint/layers.txt)\n"
-             "  --sarif FILE    also write findings as SARIF 2.1.0 to FILE\n"
              "  --report-unused-allows\n"
              "                  report stale or unknown-rule allow() "
              "comments\n"
@@ -841,14 +593,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
         return 2;
       }
       layers_path = args[++i];
-      continue;
-    }
-    if (arg == "--sarif") {
-      if (i + 1 >= args.size()) {
-        err << "xlf_lint: missing value for --sarif\n";
-        return 2;
-      }
-      sarif_path = args[++i];
       continue;
     }
     if (arg == "--report-unused-allows") {
@@ -875,14 +619,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     }
     for (const Finding& finding : findings) {
       out << format_finding(finding) << "\n";
-    }
-    if (!sarif_path.empty()) {
-      std::ofstream sarif(sarif_path);
-      if (!sarif) {
-        err << "xlf_lint: cannot write " << sarif_path << "\n";
-        return 2;
-      }
-      sarif << to_sarif(findings);
     }
     if (!findings.empty()) {
       err << "xlf_lint: " << findings.size() << " finding"

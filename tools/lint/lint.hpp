@@ -1,13 +1,13 @@
 // xlf_lint — in-repo static analyzer for the repo's machine-checkable
-// invariants. Eight rule families:
+// invariants. Six rule families:
 //
 //  * layering       — the include-layer DAG. src/<layer>/ may include
 //                     itself plus the transitive closure of its direct
-//                     dependencies as declared in tools/lint/layers.txt
-//                     (cross-checked against the CMake link edges by a
-//                     ctest, so the two can never drift; the link-time
-//                     half of the check is xlf_sym_audit, see
-//                     tools/lint/sym_audit.hpp).
+//                     dependencies as declared in tools/lint/layers.txt,
+//                     the same file the top-level CMakeLists.txt reads
+//                     to declare each libxlf_<layer> and its link edges.
+//                     The link-time half of the check is xlf_sym_audit
+//                     (tools/lint/sym_audit.hpp).
 //  * determinism    — ban-list of nondeterminism sources: ambient
 //                     randomness (std::random_device, rand), wall-clock
 //                     time (time(), C clocks, std::chrono clocks),
@@ -30,26 +30,13 @@
 //                     std::function and std::string construction are
 //                     findings. Documented arena-growth sites escape
 //                     with `// xlf-lint: allow(hot-alloc)`.
-//  * lock-order     — lock discipline: nested mutex acquisition,
-//                     inconsistent cross-TU acquisition order for the
-//                     same mutex pair, and any new mutex declared in
-//                     src/nand or src/sim (the replayed layers are
-//                     lock-free by design — determinism comes from
-//                     event ordering, not locking) are findings.
 //  * ack-order      — crash-ack ordering: no path from a `// xlf: ack`
 //                     completion site may reach a NAND mutation
 //                     (program_page / erase_block / write_page_meta)
 //                     on the call graph without passing a
 //                     `// xlf: durable` commit function. The static
-//                     half of the PR 6 durability contract; see
-//                     tools/lint/ack_order.cpp.
-//  * arena-ref      — arena element lifetime: a reference, pointer, or
-//                     iterator bound into a declaration annotated
-//                     `// xlf: arena(grows)` must not be used across a
-//                     potentially-growing call (try_issue / push_back /
-//                     emplace_back / resize / grow) on that arena. The
-//                     static half of the PR 8 slot-lifetime hazard; see
-//                     tools/lint/arena_ref.cpp.
+//                     half of the crash-recovery durability contract;
+//                     see tools/lint/ack_order.cpp.
 //  * unused-allow   — stale-suppression audit, opt-in via
 //                     --report-unused-allows: every allow() comment
 //                     must have suppressed at least one finding in the
@@ -64,7 +51,7 @@
 // the token lexer (tools/lint/lexer.hpp): a banned construct in a
 // comment, a string literal, a raw string spanning lines, or behind a
 // backslash continuation is never a finding. The structural rules
-// (hot-alloc, lock-order) run over the token stream itself.
+// (hot-alloc, ack-order) run over the token stream itself.
 #pragma once
 
 #include <iosfwd>
@@ -106,11 +93,6 @@ class LayerGraph {
   const std::set<std::string>& allowed(const std::string& layer) const;
   bool has_layer(const std::string& layer) const;
 
-  // Direct edges exactly as declared, for the CMake cross-check.
-  const std::map<std::string, std::vector<std::string>>& direct() const {
-    return direct_;
-  }
-
  private:
   std::map<std::string, std::vector<std::string>> direct_;
   std::map<std::string, std::set<std::string>> allowed_;
@@ -133,9 +115,9 @@ std::vector<Finding> lint_file(const std::string& path,
 
 // Lint a set of files as one analysis scope. Per-file rules behave
 // exactly as lint_file; the cross-TU analyses — the whole-program call
-// graph behind hot-alloc and ack-order, the lock-order inversion
-// check, arena-ref's annotation set — only exist at this granularity.
-// Findings are globally sorted by (file, line, rule position).
+// graph behind hot-alloc and ack-order — only exist at this
+// granularity. Findings are globally sorted by (file, line, rule
+// position).
 struct FileInput {
   std::string path;
   std::string contents;

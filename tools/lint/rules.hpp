@@ -1,9 +1,8 @@
 // Cross-TU rule entry points built on the call graph
-// (tools/lint/callgraph.hpp): the crash-ordering audit (ack-order)
-// and the arena element-lifetime rule (arena-ref). Each runs over the
-// whole lint_files() set at once; lint.cpp wires them in after the
-// per-TU passes and hands them the allow-comment predicate so the
-// escape hatch (and its usage tracking) stays in one place.
+// (tools/lint/callgraph.hpp): the crash-ordering audit (ack-order).
+// It runs over the whole lint_files() set at once; lint.cpp wires it
+// in after the per-TU passes and hands it the allow-comment predicate
+// so the escape hatch (and its usage tracking) stays in one place.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +21,6 @@ struct Finding;
 // `tu` field.
 struct TuView {
   const std::string* path = nullptr;
-  const LexedFile* lx = nullptr;
   const std::vector<Token>* code = nullptr;      // structural tokens
   const std::vector<Token>* comments = nullptr;  // for marker scans
 };
@@ -39,12 +37,5 @@ using AllowFn =
 // ack_order.cpp for the exact contract.
 void check_ack_order(const std::vector<TuView>& tus, const CallGraph& graph,
                      const AllowFn& allowed, std::vector<Finding>& findings);
-
-// arena-ref: a reference/pointer/iterator bound into a declaration
-// annotated `// xlf: arena(grows)` must not be used after a
-// potentially-growing call (try_issue / push_back / emplace_back /
-// resize / grow) on that arena. See arena_ref.cpp.
-void check_arena_ref(const std::vector<TuView>& tus, const AllowFn& allowed,
-                     std::vector<Finding>& findings);
 
 }  // namespace xlf::lint

@@ -65,35 +65,15 @@ void parse_nm(const std::string& nm_output, ArchiveSyms& out) {
   std::istringstream stream(nm_output);
   std::string line;
   while (std::getline(stream, line)) {
+    // "name type [value [size]]"; member headers ("lib.a[foo.o]:") and
+    // blank lines have no type column.
     std::istringstream fields(line);
-    std::vector<std::string> tok;
-    std::string t;
-    while (fields >> t) tok.push_back(std::move(t));
-    if (tok.empty()) continue;
-    if (tok.size() == 1) continue;  // "member.o:" header or noise
     std::string name;
-    char type = '\0';
-    // BSD defined ("value type name") and POSIX -P ("name type value
-    // size") both put the type second; the hex value column tells them
-    // apart (mangled names are never pure hex).
-    const bool hex_first =
-        tok[0].find_first_not_of("0123456789abcdefABCDEF") ==
-        std::string::npos;
-    if (tok.size() >= 3 && hex_first && is_type_char(tok[1])) {
-      name = tok[2];  // BSD defined: "value type name"
-      type = tok[1][0];
-    } else if (is_type_char(tok[1])) {
-      name = tok[0];  // POSIX -P: "name type [value [size]]"
-      type = tok[1][0];
-    } else if (is_type_char(tok[0]) && tok.size() == 2) {
-      name = tok[1];  // BSD undefined: "U name"
-      type = tok[0][0];
-    } else {
-      continue;
-    }
-    if (type == 'U') {
+    std::string type;
+    if (!(fields >> name >> type) || !is_type_char(type)) continue;
+    if (type[0] == 'U') {
       out.undefined.insert(name);
-    } else if (defines(type)) {
+    } else if (defines(type[0])) {
       out.defined.insert(name);
     }
   }
@@ -172,8 +152,8 @@ std::string format_violation(const SymViolation& v) {
   return "libxlf_" + v.layer + ".a: [sym-audit] layer '" + v.layer +
          "' references '" + shown + "' defined only in layer " + owners +
          ", outside its dependency closure (tools/lint/layers.txt); add "
-         "the dependency there and in CMake, or move the code to a layer "
-         "both sides may use";
+         "the dependency there, or move the code to a layer both sides "
+         "may use";
 }
 
 int run_sym_audit_cli(const std::vector<std::string>& args, std::ostream& out,

@@ -40,9 +40,8 @@ struct SymViolation {
   std::set<std::string> owners;    // layers defining the symbol
 };
 
-// Parse `nm` output into `out`. Accepts both POSIX (-P: "name type
-// value size") and BSD ("value type name" / "       U name") shapes;
-// object-file headers ("foo.o:") and blank lines are skipped. A
+// Parse `nm -P` output ("name type [value [size]]") into `out`;
+// member headers ("lib.a[foo.o]:") and blank lines are skipped. A
 // symbol both referenced and defined across an archive's members
 // counts as defined (the archive satisfies itself).
 void parse_nm(const std::string& nm_output, ArchiveSyms& out);

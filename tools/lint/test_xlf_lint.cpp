@@ -1,12 +1,9 @@
 // Unit suite for xlf_lint: rule hits, the allow-comment escape hatch,
 // DAG parsing/violations, and the CLI exit-code contract (0 clean,
 // 1 findings, 2 usage/I-O error) — the contract CI leans on. Also
-// covers the token lexer (incl. preprocessor-conditional liveness),
-// the cross-TU call graph and its scope-qualified resolution, the
-// hot-alloc / lock-order / ack-order / arena-ref structural rules,
-// the stale-allow audit, SARIF emission, the cross-implementation
-// pin against the PR 7 line-based linter (fixtures/pin), and the
-// xlf_sym_audit link-time audit.
+// covers the token lexer, the cross-TU call graph and its
+// scope-qualified resolution, the hot-alloc / ack-order structural
+// rules, the stale-allow audit, and the xlf_sym_audit link-time audit.
 #include "tools/lint/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +18,6 @@
 
 #include "tools/lint/callgraph.hpp"
 #include "tools/lint/lexer.hpp"
-#include "tools/lint/sarif.hpp"
 #include "tools/lint/sym_audit.hpp"
 
 namespace xlf::lint {
@@ -54,11 +50,11 @@ std::vector<std::string> rules_of(const std::vector<Finding>& findings) {
 
 TEST(Rules, ListCoversEveryRuleFamily) {
   const std::vector<RuleInfo>& rules = rule_infos();
-  ASSERT_EQ(rules.size(), 11u);
+  ASSERT_EQ(rules.size(), 9u);
   for (const char* name :
        {"layering", "no-ambient-random", "no-wall-clock",
         "no-unordered-emit", "no-ptr-order", "raw-assert", "hot-alloc",
-        "lock-order", "ack-order", "arena-ref", "unused-allow"}) {
+        "ack-order", "unused-allow"}) {
     EXPECT_TRUE(is_rule_name(name)) << name;
   }
   EXPECT_FALSE(is_rule_name("no-such-rule"));
@@ -267,123 +263,9 @@ TEST(Lexer, PreprocessorTokensAreFlagged) {
   EXPECT_FALSE(lx.tokens.back().preprocessor);  // the ';' after `int x`
 }
 
-TEST(Lexer, IfZeroRegionEmitsNoTokensAndIsMarkedDead) {
-  const LexedFile lx = lex(
-      "int before = 1;\n"
-      "#if 0\n"
-      "int dead = rand();\n"
-      "#endif\n"
-      "int after = rand();\n");
-  // Nothing from the disabled region reaches the token stream or the
-  // code view; the live map pins down exactly which lines died.
-  EXPECT_EQ(lx.code[2].find("rand"), std::string::npos);
-  EXPECT_NE(lx.code[4].find("rand"), std::string::npos);
-  ASSERT_EQ(lx.live.size(), 5u);
-  EXPECT_EQ(lx.live[0], 1);  // int before
-  EXPECT_EQ(lx.live[2], 0);  // int dead
-  EXPECT_EQ(lx.live[4], 1);  // int after
-  for (const Token& tok : lx.tokens) {
-    EXPECT_NE(tok.text, "dead") << "token leaked from a dead region";
-  }
-}
-
-TEST(Lexer, ElseArmOfIfOneIsDeadAndOfIfZeroIsLive) {
-  const LexedFile lx = lex(
-      "#if 1\n"
-      "int live_arm;\n"
-      "#else\n"
-      "int dead_arm;\n"
-      "#endif\n"
-      "#if 0\n"
-      "int dead_arm2;\n"
-      "#else\n"
-      "int live_arm2;\n"
-      "#endif\n");
-  EXPECT_EQ(lx.live[1], 1);  // live_arm
-  EXPECT_EQ(lx.live[3], 0);  // dead_arm
-  EXPECT_EQ(lx.live[6], 0);  // dead_arm2
-  EXPECT_EQ(lx.live[8], 1);  // live_arm2
-}
-
-TEST(Lexer, IfdefKeepsBothArmsLive) {
-  // The lexer cannot evaluate macro state: both arms stay live, so a
-  // rule over-reports rather than misses (see file comment).
-  const LexedFile lx = lex(
-      "#ifdef SOME_MACRO\n"
-      "int arm_a = rand();\n"
-      "#else\n"
-      "int arm_b = rand();\n"
-      "#endif\n");
-  EXPECT_EQ(lx.live[1], 1);
-  EXPECT_EQ(lx.live[3], 1);
-  EXPECT_NE(lx.code[1].find("rand"), std::string::npos);
-  EXPECT_NE(lx.code[3].find("rand"), std::string::npos);
-}
-
-TEST(Lexer, NestedConditionalsInsideDeadRegionStayDead) {
-  const LexedFile lx = lex(
-      "#if 0\n"
-      "#if 1\n"
-      "int nested_dead;\n"
-      "#endif\n"
-      "#ifdef ANY\n"
-      "int also_dead;\n"
-      "#endif\n"
-      "#endif\n"
-      "int live_tail;\n");
-  EXPECT_EQ(lx.live[2], 0);
-  EXPECT_EQ(lx.live[5], 0);
-  EXPECT_EQ(lx.live[8], 1);
-  for (const Token& tok : lx.tokens) {
-    EXPECT_NE(tok.text, "nested_dead");
-    EXPECT_NE(tok.text, "also_dead");
-  }
-}
-
-TEST(Lexer, DisabledRegionHidesBannedTokensFromRules) {
-  // End-to-end: a banned construct inside `#if 0` is not a finding,
-  // the same construct after `#endif` is.
-  const auto findings = lint_file("src/util/pp.cpp",
-                                  "#if 0\n"
-                                  "int a = rand();\n"
-                                  "#endif\n"
-                                  "int b = rand();\n",
-                                  mini_graph());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "no-ambient-random");
-  EXPECT_EQ(findings[0].line, 4);
-}
-
-// ------------------------------------- fixtures: pin and adversarial
+// -------------------------------------------- fixtures: adversarial
 
 #ifdef XLF_LINT_FIXTURE_DIR
-
-// Byte-identical cross-implementation pin: expected.txt was generated
-// by the PR 7 line-based linter over fixtures/pin before the lexer
-// rewrite. The token-based reimplementation must reproduce it
-// exactly — same files, lines, rules, messages, and order.
-TEST(Pin, TokenLinterReproducesLineLinterByteForByte) {
-  const fs::path pin = fs::path(XLF_LINT_FIXTURE_DIR) / "pin";
-  const LayerGraph graph =
-      LayerGraph::parse_file((pin / "layers.txt").string());
-  std::vector<std::string> rel_paths;
-  for (const auto& entry : fs::recursive_directory_iterator(pin / "src")) {
-    if (entry.is_regular_file()) {
-      rel_paths.push_back(
-          fs::relative(entry.path(), pin).generic_string());
-    }
-  }
-  std::sort(rel_paths.begin(), rel_paths.end());
-  std::vector<FileInput> inputs;
-  for (const std::string& rel : rel_paths) {
-    inputs.push_back(FileInput{rel, read_file(pin / rel)});
-  }
-  std::string got;
-  for (const Finding& f : lint_files(inputs, graph)) {
-    got += format_finding(f) + "\n";
-  }
-  EXPECT_EQ(got, read_file(pin / "expected.txt"));
-}
 
 // The adversarial fixtures hold banned tokens inside raw strings
 // spanning lines and behind backslash continuations; only the one
@@ -406,16 +288,6 @@ TEST(Adversarial, BackslashContinuationsHideBannedTokens) {
   ASSERT_EQ(findings.size(), 1u) << format_finding(findings.front());
   EXPECT_EQ(findings[0].rule, "no-ambient-random");
   EXPECT_EQ(findings[0].line, 23);
-}
-
-TEST(Adversarial, PreprocessorDisabledRegionsHideBannedTokens) {
-  const fs::path file =
-      fs::path(XLF_LINT_FIXTURE_DIR) / "adversarial" / "preprocessor.cpp";
-  const auto findings =
-      lint_file("src/util/preprocessor.cpp", read_file(file), mini_graph());
-  ASSERT_EQ(findings.size(), 1u) << format_finding(findings.front());
-  EXPECT_EQ(findings[0].rule, "no-ambient-random");
-  EXPECT_EQ(findings[0].line, 31);  // `int genuine = rand();`
 }
 
 #endif  // XLF_LINT_FIXTURE_DIR
@@ -525,6 +397,27 @@ TEST(HotAlloc, CrossTuCalleeIsFlaggedThroughTheCallGraph) {
   EXPECT_EQ(findings[0].line, 1);
   EXPECT_NE(findings[0].message.find("'helper'"), std::string::npos);
   EXPECT_NE(findings[0].message.find("hot via 'tick'"), std::string::npos);
+
+  // Findings from several files and analyses come back in one global
+  // (file, line, rule position) order, whatever the input order.
+  const std::vector<FileInput> mixed = {
+      {"src/util/leaf.cpp",
+       "void helper() { int* p = new int; }\n"
+       "int r = rand();\n"},
+      {"src/ftl/root.cpp",
+       "// xlf: hot\n"
+       "void tick() { helper(); assert(r); }\n"
+       "auto t = time(nullptr);\n"},
+  };
+  std::vector<std::string> order;
+  for (const Finding& f : lint_files(mixed, mini_graph())) {
+    order.push_back(f.file + ":" + std::to_string(f.line) + ":" + f.rule);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "src/ftl/root.cpp:2:raw-assert",
+                       "src/ftl/root.cpp:3:no-wall-clock",
+                       "src/util/leaf.cpp:1:hot-alloc",
+                       "src/util/leaf.cpp:2:no-ambient-random"}));
 }
 
 TEST(HotAlloc, ColdMarkerStopsPropagationThroughTheMarkedDef) {
@@ -589,135 +482,6 @@ TEST(HotAlloc, BannedTokenInCommentOrStringIsNotAFinding) {
       "}\n",
       mini_graph());
   EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-// ----------------------------------------------------------- lock-order
-
-TEST(LockOrder, NestedAcquisitionIsFlagged) {
-  const auto findings =
-      lint_file("src/ftl/locks.cpp",
-                "void f() {\n"
-                "  std::lock_guard<std::mutex> a(mu_a);\n"
-                "  std::lock_guard<std::mutex> b(mu_b);\n"
-                "}\n",
-                mini_graph());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lock-order");
-  EXPECT_EQ(findings[0].line, 3);
-  EXPECT_NE(findings[0].message.find("'mu_b'"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("'mu_a'"), std::string::npos);
-}
-
-TEST(LockOrder, SequentialScopedLocksAreClean) {
-  // The thread_pool.cpp / timing.cpp shape: two critical sections in
-  // sequence, each holding one lock. Scope exit releases the first
-  // guard before the second is taken.
-  const auto findings =
-      lint_file("src/ftl/locks.cpp",
-                "void f() {\n"
-                "  {\n"
-                "    std::lock_guard<std::mutex> a(mu_a);\n"
-                "    touch();\n"
-                "  }\n"
-                "  std::lock_guard<std::mutex> b(mu_b);\n"
-                "}\n",
-                mini_graph());
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(LockOrder, ScopedLockWithTwoMutexesIsSuspectByDefault) {
-  const auto findings = lint_file(
-      "src/ftl/locks.cpp",
-      "void f() { std::scoped_lock lk(mu_a, mu_b); }\n", mini_graph());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lock-order");
-}
-
-TEST(LockOrder, DeferLockAndUnlockAreNotAcquisitions) {
-  const auto findings =
-      lint_file("src/ftl/locks.cpp",
-                "void f() {\n"
-                "  std::unique_lock<std::mutex> a(mu_a, std::defer_lock);\n"
-                "  std::lock_guard<std::mutex> b(mu_b);\n"
-                "}\n"
-                "void g() {\n"
-                "  mu_a.lock();\n"
-                "  mu_a.unlock();\n"
-                "  mu_b.lock();\n"
-                "}\n",
-                mini_graph());
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(LockOrder, CrossTuInversionIsFlaggedInBothTus) {
-  const std::vector<FileInput> inputs = {
-      {"src/ftl/one.cpp",
-       "void f() {\n"
-       "  std::lock_guard<std::mutex> a(mu_a);\n"
-       "  mu_b.lock();  // xlf-lint: allow(lock-order)\n"
-       "}\n"},
-      {"src/util/two.cpp",
-       "void g() {\n"
-       "  std::lock_guard<std::mutex> b(mu_b);\n"
-       "  mu_a.lock();  // xlf-lint: allow(lock-order)\n"
-       "}\n"},
-  };
-  // The per-site allows silence the nested-acquisition findings but a
-  // pair inverted across TUs has no single site to annotate — it only
-  // exists at lint_files scope... so suppressing both nested findings
-  // also suppresses the inversion (every site of both directions is
-  // allowed). Drop one allow and the inversion surfaces in both TUs.
-  EXPECT_TRUE(lint_files(inputs, mini_graph()).empty());
-
-  std::vector<FileInput> bare = inputs;
-  bare[0].contents =
-      "void f() {\n"
-      "  std::lock_guard<std::mutex> a(mu_a);\n"
-      "  mu_b.lock();\n"
-      "}\n";
-  bare[1].contents =
-      "void g() {\n"
-      "  std::lock_guard<std::mutex> b(mu_b);\n"
-      "  mu_a.lock();\n"
-      "}\n";
-  const auto findings = lint_files(bare, mini_graph());
-  // Two nested-acquisition findings plus two inversion findings.
-  ASSERT_EQ(findings.size(), 4u);
-  int inversions = 0;
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.rule, "lock-order");
-    if (f.message.find("opposite order") != std::string::npos) ++inversions;
-  }
-  EXPECT_EQ(inversions, 2);
-}
-
-TEST(LockOrder, MutexDeclarationSuspectInNandAndSimOnly) {
-  const std::string decl = "std::mutex guard_;\n";
-  for (const char* path : {"src/nand/x.hpp", "src/sim/x.hpp"}) {
-    // nand/sim are not in the mini DAG; layer membership comes from
-    // the path alone, so use the full-tree graph shape.
-    const auto findings = lint_file(
-        path, decl, LayerGraph::parse("util:\nnand: util\nsim: util\n"));
-    ASSERT_EQ(findings.size(), 1u) << path;
-    EXPECT_EQ(findings[0].rule, "lock-order");
-    EXPECT_NE(findings[0].message.find("'guard_'"), std::string::npos);
-  }
-  EXPECT_TRUE(lint_file("src/util/x.hpp", decl, mini_graph()).empty());
-  // A lock TYPE mention (template argument, #include) is not a
-  // declaration; only `mutex <identifier>` is.
-  EXPECT_TRUE(lint_file("src/nand/y.cpp",
-                        "#include <mutex>\n"
-                        "void f() { std::lock_guard<std::mutex> lk(m_); }\n",
-                        LayerGraph::parse("util:\nnand: util\n"))
-                  .empty());
-}
-
-TEST(LockOrder, AllowEscapeSuppressesTheDeclarationFinding) {
-  const auto findings = lint_file(
-      "src/nand/x.hpp",
-      "std::mutex guard_;  // xlf-lint: allow(lock-order)\n",
-      LayerGraph::parse("util:\nnand: util\n"));
-  EXPECT_TRUE(findings.empty());
 }
 
 // ------------------------------------------------------------ callgraph
@@ -919,122 +683,6 @@ TEST(AckOrder, UnreachableMutationIsNotAFinding) {
   EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
 }
 
-// ------------------------------------------------------------- arena-ref
-
-TEST(ArenaRef, ReferenceUsedAcrossGrowthIsFlagged) {
-  const auto findings = lint_file(
-      "src/ftl/arena.cpp",
-      "// xlf: arena(grows)\n"
-      "std::vector<int> slots;\n"
-      "int use() {\n"
-      "  int& slot = slots[0];\n"
-      "  slots.push_back(1);\n"
-      "  return slot;\n"
-      "}\n",
-      mini_graph());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "arena-ref");
-  EXPECT_EQ(findings[0].line, 5);  // reported at the growing call
-  EXPECT_NE(findings[0].message.find("'slot'"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("'push_back()'"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("arena 'slots'"), std::string::npos);
-}
-
-TEST(ArenaRef, TrailingAnnotationAndCrossTuUseAreCovered) {
-  // Header declares the arena (trailing marker); the .cpp holds the
-  // dangling use — the decl set is global across the lint set.
-  const std::vector<FileInput> inputs = {
-      {"src/ftl/arena.hpp",
-       "std::vector<Slot> pool_;  // xlf: arena(grows)\n"},
-      {"src/ftl/arena.cpp",
-       "void Ftl::grow_pool() {\n"
-       "  Slot* head = pool_.data();\n"
-       "  pool_.emplace_back();\n"
-       "  head->touch();\n"
-       "}\n"},
-  };
-  const auto findings = lint_files(inputs, mini_graph());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "arena-ref");
-  EXPECT_EQ(findings[0].file, "src/ftl/arena.cpp");
-  EXPECT_NE(findings[0].message.find("'emplace_back()'"), std::string::npos);
-}
-
-TEST(ArenaRef, ByValueCopyIsClean) {
-  const auto findings = lint_file(
-      "src/ftl/arena.cpp",
-      "// xlf: arena(grows)\n"
-      "std::vector<int> slots;\n"
-      "int use() {\n"
-      "  int slot = slots[0];\n"  // copy, not a reference
-      "  slots.push_back(1);\n"
-      "  return slot;\n"
-      "}\n",
-      mini_graph());
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(ArenaRef, GrowthAfterTheLastUseIsClean) {
-  const auto findings = lint_file(
-      "src/ftl/arena.cpp",
-      "// xlf: arena(grows)\n"
-      "std::vector<int> slots;\n"
-      "int use() {\n"
-      "  int& slot = slots[0];\n"
-      "  int copy = slot;\n"
-      "  slots.push_back(1);\n"
-      "  return copy;\n"
-      "}\n",
-      mini_graph());
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(ArenaRef, GrowthOfADifferentContainerIsClean) {
-  // Receiver matching: growing some other vector does not invalidate
-  // a binding into the arena.
-  const auto findings = lint_file(
-      "src/ftl/arena.cpp",
-      "// xlf: arena(grows)\n"
-      "std::vector<int> slots;\n"
-      "std::vector<int> log;\n"
-      "int use() {\n"
-      "  int& slot = slots[0];\n"
-      "  log.push_back(1);\n"
-      "  return slot;\n"
-      "}\n",
-      mini_graph());
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(ArenaRef, RangeForOverTheArenaAcrossGrowthIsFlagged) {
-  const auto findings = lint_file(
-      "src/ftl/arena.cpp",
-      "// xlf: arena(grows)\n"
-      "std::vector<int> slots;\n"
-      "void use() {\n"
-      "  for (int& slot : slots) {\n"
-      "    slots.push_back(slot);\n"
-      "  }\n"
-      "}\n",
-      mini_graph());
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "arena-ref");
-}
-
-TEST(ArenaRef, AllowEscapeSuppressesTheBinding) {
-  const auto findings = lint_file(
-      "src/ftl/arena.cpp",
-      "// xlf: arena(grows)\n"
-      "std::vector<int> slots;\n"
-      "int use() {\n"
-      "  int& slot = slots[0];\n"
-      "  slots.push_back(1);  // xlf-lint: allow(arena-ref)\n"
-      "  return slot;\n"
-      "}\n",
-      mini_graph());
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
 // ---------------------------------------------------------- unused-allow
 
 TEST(UnusedAllow, StaleAllowIsReportedOnlyUnderTheOption) {
@@ -1043,8 +691,8 @@ TEST(UnusedAllow, StaleAllowIsReportedOnlyUnderTheOption) {
        "// xlf-lint: allow(hot-alloc)\n"
        "int fine();\n"},
   };
-  // Default run: the stale comment is invisible (the pin fixture and
-  // every pre-PR-10 caller depend on that).
+  // Default run: the stale comment is invisible (a partial-tree run
+  // cannot see the cross-TU finding an allow may suppress).
   EXPECT_TRUE(lint_files(inputs, mini_graph()).empty());
 
   LintOptions options;
@@ -1092,7 +740,7 @@ TEST(UnusedAllow, CommaListReportsOnlyTheStaleEntries) {
       {"src/ftl/hot.cpp",
        "// xlf: hot\n"
        "void tick() {\n"
-       "  pool.push_back(1);  // xlf-lint: allow(hot-alloc, lock-order)\n"
+       "  pool.push_back(1);  // xlf-lint: allow(hot-alloc, raw-assert)\n"
        "}\n"},
   };
   LintOptions options;
@@ -1100,66 +748,24 @@ TEST(UnusedAllow, CommaListReportsOnlyTheStaleEntries) {
   const auto findings = lint_files(inputs, mini_graph(), options);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "unused-allow");
-  EXPECT_NE(findings[0].message.find("allow(lock-order)"), std::string::npos);
-}
-
-// ----------------------------------------------------------------- SARIF
-
-TEST(Sarif, EmptyRunStillCarriesTheToolAndRuleMetadata) {
-  const std::string doc = to_sarif({});
-  EXPECT_NE(doc.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(doc.find("sarif-2.1.0"), std::string::npos);
-  EXPECT_NE(doc.find("\"name\": \"xlf_lint\""), std::string::npos);
-  EXPECT_NE(doc.find("\"results\": ["), std::string::npos);
-  EXPECT_EQ(doc.find("\"ruleId\""), std::string::npos);  // no results
-  // Every rule family ships its metadata even with no findings.
-  for (const RuleInfo& rule : rule_infos()) {
-    EXPECT_NE(doc.find("\"id\": \"" + std::string(rule.name) + "\""),
-              std::string::npos)
-        << rule.name;
-  }
-}
-
-TEST(Sarif, FindingsBecomeResultsWithLocationsAndEscapedText) {
-  std::vector<Finding> findings;
-  findings.push_back(Finding{"src/ftl/a.cpp", 7, "hot-alloc",
-                             "uses \"quotes\" and a\ttab and a\\slash"});
-  const std::string doc = to_sarif(findings);
-  EXPECT_NE(doc.find("\"ruleId\": \"hot-alloc\""), std::string::npos);
-  EXPECT_NE(doc.find("\"startLine\": 7"), std::string::npos);
-  EXPECT_NE(doc.find("\"uri\": \"src/ftl/a.cpp\""), std::string::npos);
-  EXPECT_NE(doc.find("\"level\": \"error\""), std::string::npos);
-  // RFC 8259 escaping: quote, tab, backslash.
-  EXPECT_NE(doc.find("uses \\\"quotes\\\" and a\\ttab"), std::string::npos)
-      << doc;
-  EXPECT_NE(doc.find("a\\\\slash"), std::string::npos);
-}
-
-TEST(Sarif, OutputIsDeterministic) {
-  std::vector<Finding> findings;
-  findings.push_back(Finding{"src/util/x.hpp", 3, "layering", "message"});
-  EXPECT_EQ(to_sarif(findings), to_sarif(findings));
+  EXPECT_NE(findings[0].message.find("allow(raw-assert)"), std::string::npos);
 }
 
 // ------------------------------------------------------------ sym-audit
 
-TEST(SymAudit, ParsesPosixAndBsdNmOutput) {
+TEST(SymAudit, ParsesPosixNmOutput) {
   ArchiveSyms syms;
   parse_nm(
-      "member.o:\n"
+      "libxlf_ftl.a[member.o]:\n"
       "_ZN3xlf3ftl3runEv T 0000000000000000 0000000000000042\n"
       "_ZN3xlf4util3logEv U\n"
       "local_helper t 0000000000000010 0000000000000008\n"
       "\n"
-      "0000000000000020 T bsd_defined\n"
-      "                 U bsd_undefined\n"
-      "0000000000000030 W weak_defined\n",
+      "weak_defined W 0000000000000030 0000000000000008\n",
       syms);
   EXPECT_EQ(syms.defined, (std::set<std::string>{"_ZN3xlf3ftl3runEv",
-                                                 "bsd_defined",
                                                  "weak_defined"}));
-  EXPECT_EQ(syms.undefined, (std::set<std::string>{"_ZN3xlf4util3logEv",
-                                                   "bsd_undefined"}));
+  EXPECT_EQ(syms.undefined, std::set<std::string>{"_ZN3xlf4util3logEv"});
   // Lowercase locals cannot satisfy a cross-archive reference.
   EXPECT_EQ(syms.defined.count("local_helper"), 0u);
 }
@@ -1319,33 +925,6 @@ TEST_F(CliTest, ListRulesPrintsEveryRuleAndExitsZero) {
   for (const RuleInfo& rule : rule_infos()) {
     EXPECT_NE(out_.str().find(rule.name), std::string::npos) << rule.name;
   }
-}
-
-TEST_F(CliTest, SarifFileIsWrittenEvenWhenFindingsFailTheRun) {
-  write("src/util/scratch.hpp", "#include \"src/ftl/ok.hpp\"\n");
-  const fs::path sarif = root_ / "lint.sarif";
-  EXPECT_EQ(run({"--sarif", sarif.string(), (root_ / "src").string()}), 1);
-  const std::string doc = read_file(sarif);
-  EXPECT_NE(doc.find("sarif-2.1.0"), std::string::npos);
-  EXPECT_NE(doc.find("\"ruleId\": \"layering\""), std::string::npos);
-  EXPECT_NE(doc.find("scratch.hpp"), std::string::npos);
-}
-
-TEST_F(CliTest, SarifOnACleanTreeHoldsAnEmptyResultSet) {
-  const fs::path sarif = root_ / "lint.sarif";
-  EXPECT_EQ(run({"--sarif", sarif.string(), (root_ / "src").string()}), 0);
-  const std::string doc = read_file(sarif);
-  EXPECT_NE(doc.find("\"name\": \"xlf_lint\""), std::string::npos);
-  EXPECT_EQ(doc.find("\"ruleId\""), std::string::npos);
-}
-
-TEST_F(CliTest, SarifUsageAndIoErrorsExitTwo) {
-  EXPECT_EQ(run({"--sarif"}), 2);  // missing value
-  EXPECT_NE(err_.str().find("--sarif"), std::string::npos);
-  // Unwritable output path: I/O error, not silently dropped.
-  EXPECT_EQ(run({"--sarif", (root_ / "no-such-dir" / "x.sarif").string(),
-                 (root_ / "src").string()}),
-            2);
 }
 
 TEST_F(CliTest, ReportUnusedAllowsFlagSurfacesStaleSuppressions) {
