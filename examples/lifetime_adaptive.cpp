@@ -20,7 +20,7 @@ int main() {
   config.topology = {1, 1};
   config.die.device.array.geometry.blocks = 8;
   config.die.device.array.geometry.pages_per_block = 4;
-  config.die.controller.tuning_policy = "feedback";
+  config.die.controller.tuning_policy = policy::Tuning::kFeedback;
   // Snappier estimator for the demo's coarse age steps.
   config.die.controller.reliability.ewma_alpha = 0.15;
   ftl::Ssd ssd(config);

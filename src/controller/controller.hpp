@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "src/controller/ecc_unit.hpp"
 #include "src/controller/ocp.hpp"
@@ -31,10 +30,9 @@ struct ControllerConfig {
   OcpConfig ocp;
   PageBufferConfig page_buffer;
   ReliabilityConfig reliability;
-  // Reliability-manager tuning strategy, resolved through
-  // PolicyRegistry<policy::TuningPolicy> ("static", "model_based",
-  // "feedback", or any policy registered by a downstream TU).
-  std::string tuning_policy = "model_based";
+  // Reliability-manager tuning strategy (static, model_based or
+  // feedback).
+  policy::Tuning tuning_policy = policy::Tuning::kModelBased;
   nand::LoadStrategy load_strategy = nand::LoadStrategy::kFullSequence;
 };
 

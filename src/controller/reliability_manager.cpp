@@ -2,34 +2,18 @@
 
 #include <algorithm>
 
-#include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::controller {
 
-struct ReliabilityManager::Host final : policy::TuningHost {
-  const ReliabilityManager* manager = nullptr;
-  unsigned t_for_rber(double rber) const override {
-    return manager->t_for_rber(rber);
-  }
-};
-
 ReliabilityManager::ReliabilityManager(const ReliabilityConfig& config,
-                                       const std::string& policy_name,
+                                       policy::Tuning tuning,
                                        const nand::AgingLaw& law)
-    : config_(config), law_(law) {
+    : config_(config), tuning_(tuning), law_(law) {
   XLF_EXPECT(config_.uber_target > 0.0 && config_.uber_target < 1.0);
   XLF_EXPECT(config_.t_min >= 1 && config_.t_min <= config_.t_max);
   XLF_EXPECT(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
   XLF_EXPECT(config_.safety_factor >= 1.0);
-  set_policy(policy_name);
-}
-
-void ReliabilityManager::set_policy(const std::string& policy_name) {
-  policy_ =
-      policy::PolicyRegistry<policy::TuningPolicy>::instance().make_shared(
-          policy_name);
-  policy_name_ = policy_name;
 }
 
 unsigned ReliabilityManager::t_for_rber(double rber) const {
@@ -80,21 +64,20 @@ double ReliabilityManager::estimated_rber() const { return rber_estimate_; }
 unsigned ReliabilityManager::recommended_t(nand::ProgramAlgorithm algo,
                                            double pe_cycles,
                                            unsigned fallback_t) const {
-  Host host;
-  host.manager = this;
-
-  policy::TuningContext ctx;
-  ctx.algo = algo;
-  ctx.pe_cycles = pe_cycles;
-  ctx.fallback_t = fallback_t;
-  ctx.estimated_rber = rber_estimate_;
-  ctx.estimate_ready = estimate_ready();
-  ctx.safety_factor = config_.safety_factor;
-  ctx.budget = {config_.uber_target, config_.m, config_.k, config_.t_min,
-                config_.t_max};
-  ctx.law = &law_;
-  ctx.host = &host;
-  return policy_->recommend(ctx);
+  switch (tuning_) {
+    case policy::Tuning::kStatic:
+      return fallback_t;
+    case policy::Tuning::kModelBased:
+      return select_t(algo, pe_cycles);
+    case policy::Tuning::kFeedback:
+      break;
+  }
+  if (!estimate_ready()) return fallback_t;
+  // Never trust an estimate of exactly zero: with no observed errors
+  // the best statement is "below one error per observed window"; fall
+  // back to the floor capability.
+  if (rber_estimate_ <= 0.0) return config_.t_min;
+  return t_for_rber(std::min(0.5, rber_estimate_ * config_.safety_factor));
 }
 
 }  // namespace xlf::controller

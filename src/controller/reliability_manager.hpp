@@ -1,23 +1,19 @@
 // The integrated reliability manager (paper Section 3): selects the
-// minimal BCH correction capability meeting the UBER target through a
-// pluggable policy::TuningPolicy — the built-ins are `static` (hold
-// the configured t), `model_based` (t from the device's known wear
-// state and RBER law) and `feedback` (t from live corrected-bit
-// feedback out of the ECC unit, the self-adaptive path). Eq. (1)
-// closes the loop in the model-based and feedback cases.
+// minimal BCH correction capability meeting the UBER target under one
+// policy::Tuning strategy — `static` (hold the configured t),
+// `model_based` (t from the device's known wear state and RBER law)
+// or `feedback` (t from live corrected-bit feedback out of the ECC
+// unit, the self-adaptive path). Eq. (1) closes the loop in the
+// model-based and feedback cases.
 //
-// The manager owns all mutable state (the EWMA estimator, the
-// saturation flag); the policy object is immutable and consulted per
-// decision with a TuningContext snapshot, so one policy instance is
-// safely shared across dies and threads.
+// The manager owns all the state a selection reads: the EWMA
+// estimator, the saturation flag and the Eq. (1) memo.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
-#include <string>
 
 #include "src/bch/code_params.hpp"
 #include "src/nand/aging.hpp"
@@ -42,16 +38,9 @@ struct ReliabilityConfig {
 
 class ReliabilityManager {
  public:
-  // `policy_name` is looked up in PolicyRegistry<TuningPolicy>;
-  // unknown names throw listing the registered policies.
-  ReliabilityManager(const ReliabilityConfig& config,
-                     const std::string& policy_name,
+  ReliabilityManager(const ReliabilityConfig& config, policy::Tuning tuning,
                      const nand::AgingLaw& law);
 
-  const std::string& policy_name() const { return policy_name_; }
-  const policy::TuningPolicy& tuning_policy() const { return *policy_; }
-  // Swap the tuning strategy at runtime (estimator state is kept).
-  void set_policy(const std::string& policy_name);
   const ReliabilityConfig& config() const { return config_; }
 
   // --- model-based path ------------------------------------------------
@@ -66,9 +55,9 @@ class ReliabilityManager {
   void observe_decode(unsigned corrected_bits, std::uint32_t codeword_bits);
   double estimated_rber() const;
   bool estimate_ready() const { return pages_seen_ >= config_.warmup_pages; }
-  // Recommended t per the active policy and current state;
-  // `fallback_t` is returned by policies that decline to retune (the
-  // static policy, feedback before warm-up).
+  // Recommended t per the tuning strategy and current state;
+  // `fallback_t` is returned when the strategy declines to retune
+  // (static, feedback before warm-up).
   unsigned recommended_t(nand::ProgramAlgorithm algo, double pe_cycles,
                          unsigned fallback_t) const;
 
@@ -76,13 +65,10 @@ class ReliabilityManager {
   bool saturated() const { return saturated_; }
 
  private:
-  // Bridges a TuningPolicy's t_for_rber calls back to the manager so
-  // the saturation flag tracks exactly the selections that consulted
-  // the UBER equation. Nested for private access; defined in the cpp.
-  struct Host;
-
   // Eq. (1) for this config, memoised: the answer is a pure function
   // of rber, and a block's wear (so its rber) only moves at erase.
+  // Records saturation, so only selections that consult the UBER
+  // equation (never `static`) touch the flag.
   unsigned t_for_rber(double rber) const;
 
   // One memoised Eq. (1) solve; t is empty when the target is out of
@@ -94,8 +80,7 @@ class ReliabilityManager {
   };
 
   ReliabilityConfig config_;
-  std::string policy_name_;
-  std::shared_ptr<const policy::TuningPolicy> policy_;
+  policy::Tuning tuning_;
   nand::AgingLaw law_;
   double rber_estimate_ = 0.0;
   unsigned pages_seen_ = 0;

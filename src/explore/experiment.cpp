@@ -9,8 +9,9 @@
 #include "src/explore/monte_carlo.hpp"
 #include "src/explore/report.hpp"
 #include "src/explore/sweep.hpp"
+#include "src/host/command.hpp"
 #include "src/nand/rber_model.hpp"
-#include "src/policy/registry.hpp"
+#include "src/policy/policy.hpp"
 #include "src/sim/host_workload.hpp"
 #include "src/util/stats.hpp"
 
@@ -117,13 +118,11 @@ std::vector<std::string> as_string_list(const JsonValue& v,
   return out;
 }
 
-// Validates each name against the interface's registry; an unknown
-// name throws the registry's message (which lists the alternatives).
-template <class Interface>
+// Validates each name against its kind's table; an unknown name
+// throws parse's message (which lists the alternatives).
+template <class P>
 void check_policies(const std::vector<std::string>& names) {
-  for (const std::string& name : names) {
-    (void)policy::PolicyRegistry<Interface>::instance().make(name);
-  }
+  for (const std::string& name : names) (void)policy::parse<P>(name);
 }
 
 void check_point_name(const std::string& name) {
@@ -329,6 +328,11 @@ void parse_sweep(StrictObject& root, ExperimentSpec& spec) {
     for (const JsonValue& item : v->items()) {
       const std::size_t queues = as_index(item, "queues");
       if (queues < 1) spec_error("'queues' entries must be >= 1");
+      if (queues > host::kMaxQueues) {
+        spec_error("'queues' entries must be <= " +
+                   std::to_string(host::kMaxQueues) +
+                   " (queue ids are 16-bit)");
+      }
       spec.ftl.queue_counts.push_back(queues);
     }
   }
@@ -358,11 +362,11 @@ void parse_sweep(StrictObject& root, ExperimentSpec& spec) {
     }
   }
   obj.finish();
-  check_policies<policy::GcPolicy>(spec.ftl.gc_policies);
-  check_policies<policy::WearPolicy>(spec.ftl.wear_policies);
-  check_policies<policy::TuningPolicy>(spec.ftl.tuning_policies);
-  check_policies<policy::RefreshPolicy>(spec.ftl.refresh_policies);
-  check_policies<policy::ArbitrationPolicy>(spec.ftl.arbitration_policies);
+  check_policies<policy::Gc>(spec.ftl.gc_policies);
+  check_policies<policy::Wear>(spec.ftl.wear_policies);
+  check_policies<policy::Tuning>(spec.ftl.tuning_policies);
+  check_policies<policy::Refresh>(spec.ftl.refresh_policies);
+  check_policies<policy::Arbitration>(spec.ftl.arbitration_policies);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Declarative experiment specs: one JSON document describes a whole
 // exploration run — which engine (configuration-space sweep or FTL
 // policy sweep), the device/FTL configuration under test, the sweep
-// axes (including arbitrary policy-name combinations from the
-// PolicyRegistry), and the optional Monte-Carlo validation — and
+// axes (including any combination of the built-in policy names, see
+// src/policy/policy.hpp), and the optional Monte-Carlo validation — and
 // tools/xlf_explore --spec executes it. The spec is the write-once
 // artifact of an experiment: the same file reproduces the same bytes
 // on any machine at any thread count (the engines' determinism
@@ -11,8 +11,8 @@
 //
 // Parsing is strict: unknown keys, unknown policy names, malformed
 // topologies and out-of-range values all throw std::invalid_argument
-// with the offending key/value (and, for policies, the registered
-// alternatives) in the message.
+// with the offending key/value (and, for policies, the available
+// names) in the message.
 //
 // Spec shape (all keys optional unless noted; defaults mirror the
 // CLI's):

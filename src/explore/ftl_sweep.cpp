@@ -4,11 +4,23 @@
 #include <sstream>
 
 #include "src/ftl/fault.hpp"
+#include "src/policy/policy.hpp"
 #include "src/sim/host_workload.hpp"
 #include "src/util/expect.hpp"
 #include "src/util/stopwatch.hpp"
 
 namespace xlf::explore {
+namespace {
+
+template <class P>
+std::vector<P> parse_axis(const std::vector<std::string>& names) {
+  std::vector<P> out;
+  out.reserve(names.size());
+  for (const std::string& name : names) out.push_back(policy::parse<P>(name));
+  return out;
+}
+
+}  // namespace
 
 FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT(!spec.topologies.empty());
@@ -62,6 +74,15 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     }
   }
 
+  // Each policy axis, parsed once: an unknown name fails the sweep
+  // before any combo runs, listing the available names.
+  const auto tunings = parse_axis<policy::Tuning>(spec.tuning_policies);
+  const auto gcs = parse_axis<policy::Gc>(spec.gc_policies);
+  const auto wears = parse_axis<policy::Wear>(spec.wear_policies);
+  const auto refreshes = parse_axis<policy::Refresh>(spec.refresh_policies);
+  const auto arbitrations =
+      parse_axis<policy::Arbitration>(spec.arbitration_policies);
+
   const std::size_t policy_combos =
       spec.gc_policies.size() * spec.wear_policies.size() *
       spec.tuning_policies.size() * spec.refresh_policies.size() *
@@ -109,10 +130,10 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
 
     ftl::SsdConfig config = spec.base;
     config.topology = spec.topologies[t];
-    config.ftl.gc_policy = spec.gc_policies[g];
-    config.ftl.wear_policy = spec.wear_policies[w];
-    config.ftl.refresh_policy = spec.refresh_policies[r];
-    config.die.controller.tuning_policy = spec.tuning_policies[u];
+    config.ftl.gc_policy = gcs[g];
+    config.ftl.wear_policy = wears[w];
+    config.ftl.refresh_policy = refreshes[r];
+    config.die.controller.tuning_policy = tunings[u];
     config.die.device.data_plane = spec.data_plane;
 
     Rng stream = streams[index];
@@ -135,7 +156,7 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     sim::SsdSimConfig sim_config;
     sim_config.queue_depth = spec.queue_depths[q];
     sim_config.host.queues = queues;
-    sim_config.host.arbitration = spec.arbitration_policies[a];
+    sim_config.host.arbitration = arbitrations[a];
     // One weight list serves every queue-count entry: take the first
     // `queues` entries, pad missing ones with 1.0 (HostInterface).
     sim_config.host.queue_weights.assign(
@@ -182,8 +203,7 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     }
     // One maintenance scrub after the request stream: the refresh
     // policy's effect shows up as preventive relocations in the row.
-    // Unconditional — a policy that refreshes nothing (the "none"
-    // built-in, or any downstream no-op) just reports zeros.
+    // Unconditional — "none" refreshes nothing and reports zeros.
     const ftl::ScrubResult scrubbed = ssd.ftl().scrub();
     row.stats.refresh_blocks = scrubbed.blocks_refreshed;
     row.stats.refresh_relocations = scrubbed.pages_relocated;

@@ -5,16 +5,16 @@
 // reliability spread next to the device-level metrics the space
 // sweep produces.
 //
-// Policies are swept by registry name along five independent axes —
-// GC victim selection, wear leveling, reliability tuning, background
-// refresh and host-queue arbitration — so any combination of
-// registered strategies (including ones registered by downstream
-// translation units) is reachable without code changes. The grid is
-// the cartesian product topology x queue depth x queue count x
-// arbitration x gc x wear x tuning x refresh, in that nesting order;
-// axes default to a single entry, so the historical (topology x QD x
-// GC) grid is the default shape. One queue means one tenant, whose
-// command stream tests/test_host_workload.cpp pins.
+// Policies are swept by name along five independent axes — GC victim
+// selection, wear leveling, reliability tuning, background refresh
+// and host-queue arbitration — so any combination of the built-in
+// strategies (src/policy/policy.hpp) is reachable from a spec or the
+// command line; the names are parsed once, before any combo runs.
+// The grid is the cartesian product topology x queue depth x queue
+// count x arbitration x gc x wear x tuning x refresh, in that nesting
+// order; axes default to a single entry, so the historical (topology
+// x QD x GC) grid is the default shape. One queue means one tenant,
+// whose command stream tests/test_host_workload.cpp pins.
 //
 // Determinism contract (same as sweep/monte_carlo): every combo's
 // randomness comes from its own serially pre-forked Rng stream, each
@@ -38,15 +38,16 @@ struct FtlSweepSpec {
   ftl::SsdConfig base;
   std::vector<controller::DispatchConfig> topologies{{1, 1}, {2, 1}};
   std::vector<std::size_t> queue_depths{1, 4};
-  // Host-interface axes: submission-queue counts and arbitration
-  // policy names (PolicyRegistry, kind "arbitration"). One tenant per
+  // Host-interface axes: submission-queue counts (at most
+  // host::kMaxQueues) and arbitration policy names. One tenant per
   // queue; requests split evenly across tenants.
   std::vector<std::size_t> queue_counts{1};
   std::vector<std::string> arbitration_policies{"round-robin"};
   // Arbitration weight per queue (queue 0 first; shorter lists pad
   // with 1.0, empty = equal weights).
   std::vector<double> queue_weights;
-  // Policy axes (PolicyRegistry names of the matching interface).
+  // Policy axes, by name (policy::Names<P>::table of the matching
+  // kind).
   std::vector<std::string> gc_policies{"greedy", "cost-benefit"};
   std::vector<std::string> wear_policies{"dynamic"};
   std::vector<std::string> tuning_policies{"model_based"};

@@ -50,7 +50,7 @@ ValidationStats run_replica(const MonteCarloSpec& spec, Rng stream) {
   // Hold the t that apply(point) resolves at the validation age:
   // model_based would re-derive t from the active algorithm's RBER and
   // so turn MinUber (DV on the SV schedule) into MaxRead.
-  config.die.controller.tuning_policy = "static";
+  config.die.controller.tuning_policy = policy::Tuning::kStatic;
   config.initial_pe_cycles = spec.pe_cycles;
   config.point = spec.point;
   // The default FtlConfig ages a block by one P/E cycle per erase.

@@ -4,7 +4,6 @@
 #include <limits>
 #include <string>
 
-#include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::ftl {
@@ -17,20 +16,15 @@ DieAllocator::DieAllocator(const AllocatorConfig& config) : config_(config) {
   XLF_EXPECT_MSG(config.pages_per_block >= 1,
                  "pages_per_block=" + std::to_string(config.pages_per_block) +
                      " must be >= 1");
-  if (config_.wear == nullptr) {
-    config_.wear =
-        policy::PolicyRegistry<policy::WearPolicy>::instance().make_shared(
-            "dynamic");
-  }
   states_.assign(config.blocks, BlockState::kFree);
   erase_counts_.assign(config.blocks, 0);
   last_write_.assign(config.blocks, 0);
   cached_valid_.assign(config.blocks, 0);
   free_count_ = config.blocks;
-  victims_.reset(config_.gc_index, config_.blocks, config_.pages_per_block);
+  victims_.reset(config_.gc, config_.blocks, config_.pages_per_block);
   free_index_.reset(config_.blocks);
   for (std::uint32_t b = 0; b < config_.blocks; ++b) {
-    free_index_.push(b, config_.wear->free_block_score(0));
+    free_index_.push(b, policy::free_block_score(config_.wear, 0));
   }
 }
 
@@ -124,7 +118,8 @@ void DieAllocator::on_erase(std::uint32_t block) {
   cached_valid_[block] = 0;
   ++free_count_;
   victims_.remove(block);
-  free_index_.push(block, config_.wear->free_block_score(erase_counts_[block]));
+  free_index_.push(block,
+                   policy::free_block_score(config_.wear, erase_counts_[block]));
 }
 
 void DieAllocator::retire(std::uint32_t block) {
@@ -157,8 +152,8 @@ void DieAllocator::restore(std::uint32_t block, BlockState state,
     index_update(block);
   } else {
     // Erase count changed under the ctor's snapshot score: re-push.
-    free_index_.push(block,
-                     config_.wear->free_block_score(erase_counts_[block]));
+    free_index_.push(
+        block, policy::free_block_score(config_.wear, erase_counts_[block]));
   }
 }
 
@@ -214,29 +209,21 @@ std::uint32_t DieAllocator::max_erase_count() const {
   return best;
 }
 
-// xlf: hot — the indexed pick exists to keep GC selection off the
-// allocator; the bucket-head walk must stay allocation-free.
-std::optional<std::uint32_t> DieAllocator::pick_victim_indexed(
-    const policy::GcPolicy& policy, std::uint64_t now) const {
-  XLF_EXPECT(victims_.enabled());
+// xlf: hot — on the GC trigger path of every write burst; the
+// bucket-head walk must stay allocation-free.
+std::optional<std::uint32_t> DieAllocator::pick_victim(
+    std::uint64_t now) const {
   // Each bucket head is the best candidate at its valid count (the
   // bucket key is the policy's within-bucket tie-break; see
-  // victim_index.hpp). Scoring the heads through the policy object —
-  // the same virtual call, view fields and floating-point path as the
-  // oracle scan — and keeping the argmax under the oracle's strict-> /
-  // lowest-id rule reproduces pick_victim_scored byte for byte at
-  // O(pages_per_block) instead of O(blocks).
+  // victim_index.hpp). Scoring the heads with the oracle scan's
+  // policy::gc_score and keeping the argmax under the oracle's
+  // strict-> / lowest-id rule reproduces pick_victim_scored byte for
+  // byte at O(pages_per_block) instead of O(blocks).
   std::optional<std::uint32_t> best;
   double best_score = 0.0;
   victims_.for_each_head([&](std::uint32_t block, std::uint32_t valid) {
-    policy::GcBlockView view;
-    view.block = block;
-    view.valid_pages = valid;
-    view.pages_per_block = config_.pages_per_block;
-    view.erase_count = erase_counts_[block];
-    view.last_write = last_write_[block];
-    view.now = now;
-    const double candidate = policy.score(view);
+    const double candidate = policy::gc_score(
+        config_.gc, valid, config_.pages_per_block, last_write_[block], now);
     if (!best.has_value() || candidate > best_score ||
         (candidate == best_score && block < *best)) {
       best = block;

@@ -15,21 +15,21 @@
 // from the durable per-block table and the OOB scan (see
 // Ftl::rebuild_from_oob).
 //
-// Policy decisions are delegated to the xlf::policy plane:
-//  * GC victim selection scores closed blocks through a
-//    policy::GcPolicy ("greedy", "cost-benefit", or any registered
-//    strategy); pick_victim_scored is the linear scan the victim
-//    index is pinned against;
-//  * free-block preference comes from the policy::WearPolicy's
-//    free_block_score ("none" = by id, "dynamic"/"static" = lowest
-//    erase count).
+// Policy decisions come from the xlf::policy plane:
+//  * GC victim selection scores closed blocks with policy::gc_score
+//    under the allocator's policy::Gc ("greedy", "cost-benefit");
+//    pick_victim reads the incremental victim index, and
+//    pick_victim_scored is the linear scan the index is pinned
+//    against;
+//  * free-block preference comes from policy::free_block_score under
+//    the allocator's policy::Wear ("none" = by id, "dynamic"/"static"
+//    = lowest erase count).
 //
 // Deterministic throughout: all ties break toward the lowest block
 // id, so simulation runs are bit-reproducible whatever the policy.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -42,15 +42,12 @@ namespace xlf::ftl {
 struct AllocatorConfig {
   std::uint32_t blocks = 0;
   std::uint32_t pages_per_block = 0;
-  // Shared, immutable wear-leveling strategy; nullptr resolves to the
-  // registry's "dynamic" built-in (the historical default).
-  std::shared_ptr<const policy::WearPolicy> wear;
-  // Enables the incremental victim index when the GC policy is a
-  // built-in whose scoring the index can mirror (see victim_index.hpp).
-  // kNone keeps pick_victim on the linear oracle scan. Callers that
-  // enable it must report valid-count changes through on_page_mapped /
-  // on_page_invalidated (the Ftl does).
-  GcIndexKind gc_index = GcIndexKind::kNone;
+  // Free-block preference.
+  policy::Wear wear = policy::Wear::kDynamic;
+  // GC victim scoring; keys the victim index, so callers must report
+  // valid-count changes through on_page_mapped / on_page_invalidated
+  // (the Ftl does).
+  policy::Gc gc = policy::Gc::kGreedy;
 };
 
 class DieAllocator {
@@ -89,14 +86,12 @@ class DieAllocator {
   // The allocator mirrors the PageMap's per-block valid counters so
   // the victim index can re-bucket closed blocks incrementally. The
   // Ftl calls these on every map/unmap transition (host writes, GC
-  // relocation, trim). Cheap unconditionally; with the index enabled
-  // they also refresh the block's index entry.
+  // relocation, trim); each also refreshes the block's index entry.
   void on_page_mapped(std::uint32_t block);
   void on_page_invalidated(std::uint32_t block);
   std::uint32_t cached_valid(std::uint32_t block) const {
     return cached_valid_.at(block);
   }
-  bool victim_index_enabled() const { return victims_.enabled(); }
   // Erase bookkeeping: the block rejoins the free list, its erase
   // counter advances and its write stamp resets (a free block has no
   // age). Must be a closed block (victims always are; open frontiers
@@ -130,34 +125,21 @@ class DieAllocator {
   FrontierView frontier_view(Stream stream) const;
 
   // GC victim among closed blocks with at least one invalid page:
-  // the highest-scoring candidate under `policy`, lowest block id on
+  // the highest-scoring candidate under `gc`, lowest block id on
   // ties. `valid_count(block)` supplies the live-page signal, `now`
   // the logical clock. nullopt when nothing is reclaimable. This
   // O(blocks) scan is the oracle the victim index reproduces.
   template <class ValidCountFn>
   std::optional<std::uint32_t> pick_victim_scored(
-      const policy::GcPolicy& policy, const ValidCountFn& valid_count,
+      policy::Gc gc, const ValidCountFn& valid_count,
       std::uint64_t now) const;
 
-  // Policy-plane victim selection. With the victim index enabled the
-  // pick costs O(pages_per_block) bucket-head probes instead of an
-  // O(blocks) scan, and is byte-identical to the oracle (scores run
-  // through the same policy object; ties break toward the lowest id
-  // in both). `valid_count` is only consulted on the fallback path —
-  // the index path reads the mirrored counters.
-  // xlf: hot — on the GC trigger path of every write burst.
-  template <class ValidCountFn>
-  std::optional<std::uint32_t> pick_victim(const policy::GcPolicy& policy,
-                                           const ValidCountFn& valid_count,
-                                           std::uint64_t now) const {
-    if (victims_.enabled()) return pick_victim_indexed(policy, now);
-    return pick_victim_scored(policy, valid_count, now);
-  }
-
-  // Index-backed pick (requires victim_index_enabled()); exposed so
-  // tests can pin it against pick_victim_scored directly.
-  std::optional<std::uint32_t> pick_victim_indexed(
-      const policy::GcPolicy& policy, std::uint64_t now) const;
+  // The same pick under the allocator's own GC policy, from the
+  // victim index and the mirrored valid counters: O(pages_per_block)
+  // bucket-head probes instead of an O(blocks) scan, byte-identical
+  // to pick_victim_scored(config.gc, ...) (the same policy::gc_score;
+  // ties break toward the lowest id in both).
+  std::optional<std::uint32_t> pick_victim(std::uint64_t now) const;
 
   // Coldest closed block (lowest erase count, oldest stamp as the
   // tiebreak) — the static wear leveler's swap source. nullopt when
@@ -179,7 +161,7 @@ class DieAllocator {
   Frontier& frontier(Stream stream);
   const Frontier& frontier(Stream stream) const;
   // Refresh the block's victim-index entry from the mirrored state
-  // (no-op while the block is not closed or the index is disabled).
+  // (no-op while the block is not closed).
   void index_update(std::uint32_t block);
 
   AllocatorConfig config_;
@@ -198,7 +180,7 @@ class DieAllocator {
 
 template <class ValidCountFn>
 std::optional<std::uint32_t> DieAllocator::pick_victim_scored(
-    const policy::GcPolicy& policy, const ValidCountFn& valid_count,
+    policy::Gc gc, const ValidCountFn& valid_count,
     std::uint64_t now) const {
   std::optional<std::uint32_t> best;
   double best_score = 0.0;
@@ -206,14 +188,8 @@ std::optional<std::uint32_t> DieAllocator::pick_victim_scored(
     if (states_[b] != BlockState::kClosed) continue;
     const std::uint32_t valid = valid_count(b);
     if (valid >= config_.pages_per_block) continue;  // nothing to reclaim
-    policy::GcBlockView view;
-    view.block = b;
-    view.valid_pages = valid;
-    view.pages_per_block = config_.pages_per_block;
-    view.erase_count = erase_counts_[b];
-    view.last_write = last_write_[b];
-    view.now = now;
-    const double candidate = policy.score(view);
+    const double candidate = policy::gc_score(
+        gc, valid, config_.pages_per_block, last_write_[b], now);
     // Strict > keeps the lowest-id winner on ties (deterministic).
     if (!best.has_value() || candidate > best_score) {
       best = b;

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 #include "src/util/log.hpp"
 
@@ -38,17 +37,6 @@ Ftl::Ftl(const FtlConfig& config,
         << " must be >= 1 (every FTL erase is at least one physical cycle)";
     return msg.str();
   }());
-
-  // Resolve the policy plane up front: a typo in any policy name
-  // fails construction with the registered alternatives listed.
-  gc_policy_ = policy::PolicyRegistry<policy::GcPolicy>::instance().make_shared(
-      config_.gc_policy);
-  wear_policy_ =
-      policy::PolicyRegistry<policy::WearPolicy>::instance().make_shared(
-          config_.wear_policy);
-  refresh_policy_ =
-      policy::PolicyRegistry<policy::RefreshPolicy>::instance().make_shared(
-          config_.refresh_policy);
 
   const nand::Geometry& geometry = controllers_.front()->device().geometry();
   for (const auto* c : controllers_) {
@@ -104,10 +92,8 @@ Ftl::Ftl(const FtlConfig& config,
   AllocatorConfig alloc_config;
   alloc_config.blocks = geometry.blocks;
   alloc_config.pages_per_block = geometry.pages_per_block;
-  alloc_config.wear = wear_policy_;
-  // Built-in GC policies get the incremental victim index (O(ppb)
-  // picks); custom registrations keep the linear oracle scan.
-  alloc_config.gc_index = gc_index_kind_for(config_.gc_policy);
+  alloc_config.wear = config_.wear_policy;
+  alloc_config.gc = config_.gc_policy;
   allocators_.assign(die_count, DieAllocator(alloc_config));
   block_t_.assign(die_count, std::vector<unsigned>(geometry.blocks, 0));
 }
@@ -216,15 +202,17 @@ Seconds Ftl::relocate_valid_pages(std::uint32_t die, std::uint32_t block,
 }
 
 Seconds Ftl::maybe_static_swap(std::uint32_t die, FtlOpResult& result) {
-  // The capability probe keeps non-swapping policies off the erase-
-  // counter scans below — this runs on every host write.
-  if (!wear_policy_->swaps()) return Seconds{0.0};
+  // Only `static` swaps; testing it first keeps the other wear
+  // policies off the two erase-counter scans below — this runs on
+  // every host write.
+  if (config_.wear_policy != policy::Wear::kStatic) return Seconds{0.0};
   DieAllocator& alloc = allocators_[die];
-  policy::WearContext ctx;
-  ctx.min_erase_count = alloc.min_erase_count();
-  ctx.max_erase_count = alloc.max_erase_count();
-  ctx.configured_spread = config_.static_wl_spread;
-  if (!wear_policy_->should_swap(ctx)) return Seconds{0.0};
+  // Swap only once the erase spread outgrows the tolerance: pinned-
+  // cold data is what dynamic leveling alone cannot reach.
+  if (alloc.max_erase_count() - alloc.min_erase_count() <=
+      config_.static_wl_spread) {
+    return Seconds{0.0};
+  }
   if (alloc.free_count() == 0) return Seconds{0.0};
   const std::optional<std::uint32_t> cold = alloc.pick_coldest();
   if (!cold.has_value()) return Seconds{0.0};
@@ -247,9 +235,7 @@ Seconds Ftl::ensure_capacity(std::uint32_t die, FtlOpResult& result) {
   const std::size_t max_rounds =
       static_cast<std::size_t>(geometry.blocks) * geometry.pages_per_block + 1;
   while (alloc.free_count() <= config_.gc_free_blocks) {
-    const std::optional<std::uint32_t> victim = alloc.pick_victim(
-        *gc_policy_,
-        [&](std::uint32_t b) { return map_.valid_count(die, b); }, clock_);
+    const std::optional<std::uint32_t> victim = alloc.pick_victim(clock_);
     if (!victim.has_value()) break;  // nothing reclaimable yet
     busy += relocate_valid_pages(die, *victim, result);
     busy += erase_block(die, *victim);
@@ -394,7 +380,7 @@ ScrubResult Ftl::scrub() {
       ctx.retention_hours = config_.scrub_retention_hours;
       ctx.budget = {rel.uber_target, rel.m, rel.k, rel.t_min, rel.t_max};
       ctx.law = &law;
-      if (!refresh_policy_->should_refresh(ctx)) continue;
+      if (!policy::should_refresh(config_.refresh_policy, ctx)) continue;
 
       // Refresh = relocate live data to fresh pages (re-encoded at a
       // re-adapted t) and reclaim the block. The copies ride the GC
@@ -433,8 +419,8 @@ void Ftl::rebuild_from_oob() {
   AllocatorConfig alloc_config;
   alloc_config.blocks = geometry.blocks;
   alloc_config.pages_per_block = ppb;
-  alloc_config.wear = wear_policy_;
-  alloc_config.gc_index = gc_index_kind_for(config_.gc_policy);
+  alloc_config.wear = config_.wear_policy;
+  alloc_config.gc = config_.gc_policy;
   allocators_.assign(die_count, DieAllocator(alloc_config));
   block_t_.assign(die_count, std::vector<unsigned>(geometry.blocks, 0));
   pending_trims_.clear();
@@ -605,12 +591,10 @@ void Ftl::check_consistency() const {
     // Victim-index audit: the incremental index must reproduce the
     // from-scratch oracle scan — same victim (or both empty) under
     // the live policy and clock.
-    if (alloc.victim_index_enabled()) {
-      const std::optional<std::uint32_t> oracle = alloc.pick_victim_scored(
-          *gc_policy_,
-          [&](std::uint32_t b) { return map_.valid_count(d, b); }, clock_);
-      XLF_ENSURE(alloc.pick_victim_indexed(*gc_policy_, clock_) == oracle);
-    }
+    const std::optional<std::uint32_t> oracle = alloc.pick_victim_scored(
+        config_.gc_policy,
+        [&](std::uint32_t b) { return map_.valid_count(d, b); }, clock_);
+    XLF_ENSURE(alloc.pick_victim(clock_) == oracle);
   }
 }
 

@@ -5,14 +5,14 @@
 //  * out-of-place writes through the L2P map (no host-visible
 //    erase-before-write);
 //  * garbage collection with hot/cold frontier separation, charged to
-//    the die as foreground time — victim selection through a
-//    pluggable policy::GcPolicy ("greedy", "cost-benefit", ...);
-//  * wear leveling over FTL-visible erase counters through a
-//    policy::WearPolicy ("none", "dynamic", "static");
-//  * a background scrub pass (`scrub()`) driven by a
-//    policy::RefreshPolicy ("none", "retention_aware", ...): blocks
-//    whose predicted post-retention RBER would outgrow the t their
-//    pages were written with are preventively re-programmed;
+//    the die as foreground time — victim selection under a policy::Gc
+//    ("greedy", "cost-benefit");
+//  * wear leveling over FTL-visible erase counters under a
+//    policy::Wear ("none", "dynamic", "static");
+//  * a background scrub pass (`scrub()`) under a policy::Refresh
+//    ("none", "retention_aware"): blocks whose predicted
+//    post-retention RBER would outgrow the t their pages were written
+//    with are preventively re-programmed;
 //  * accelerated aging (`pe_cycles_per_erase`) so a short simulated
 //    run can traverse the device lifetime the paper's schedule spans;
 //  * wear-aware per-block operating points: before every program the
@@ -34,9 +34,8 @@
 //    retired blocks are never allocated, never collected, excluded
 //    from the wear spread, and stay retired across remounts.
 //
-// All policies are registry-resolved from the names in FtlConfig, so
-// the decision logic is swappable (and sweepable from an experiment
-// spec) without touching this layer.
+// FtlConfig holds the three strategies as policy enums; specs and
+// flags name them by string and parse once at the configuration edge.
 //
 // LPA -> die affinity is `lpa % dies` (page-level striping):
 // sequential host streams fan out across channels, and each die's GC
@@ -49,8 +48,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/controller/controller.hpp"
@@ -63,12 +60,10 @@
 namespace xlf::ftl {
 
 struct FtlConfig {
-  // Policy-plane strategy names, resolved through the PolicyRegistry
-  // of the matching interface at construction (unknown names throw,
-  // listing what is registered).
-  std::string gc_policy = "greedy";
-  std::string wear_policy = "dynamic";
-  std::string refresh_policy = "none";
+  // Policy-plane strategies (see src/policy/policy.hpp).
+  policy::Gc gc_policy = policy::Gc::kGreedy;
+  policy::Wear wear_policy = policy::Wear::kDynamic;
+  policy::Refresh refresh_policy = policy::Refresh::kNone;
   // GC reclaims until a die's free-block count exceeds this floor
   // (>= 1 guarantees relocation frontiers can always open a block).
   std::uint32_t gc_free_blocks = 1;
@@ -293,10 +288,6 @@ class Ftl {
   std::vector<controller::MemoryController*> controllers_;
   PageMap map_;
   std::vector<DieAllocator> allocators_;
-  // Registry-resolved strategies (immutable, shared across dies).
-  std::shared_ptr<const policy::GcPolicy> gc_policy_;
-  std::shared_ptr<const policy::WearPolicy> wear_policy_;
-  std::shared_ptr<const policy::RefreshPolicy> refresh_policy_;
   std::vector<std::vector<unsigned>> block_t_;  // [die][block]
   std::uint64_t clock_ = 0;  // logical write stamp (cost-benefit age)
   std::uint64_t seq_ = 0;    // OOB/tombstone sequence counter

@@ -6,12 +6,6 @@
 
 namespace xlf::ftl {
 
-GcIndexKind gc_index_kind_for(std::string_view gc_policy_name) {
-  if (gc_policy_name == "greedy") return GcIndexKind::kGreedy;
-  if (gc_policy_name == "cost-benefit") return GcIndexKind::kCostBenefit;
-  return GcIndexKind::kNone;
-}
-
 namespace {
 
 // a sinks below b (max-heap `less`) when a's (key, id) is larger:
@@ -26,16 +20,13 @@ inline bool victim_less(const std::uint64_t a_key, const std::uint32_t a_block,
 
 // xlf: cold — reconfiguration: rebuilds the bucket arena before a
 // run starts, never while commands are in flight.
-void VictimIndex::reset(GcIndexKind kind, std::uint32_t blocks,
+void VictimIndex::reset(policy::Gc gc, std::uint32_t blocks,
                         std::uint32_t pages_per_block) {
-  kind_ = kind;
+  gc_ = gc;
   blocks_ = blocks;
   pages_per_block_ = pages_per_block;
   buckets_.clear();
-  version_.clear();
-  bucket_of_.clear();
   entries_ = 0;
-  if (kind_ == GcIndexKind::kNone) return;
   buckets_.resize(pages_per_block_);
   version_.assign(blocks_, 0);
   bucket_of_.assign(blocks_, kNoBucket);
@@ -43,15 +34,13 @@ void VictimIndex::reset(GcIndexKind kind, std::uint32_t blocks,
 
 void VictimIndex::update(std::uint32_t block, std::uint32_t valid,
                          std::uint64_t last_write) {
-  if (kind_ == GcIndexKind::kNone) return;
   XLF_EXPECT(block < blocks_ && valid <= pages_per_block_);
   ++version_[block];
   bucket_of_[block] = valid;
   // Fully valid blocks have nothing to reclaim; the version bump above
   // already retired any earlier entry, so they carry no storage.
   if (valid >= pages_per_block_) return;
-  const std::uint64_t key =
-      kind_ == GcIndexKind::kCostBenefit ? last_write : 0;
+  const std::uint64_t key = gc_ == policy::Gc::kCostBenefit ? last_write : 0;
   auto& bucket = buckets_[valid];
   // Lazy-deletion insert: capacity recycles once purge() has run.
   bucket.push_back(Entry{key, block, version_[block]});  // xlf-lint: allow(hot-alloc)
@@ -64,7 +53,6 @@ void VictimIndex::update(std::uint32_t block, std::uint32_t valid,
 }
 
 void VictimIndex::remove(std::uint32_t block) {
-  if (kind_ == GcIndexKind::kNone) return;
   XLF_EXPECT(block < blocks_);
   ++version_[block];
   bucket_of_[block] = kNoBucket;

@@ -9,18 +9,17 @@
 //    the key is (last_write, id): for a fixed valid count the score is
 //    non-increasing in last_write, so the minimal key is the maximal
 //    score with the lowest id among score ties. A pick scans the
-//    pages_per_block bucket heads, scores each through the real policy
-//    object (bit-identical floating point), and keeps the argmax with
-//    the oracle's strict-> / lowest-id rule — so the result matches
-//    DieAllocator::pick_victim_scored byte for byte. Custom GC
-//    policies (GcIndexKind::kNone) fall back to the linear oracle.
+//    pages_per_block bucket heads, scores each through the oracle's
+//    own policy::gc_score (bit-identical floating point), and keeps
+//    the argmax with the oracle's strict-> / lowest-id rule — so the
+//    result matches DieAllocator::pick_victim_scored byte for byte.
 //
 //  * FreeBlockIndex — free-block preference. The wear policy's
 //    free_block_score is a pure function of the erase count, so a
 //    score snapshot taken when the block turns free stays valid until
 //    the block leaves the free state. A lazy max-heap over
 //    (score, lowest id) replicates the linear scan for every wear
-//    policy, built-in or custom.
+//    policy.
 //
 // Both indexes use lazy deletion: an update pushes a fresh entry and
 // bumps the block's version; stale entries are discarded when they
@@ -35,26 +34,17 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
+
+#include "src/policy/policy.hpp"
 
 namespace xlf::ftl {
 
-// Which built-in GC policy the victim index mirrors. kNone disables
-// the index (unknown/custom policies use the linear oracle).
-enum class GcIndexKind { kNone, kGreedy, kCostBenefit };
-
-// Registry-name resolution ("greedy" / "cost-benefit"; anything else,
-// including custom registrations, maps to kNone).
-GcIndexKind gc_index_kind_for(std::string_view gc_policy_name);
-
 class VictimIndex {
  public:
-  void reset(GcIndexKind kind, std::uint32_t blocks,
+  // Index for GC policy `gc` (the bucket key is its tie-break).
+  void reset(policy::Gc gc, std::uint32_t blocks,
              std::uint32_t pages_per_block);
-
-  GcIndexKind kind() const { return kind_; }
-  bool enabled() const { return kind_ != GcIndexKind::kNone; }
 
   // Record the current (valid count, last_write stamp) of a closed
   // block. Any earlier entry for the block becomes stale. Blocks with
@@ -93,7 +83,7 @@ class VictimIndex {
   void purge(std::uint32_t bucket) const;
   void compact();
 
-  GcIndexKind kind_ = GcIndexKind::kNone;
+  policy::Gc gc_ = policy::Gc::kGreedy;
   std::uint32_t blocks_ = 0;
   std::uint32_t pages_per_block_ = 0;
   // buckets_[v] holds candidates whose latest valid count is v

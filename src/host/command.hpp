@@ -4,7 +4,7 @@
 // intent as commands — read, write, trim (deallocate), flush
 // (durability barrier) — tagged with the submission queue and tenant
 // they belong to, and the device decides when each queue gets to
-// issue (src/host/queues.hpp + policy::ArbitrationPolicy). Commands
+// issue (src/host/queues.hpp + policy::Arbitration). Commands
 // address the FTL's logical page space in (LBA, length) extents; the
 // driver expands an extent into per-page FTL operations and completes
 // the command when the last page lands.
@@ -14,7 +14,9 @@
 // single anonymous request stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "src/ftl/mapping.hpp"
@@ -33,6 +35,12 @@ inline const char* to_string(CmdType type) {
   }
   return "?";
 }
+
+// Queue and tenant ids are 16-bit, so a host interface (and a
+// multi-tenant workload) holds at most 65,536 of them. Widening the
+// ids would grow every Command (24 to 32 bytes on x86-64).
+inline constexpr std::size_t kMaxQueues =
+    std::size_t{std::numeric_limits<std::uint16_t>::max()} + 1;
 
 // One host command as it enters a submission queue.
 struct Command {

@@ -1,17 +1,23 @@
 #include "src/host/queues.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string>
 
-#include "src/policy/registry.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::host {
 
 HostInterface::HostInterface(const HostConfig& config)
-    : last_queue_(static_cast<std::uint32_t>(config.queues)) {
+    : arbitration_(config.arbitration),
+      last_queue_(static_cast<std::uint32_t>(config.queues)) {
   XLF_EXPECT_MSG(config.queues >= 1,
                  "host interface needs at least one submission queue");
+  XLF_EXPECT_MSG(config.queues <= kMaxQueues,
+                 "queues=" + std::to_string(config.queues) +
+                     " exceeds the limit of " + std::to_string(kMaxQueues) +
+                     " (queue ids are 16-bit)");
   XLF_EXPECT_MSG(config.queue_weights.size() <= config.queues, [&] {
     std::ostringstream msg;
     msg << "queue_weights has " << config.queue_weights.size()
@@ -19,11 +25,7 @@ HostInterface::HostInterface(const HostConfig& config)
         << " queues; extra weights have no queue to apply to";
     return msg.str();
   }());
-  arbitration_ =
-      policy::PolicyRegistry<policy::ArbitrationPolicy>::instance()
-          .make_shared(config.arbitration);
   states_.resize(config.queues);
-  views_.resize(config.queues);
   for (std::size_t q = 0; q < config.queue_weights.size(); ++q) {
     XLF_EXPECT_MSG(config.queue_weights[q] > 0.0, [&] {
       std::ostringstream msg;
@@ -89,26 +91,35 @@ std::size_t HostInterface::backlog(std::size_t q) const {
   return state(q).backlog;
 }
 
-// xlf: hot — runs once per issued command; views_ is preallocated.
+// xlf: hot — runs once per issued command; reads states_ in place.
 std::optional<std::uint32_t> HostInterface::arbitrate() const {
-  bool any = false;
-  for (std::size_t q = 0; q < states_.size(); ++q) {
-    views_[q].id = static_cast<std::uint32_t>(q);
-    views_[q].backlog = states_[q].backlog;
-    views_[q].issued = states_[q].issued;
-    views_[q].weight = states_[q].weight;
-    views_[q].eligible = !states_[q].blocked && states_[q].backlog != 0;
-    any = any || views_[q].eligible;
+  const std::size_t n = states_.size();
+  if (arbitration_ == policy::Arbitration::kRoundRobin) {
+    // Round-robin: the first issuable queue scanning circularly from
+    // just past the last issuer (queue 0 before anything has issued);
+    // every issuable queue gets one issue slot per turn of the wheel.
+    const std::size_t start = last_queue_ >= n ? 0 : (last_queue_ + 1) % n;
+    for (std::size_t step = 0; step < n; ++step) {
+      const std::size_t q = (start + step) % n;
+      if (issuable(states_[q])) return static_cast<std::uint32_t>(q);
+    }
+    return std::nullopt;
   }
-  if (!any) return std::nullopt;
-  policy::ArbitrationContext ctx;
-  ctx.queues = views_.data();
-  ctx.queue_count = views_.size();
-  ctx.last_queue = last_queue_;
-  const std::uint32_t pick = arbitration_->pick(ctx);
-  // A policy that picks an out-of-range or ineligible queue would
-  // stall or corrupt the issue loop; fail loudly instead.
-  XLF_ENSURE(pick < views_.size() && views_[pick].eligible);
+  // Weighted (deficit-style sharing): the issuable queue furthest
+  // behind its weighted issue share goes next, so issue opportunities
+  // converge to the weight proportions and heavy queues drain first
+  // under contention; strict < keeps ties on the lowest id.
+  std::optional<std::uint32_t> pick;
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t q = 0; q < n; ++q) {
+    if (!issuable(states_[q])) continue;
+    const double share =
+        static_cast<double>(states_[q].issued) / states_[q].weight;
+    if (!pick.has_value() || share < best) {
+      best = share;
+      pick = static_cast<std::uint32_t>(q);
+    }
+  }
   return pick;
 }
 

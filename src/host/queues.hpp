@@ -1,7 +1,7 @@
 // Multi-queue host interface: N independent submission/completion
-// queue pairs in front of the SSD, with a pluggable arbitration
-// policy deciding which queue issues next whenever the device has a
-// free command slot.
+// queue pairs in front of the SSD, with an arbitration policy
+// (policy::Arbitration: round-robin or weighted) deciding which queue
+// issues next whenever the device has a free command slot.
 //
 // The structure mirrors NVMe's submission/completion model scaled to
 // the simulator: the host submits Commands onto per-queue FIFOs on
@@ -9,11 +9,8 @@
 // for the next queue while its outstanding count is below the device
 // queue depth, pops the head command, executes it against the FTL,
 // and posts a Completion back through `complete()`. Per-queue issue
-// counters, flush barriers and latency statistics live here — the
-// ArbitrationPolicy itself stays immutable and shareable, receiving
-// all mutable state through the per-decision context
-// (policy::ArbitrationContext), exactly like the other policy-plane
-// interfaces.
+// counters, flush barriers and latency statistics live here, and
+// arbitrate() reads them in place.
 //
 // Single-threaded like the simulator that drives it; determinism
 // comes from FIFO queues, the stable arbitration tie-break contract,
@@ -21,9 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,9 +31,8 @@ namespace xlf::host {
 struct HostConfig {
   // Independent submission/completion queue pairs.
   std::size_t queues = 1;
-  // policy::ArbitrationPolicy registry name ("round-robin",
-  // "weighted", or any downstream registration).
-  std::string arbitration = "round-robin";
+  // Which issuable queue issues next (see arbitrate()).
+  policy::Arbitration arbitration = policy::Arbitration::kRoundRobin;
   // Arbitration weight per queue, queue 0 first. Shorter lists pad
   // with 1.0 (so one template serves several queue counts); longer
   // lists are a configuration error. Empty = equal weights.
@@ -135,15 +129,15 @@ class HostInterface {
 
   const QueueState& state(std::size_t q) const;
   static std::uint32_t acquire_slot(QueueState& s);
+  // Issuable now: non-empty and not behind an in-flight flush barrier.
+  static bool issuable(const QueueState& s) {
+    return !s.blocked && s.backlog != 0;
+  }
 
-  std::shared_ptr<const policy::ArbitrationPolicy> arbitration_;
+  policy::Arbitration arbitration_;
   std::vector<QueueState> states_;
   // == queues() before the first issue (the round-robin start cue).
   std::uint32_t last_queue_;
-  // Scratch for arbitrate()'s per-decision snapshot — reused so the
-  // once-per-issued-command hot path never allocates. (The interface
-  // is single-threaded, like the simulator that drives it.)
-  mutable std::vector<policy::QueueView> views_;
 };
 
 }  // namespace xlf::host

@@ -1,46 +1,129 @@
-// The cross-layer control plane as pluggable strategies (xlf::policy).
+// The cross-layer control plane's vocabulary (xlf::policy).
 //
-// The paper's thesis is that reliability/performance knobs must be
-// co-configured across layers; this layer is where the *decisions*
-// live, decoupled from the mechanisms that execute them. Five
-// strategy interfaces cover the control points of the stack:
+// The paper's controller co-selects the ISPP algorithm and the BCH t
+// its reliability manager derives from Eq. (1). Every other decision
+// of the stack is made by one of a fixed set of built-in strategies,
+// one enum per control point:
 //
-//  * TuningPolicy  — per-block (algo, t) selection inside the
-//    controller's reliability manager (static / model-based /
-//    feedback are the built-ins);
-//  * GcPolicy      — garbage-collection victim scoring inside the
-//    FTL's per-die allocator (greedy / cost-benefit);
-//  * WearPolicy    — free-block preference and static-swap triggering
-//    for wear leveling (none / dynamic / static);
-//  * RefreshPolicy — background scrub decisions: which blocks should
-//    be preventively re-programmed before retention errors outgrow
-//    the correction capability their pages were written with (none /
-//    retention_aware);
-//  * ArbitrationPolicy — which host submission queue issues its next
+//  * Tuning      — per-block t selection inside the controller's
+//    reliability manager (feedback / model_based / static);
+//  * Gc          — garbage-collection victim scoring inside the FTL's
+//    per-die allocator (cost-benefit / greedy);
+//  * Wear        — free-block preference and the static cold-block
+//    swap (dynamic / none / static);
+//  * Refresh     — background scrub: which blocks are preventively
+//    re-programmed before retention errors outgrow the t their pages
+//    were written with (none / retention_aware);
+//  * Arbitration — which host submission queue issues its next
 //    command when the device has a free slot (round-robin /
-//    weighted), the QoS knob of the multi-queue host interface
-//    (src/host/).
+//    weighted).
 //
-// Every interface is consumed through PolicyRegistry (registry.hpp),
-// so a new policy lives in its own translation unit, registers itself
-// under a string name, and becomes sweepable from the experiment spec
-// without touching controller/ftl/explore code.
-//
-// Policies are immutable once constructed and must be safe to share
-// across dies and threads: all mutable state (feedback estimators,
-// erase counters, valid-page maps) stays with the caller and is
-// passed in through the per-decision context structs.
+// Specs, flags and report columns name a strategy by string;
+// parse<P>() turns the name into its enum value once, at the
+// configuration edge, and every consumer switches on the value. This
+// layer holds the GC, wear and refresh arithmetic; the tuning switch
+// lives in the reliability manager and the arbitration switch in
+// HostInterface::arbitrate, beside the state each one reads.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "src/nand/aging.hpp"
 
 namespace xlf::policy {
 
-// The ECC envelope a tuning/refresh decision works inside: the BCH
-// code family (GF(2^m), k-bit payload) and the UBER target the paper
-// holds constant while trading everything else.
+// Each enum lists its strategies in name order: a value's underlying
+// integer is its index in Names<P>::table.
+enum class Tuning { kFeedback, kModelBased, kStatic };
+enum class Gc { kCostBenefit, kGreedy };
+enum class Wear { kDynamic, kNone, kStatic };
+enum class Refresh { kNone, kRetentionAware };
+enum class Arbitration { kRoundRobin, kWeighted };
+
+// Per kind: the label errors and --list-policies print, and the
+// strategy names, sorted.
+template <class P>
+struct Names;
+template <>
+struct Names<Tuning> {
+  static constexpr std::string_view kind = "tuning";
+  static constexpr std::array<std::string_view, 3> table{
+      "feedback", "model_based", "static"};
+};
+template <>
+struct Names<Gc> {
+  static constexpr std::string_view kind = "gc";
+  static constexpr std::array<std::string_view, 2> table{"cost-benefit",
+                                                         "greedy"};
+};
+template <>
+struct Names<Wear> {
+  static constexpr std::string_view kind = "wear";
+  static constexpr std::array<std::string_view, 3> table{"dynamic", "none",
+                                                         "static"};
+};
+template <>
+struct Names<Refresh> {
+  static constexpr std::string_view kind = "refresh";
+  static constexpr std::array<std::string_view, 2> table{"none",
+                                                         "retention_aware"};
+};
+template <>
+struct Names<Arbitration> {
+  static constexpr std::string_view kind = "arbitration";
+  static constexpr std::array<std::string_view, 2> table{"round-robin",
+                                                         "weighted"};
+};
+
+// The strategy named `name`. Throws std::invalid_argument
+// "unknown <kind> policy '<name>'; available: <names, sorted>".
+template <class P>
+P parse(std::string_view name);
+
+// --- GC ----------------------------------------------------------------
+
+// Victim score of a closed block with `valid` of `pages_per_block`
+// pages live, last written at logical stamp `last_write` (the FTL's
+// monotonic write clock, `now` at pick time). The allocator collects
+// the highest score, lowest block id on ties.
+//  * greedy — fewest valid pages (cheapest copy-out now);
+//  * cost-benefit — age * (1-u) / (2u), which lets a slightly fuller
+//    but long-cold block win over a just-written sparse one
+//    (Rosenblum & Ousterhout's LFS cleaner formula).
+inline double gc_score(Gc gc, std::uint32_t valid,
+                       std::uint32_t pages_per_block,
+                       std::uint64_t last_write, std::uint64_t now) {
+  if (gc == Gc::kGreedy) {
+    return static_cast<double>(pages_per_block - valid);
+  }
+  const double u = static_cast<double>(valid) / pages_per_block;
+  const double age =
+      static_cast<double>(now - std::min(now, last_write)) + 1.0;
+  // benefit/cost = free-space gain * age over twice the copy cost;
+  // u == 0 degenerates to "free block's worth per unit cost", handled
+  // by the u floor.
+  return age * (1.0 - u) / (2.0 * std::max(u, 1e-9));
+}
+
+// --- Wear ----------------------------------------------------------------
+
+// Free-block preference: the allocator opens the highest-scoring free
+// block, lowest id on ties. "none" scores every block alike (so picks
+// by id); "dynamic" and "static" prefer the least-erased block.
+// "static" additionally swaps a cold block out once the die's erase
+// spread exceeds FtlConfig::static_wl_spread (Ftl::maybe_static_swap).
+inline double free_block_score(Wear wear, std::uint32_t erase_count) {
+  return wear == Wear::kNone ? 0.0 : -static_cast<double>(erase_count);
+}
+
+// --- Refresh -------------------------------------------------------------
+
+// The ECC envelope a refresh decision works inside: the BCH code
+// family (GF(2^m), k-bit payload) and the UBER target the paper holds
+// constant while trading everything else.
 struct EccBudget {
   double uber_target = 1e-11;
   unsigned m = 16;
@@ -48,98 +131,6 @@ struct EccBudget {
   unsigned t_min = 3;
   unsigned t_max = 65;
 };
-
-// --- TuningPolicy ----------------------------------------------------
-
-// Services the reliability manager exposes to its tuning policy.
-// t_for_rber records saturation (no t in [t_min, t_max] meets the
-// target) in the manager, which is why it is a host callback and not
-// a free function: policies that never consult the RBER law (e.g.
-// static) must also never touch the saturation flag.
-class TuningHost {
- public:
-  virtual ~TuningHost() = default;
-  // Minimal t meeting the UBER target at the given RBER; saturates at
-  // t_max.
-  virtual unsigned t_for_rber(double rber) const = 0;
-};
-
-// Everything the reliability manager knows at selection time.
-struct TuningContext {
-  nand::ProgramAlgorithm algo = nand::ProgramAlgorithm::kIsppSv;
-  double pe_cycles = 0.0;
-  // Returned by policies that decline to retune (static, feedback
-  // before warm-up): the currently configured capability.
-  unsigned fallback_t = 0;
-  // Feedback estimator state (EWMA of corrected-bit density).
-  double estimated_rber = 0.0;
-  bool estimate_ready = false;
-  // Multiplicative guard band on noisy feedback estimates.
-  double safety_factor = 1.0;
-  EccBudget budget;
-  const nand::AgingLaw* law = nullptr;
-  const TuningHost* host = nullptr;
-};
-
-// Per-block correction-capability selection (the t knob of the
-// paper's (algo, t) schedule).
-class TuningPolicy {
- public:
-  virtual ~TuningPolicy() = default;
-  virtual unsigned recommend(const TuningContext& ctx) const = 0;
-};
-
-// --- GcPolicy --------------------------------------------------------
-
-// One GC candidate as the allocator presents it: a closed block with
-// at least one invalid page.
-struct GcBlockView {
-  std::uint32_t block = 0;
-  std::uint32_t valid_pages = 0;
-  std::uint32_t pages_per_block = 0;
-  std::uint32_t erase_count = 0;
-  // Logical write stamps (the FTL's monotonic write clock).
-  std::uint64_t last_write = 0;
-  std::uint64_t now = 0;
-};
-
-// Victim scoring: the allocator scans its closed blocks and collects
-// the highest-scoring candidate, breaking ties toward the lowest
-// block id so runs stay bit-reproducible whatever the policy.
-class GcPolicy {
- public:
-  virtual ~GcPolicy() = default;
-  virtual double score(const GcBlockView& view) const = 0;
-};
-
-// --- WearPolicy ------------------------------------------------------
-
-// Die-level wear state a swap decision sees.
-struct WearContext {
-  std::uint32_t min_erase_count = 0;
-  std::uint32_t max_erase_count = 0;
-  // FtlConfig::static_wl_spread — the configured tolerance.
-  std::uint32_t configured_spread = 0;
-};
-
-// Wear leveling split into its two decision points: which free block
-// to open next (dynamic leveling), and whether the erase spread has
-// grown enough to evict a cold block (static leveling).
-class WearPolicy {
- public:
-  virtual ~WearPolicy() = default;
-  // Free-block preference: the allocator opens the highest-scoring
-  // free block, lowest id on ties.
-  virtual double free_block_score(std::uint32_t erase_count) const = 0;
-  // Capability probe, consulted on the write hot path: building a
-  // WearContext costs two O(blocks) erase-counter scans, so the FTL
-  // only assembles one (and calls should_swap) when this is true.
-  virtual bool swaps() const = 0;
-  // True when the FTL should relocate the coldest closed block now.
-  virtual bool should_swap(const WearContext& ctx) const = 0;
-};
-
-// --- RefreshPolicy ---------------------------------------------------
 
 // One block as the scrub pass presents it.
 struct RefreshContext {
@@ -156,48 +147,9 @@ struct RefreshContext {
   const nand::AgingLaw* law = nullptr;
 };
 
-// Background scrub decisions: re-program a block's live data before
-// predicted post-retention errors approach its pages' t budget.
-class RefreshPolicy {
- public:
-  virtual ~RefreshPolicy() = default;
-  virtual bool should_refresh(const RefreshContext& ctx) const = 0;
-};
-
-// --- ArbitrationPolicy -----------------------------------------------
-
-// One host submission queue as the arbiter sees it at a decision
-// point. All mutable queue state (backlogs, issue counters, flush
-// barriers) lives with the host interface and is passed in per
-// decision, so one policy instance is shareable like the others.
-struct QueueView {
-  std::uint32_t id = 0;
-  // Commands submitted but not yet issued to the device.
-  std::size_t backlog = 0;
-  // Commands this queue has issued so far this run (the fairness /
-  // deficit signal weighted arbitration balances).
-  std::uint64_t issued = 0;
-  double weight = 1.0;
-  // Issuable now: non-empty and not behind an in-flight flush barrier.
-  bool eligible = false;
-};
-
-struct ArbitrationContext {
-  const QueueView* queues = nullptr;
-  std::size_t queue_count = 0;
-  // Queue that issued most recently; == queue_count before the first
-  // issue of a run.
-  std::uint32_t last_queue = 0;
-};
-
-// Picks which submission queue issues next whenever the device has a
-// free command slot. Called only when at least one queue is eligible,
-// and must return the id of an eligible queue; ties must break toward
-// the lowest id so runs stay bit-reproducible whatever the policy.
-class ArbitrationPolicy {
- public:
-  virtual ~ArbitrationPolicy() = default;
-  virtual std::uint32_t pick(const ArbitrationContext& ctx) const = 0;
-};
+// True when the scrub should re-program the block's live data now:
+// never under "none"; under "retention_aware", when predicted
+// post-retention errors would consume the block's whole t budget.
+bool should_refresh(Refresh refresh, const RefreshContext& ctx);
 
 }  // namespace xlf::policy

@@ -80,6 +80,11 @@ std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
 MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantSpec> tenants)
     : tenants_(std::move(tenants)) {
   XLF_EXPECT(!tenants_.empty());
+  XLF_EXPECT_MSG(tenants_.size() <= host::kMaxQueues,
+                 "tenants=" + std::to_string(tenants_.size()) +
+                     " exceeds the limit of " +
+                     std::to_string(host::kMaxQueues) +
+                     " (tenant ids are 16-bit)");
   for (const TenantSpec& tenant : tenants_) check_tenant(tenant);
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/ftl/ssd.hpp"
-#include "src/policy/registry.hpp"
 
 namespace xlf::ftl {
 namespace {
@@ -65,18 +64,8 @@ TEST(FtlValidation, SlackErrorNamesGeometry) {
   EXPECT_NE(what.find("gc_free_blocks=6"), std::string::npos) << what;
 }
 
-TEST(FtlValidation, UnknownPolicyNamesFailConstructionListingRegistered) {
-  SsdConfig config = small_config();
-  config.ftl.gc_policy = "lifo";
-  const std::string what = construction_error(config);
-  EXPECT_NE(what.find("unknown gc policy 'lifo'"), std::string::npos) << what;
-  EXPECT_NE(what.find("greedy"), std::string::npos) << what;
-}
-
 TEST(AllocatorValidation, ErrorsNameFieldAndValue) {
-  const auto wear =
-      policy::PolicyRegistry<policy::WearPolicy>::instance().make_shared(
-          "none");
+  const policy::Wear wear = policy::Wear::kNone;
   try {
     DieAllocator alloc(AllocatorConfig{2, 4, wear});
     FAIL() << "2 blocks must be rejected";

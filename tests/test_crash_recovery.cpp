@@ -15,7 +15,7 @@
 
 #include "src/ftl/fault.hpp"
 #include "src/ftl/ssd.hpp"
-#include "src/policy/registry.hpp"
+#include "src/policy/policy.hpp"
 
 namespace xlf::ftl {
 namespace {
@@ -415,7 +415,7 @@ TEST(CrashRecovery, GrownBadBlocksRetireRouteAroundAndSurviveRemount) {
 TEST(CrashRecovery, VictimIndexRebuildMatchesScratchScanAfterMidGcCrash) {
   for (const std::string name : {"greedy", "cost-benefit"}) {
     SsdConfig config = small_ssd();
-    config.ftl.gc_policy = name;
+    config.ftl.gc_policy = policy::parse<policy::Gc>(name);
     Ssd ssd(config);
     FaultInjector injector;
     ssd.set_fault_injector(&injector);
@@ -440,17 +440,13 @@ TEST(CrashRecovery, VictimIndexRebuildMatchesScratchScanAfterMidGcCrash) {
 
     ssd.remount();
     ssd.ftl().check_consistency();
-    const auto policy =
-        policy::PolicyRegistry<policy::GcPolicy>::instance().make(name);
     const std::uint64_t now = ssd.ftl().logical_clock();
     for (std::uint32_t d = 0; d < ssd.dies(); ++d) {
       const DieAllocator& alloc = ssd.ftl().allocator(d);
-      ASSERT_TRUE(alloc.victim_index_enabled());
       const auto scratch = alloc.pick_victim_scored(
-          *policy, [&](std::uint32_t b) { return alloc.cached_valid(b); },
-          now);
-      EXPECT_EQ(alloc.pick_victim_indexed(*policy, now), scratch)
-          << name << " die " << d;
+          config.ftl.gc_policy,
+          [&](std::uint32_t b) { return alloc.cached_valid(b); }, now);
+      EXPECT_EQ(alloc.pick_victim(now), scratch) << name << " die " << d;
     }
   }
 }

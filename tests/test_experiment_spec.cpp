@@ -1,14 +1,23 @@
 // Declarative experiment specs: strict parsing (unknown keys, unknown
-// policies and malformed values fail with teaching messages), and the
-// acceptance property of the spec satellite — the shipped
-// examples/specs/ftl_smoke.json reproduces the CLI smoke grid
-// (--ftl-sweep --ftl-requests 64) byte for byte.
+// policies and malformed values fail with teaching messages, and
+// mutated specs never fail any other way), and the acceptance property
+// of the spec satellite — the shipped examples/specs/ftl_smoke.json
+// reproduces the CLI smoke grid (--ftl-sweep --ftl-requests 64) byte
+// for byte.
 #include "src/explore/experiment.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <typeinfo>
+
 #include "src/explore/report.hpp"
 #include "src/explore/sweep.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 
 #ifndef XLF_SPEC_DIR
@@ -86,6 +95,15 @@ TEST(ExperimentSpec, MultiQueueKnobsParseAndValidate) {
                          "sweep": {"queues": [0]}})")
                 .find("'queues' entries must be >= 1"),
             std::string::npos);
+  // Queue ids are 16-bit: 65,536 queues is the most a sweep can ask.
+  EXPECT_EQ(parse_experiment_text(R"({"mode": "ftl-sweep",
+                                      "sweep": {"queues": [65536]}})")
+                .ftl.queue_counts,
+            std::vector<std::size_t>{65536});
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep",
+                         "sweep": {"queues": [4, 65537]}})"),
+            "experiment spec: 'queues' entries must be <= 65536 (queue ids "
+            "are 16-bit)");
   EXPECT_NE(error_of(R"({"mode": "ftl-sweep",
                          "workload": {"trim_fraction": 1.5}})")
                 .find("'trim_fraction' must lie in [0, 1)"),
@@ -138,12 +156,30 @@ TEST(ExperimentSpec, WorkloadKnobsOutsideTheirRangesAreRejected) {
   EXPECT_DOUBLE_EQ(edges.ftl.hot_write_fraction, 1.0);
 }
 
-TEST(ExperimentSpec, UnknownPolicyNamesFailListingRegistered) {
-  const std::string what = error_of(
-      R"({"mode": "ftl-sweep", "sweep": {"gc_policies": ["fifo"]}})");
-  EXPECT_NE(what.find("unknown gc policy 'fifo'"), std::string::npos) << what;
-  EXPECT_NE(what.find("greedy"), std::string::npos) << what;
-  EXPECT_NE(what.find("cost-benefit"), std::string::npos) << what;
+// Every policy axis checks its names at parse time, with the message
+// listing every available name, sorted.
+TEST(ExperimentSpec, UnknownPolicyNamesFailListingAvailable) {
+  const struct {
+    const char* key;
+    const char* message;
+  } cases[] = {
+      {"gc_policies", "unknown gc policy 'fifo'; available: cost-benefit "
+                      "greedy"},
+      {"wear_policies", "unknown wear policy 'fifo'; available: dynamic none "
+                        "static"},
+      {"tuning_policies", "unknown tuning policy 'fifo'; available: feedback "
+                          "model_based static"},
+      {"refresh_policies", "unknown refresh policy 'fifo'; available: none "
+                           "retention_aware"},
+      {"arbitrations", "unknown arbitration policy 'fifo'; available: "
+                       "round-robin weighted"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(error_of(std::string(R"({"mode": "ftl-sweep", "sweep": {")") +
+                       c.key + R"(": ["fifo"]}})"),
+              c.message)
+        << c.key;
+  }
 }
 
 TEST(ExperimentSpec, MalformedValuesRejected) {
@@ -269,6 +305,77 @@ TEST(ExperimentSpec, RunRejectsUnknownFormat) {
   const ExperimentSpec spec = parse_experiment_text(R"({"mode": "space"})");
   ThreadPool pool(1);
   EXPECT_THROW(run_experiment(spec, pool, "xml"), std::invalid_argument);
+}
+
+// Mutation fuzzing of the parser: the shipped specs, mutated from a
+// fixed seed by deletions, byte flips, fragments spliced in from
+// another spec and extreme tokens, must each parse or throw
+// std::invalid_argument. Any other exception fails the test; the
+// sanitizer build also catches undefined behaviour on the way.
+TEST(ExperimentSpec, MutatedSpecsParseOrThrowInvalidArgument) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(XLF_SPEC_DIR)) {
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());  // directory order is unspecified
+  std::vector<std::string> corpus;
+  corpus.reserve(paths.size());
+  for (const auto& path : paths) {
+    std::ifstream file(path);
+    std::ostringstream contents;
+    contents << file.rdbuf();
+    corpus.push_back(contents.str());
+  }
+  ASSERT_GE(corpus.size(), 5u);
+
+  const char* const kTokens[] = {"1e308", "-1", "18446744073709551616",
+                                 "null",  "[]", "{}", "\"x\""};
+  constexpr int kMutants = 20000;
+  Rng rng(0x5bec5eed);
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = corpus[rng.below(corpus.size())];
+    const std::uint64_t edits = 1 + rng.below(4);
+    for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng.below(text.size());
+      switch (rng.below(4)) {
+        case 0:  // delete a short run
+          text.erase(at, 1 + rng.below(8));
+          break;
+        case 1:  // flip one bit of one byte
+          text[at] = static_cast<char>(static_cast<unsigned char>(text[at]) ^
+                                       (1u << rng.below(8)));
+          break;
+        case 2: {  // splice in a fragment of another spec
+          // One draw per statement: argument evaluation order is
+          // unspecified, and the mutants must not depend on it.
+          const std::string& donor = corpus[rng.below(corpus.size())];
+          const std::size_t from = rng.below(donor.size());
+          text.insert(at, donor, from, 1 + rng.below(32));
+          break;
+        }
+        default: {  // overwrite a short run with an extreme token
+          const std::size_t run = rng.below(8);
+          text.replace(at, run, kTokens[rng.below(std::size(kTokens))]);
+          break;
+        }
+      }
+    }
+    try {
+      (void)parse_experiment_text(text);
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << i << " threw " << typeid(e).name() << ": "
+             << e.what() << "\n" << text;
+    }
+  }
+  EXPECT_EQ(parsed + rejected, kMutants);
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(ExperimentSpec, LoadRejectsMissingFile) {

@@ -11,25 +11,14 @@
 
 #include "src/ftl/allocator.hpp"
 #include "src/ftl/mapping.hpp"
-#include "src/policy/registry.hpp"
+#include "src/policy/policy.hpp"
 #include "src/sim/host_workload.hpp"
 #include "src/sim/ssd_sim.hpp"
 
 namespace xlf::ftl {
 namespace {
 
-AllocatorConfig alloc_config(std::uint32_t blocks, std::uint32_t pages,
-                             const std::string& wear) {
-  return AllocatorConfig{
-      blocks, pages,
-      policy::PolicyRegistry<policy::WearPolicy>::instance().make_shared(
-          wear)};
-}
-
-std::shared_ptr<const policy::GcPolicy> gc_policy(const std::string& name) {
-  return policy::PolicyRegistry<policy::GcPolicy>::instance().make_shared(
-      name);
-}
+using policy::Gc;
 
 TEST(PageMap, OutOfPlaceWriteInvalidatesOldLocation) {
   PageMap map(2, 4, 4, 20);
@@ -93,8 +82,7 @@ TEST(PageMap, RequiresOverProvisioning) {
 }
 
 TEST(DieAllocator, FrontiersFillBlocksSequentially) {
-  const AllocatorConfig config = alloc_config(4, 2, "none");
-  DieAllocator alloc(config);
+  DieAllocator alloc(AllocatorConfig{4, 2, policy::Wear::kNone});
   EXPECT_EQ(alloc.free_count(), 4u);
 
   const auto a = alloc.take_page(DieAllocator::Stream::kHost);
@@ -112,8 +100,7 @@ TEST(DieAllocator, FrontiersFillBlocksSequentially) {
 }
 
 TEST(DieAllocator, DynamicWearLevelingPrefersLowEraseCounts) {
-  const AllocatorConfig config = alloc_config(4, 1, "dynamic");
-  DieAllocator alloc(config);
+  DieAllocator alloc(AllocatorConfig{4, 1, policy::Wear::kDynamic});
   // One-page blocks close on every take; erasing each one raises its
   // count, so the allocator walks the whole pool before reusing any
   // block — the levelling behaviour.
@@ -128,8 +115,7 @@ TEST(DieAllocator, DynamicWearLevelingPrefersLowEraseCounts) {
 }
 
 TEST(DieAllocator, GreedyVictimHasFewestValidPages) {
-  const AllocatorConfig config = alloc_config(5, 4, "none");
-  DieAllocator alloc(config);
+  DieAllocator alloc(AllocatorConfig{5, 4, policy::Wear::kNone});
   // Close three blocks (0, 1, 2).
   for (int b = 0; b < 3; ++b) {
     for (int p = 0; p < 4; ++p) alloc.take_page(DieAllocator::Stream::kHost);
@@ -142,14 +128,13 @@ TEST(DieAllocator, GreedyVictimHasFewestValidPages) {
       default: return 4;
     }
   };
-  const auto victim = alloc.pick_victim(*gc_policy("greedy"), valid, 10);
+  const auto victim = alloc.pick_victim_scored(Gc::kGreedy, valid, 10);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 1u);
 }
 
 TEST(DieAllocator, CostBenefitPrefersColdOverSlightlyEmptier) {
-  const AllocatorConfig config = alloc_config(5, 4, "none");
-  DieAllocator alloc(config);
+  DieAllocator alloc(AllocatorConfig{5, 4, policy::Wear::kNone});
   for (int b = 0; b < 2; ++b) {
     for (int p = 0; p < 4; ++p) alloc.take_page(DieAllocator::Stream::kHost);
   }
@@ -161,17 +146,15 @@ TEST(DieAllocator, CostBenefitPrefersColdOverSlightlyEmptier) {
   };
   // Greedy takes the emptier block 1; cost-benefit weighs age and
   // takes the cold block 0.
-  EXPECT_EQ(*alloc.pick_victim(*gc_policy("greedy"), valid, 1001), 1u);
-  EXPECT_EQ(*alloc.pick_victim(*gc_policy("cost-benefit"), valid, 1001), 0u);
+  EXPECT_EQ(*alloc.pick_victim_scored(Gc::kGreedy, valid, 1001), 1u);
+  EXPECT_EQ(*alloc.pick_victim_scored(Gc::kCostBenefit, valid, 1001), 0u);
 }
 
 TEST(DieAllocator, SkipsFullyValidBlocks) {
-  const AllocatorConfig config = alloc_config(4, 2, "none");
-  DieAllocator alloc(config);
+  DieAllocator alloc(AllocatorConfig{4, 2, policy::Wear::kNone});
   for (int p = 0; p < 2; ++p) alloc.take_page(DieAllocator::Stream::kHost);
   const auto all_valid = [](std::uint32_t) -> std::uint32_t { return 2; };
-  EXPECT_FALSE(
-      alloc.pick_victim(*gc_policy("greedy"), all_valid, 1).has_value());
+  EXPECT_FALSE(alloc.pick_victim_scored(Gc::kGreedy, all_valid, 1).has_value());
 }
 
 SsdConfig small_ssd() {
@@ -365,7 +348,7 @@ TEST(Ftl, SkewedOverwritesDivergeWearAndPerBlockT) {
 TEST(Ftl, StaticWearLevelingSwapsColdBlocks) {
   SsdConfig config = small_ssd();
   config.topology = {1, 1};
-  config.ftl.wear_policy = "static";
+  config.ftl.wear_policy = policy::Wear::kStatic;
   config.ftl.static_wl_spread = 3;
   Ssd ssd(config);
   sim::SsdSimulator simulator(ssd);

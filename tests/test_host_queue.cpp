@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/policy/registry.hpp"
+#include "src/policy/policy.hpp"
 
 namespace xlf::host {
 namespace {
@@ -54,19 +54,22 @@ TEST(HostInterface, RejectsBadShapes) {
   EXPECT_THROW(build(1, {1.0, 2.0}), std::logic_error);
   // Non-positive weight.
   EXPECT_THROW(build(1, {0.0}), std::logic_error);
-  // Unknown arbitration names throw the registry's teaching message.
+}
+
+// Command::queue is 16-bit: 65,536 queues address every id, one more
+// would wrap onto queue 0.
+TEST(HostInterface, QueueCountIsBoundedBySixteenBitIds) {
+  HostConfig config;
+  config.queues = kMaxQueues;
+  EXPECT_EQ(HostInterface(config).queues(), 65536u);
+  config.queues = kMaxQueues + 1;
   try {
-    HostConfig config;
-    config.arbitration = "lottery";
     HostInterface host(config);
-    FAIL() << "unknown arbitration name must throw";
+    FAIL() << "65,537 queues must be rejected";
   } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unknown arbitration policy 'lottery'"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("round-robin"), std::string::npos) << what;
-    EXPECT_NE(what.find("weighted"), std::string::npos) << what;
+    EXPECT_STREQ(e.what(),
+                 "queues=65537 exceeds the limit of 65536 (queue ids are "
+                 "16-bit)");
   }
 }
 
@@ -119,7 +122,7 @@ TEST(HostInterface, RoundRobinSkipsEmptyAndBlockedQueues) {
 TEST(HostInterface, WeightedArbitrationIssuesInWeightProportion) {
   HostConfig config;
   config.queues = 2;
-  config.arbitration = "weighted";
+  config.arbitration = policy::Arbitration::kWeighted;
   config.queue_weights = {3.0, 1.0};
   HostInterface host(config);
   for (int i = 0; i < 8; ++i) {
@@ -141,7 +144,7 @@ TEST(HostInterface, WeightedArbitrationIssuesInWeightProportion) {
 TEST(HostInterface, WeightedTieBreaksTowardLowestId) {
   HostConfig config;
   config.queues = 3;
-  config.arbitration = "weighted";
+  config.arbitration = policy::Arbitration::kWeighted;
   HostInterface host(config);
   for (std::uint16_t q = 0; q < 3; ++q) {
     host.submit(make(CmdType::kWrite, q), Seconds{0.0});
@@ -185,9 +188,8 @@ TEST(HostInterface, FlushHorizonTracksLatestScheduledCompletion) {
   EXPECT_DOUBLE_EQ(host.last_scheduled_completion(0).value(), 5.0);
 }
 
-TEST(ArbitrationRegistry, ListsBuiltins) {
-  const auto names =
-      policy::PolicyRegistry<policy::ArbitrationPolicy>::instance().names();
+TEST(ArbitrationNames, ListsBuiltins) {
+  const auto& names = policy::Names<policy::Arbitration>::table;
   EXPECT_NE(std::find(names.begin(), names.end(), "round-robin"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "weighted"), names.end());

@@ -127,6 +127,27 @@ TEST(HostWorkload, MultiTenantSplitsRequestsAcrossQueues) {
   EXPECT_EQ(per_queue, (std::vector<std::size_t>{51, 51, 51, 50}));
 }
 
+// Tenant ids are 16-bit: 65,536 tenants stamp every id once (the
+// last on queue 65,535); one more would wrap onto queue 0.
+TEST(HostWorkload, TenantCountIsBoundedBySixteenBitIds) {
+  const MultiTenantWorkload widest(
+      std::vector<TenantSpec>(host::kMaxQueues, TenantSpec{}));
+  Rng rng(11);
+  const auto commands = widest.generate(64, host::kMaxQueues, rng);
+  std::set<std::uint16_t> queues;
+  for (const host::Command& command : commands) queues.insert(command.queue);
+  EXPECT_EQ(queues.size(), 65536u);
+  try {
+    const MultiTenantWorkload wrapped(
+        std::vector<TenantSpec>(host::kMaxQueues + 1, TenantSpec{}));
+    FAIL() << "65,537 tenants must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "tenants=65537 exceeds the limit of 65536 (tenant ids are "
+                 "16-bit)");
+  }
+}
+
 TEST(HostWorkload, TrimFractionEmitsTrimsOfWrittenLpasOnly) {
   const TenantSpec tenant{0.25, 0.85, 0.2, 0.3, Seconds{0.0}};
   const MultiTenantWorkload workload(std::vector<TenantSpec>{tenant});

@@ -139,7 +139,7 @@ TEST(PaperClaims, BitTrueLifetimeRunsStayCorrectable) {
     config.topology = {1, 1};
     config.die.device.array.geometry.blocks = 8;
     config.die.device.array.geometry.pages_per_block = 4;
-    config.die.controller.tuning_policy = "static";
+    config.die.controller.tuning_policy = policy::Tuning::kStatic;
     config.initial_pe_cycles = cycles;
     config.point = OperatingPoint::max_read();
     ftl::Ssd ssd(config);

@@ -7,15 +7,15 @@
 
 #include "src/ftl/ssd.hpp"
 #include "src/policy/policy.hpp"
-#include "src/policy/registry.hpp"
 #include "src/sim/ssd_sim.hpp"
 
 namespace xlf {
 namespace {
 
-std::unique_ptr<policy::RefreshPolicy> retention_aware() {
-  return policy::PolicyRegistry<policy::RefreshPolicy>::instance().make(
-      "retention_aware");
+using policy::Refresh;
+
+bool retention_aware(const policy::RefreshContext& ctx) {
+  return policy::should_refresh(Refresh::kRetentionAware, ctx);
 }
 
 policy::RefreshContext context_at(double pe_cycles, unsigned page_t,
@@ -31,26 +31,25 @@ policy::RefreshContext context_at(double pe_cycles, unsigned page_t,
 
 TEST(RetentionAwareRefresh, DecisionBoundaries) {
   const nand::AgingLaw law;
-  const auto policy = retention_aware();
 
   // Never-programmed blocks and a zero retention horizon never refresh.
-  EXPECT_FALSE(policy->should_refresh(context_at(3e5, 0, 2000.0, law)));
-  EXPECT_FALSE(policy->should_refresh(context_at(3e5, 30, 0.0, law)));
+  EXPECT_FALSE(retention_aware(context_at(3e5, 0, 2000.0, law)));
+  EXPECT_FALSE(retention_aware(context_at(3e5, 30, 0.0, law)));
 
   // Young block written at the model-based t for its wear (t = 4 at
   // 1e3 cycles): retention barely moves the tiny RBER, the stressed
   // requirement stays within the budget.
-  EXPECT_FALSE(policy->should_refresh(context_at(1e3, 4, 1000.0, law)));
+  EXPECT_FALSE(retention_aware(context_at(1e3, 4, 1000.0, law)));
 
   // End-of-life block: retention growth on an already-high RBER blows
   // through the t its pages carry.
-  EXPECT_TRUE(policy->should_refresh(context_at(3e5, 30, 2000.0, law)));
+  EXPECT_TRUE(retention_aware(context_at(3e5, 30, 2000.0, law)));
 
   // A generous static budget (t_max) absorbs the same stress.
-  EXPECT_FALSE(policy->should_refresh(context_at(1e4, 65, 1000.0, law)));
+  EXPECT_FALSE(retention_aware(context_at(1e4, 65, 1000.0, law)));
 }
 
-ftl::SsdConfig aged_ssd(const std::string& refresh_policy) {
+ftl::SsdConfig aged_ssd(Refresh refresh_policy) {
   ftl::SsdConfig config;
   config.topology = {1, 1};
   config.die.device.array.geometry.blocks = 8;
@@ -71,7 +70,7 @@ ftl::SsdConfig aged_ssd(const std::string& refresh_policy) {
 // every valid physical page, and returns the total corrected bits
 // over one read of the full logical space.
 struct BakedSsd {
-  explicit BakedSsd(const std::string& refresh_policy)
+  explicit BakedSsd(Refresh refresh_policy)
       : ssd(aged_ssd(refresh_policy)) {
     ftl::Ftl& ftl = ssd.ftl();
     const std::uint32_t bits = ssd.die_geometry().data_bits_per_page();
@@ -110,7 +109,7 @@ struct BakedSsd {
 };
 
 TEST(RetentionAwareRefresh, ScrubLowersCorrectedBitDensityOnAgedBlocks) {
-  BakedSsd baked("retention_aware");
+  BakedSsd baked(Refresh::kRetentionAware);
   baked.bake_retention(300.0);
   const std::size_t before = baked.corrected_bits_per_full_read();
   ASSERT_GT(before, 0u) << "retention stress must be visible before scrub";
@@ -131,7 +130,7 @@ TEST(RetentionAwareRefresh, ScrubLowersCorrectedBitDensityOnAgedBlocks) {
 }
 
 TEST(RetentionAwareRefresh, NonePolicyNeverRefreshes) {
-  BakedSsd baked("none");
+  BakedSsd baked(Refresh::kNone);
   baked.bake_retention(300.0);
   const ftl::ScrubResult scrubbed = baked.ssd.ftl().scrub();
   EXPECT_GT(scrubbed.blocks_checked, 0u);

@@ -10,15 +10,17 @@
 namespace xlf::controller {
 namespace {
 
-ReliabilityManager make_manager(const std::string& policy) {
-  return ReliabilityManager(ReliabilityConfig{}, policy, nand::AgingLaw{});
+using policy::Tuning;
+
+ReliabilityManager make_manager(Tuning tuning) {
+  return ReliabilityManager(ReliabilityConfig{}, tuning, nand::AgingLaw{});
 }
 
 TEST(ReliabilityManager, ModelBasedSchedulesMatchPaper) {
   // Section 6.2: SV needs tMIN ~3-4 at BOL and tMAX = 65 at EOL; the
   // DV schedule stays far lower.
   const ReliabilityManager manager =
-      make_manager("model_based");
+      make_manager(Tuning::kModelBased);
   EXPECT_LE(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1.0), 4u);
   EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), 65u);
   EXPECT_FALSE(manager.saturated());
@@ -31,7 +33,7 @@ TEST(ReliabilityManager, ModelBasedSchedulesMatchPaper) {
 
 TEST(ReliabilityManager, ScheduleMonotoneOverLife) {
   const ReliabilityManager manager =
-      make_manager("model_based");
+      make_manager(Tuning::kModelBased);
   for (auto algo :
        {nand::ProgramAlgorithm::kIsppSv, nand::ProgramAlgorithm::kIsppDv}) {
     unsigned prev = 0;
@@ -45,7 +47,7 @@ TEST(ReliabilityManager, ScheduleMonotoneOverLife) {
 
 TEST(ReliabilityManager, PredictedUberMeetsTarget) {
   const ReliabilityManager manager =
-      make_manager("model_based");
+      make_manager(Tuning::kModelBased);
   for (auto algo :
        {nand::ProgramAlgorithm::kIsppSv, nand::ProgramAlgorithm::kIsppDv}) {
     for (double c : {1.0, 1e3, 1e5, 1e6}) {
@@ -58,27 +60,27 @@ TEST(ReliabilityManager, PredictedUberMeetsTarget) {
 TEST(ReliabilityManager, SaturationReported) {
   ReliabilityConfig tight;
   tight.t_max = 10;  // too weak for EOL ISPP-SV
-  const ReliabilityManager manager(tight, "model_based",
+  const ReliabilityManager manager(tight, Tuning::kModelBased,
                                    nand::AgingLaw{});
   EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), 10u);
   EXPECT_TRUE(manager.saturated());
 }
 
 TEST(ReliabilityManager, StaticPolicyKeepsFallback) {
-  const ReliabilityManager manager = make_manager("static");
+  const ReliabilityManager manager = make_manager(Tuning::kStatic);
   EXPECT_EQ(
       manager.recommended_t(nand::ProgramAlgorithm::kIsppSv, 1e6, 12u), 12u);
 }
 
 TEST(ReliabilityManager, FeedbackWaitsForWarmup) {
-  ReliabilityManager manager = make_manager("feedback");
+  ReliabilityManager manager = make_manager(Tuning::kFeedback);
   EXPECT_FALSE(manager.estimate_ready());
   EXPECT_EQ(
       manager.recommended_t(nand::ProgramAlgorithm::kIsppSv, 1e5, 7u), 7u);
 }
 
 TEST(ReliabilityManager, FeedbackConvergesToObservedRate) {
-  ReliabilityManager manager = make_manager("feedback");
+  ReliabilityManager manager = make_manager(Tuning::kFeedback);
   // Feed decodes at a known error density: 33 corrected bits per
   // 33808-bit codeword = RBER ~9.76e-4 (the EOL SV point).
   for (int i = 0; i < 400; ++i) manager.observe_decode(33, 33808);
@@ -92,7 +94,7 @@ TEST(ReliabilityManager, FeedbackConvergesToObservedRate) {
 }
 
 TEST(ReliabilityManager, FeedbackWithNoErrorsFallsToFloor) {
-  ReliabilityManager manager = make_manager("feedback");
+  ReliabilityManager manager = make_manager(Tuning::kFeedback);
   for (int i = 0; i < 100; ++i) manager.observe_decode(0, 33808);
   EXPECT_EQ(
       manager.recommended_t(nand::ProgramAlgorithm::kIsppSv, 1e6, 40u), 3u);
@@ -103,9 +105,9 @@ TEST(ReliabilityManager, FeedbackTracksModelAcrossLife) {
   // the feedback schedule track the model-based one within a step or
   // two (the safety factor biases it upward).
   const nand::AgingLaw law;
-  const ReliabilityManager model = make_manager("model_based");
+  const ReliabilityManager model = make_manager(Tuning::kModelBased);
   for (double c : {1e3, 1e5, 1e6}) {
-    ReliabilityManager feedback = make_manager("feedback");
+    ReliabilityManager feedback = make_manager(Tuning::kFeedback);
     const double rber = law.rber(nand::ProgramAlgorithm::kIsppSv, c);
     const auto corrected = static_cast<unsigned>(rber * 33808.0 + 0.5);
     for (int i = 0; i < 200; ++i) feedback.observe_decode(corrected, 33808);
@@ -122,7 +124,7 @@ TEST(ReliabilityManager, FeedbackTracksModelAcrossLife) {
 // the memo (each call evicts), and runs of repeats then hit it.
 TEST(ReliabilityManager, MemoisedSelectionEqualsFreshSolve) {
   const ReliabilityConfig config;
-  const ReliabilityManager manager = make_manager("model_based");
+  const ReliabilityManager manager = make_manager(Tuning::kModelBased);
   const nand::AgingLaw law;
   const auto fresh = [&](nand::ProgramAlgorithm algo, double pe) {
     return bch::min_t_for_uber(law.rber(algo, pe), config.uber_target,
@@ -154,7 +156,7 @@ TEST(ReliabilityManager, MemoisedSelectionEqualsFreshSolve) {
 TEST(ReliabilityManager, SaturationFollowsEveryCallThroughTheMemo) {
   ReliabilityConfig tight;
   tight.t_max = 10;  // too weak for EOL ISPP-SV, plenty at BOL
-  const ReliabilityManager manager(tight, "model_based", nand::AgingLaw{});
+  const ReliabilityManager manager(tight, Tuning::kModelBased, nand::AgingLaw{});
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), 10u);
     EXPECT_TRUE(manager.saturated()) << i;
@@ -166,12 +168,12 @@ TEST(ReliabilityManager, SaturationFollowsEveryCallThroughTheMemo) {
 TEST(ReliabilityManager, InvalidConfigsRejected) {
   ReliabilityConfig bad;
   bad.uber_target = 0.0;
-  EXPECT_THROW(ReliabilityManager(bad, "static",
+  EXPECT_THROW(ReliabilityManager(bad, Tuning::kStatic,
                                   nand::AgingLaw{}),
                std::invalid_argument);
   bad = ReliabilityConfig{};
   bad.safety_factor = 0.5;
-  EXPECT_THROW(ReliabilityManager(bad, "static",
+  EXPECT_THROW(ReliabilityManager(bad, Tuning::kStatic,
                                   nand::AgingLaw{}),
                std::invalid_argument);
 }

@@ -304,7 +304,7 @@ std::uint64_t weighted_stream_digest(bool data_plane, double gap_us) {
   SsdSimConfig sim_config;
   sim_config.queue_depth = 4;
   sim_config.host.queues = 3;
-  sim_config.host.arbitration = "weighted";
+  sim_config.host.arbitration = policy::Arbitration::kWeighted;
   sim_config.host.queue_weights = {4.0, 2.0, 1.0};
   SsdSimulator simulator(ssd, sim_config);
   simulator.prepopulate();

@@ -16,7 +16,7 @@
 #include "src/ftl/allocator.hpp"
 #include "src/ftl/fault.hpp"
 #include "src/ftl/ssd.hpp"
-#include "src/policy/registry.hpp"
+#include "src/policy/policy.hpp"
 #include "src/sim/host_workload.hpp"
 #include "src/sim/ssd_sim.hpp"
 #include "src/util/rng.hpp"
@@ -25,32 +25,24 @@ namespace xlf::ftl {
 namespace {
 
 std::optional<std::uint32_t> oracle_pick(const DieAllocator& alloc,
-                                         const policy::GcPolicy& policy,
-                                         std::uint64_t now) {
+                                         policy::Gc gc, std::uint64_t now) {
   return alloc.pick_victim_scored(
-      policy, [&alloc](std::uint32_t b) { return alloc.cached_valid(b); },
-      now);
+      gc, [&alloc](std::uint32_t b) { return alloc.cached_valid(b); }, now);
 }
 
 // Allocator-level churn: every transition the Ftl can feed the index
 // (map, invalidate, close, erase, retire), in random order, with the
 // indexed pick checked against the oracle after each step.
 void churn_property(const std::string& name, std::uint64_t seed) {
-  const auto policy =
-      policy::PolicyRegistry<policy::GcPolicy>::instance().make(name);
+  const policy::Gc gc = policy::parse<policy::Gc>(name);
   constexpr std::uint32_t kBlocks = 48;
   constexpr std::uint32_t kPages = 8;
-  AllocatorConfig config{kBlocks, kPages, nullptr, gc_index_kind_for(name)};
-  ASSERT_NE(config.gc_index, GcIndexKind::kNone);
-  DieAllocator alloc(config);
-  ASSERT_TRUE(alloc.victim_index_enabled());
+  DieAllocator alloc(
+      AllocatorConfig{kBlocks, kPages, policy::Wear::kDynamic, gc});
 
   Rng rng(seed);
   std::uint64_t clock = 0;
   int retired = 0;
-  const auto valid_count = [&](std::uint32_t b) {
-    return alloc.cached_valid(b);
-  };
   for (int step = 0; step < 4000; ++step) {
     const std::uint32_t op = static_cast<std::uint32_t>(rng.below(100));
     if (op < 55) {
@@ -77,7 +69,7 @@ void churn_property(const std::string& name, std::uint64_t seed) {
     } else if (op < 97) {
       // GC step: pick through the production entry point, relocate
       // the live pages onto the GC frontier, erase the victim.
-      const auto victim = alloc.pick_victim(*policy, valid_count, clock);
+      const auto victim = alloc.pick_victim(clock);
       if (victim.has_value()) {
         bool relocated = true;
         while (alloc.cached_valid(*victim) > 0) {
@@ -108,8 +100,8 @@ void churn_property(const std::string& name, std::uint64_t seed) {
         }
       }
     }
-    const auto indexed = alloc.pick_victim_indexed(*policy, clock);
-    const auto oracle = oracle_pick(alloc, *policy, clock);
+    const auto indexed = alloc.pick_victim(clock);
+    const auto oracle = oracle_pick(alloc, gc, clock);
     ASSERT_EQ(indexed, oracle) << name << " diverged at step " << step;
   }
 }
@@ -120,17 +112,6 @@ TEST(VictimIndexProperty, GreedyChurnMatchesOracleEveryStep) {
 
 TEST(VictimIndexProperty, CostBenefitChurnMatchesOracleEveryStep) {
   churn_property("cost-benefit", 0xB0B5);
-}
-
-// Custom/unknown policy names keep the index off and the linear
-// oracle in charge — the fallback contract of AllocatorConfig.
-TEST(VictimIndexProperty, UnknownPolicyNameDisablesTheIndex) {
-  EXPECT_EQ(gc_index_kind_for("greedy"), GcIndexKind::kGreedy);
-  EXPECT_EQ(gc_index_kind_for("cost-benefit"), GcIndexKind::kCostBenefit);
-  EXPECT_EQ(gc_index_kind_for("my-downstream-policy"), GcIndexKind::kNone);
-  AllocatorConfig config{8, 4, nullptr, gc_index_kind_for("whatever")};
-  const DieAllocator alloc(config);
-  EXPECT_FALSE(alloc.victim_index_enabled());
 }
 
 // Full-stack churn: a trim-heavy skewed workload with grown-bad
@@ -144,7 +125,7 @@ void full_stack_property(const std::string& name) {
   config.die.device.array.geometry.pages_per_block = 4;
   config.initial_pe_cycles = 1e4;
   config.ftl.pe_cycles_per_erase = 3e4;
-  config.ftl.gc_policy = name;
+  config.ftl.gc_policy = policy::parse<policy::Gc>(name);
   Ssd ssd(config);
 
   FaultInjector injector;
@@ -160,8 +141,6 @@ void full_stack_property(const std::string& name) {
   tenant.read_fraction = 0.2;
   tenant.trim_fraction = 0.15;
   const sim::MultiTenantWorkload workload({tenant});
-  const auto policy =
-      policy::PolicyRegistry<policy::GcPolicy>::instance().make(name);
 
   Rng stream(0x5EED ^ name.size());
   for (int chunk = 0; chunk < 6; ++chunk) {
@@ -173,9 +152,8 @@ void full_stack_property(const std::string& name) {
     const std::uint64_t now = ssd.ftl().logical_clock();
     for (std::uint32_t d = 0; d < ssd.dies(); ++d) {
       const DieAllocator& alloc = ssd.ftl().allocator(d);
-      ASSERT_TRUE(alloc.victim_index_enabled());
-      EXPECT_EQ(alloc.pick_victim_indexed(*policy, now),
-                oracle_pick(alloc, *policy, now))
+      EXPECT_EQ(alloc.pick_victim(now),
+                oracle_pick(alloc, config.ftl.gc_policy, now))
           << name << " die " << d << " chunk " << chunk;
     }
   }

@@ -2,7 +2,8 @@
 #   cmake -DXLF_EXPLORE=<binary> -DSPEC=<example spec> -P xlf_explore_cli.cmake
 #
 # Checks the teaching-error satellite (unknown flags exit non-zero and
-# point at --help instead of being silently ignored), numeric flag
+# point at --help instead of being silently ignored), the policy
+# vocabulary (--list-policies, unknown policy names), numeric flag
 # values (whole token, in range, or an error naming the flag), wear
 # ages outside the models' domain, spec error handling, and that a
 # shipped example spec runs clean.
@@ -26,20 +27,46 @@ if(NOT err MATCHES "--help")
   message(FATAL_ERROR "unknown-flag message must suggest --help, got: ${err}")
 endif()
 
-# --- --list-policies: every kind on its own line, exit 0 -------------
+# --- --list-policies: one "kind: names" line per kind, exit 0 --------
 execute_process(COMMAND ${XLF_EXPLORE} --list-policies
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--list-policies must exit 0 (got ${rc}): ${err}")
 endif()
-foreach(kind tuning gc wear refresh arbitration)
-  if(NOT out MATCHES "${kind}:")
-    message(FATAL_ERROR "--list-policies missing kind '${kind}': ${out}")
+set(policy_lines
+    "tuning: feedback model_based static"
+    "gc: cost-benefit greedy"
+    "wear: dynamic none static"
+    "refresh: none retention_aware"
+    "arbitration: round-robin weighted")
+string(REPLACE ";" "\n" expected "${policy_lines}")
+if(NOT out STREQUAL "${expected}\n")
+  message(FATAL_ERROR "--list-policies must print exactly\n${expected}\n"
+                      "got:\n${out}")
+endif()
+
+# --- an unknown policy name: exit 2, listing the kind's names --------
+# Each case is "<flag>|<name>|<the kind's sorted names>"; the kind is
+# the flag's suffix (gc, wear, tuning, refresh, arbitration).
+foreach(case
+    "gc|lifo|cost-benefit greedy"
+    "wear|Static|dynamic none static"
+    "tuning|adaptive|feedback model_based static"
+    "refresh|always|none retention_aware"
+    "arbitration|lottery|round-robin weighted")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 kind)
+  list(GET parts 1 name)
+  list(GET parts 2 names)
+  execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-requests 8
+                          --ftl-${kind} ${name}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  set(expected "xlf_explore: unknown ${kind} policy '${name}'; available: ${names}\n")
+  if(NOT rc EQUAL 2 OR NOT err STREQUAL expected)
+    message(FATAL_ERROR "--ftl-${kind} ${name} must exit 2 with\n${expected}"
+                        "got ${rc}:\n${err}")
   endif()
 endforeach()
-if(NOT out MATCHES "round-robin" OR NOT out MATCHES "weighted")
-  message(FATAL_ERROR "--list-policies missing arbitration built-ins: ${out}")
-endif()
 
 # --- --version/--build-info: provenance lines, exit 0 ----------------
 foreach(flag --version --build-info)
@@ -81,6 +108,16 @@ if(rc EQUAL 0)
 endif()
 if(NOT err MATCHES "unknown flag '--ftl-shard-dies'")
   message(FATAL_ERROR "--ftl-shard-dies must be an unknown flag, got: ${err}")
+endif()
+
+# --- queue ids are 16-bit: more than 65,536 queues is an error -------
+execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-requests 8
+                        --ftl-queues 1,65537
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+set(expected "xlf_explore: --ftl-queues must be an integer in [1, 65536], got '65537'\n")
+if(NOT rc EQUAL 2 OR NOT err STREQUAL expected)
+  message(FATAL_ERROR "--ftl-queues 1,65537 must exit 2 with\n${expected}"
+                      "got ${rc}:\n${err}")
 endif()
 
 # --- an all-hot LPA space runs (cold writes fall back to hot) --------

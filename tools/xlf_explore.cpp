@@ -3,9 +3,9 @@
 // Two ways to describe an experiment:
 //  * flags (below) for quick interactive runs;
 //  * --spec file.json, a declarative experiment spec (the JSON shape
-//    is documented in src/explore/experiment.hpp and examples/specs/)
-//    which can additionally sweep arbitrary policy combinations —
-//    GC x wear x tuning x refresh — by registry name.
+//    is documented in src/explore/experiment.hpp and examples/specs/).
+// Either can sweep any combination of the built-in policies — GC x
+// wear x tuning x refresh x arbitration — by name.
 // Both paths build the same explore::ExperimentSpec and run through
 // explore::run_experiment, so a spec that mirrors a flag set produces
 // byte-identical output.
@@ -32,9 +32,9 @@
 #include <vector>
 
 #include "src/explore/experiment.hpp"
+#include "src/host/command.hpp"
 #include "src/nand/ispp_certified.hpp"
 #include "src/policy/policy.hpp"
-#include "src/policy/registry.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace {
@@ -72,8 +72,8 @@ void usage() {
       "  --spec FILE           run a declarative JSON experiment spec\n"
       "                        (exclusive with the sweep-shaping flags below;\n"
       "                        --threads/--format/--out still apply)\n"
-      "  --list-policies       print the registered policy names per kind\n"
-      "                        (tuning, gc, wear, refresh, arbitration) and exit\n"
+      "  --list-policies       print the policy names per kind (tuning, gc,\n"
+      "                        wear, refresh, arbitration) and exit\n"
       "  --version             print version + build provenance (compiler,\n"
       "  --build-info          build type, sanitizer flags, the ISPP kernel\n"
       "                        this host selects) and exit; exclusive with\n"
@@ -97,17 +97,16 @@ void usage() {
       "  --ftl-topologies L    comma list of CxD (channels x dies/channel,\n"
       "                        default 1x1,2x1)\n"
       "  --ftl-qd LIST         queue depths (default 1,4)\n"
-      "  --ftl-queues LIST     submission-queue counts (default 1)\n"
-      "  --ftl-arbitration LIST  arbitration policies by registry name\n"
+      "  --ftl-queues LIST     submission-queue counts, each in [1, 65536]\n"
+      "                        (default 1)\n"
+      "  --ftl-arbitration LIST  arbitration policies by name\n"
       "                        (default round-robin)\n"
       "  --ftl-queue-weights LIST  per-queue arbitration weights, queue 0\n"
       "                        first (shorter lists pad with 1; default equal)\n"
-      "  --ftl-gc LIST         GC policies by registry name\n"
-      "                        (default greedy,cost-benefit)\n"
-      "  --ftl-wear LIST       wear policies by registry name (default dynamic)\n"
-      "  --ftl-tuning LIST     tuning policies by registry name\n"
-      "                        (default model_based)\n"
-      "  --ftl-refresh LIST    refresh policies by registry name (default none)\n"
+      "  --ftl-gc LIST         GC policies by name (default greedy,cost-benefit)\n"
+      "  --ftl-wear LIST       wear policies by name (default dynamic)\n"
+      "  --ftl-tuning LIST     tuning policies by name (default model_based)\n"
+      "  --ftl-refresh LIST    refresh policies by name (default none)\n"
       "  --ftl-fail-blocks LIST  grown-bad blocks injected per die (the\n"
       "                        lowest block ids fail on first erase;\n"
       "                        default 0 — needs spare blocks beyond the\n"
@@ -130,21 +129,23 @@ void usage() {
       "                        beside the deterministic rows (JSON only)\n";
 }
 
-// The discovery companion of the registry's unknown-name errors: the
-// same sorted name lists, one line per policy kind.
+// The discovery companion of policy::parse's unknown-name errors: the
+// same sorted name tables, one line per policy kind.
+template <class P>
+void list_policy_kind() {
+  std::cout << policy::Names<P>::kind << ":";
+  for (const std::string_view name : policy::Names<P>::table) {
+    std::cout << " " << name;
+  }
+  std::cout << "\n";
+}
+
 void list_policies() {
-  const auto line = [](const char* kind, const std::vector<std::string>& names) {
-    std::cout << kind << ":";
-    for (const std::string& name : names) std::cout << " " << name;
-    std::cout << "\n";
-  };
-  using policy::PolicyRegistry;
-  line("tuning", PolicyRegistry<policy::TuningPolicy>::instance().names());
-  line("gc", PolicyRegistry<policy::GcPolicy>::instance().names());
-  line("wear", PolicyRegistry<policy::WearPolicy>::instance().names());
-  line("refresh", PolicyRegistry<policy::RefreshPolicy>::instance().names());
-  line("arbitration",
-       PolicyRegistry<policy::ArbitrationPolicy>::instance().names());
+  list_policy_kind<policy::Tuning>();
+  list_policy_kind<policy::Gc>();
+  list_policy_kind<policy::Wear>();
+  list_policy_kind<policy::Refresh>();
+  list_policy_kind<policy::Arbitration>();
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -356,7 +357,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--ftl-queues") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      if (!parse_list(arg, v, ">= 1", kPositive, exp.ftl.queue_counts)) {
+      if (!parse_list(arg, v, "in [1, 65536]",
+                      [](std::size_t n) {
+                        return n >= 1 && n <= host::kMaxQueues;
+                      },
+                      exp.ftl.queue_counts)) {
         return false;
       }
     } else if (arg == "--ftl-arbitration") {
