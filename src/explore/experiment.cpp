@@ -1,6 +1,7 @@
 #include "src/explore/experiment.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -92,6 +93,16 @@ std::size_t as_index(const JsonValue& v, const std::string& key) {
 
 std::uint64_t as_u64(const JsonValue& v, const std::string& key) {
   return static_cast<std::uint64_t>(checked_integer(v, key));
+}
+
+// A key the configuration holds in 32 bits: a larger value is an
+// error, never a wrap.
+std::uint32_t as_u32(const JsonValue& v, const std::string& key) {
+  const double n = checked_integer(v, key);
+  if (n > static_cast<double>(UINT32_MAX)) {
+    spec_error("'" + key + "' must be <= 4294967295 (it is a 32-bit count)");
+  }
+  return static_cast<std::uint32_t>(n);
 }
 
 bool as_bool(const JsonValue& v, const std::string& key) {
@@ -206,12 +217,11 @@ void parse_geometry(StrictObject& root, ExperimentSpec& spec) {
   if (geometry == nullptr) return;
   StrictObject obj(*geometry, "geometry");
   if (const JsonValue* v = obj.find("blocks")) {
-    spec.ftl.base.die.device.array.geometry.blocks =
-        static_cast<std::uint32_t>(as_index(*v, "blocks"));
+    spec.ftl.base.die.device.array.geometry.blocks = as_u32(*v, "blocks");
   }
   if (const JsonValue* v = obj.find("pages_per_block")) {
     spec.ftl.base.die.device.array.geometry.pages_per_block =
-        static_cast<std::uint32_t>(as_index(*v, "pages_per_block"));
+        as_u32(*v, "pages_per_block");
   }
   obj.finish();
 }
@@ -228,12 +238,10 @@ void parse_ftl(StrictObject& root, ExperimentSpec& spec) {
     config.logical_fraction = as_number(*v, "logical_fraction");
   }
   if (const JsonValue* v = obj.find("gc_free_blocks")) {
-    config.gc_free_blocks =
-        static_cast<std::uint32_t>(as_index(*v, "gc_free_blocks"));
+    config.gc_free_blocks = as_u32(*v, "gc_free_blocks");
   }
   if (const JsonValue* v = obj.find("static_wl_spread")) {
-    config.static_wl_spread =
-        static_cast<std::uint32_t>(as_index(*v, "static_wl_spread"));
+    config.static_wl_spread = as_u32(*v, "static_wl_spread");
   }
   if (const JsonValue* v = obj.find("scrub_retention_hours")) {
     config.scrub_retention_hours = as_number(*v, "scrub_retention_hours");
@@ -357,8 +365,7 @@ void parse_sweep(StrictObject& root, ExperimentSpec& spec) {
     }
     spec.ftl.fail_blocks.clear();
     for (const JsonValue& item : v->items()) {
-      spec.ftl.fail_blocks.push_back(
-          static_cast<std::uint32_t>(as_index(item, "fail_blocks")));
+      spec.ftl.fail_blocks.push_back(as_u32(item, "fail_blocks"));
     }
   }
   obj.finish();

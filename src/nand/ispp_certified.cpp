@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "src/util/expect.hpp"
 
@@ -32,15 +33,9 @@ const char* to_string(IsppKernel kernel) {
   return kernel == IsppKernel::kAvx2 ? "avx2" : "scalar";
 }
 
-void CellColumns::reserve(std::size_t cells) {
-  vth.reserve(cells);
-  k_onset.reserve(cells);
-  sharpness.reserve(cells);
-  targets.reserve(cells);
-}
-
 void CellColumns::add_cell(Volts erased, const CellParams& params,
                            Level target) {
+  if (target == Level::kL0) return;
   XLF_EXPECT(targets.empty() ||
              params.injection_sigma.value() == injection_sigma);
   injection_sigma = params.injection_sigma.value();
@@ -50,34 +45,55 @@ void CellColumns::add_cell(Volts erased, const CellParams& params,
   targets.push_back(target);
 }
 
-#if defined(__x86_64__)
 namespace {
 
 // --- the error budget ---------------------------------------------------
 //
-// e bounds |V_TH - exact V_TH| for one cell; it starts at 0 (the
-// population is sampled by the exact code). One pulse at gate voltage c
-// on a cell with threshold v, onset k and sharpness s computes
+// The population. A draw's polynomial value z' = R' * (cos or sin)' lies
+// within dz = R kEpsNormal of gaussian()'s z, R = sqrt(-2 ln u1) its
+// Box-Muller radius. Every draw of a fresh run is a pair half with
+// u1 >= 2^-53, so R < kRadiusBound. A parameter drawn as mean + sigma z
+// therefore deviates by at most one constant per population,
+//   sampled_bound = sigma kRadiusBound kEpsNormal
+//                   + 2^-50 (|mean| + sigma kRadiusBound),
+// the second term the roundings of both sides. The sharpness clamp
+// max(0.05, .) is 1-Lipschitz and keeps the bound. So every cell starts
+// with e = e0, the erased threshold's bound, and its onset k and
+// sharpness s carry dk and ds.
+//
+// The pulses. e bounds |V_TH - exact V_TH| for one cell. One pulse at
+// gate voltage c on a cell with threshold v, onset k and sharpness s
+// computes
 //   od = (c - v) - k,  x = od / s,
 //   step = od if x > 30, else s * log1p(exp(x)),
 //   v' = v + (step + sigma * z),  sigma = inj * sqrt(step),
-// where z is the cell's standard normal. With M = |c| + |v| + |k| + e:
-//  * |x - exact x| <= dx = (e + 2^-49 M) / s (roundings of od and x);
-//  * softplus has slope sigmoid(x) <= min(1, softplus(x)), so the
-//    step's deviation is dstep = K1 (kEpsStep step + g (e + 2^-49 M)),
-//    g = min(1, softplus(x)) (dx <= kDxLimit keeps e^dx under K1);
-//  * v + step is 1-Lipschitz in v (its slope is 1 - sigmoid(x)), so the
-//    deterministic part moves e to e + K1 (kEpsStep step + 2^-49 M);
+// where z is the cell's standard normal. With M = |c| + |v| + |k| + e
+// + dk:
+//  * |od - exact od| <= e + dk + 2^-49 M (roundings of od), and
+//    |x - exact x| <= dx = e_x / s, e_x = e + dk + |x| ds + 2^-49 M
+//    (roundings of x; dividing by the kernel's s rather than the exact
+//    one costs a relative 2 ds / s < 2^-30, which K1 and the rounding
+//    terms of the tests absorb);
+//  * step has slope sigmoid(x) <= g = min(1, softplus(x)) in od and
+//    softplus(x) - x sigmoid(x) in s, at most softplus(x) + |x| g, so
+//    its deviation is dstep = K1 (kEpsStep step + g e_x + softplus(x) ds)
+//    (dx <= kDxLimit keeps e^dx under K1; in the linear branch dstep is
+//    the overdrive's, under g e_x with g = 1);
+//  * v + step has slope 1 - sigmoid(x) in v, -sigmoid(x) in k and
+//    step's in s, so the deterministic part moves e to
+//    e + K1 (kEpsStep step + 2^-49 M + g (dk + |x| ds) + softplus(x) ds):
+//    it never amplifies e;
 //  * sigma deviates relatively by rho = dstep / step (+ roundings), at
-//    most K1 (kEpsStep + (e + 2^-49 M) / s) since g / step <= 1 / s,
-//    and z by dz = R kEpsNormal, R = sqrt(-2 ln u1) its Box-Muller
-//    radius (0 for a value the stream held), adding
-//    K1 sigma (|z| rho + dz (1 + rho));
+//    most K1 (kEpsStep + (e_x + ds) / s) since g / step <= 1 / s and
+//    softplus(x) / step = 1 / s, and z by dz = R kEpsNormal (0 for a
+//    value the stream held), adding K1 sigma (|z| rho + dz (1 + rho));
 //  * the three roundings of the update add 2^-50 (|v'| + step + |noise|).
 // kEpsStep and kEpsNormal are twice the certified_math bounds: one for
 // the polynomials against libm, one for libm against exact arithmetic.
 // FMA contraction in this file only ever removes a rounding, which the
-// 2^-49 and 2^-50 terms already count.
+// 2^-49 and 2^-50 terms already count. margin_scale multiplies every
+// bound at the decisions; kDxLimit, a condition of the derivation, is
+// never scaled.
 constexpr double kK1 = 1.02;
 constexpr double kRound49 = 0x1p-49;
 constexpr double kRound50 = 0x1p-50;
@@ -85,6 +101,12 @@ constexpr double kEpsStep = 2.0 * certified_math::kSoftplusRelBound;
 constexpr double kEpsNormal =
     2.0 * (certified_math::kLogRelBound + certified_math::kSinCosAbsBound);
 constexpr double kDxLimit = 0x1p-20;
+
+}  // namespace
+
+#if defined(__x86_64__)
+namespace {
+
 // Domain of the exp polynomial; below it softplus < 1e-304, far under
 // the draw threshold, and clamping only raises the computed step.
 constexpr double kMinExpArg = -700.0;
@@ -291,6 +313,15 @@ constexpr std::array<std::array<std::int32_t, 8>, 16> kPackTable = [] {
                        log1p4(exp4(_mm256_sub_pd(_mm256_setzero_pd(), ax))));
 }
 
+// The Box-Muller value of pair halves: sqrt(-2 log u1) times cos(2 pi u2)
+// where `sine` lanes are 0, sin(2 pi u2) where they are all ones.
+// `radius` receives sqrt(-2 log u1).
+[[gnu::target("avx2,fma"), gnu::always_inline]] inline __m256d pair_half4(
+    __m256d u1, __m256d u2, __m256i sine, __m256d& radius) {
+  radius = _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log4(u1)));
+  return _mm256_mul_pd(radius, cos_or_sin_2pi4(u2, sine));
+}
+
 [[gnu::target("avx2,fma")]] double exp_lane(double x) {
   return _mm256_cvtsd_f64(exp4(_mm256_set1_pd(x)));
 }
@@ -307,6 +338,107 @@ constexpr std::array<std::array<std::int32_t, 8>, 16> kPackTable = [] {
 [[gnu::target("avx2,fma")]] double softplus_lane(double x) {
   return _mm256_cvtsd_f64(softplus4(_mm256_set1_pd(x)));
 }
+[[gnu::target("avx2,fma")]] double sampled_lane(NormalLaw law, double u1,
+                                               double u2, bool sine) {
+  __m256d radius;
+  const __m256d z = pair_half4(_mm256_set1_pd(u1), _mm256_set1_pd(u2),
+                               _mm256_set1_epi64x(sine ? -1 : 0), radius);
+  return _mm256_cvtsd_f64(_mm256_fmadd_pd(
+      _mm256_set1_pd(law.sigma), z, _mm256_set1_pd(law.mean)));
+}
+
+// Cells per stage of pulse() and per chunk of sample_lanes(): their
+// scratch stays in L1 while each stage's blocks are independent and
+// overlap in the core.
+constexpr std::size_t kChunk = 128;
+
+// --- the population -------------------------------------------------------
+
+// One parameter's draws for a chunk of kept cells: the pairs' uniforms
+// and which half each draw is.
+struct ChunkDraws {
+  alignas(32) double u1[kChunk];
+  alignas(32) double u2[kChunk];
+  alignas(32) std::int64_t sine[kChunk];
+
+  void take(std::size_t j, const Rng::NormalDraw& draw) {
+    u1[j] = draw.u1;
+    u2[j] = draw.u2;
+    sine[j] = draw.half == Rng::NormalDraw::Half::kSin ? -1 : 0;
+  }
+};
+
+// max(floor, mean + sigma z) for the first `count` draws, rounded up to
+// whole lanes, stored from `out` on.
+[[gnu::target("avx2,fma"), gnu::always_inline]] inline void evaluate(
+    const ChunkDraws& draws, std::size_t count, NormalLaw law, double floor,
+    double* out) {
+  const __m256d mean = _mm256_set1_pd(law.mean);
+  const __m256d sigma = _mm256_set1_pd(law.sigma);
+  const __m256d low = _mm256_set1_pd(floor);
+  for (std::size_t j = 0; j < count; j += kLanes) {
+    __m256d radius;
+    const __m256d z = pair_half4(
+        _mm256_load_pd(draws.u1 + j), _mm256_load_pd(draws.u2 + j),
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(draws.sine + j)),
+        radius);
+    // max_pd(a, b) is a > b ? a : b, std::max(b, a) as the exact
+    // sampler clamps.
+    _mm256_storeu_pd(out + j,
+                     _mm256_max_pd(_mm256_fmadd_pd(sigma, z, mean), low));
+  }
+}
+
+// The population's draws, chunk by chunk: a serial pass takes each
+// cell's three normals and its target from the stream, as the exact
+// sampler does, and keeps the non-L0 cells' uniforms; a vector pass
+// evaluates them into `out`, whose columns hold `count` + kLanes
+// entries.
+[[gnu::target("avx2,fma")]] std::size_t sample_lanes(
+    NormalLaw erased, const VariabilitySampler::AtWear& at_wear,
+    unsigned count, std::optional<Level> pattern, Rng& rng,
+    CellColumns& out) {
+  const double none = -std::numeric_limits<double>::infinity();
+  // Lanes past a chunk's kept cells evaluate a harmless pair half.
+  ChunkDraws draws[3];
+  for (ChunkDraws& field : draws) {
+    for (std::size_t j = 0; j < kChunk; ++j) {
+      field.take(j, {Rng::NormalDraw::Half::kCos, 0.5, 0.0});
+    }
+  }
+  // A local copy of the stream, which the stores below cannot reach, so
+  // its state stays in registers; written back at the end.
+  Rng stream = rng;
+  std::size_t kept = 0;
+  for (unsigned begin = 0; begin < count; begin += kChunk) {
+    const unsigned end =
+        std::min(count, begin + static_cast<unsigned>(kChunk));
+    // Every cell is stored at the next free slot, which only a kept
+    // cell then claims: no branch on the random target.
+    std::size_t n = 0;
+    for (unsigned i = begin; i < end; ++i) {
+      const Rng::NormalDraw vth = stream.draw_normal();
+      const Rng::NormalDraw k = stream.draw_normal();
+      const Rng::NormalDraw s = stream.draw_normal();
+      const Level target = pattern.has_value()
+                               ? *pattern
+                               : static_cast<Level>(stream.below(4));
+      draws[0].take(n, vth);
+      draws[1].take(n, k);
+      draws[2].take(n, s);
+      out.targets[kept + n] = target;
+      n += target != Level::kL0 ? 1 : 0;
+    }
+    evaluate(draws[0], n, erased, none, out.vth.data() + kept);
+    evaluate(draws[1], n, at_wear.onset(), none, out.k_onset.data() + kept);
+    evaluate(draws[2], n, at_wear.sharpness(),
+             VariabilitySampler::AtWear::kMinSharpness,
+             out.sharpness.data() + kept);
+    kept += n;
+  }
+  rng = stream;
+  return kept;
+}
 
 // --- the pulse loop --------------------------------------------------------
 
@@ -320,6 +452,8 @@ struct Active {
   double* err;  // the bound e on |vth - exact vth|
   std::int64_t* tag;
   std::size_t count;
+  double k_onset_bound;    // dk
+  double sharpness_bound;  // ds
 };
 
 struct PulseOutcome {
@@ -342,11 +476,6 @@ struct PulseOutcome {
   return std::max(std::max(lanes[0], lanes[1]), std::max(lanes[2], lanes[3]));
 }
 
-// Cells per stage of pulse(): its three stages run over one chunk at a
-// time, so their scratch stays in L1 while each stage's blocks are
-// independent and overlap in the core.
-constexpr std::size_t kChunk = 128;
-
 // One program pulse at `vcg` (`vcg_biased` in the DV slow zone) over the
 // active cells, drawing noise from `rng` exactly where the exact engine
 // draws it. Folds each level's fastest threshold and the largest bound.
@@ -366,6 +495,8 @@ constexpr std::size_t kChunk = 128;
   const __m256d round50 = _mm256_set1_pd(kRound50);
   const __m256d k1 = _mm256_set1_pd(kK1);
   const __m256d eps_step = _mm256_set1_pd(kEpsStep);
+  const __m256d dk = _mm256_set1_pd(cells.k_onset_bound);
+  const __m256d ds = _mm256_set1_pd(cells.sharpness_bound);
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d floor = _mm256_set1_pd(-100.0);
   const __m256i slow_bit = _mm256_set1_epi64x(kSlowZone);
@@ -434,20 +565,25 @@ constexpr std::size_t kChunk = 128;
       const __m256d c = _mm256_blendv_pd(vcg4, vcg_biased4, slow);
       const __m256d od = _mm256_sub_pd(_mm256_sub_pd(c, v), k);
       const __m256d x = _mm256_load_pd(arg + j);
-      const __m256d mag = _mm256_add_pd(
-          _mm256_add_pd(abs4(c), abs4(v)), _mm256_add_pd(abs4(k), e));
-      const __m256d e_od = _mm256_fmadd_pd(round49, mag, e);
+      // The sampled parameters' share of e_x: dk + |x| ds.
+      const __m256d e_param = _mm256_fmadd_pd(abs4(x), ds, dk);
+      const __m256d mag =
+          _mm256_add_pd(_mm256_add_pd(abs4(c), abs4(v)),
+                        _mm256_add_pd(abs4(k), _mm256_add_pd(e, dk)));
+      const __m256d e_x =
+          _mm256_fmadd_pd(round49, mag, _mm256_add_pd(e, e_param));
       const __m256d sp = _mm256_load_pd(soft + j);
       const __m256d st = _mm256_blendv_pd(
           _mm256_mul_pd(s, sp), od, _mm256_cmp_pd(x, linear, _CMP_GT_OQ));
       const __m256d gain = _mm256_min_pd(sp, one);
-      const __m256d ds = _mm256_mul_pd(
-          k1, _mm256_fmadd_pd(eps_step, st, _mm256_mul_pd(gain, e_od)));
+      const __m256d sp_ds = _mm256_mul_pd(sp, ds);
+      const __m256d dstep = _mm256_mul_pd(
+          k1, _mm256_fmadd_pd(eps_step, st, _mm256_fmadd_pd(gain, e_x, sp_ds)));
 
-      // dx = e_od / s bounds |x - exact x|; both tests below are on
+      // dx = e_x / s bounds |x - exact x|; both tests below are on
       // dx * s, which needs no division.
-      const __m256d m_step = _mm256_mul_pd(ds, scale);
-      const __m256d m_od = _mm256_mul_pd(e_od, scale);
+      const __m256d m_step = _mm256_mul_pd(dstep, scale);
+      const __m256d m_x = _mm256_mul_pd(e_x, scale);
       const __m256d draw =
           _mm256_cmp_pd(_mm256_sub_pd(st, m_step), min_step, _CMP_GT_OQ);
       const __m256d no_draw =
@@ -458,11 +594,14 @@ constexpr std::size_t kChunk = 128;
       const __m256d thirty_s = _mm256_mul_pd(linear, s);
       const __m256d branch_open = _mm256_cmp_pd(
           abs4(_mm256_sub_pd(od, thirty_s)),
-          _mm256_fmadd_pd(round50, _mm256_add_pd(abs4(od), thirty_s), m_od),
+          _mm256_fmadd_pd(round50, _mm256_add_pd(abs4(od), thirty_s), m_x),
           _CMP_NGT_UQ);
-      // A validity condition of the bound itself, so never scaled.
-      const __m256d too_wide = _mm256_cmp_pd(
-          e_od, _mm256_mul_pd(_mm256_set1_pd(kDxLimit), s), _CMP_NLE_UQ);
+      // A validity condition of the bound itself, so never scaled: dx
+      // and ds / s at most kDxLimit.
+      const __m256d too_wide =
+          _mm256_cmp_pd(_mm256_add_pd(e_x, ds),
+                        _mm256_mul_pd(_mm256_set1_pd(kDxLimit), s),
+                        _CMP_NLE_UQ);
       const __m256d ambiguous = _mm256_and_pd(
           valid,
           _mm256_or_pd(_mm256_andnot_pd(_mm256_or_pd(draw, no_draw),
@@ -482,11 +621,17 @@ constexpr std::size_t kChunk = 128;
           _mm256_set1_pd(1.0 + 0x1p-9));
       _mm256_store_pd(
           rho + j,
-          _mm256_fmadd_pd(k1, _mm256_fmadd_pd(e_od, inv_s_upper, eps_step),
+          _mm256_fmadd_pd(k1,
+                          _mm256_fmadd_pd(_mm256_add_pd(e_x, ds),
+                                          inv_s_upper, eps_step),
                           round50));
       const __m256d e_step =
           _mm256_fmadd_pd(eps_step, st, _mm256_mul_pd(round49, mag));
-      _mm256_store_pd(e_det + j, _mm256_fmadd_pd(k1, e_step, e));
+      _mm256_store_pd(
+          e_det + j,
+          _mm256_fmadd_pd(
+              k1, _mm256_add_pd(e_step, _mm256_fmadd_pd(gain, e_param, sp_ds)),
+              e));
     }
 
     // Stage 2: the noise draws, in cell order, exactly as the exact
@@ -513,12 +658,11 @@ constexpr std::size_t kChunk = 128;
       if (drawing[b] == 0) continue;
       const __m256d held_mask = _mm256_castsi256_pd(_mm256_load_si256(
           reinterpret_cast<const __m256i*>(is_held + j)));
-      const __m256d radius = _mm256_sqrt_pd(_mm256_mul_pd(
-          _mm256_set1_pd(-2.0), log4(_mm256_load_pd(u1 + j))));
-      const __m256i sine_lanes =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(sine + j));
-      const __m256d pair_value = _mm256_mul_pd(
-          radius, cos_or_sin_2pi4(_mm256_load_pd(u2 + j), sine_lanes));
+      __m256d radius;
+      const __m256d pair_value = pair_half4(
+          _mm256_load_pd(u1 + j), _mm256_load_pd(u2 + j),
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(sine + j)),
+          radius);
       _mm256_store_pd(normal + j,
                       _mm256_blendv_pd(pair_value, _mm256_load_pd(held + j),
                                        held_mask));
@@ -694,6 +838,7 @@ struct VerifyOutcome {
 #else
 namespace {
 // Unreachable off x86-64, where host_ispp_kernel() is kScalar.
+double sampled_lane(NormalLaw, double, double, bool) { return 0.0; }
 double exp_lane(double) { return 0.0; }
 double log1p_lane(double) { return 0.0; }
 double log_lane(double) { return 0.0; }
@@ -724,31 +869,25 @@ std::optional<IsppTrace> program_certified(const IsppEngine& engine,
   trace.setup_time = config.setup_time;
   const bool double_verify = algo == ProgramAlgorithm::kIsppDv;
 
-  // Drop the L0 cells (never pulsed), keeping the ascending order, and
-  // pad every column to whole lanes.
-  std::array<std::size_t, 4> pending_per_level{0, 0, 0, 0};
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < cells.targets.size(); ++i) {
-    const Level target = cells.targets[i];
-    if (target == Level::kL0) continue;
-    cells.vth[count] = cells.vth[i];
-    cells.k_onset[count] = cells.k_onset[i];
-    cells.sharpness[count] = cells.sharpness[i];
-    cells.targets[count] = target;
-    ++pending_per_level[static_cast<std::size_t>(target)];
-    ++count;
-  }
+  // Pad every column to whole lanes.
+  const std::size_t count = cells.targets.size();
   const std::size_t padded = (count + kLanes - 1) / kLanes * kLanes;
-  cells.vth.resize(std::max(padded, cells.vth.size()), 0.0);
-  cells.k_onset.resize(std::max(padded, cells.k_onset.size()), 0.0);
-  cells.sharpness.resize(std::max(padded, cells.sharpness.size()), 1.0);
-  std::vector<double> err(padded, 0.0);
+  cells.vth.resize(padded, 0.0);
+  cells.k_onset.resize(padded, 0.0);
+  cells.sharpness.resize(padded, 1.0);
+  std::vector<double> err(padded, cells.vth_bound);
   std::vector<std::int64_t> tag(padded, 0);
+  std::array<std::size_t, 4> pending_per_level{0, 0, 0, 0};
   for (std::size_t i = 0; i < count; ++i) {
-    tag[i] = static_cast<std::int64_t>(cells.targets[i]);
+    const Level target = cells.targets[i];
+    XLF_EXPECT(target != Level::kL0);
+    tag[i] = static_cast<std::int64_t>(target);
+    ++pending_per_level[static_cast<std::size_t>(target)];
   }
-  Active active{cells.vth.data(), cells.k_onset.data(),
-                cells.sharpness.data(), err.data(), tag.data(), count};
+  Active active{cells.vth.data(),       cells.k_onset.data(),
+                cells.sharpness.data(), err.data(),
+                tag.data(),             count,
+                cells.k_onset_bound,    cells.sharpness_bound};
 
   std::array<Volts, 4> vfy{}, pre{};
   std::array<double, 4> vfy_volts{}, pre_volts{};
@@ -826,12 +965,55 @@ std::optional<IsppTrace> program_certified(const IsppEngine& engine,
 #endif
 }
 
+CellColumns sample_certified(NormalLaw erased,
+                             const VariabilitySampler::AtWear& at_wear,
+                             unsigned cells, std::optional<Level> pattern,
+                             Rng& rng) {
+  XLF_EXPECT(host_ispp_kernel() == IsppKernel::kAvx2);
+  CellColumns out;
+#if defined(__x86_64__)
+  out.vth.resize(cells + kLanes);
+  out.k_onset.resize(cells + kLanes);
+  out.sharpness.resize(cells + kLanes);
+  out.targets.resize(cells + kLanes);
+  const std::size_t kept =
+      sample_lanes(erased, at_wear, cells, pattern, rng, out);
+  out.vth.resize(kept);
+  out.k_onset.resize(kept);
+  out.sharpness.resize(kept);
+  out.targets.resize(kept);
+  out.injection_sigma = at_wear.injection_sigma().value();
+  out.vth_bound = certified_math::sampled_bound(erased);
+  out.k_onset_bound = certified_math::sampled_bound(at_wear.onset());
+  out.sharpness_bound = certified_math::sampled_bound(at_wear.sharpness());
+#else
+  (void)erased;
+  (void)at_wear;
+  (void)cells;
+  (void)pattern;
+  (void)rng;
+#endif
+  return out;
+}
+
 namespace certified_math {
 namespace {
 
 void require_avx2() { XLF_EXPECT(host_ispp_kernel() == IsppKernel::kAvx2); }
 
 }  // namespace
+
+double sampled_bound(NormalLaw law) {
+  const double spread = law.sigma * kRadiusBound;
+  return spread * kEpsNormal + kRound50 * (std::abs(law.mean) + spread);
+}
+
+double sampled_value(NormalLaw law, const Rng::NormalDraw& draw) {
+  require_avx2();
+  XLF_EXPECT(draw.half != Rng::NormalDraw::Half::kValue);
+  return sampled_lane(law, draw.u1, draw.u2,
+                      draw.half == Rng::NormalDraw::Half::kSin);
+}
 
 double exp(double x) {
   require_avx2();

@@ -94,12 +94,9 @@ std::optional<IsppTrace> NandTiming::certified_run_trace(
     ProgramAlgorithm algo, double pe_cycles, std::optional<Level> pattern,
     unsigned run, double margin_scale) const {
   Rng rng(run_seed(algo, pe_cycles, run));
-  CellColumns cells;
-  cells.reserve(config_.sample_cells);
-  sample_population(rng, pe_cycles, pattern,
-                    [&](Volts erased, const CellParams& params, Level target) {
-                      cells.add_cell(erased, params, target);
-                    });
+  CellColumns cells = sample_certified(
+      {plan_.erased_mean.value(), plan_.erased_sigma.value()},
+      variability_.at_wear(pe_cycles), config_.sample_cells, pattern, rng);
   return program_certified(engine_, cells, algo, rng,
                            aging_.dv_zone_multiplier(pe_cycles), margin_scale);
 }

@@ -98,6 +98,10 @@ class NandTiming {
   // reference the certified kernel is checked against.
   IsppTrace exact_run_trace(ProgramAlgorithm algo, double pe_cycles,
                             std::optional<Level> pattern, unsigned run) const;
+  // The seed of that run's population and noise stream, from
+  // (sample_seed, algo, run, age).
+  std::uint64_t run_seed(ProgramAlgorithm algo, double pe_cycles,
+                         unsigned run) const;
 
   Seconds program_time(ProgramAlgorithm algo, double pe_cycles) const;
 
@@ -111,10 +115,8 @@ class NandTiming {
  private:
   IsppTrace characterize(ProgramAlgorithm algo, double pe_cycles,
                          std::optional<Level> pattern) const;
-  // The run's population and noise stream: seeded from (sample_seed,
-  // algo, run, age); emit(erased V_TH, CellParams, target) per cell.
-  std::uint64_t run_seed(ProgramAlgorithm algo, double pe_cycles,
-                         unsigned run) const;
+  // The run's population, drawn from its seeded stream by the exact
+  // sampler: emit(erased V_TH, CellParams, target) per cell.
   template <typename Emit>
   void sample_population(Rng& rng, double pe_cycles,
                          std::optional<Level> pattern, Emit&& emit) const;

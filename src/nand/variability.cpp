@@ -16,13 +16,13 @@ VariabilitySampler::AtWear VariabilitySampler::at_wear(double pe_cycles) const {
 }
 
 CellParams VariabilitySampler::AtWear::sample(Rng& rng) const {
+  const NormalLaw k = onset();
+  const NormalLaw s = sharpness();
   CellParams params;
-  params.k_onset = Volts{rng.gaussian(k_mean_, k_sigma_)};
-  params.onset_sharpness = Volts{std::max(
-      0.05, rng.gaussian(config_.onset_sharpness.value(),
-                         config_.onset_sharpness.value() *
-                             config_.onset_sharpness_rel_sigma))};
-  params.injection_sigma = config_.injection_sigma;
+  params.k_onset = Volts{rng.gaussian(k.mean, k.sigma)};
+  params.onset_sharpness =
+      Volts{std::max(kMinSharpness, rng.gaussian(s.mean, s.sigma))};
+  params.injection_sigma = injection_sigma();
   return params;
 }
 

@@ -26,6 +26,12 @@ struct VariabilityConfig {
   Volts injection_sigma{0.05};
 };
 
+// A normal law, drawn as rng.gaussian(mean, sigma).
+struct NormalLaw {
+  double mean = 0.0;
+  double sigma = 0.0;
+};
+
 class VariabilitySampler {
  public:
   // The static-parameter distribution at one wear state. Its wear
@@ -35,8 +41,19 @@ class VariabilitySampler {
   // give the same values.
   class AtWear {
    public:
-    // Sample the static parameters of one cell.
+    // Sample the static parameters of one cell: the onset, then the
+    // sharpness, floored at kMinSharpness.
     CellParams sample(Rng& rng) const;
+
+    static constexpr double kMinSharpness = 0.05;
+    // The laws sample() draws from, and the noise it assigns.
+    NormalLaw onset() const { return {k_mean_, k_sigma_}; }
+    NormalLaw sharpness() const {
+      return {config_.onset_sharpness.value(),
+              config_.onset_sharpness.value() *
+                  config_.onset_sharpness_rel_sigma};
+    }
+    Volts injection_sigma() const { return config_.injection_sigma; }
 
    private:
     friend class VariabilitySampler;

@@ -29,8 +29,10 @@ void ThreadPool::drain(Job& job) {
   // job.body stays valid while any index remains unaccounted: the
   // owning parallel_for cannot return (and release the functional)
   // before `completed` reaches `count`, which requires every fetched
-  // index — including ours — to be reported below.
+  // index — including ours — to be reported below. This thread's
+  // indices ascend, so its first error is its lowest.
   std::size_t done_here = 0;
+  std::size_t error_index = 0;
   std::exception_ptr error;
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
@@ -38,14 +40,20 @@ void ThreadPool::drain(Job& job) {
     try {
       (*job.body)(i);
     } catch (...) {
-      if (!error) error = std::current_exception();
+      if (!error) {
+        error = std::current_exception();
+        error_index = i;
+      }
     }
     ++done_here;
   }
   if (done_here > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
     job.completed += done_here;
-    if (error && !job.first_error) job.first_error = error;
+    if (error && (!job.error || error_index < job.error_index)) {
+      job.error = error;
+      job.error_index = error_index;
+    }
     if (job.completed == job.count) job_done_.notify_all();
   }
 }
@@ -76,7 +84,7 @@ void ThreadPool::parallel_for(std::size_t count,
   if (workers_.empty()) {
     // Serial reference path: drain every task exactly like the pooled
     // path (side effects must not depend on the thread count), then
-    // rethrow the first error.
+    // rethrow the first error, which is the lowest index's.
     std::exception_ptr error;
     for (std::size_t i = 0; i < count; ++i) {
       try {
@@ -105,7 +113,7 @@ void ThreadPool::parallel_for(std::size_t count,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     job_done_.wait(lock, [&] { return job->completed == job->count; });
-    error = job->first_error;
+    error = job->error;
     job_.reset();
     job_running_ = false;
   }

@@ -36,10 +36,11 @@ class ThreadPool {
   unsigned thread_count() const { return threads_; }
 
   // Invoke body(i) exactly once for every i in [0, count), spread over
-  // the pool; blocks until all complete. The first exception thrown by
-  // any task is rethrown here (remaining tasks still drain, so the
-  // pool stays reusable). Not reentrant: body must not call
-  // parallel_for on the same pool.
+  // the pool; blocks until all complete. The exception of the lowest
+  // failing index is rethrown here, whatever the thread count or the
+  // order the tasks ran in (remaining tasks still drain, so the pool
+  // stays reusable). Not reentrant: body must not call parallel_for on
+  // the same pool.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
@@ -53,7 +54,10 @@ class ThreadPool {
     std::size_t count = 0;
     std::atomic<std::size_t> next{0};
     std::size_t completed = 0;        // guarded by the pool mutex
-    std::exception_ptr first_error;   // guarded by the pool mutex
+    // The lowest failing index seen so far and its exception, guarded
+    // by the pool mutex.
+    std::size_t error_index = 0;
+    std::exception_ptr error;
   };
 
   void worker_loop();

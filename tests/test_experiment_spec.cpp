@@ -207,6 +207,46 @@ TEST(ExperimentSpec, MalformedValuesRejected) {
             std::string::npos);
 }
 
+TEST(ExperimentSpec, ThirtyTwoBitKeysRejectValuesThatWouldWrap) {
+  // Each key's section, and the JSON that holds the value there.
+  const struct {
+    const char* key;
+    const char* json;  // printf-style, %s = the value
+  } cases[] = {
+      {"blocks", R"({"mode": "ftl-sweep", "geometry": {"blocks": %s}})"},
+      {"pages_per_block",
+       R"({"mode": "ftl-sweep", "geometry": {"pages_per_block": %s}})"},
+      {"gc_free_blocks",
+       R"({"mode": "ftl-sweep", "ftl": {"gc_free_blocks": %s}})"},
+      {"static_wl_spread",
+       R"({"mode": "ftl-sweep", "ftl": {"static_wl_spread": %s}})"},
+      {"fail_blocks",
+       R"({"mode": "ftl-sweep", "sweep": {"fail_blocks": [0, %s]}})"},
+  };
+  const auto with = [](const char* json, const char* value) {
+    std::string text = json;
+    text.replace(text.find("%s"), 2, value);
+    return text;
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.key);
+    const ExperimentSpec spec =
+        parse_experiment_text(with(c.json, "4294967295"));
+    const ftl::FtlConfig& ftl = spec.ftl.base.ftl;
+    const nand::Geometry& geometry = spec.ftl.base.die.device.array.geometry;
+    const std::uint32_t parsed =
+        c.key == std::string("blocks")             ? geometry.blocks
+        : c.key == std::string("pages_per_block")  ? geometry.pages_per_block
+        : c.key == std::string("gc_free_blocks")   ? ftl.gc_free_blocks
+        : c.key == std::string("static_wl_spread") ? ftl.static_wl_spread
+                                                   : spec.ftl.fail_blocks[1];
+    EXPECT_EQ(parsed, 4294967295u);
+    EXPECT_EQ(error_of(with(c.json, "4294967296")),
+              std::string("experiment spec: '") + c.key +
+                  "' must be <= 4294967295 (it is a 32-bit count)");
+  }
+}
+
 TEST(ExperimentSpec, AgesOutsideTheModelsDomainAreRejected) {
   const struct {
     const char* spec;

@@ -1,10 +1,14 @@
 // The certified ISPP kernel's pieces: its polynomial transcendentals
 // against the std:: functions the exact engine calls, with the bounds
-// the certification assumes at least 2^8 times what a dense grid shows,
-// and its fallback, forced by scaling the bounds, returning the exact
-// engine's trace. The whole-domain comparison is test_ispp_grid.
+// the certification assumes at least 2^8 times what a dense grid shows;
+// its sampled population against the exact sampler's, within the
+// sampling bounds and with the same draws; and its fallback, forced by
+// scaling the bounds, returning the exact engine's trace. The
+// whole-domain comparison is test_ispp_grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -159,19 +163,214 @@ NandTiming make_timing() {
                     array.aging);
 }
 
+// One population in both layouts, sampled as NandTiming's exact sampler
+// samples a run.
+struct Population {
+  CellColumns columns;
+  std::vector<FloatingGateCell> cells;
+  std::vector<Level> targets;
+};
+
+Population sample(Rng& rng, int count, double pe,
+                  std::optional<Level> pattern = std::nullopt) {
+  const ArrayConfig array;
+  const VariabilitySampler sampler(array.variability, array.aging);
+  const VariabilitySampler::AtWear at_wear = sampler.at_wear(pe);
+  Population pop;
+  for (int i = 0; i < count; ++i) {
+    const Volts erased = sampler.sample_erased(rng, array.plan.erased_mean,
+                                               array.plan.erased_sigma);
+    const CellParams params = at_wear.sample(rng);
+    const Level target =
+        pattern.has_value() ? *pattern : static_cast<Level>(rng.below(4));
+    pop.columns.add_cell(erased, params, target);
+    pop.cells.emplace_back(erased, params);
+    pop.targets.push_back(target);
+  }
+  return pop;
+}
+
+NormalLaw erased_law() {
+  const ArrayConfig array;
+  return {array.plan.erased_mean.value(), array.plan.erased_sigma.value()};
+}
+
+// The same population through the certified sampler.
+CellColumns sample_fast(Rng& rng, int count, double pe,
+                        std::optional<Level> pattern = std::nullopt) {
+  const ArrayConfig array;
+  const VariabilitySampler sampler(array.variability, array.aging);
+  return sample_certified(erased_law(), sampler.at_wear(pe),
+                          static_cast<unsigned>(count), pattern, rng);
+}
+
+const std::optional<Level> kPatterns[] = {std::nullopt, Level::kL0,
+                                          Level::kL1, Level::kL2, Level::kL3};
+
+TEST(CertifiedSampling, ParametersLieWithinTheirBoundsOfTheExactSampler) {
+  if (!has_kernel()) GTEST_SKIP() << "host has no AVX2+FMA";
+  // Odd and even populations, so sampling ends on a held pair half or
+  // on a whole pair; the state after it must be the exact sampler's.
+  double worst[3] = {0.0, 0.0, 0.0};
+  double bound[3] = {0.0, 0.0, 0.0};
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    for (const std::optional<Level>& pattern : kPatterns) {
+      for (double pe : {1.0, 1e4, 3e7}) {
+        const int count = seed % 2 == 0 ? 1000 : 1001;
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << ", pattern "
+                     << (pattern ? static_cast<int>(*pattern) : -1) << ", "
+                     << count << " cells at " << pe);
+        Rng exact_rng(seed);
+        Rng fast_rng(seed);
+        const Population exact = sample(exact_rng, count, pe, pattern);
+        const CellColumns fast = sample_fast(fast_rng, count, pe, pattern);
+        // The kept cells are the exact population's non-L0 cells.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < exact.targets.size(); ++i) {
+          if (exact.targets[i] == Level::kL0) continue;
+          ASSERT_LT(kept, fast.targets.size());
+          ASSERT_EQ(fast.targets[kept], exact.targets[i]) << i;
+          const FloatingGateCell& cell = exact.cells[i];
+          const double field[3][2] = {
+              {fast.vth[kept], cell.vth().value()},
+              {fast.k_onset[kept], cell.params().k_onset.value()},
+              {fast.sharpness[kept], cell.params().onset_sharpness.value()}};
+          const double field_bound[3] = {fast.vth_bound, fast.k_onset_bound,
+                                         fast.sharpness_bound};
+          for (int f = 0; f < 3; ++f) {
+            const double diff = std::abs(field[f][0] - field[f][1]);
+            ASSERT_LE(diff, field_bound[f]) << "field " << f << ", cell " << i;
+            worst[f] = std::max(worst[f], diff);
+            bound[f] = std::max(bound[f], field_bound[f]);
+          }
+          ++kept;
+        }
+        EXPECT_EQ(kept, fast.targets.size());
+        EXPECT_EQ(fast.vth.size(), kept);
+        EXPECT_EQ(fast.k_onset.size(), kept);
+        EXPECT_EQ(fast.sharpness.size(), kept);
+        EXPECT_EQ(fast.injection_sigma,
+                  exact.cells.front().params().injection_sigma.value());
+        // Both streams are where the exact sampler leaves them, held
+        // pair half included.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast_rng.gaussian()),
+                  std::bit_cast<std::uint64_t>(exact_rng.gaussian()));
+        EXPECT_EQ(fast_rng.next(), exact_rng.next());
+      }
+    }
+  }
+  const char* names[3] = {"erased V_TH", "onset k", "sharpness s"};
+  for (int f = 0; f < 3; ++f) {
+    std::cout << "[certified-sampling] " << names[f] << ": max deviation "
+              << worst[f] << ", bound " << bound[f] << "\n";
+    EXPECT_GT(worst[f], 0.0) << names[f] << ": no deviation seen at all";
+  }
+}
+
+TEST(CertifiedSampling, BoundsHoldAtTheRadiusAndQuadrantExtremes) {
+  if (!has_kernel()) GTEST_SKIP() << "host has no AVX2+FMA";
+  // u1 = 2^-53 is the largest radius the Rng can draw; u2 at the
+  // quadrant edges of 2 pi u2 and their neighbours switch the
+  // reduction's quadrant.
+  std::vector<double> u1s = {0x1p-53, 0x1p-52, 3 * 0x1p-53, 1e-10, 0.5,
+                             1.0 - 0x1p-53};
+  std::vector<double> u2s = {0.0, 1.0 - 0x1p-53};
+  for (int k = 1; k < 8; ++k) add_with_neighbours(u2s, k / 8.0);
+  const ArrayConfig array;
+  const VariabilitySampler sampler(array.variability, array.aging);
+  std::vector<NormalLaw> laws = {erased_law(), {0.0, 1.0}};
+  for (double pe : {1.0, 1e6, 3.2e7}) {
+    laws.push_back(sampler.at_wear(pe).onset());
+    laws.push_back(sampler.at_wear(pe).sharpness());
+  }
+  const double floor = VariabilitySampler::AtWear::kMinSharpness;
+  double widest = 0.0;
+  for (const NormalLaw& law : laws) {
+    const double bound = cm::sampled_bound(law);
+    for (double u1 : u1s) {
+      for (double u2 : u2s) {
+        for (auto half :
+             {Rng::NormalDraw::Half::kCos, Rng::NormalDraw::Half::kSin}) {
+          const Rng::NormalDraw draw{half, u1, u2};
+          const double got = cm::sampled_value(law, draw);
+          const double want = law.mean + law.sigma * draw.value();
+          EXPECT_LE(std::abs(got - want), bound)
+              << "law (" << law.mean << ", " << law.sigma << "), u1 " << u1
+              << ", u2 " << u2;
+          // The clamp of the sharpness keeps the bound.
+          EXPECT_LE(std::abs(std::max(floor, got) - std::max(floor, want)),
+                    bound);
+          if (law.mean == 0.0 && law.sigma == 1.0) {
+            EXPECT_LE(std::abs(got), cm::kRadiusBound) << u1 << " " << u2;
+            widest = std::max(widest, std::abs(got));
+          }
+        }
+      }
+    }
+  }
+  // The largest radius is reached: |z| at u1 = 2^-53, u2 = 0 is R.
+  EXPECT_GT(widest, 8.57);
+}
+
+// The smallest scale 2^(k/4) at which the certified sampler's bounds
+// make the kernel refuse NandTiming's run `run` at age `pe`, found by
+// bisection (the refused scales are an interval: a decision cleared at
+// one scale clears at every smaller one). Sets `control` to whether the
+// same run certifies at that scale with its sampling bounds zeroed.
+double sampling_refusal_scale(const NandTiming& timing, ProgramAlgorithm algo,
+                              double pe, std::optional<Level> pattern,
+                              unsigned run, bool& control) {
+  const ArrayConfig array;
+  const IsppEngine engine(array.ispp, array.plan);
+  const auto certifies = [&](double scale, bool sampling_bounds) {
+    Rng rng(timing.run_seed(algo, pe, run));
+    CellColumns cells =
+        sample_fast(rng, static_cast<int>(timing.config().sample_cells), pe,
+                    pattern);
+    if (!sampling_bounds) {
+      cells.vth_bound = cells.k_onset_bound = cells.sharpness_bound = 0.0;
+    }
+    return program_certified(engine, cells, algo, rng,
+                             array.aging.dv_zone_multiplier(pe), scale)
+        .has_value();
+  };
+  int certified = 0;  // 2^(certified / 4) certifies
+  int refused = 200;  // 2^(refused / 4) does not
+  EXPECT_TRUE(certifies(1.0, true));
+  EXPECT_FALSE(certifies(std::exp2(refused / 4.0), true));
+  while (refused - certified > 1) {
+    const int mid = (certified + refused) / 2;
+    (certifies(std::exp2(mid / 4.0), true) ? certified : refused) = mid;
+  }
+  const double scale = std::exp2(refused / 4.0);
+  control = certifies(scale, false);
+  return scale;
+}
+
 TEST(CertifiedKernel, ForcedFallbacksReturnTheExactEnginesTrace) {
   if (!has_kernel()) GTEST_SKIP() << "host has no AVX2+FMA";
   // 1e200 makes the first decision ambiguous; 1e9 lets a run go some
   // pulses, consuming draws, before a decision falls inside its scaled
-  // bound. Either way the run is sampled again from its seed and
-  // programmed by the exact engine.
+  // bound. The third scale is the smallest at which the run is refused,
+  // and there the same values with the sampling bounds zeroed certify:
+  // a sampling bound causes that refusal. Every time the run is sampled
+  // again from its seed and programmed by the exact engine.
   const NandTiming timing = make_timing();
   std::uint64_t expected_fallbacks = 0;
-  for (double scale : {1e200, 1e9}) {
-    for (ProgramAlgorithm algo :
-         {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
-      for (std::optional<Level> pattern :
-           {std::optional<Level>{}, std::optional<Level>{Level::kL3}}) {
+  for (ProgramAlgorithm algo :
+       {ProgramAlgorithm::kIsppSv, ProgramAlgorithm::kIsppDv}) {
+    for (std::optional<Level> pattern :
+         {std::optional<Level>{}, std::optional<Level>{Level::kL3}}) {
+      bool control = false;
+      const double sampling_scale =
+          sampling_refusal_scale(timing, algo, 1e4, pattern, 1, control);
+      EXPECT_TRUE(control) << "at scale " << sampling_scale
+                           << " the pulse loop's own bounds refuse too";
+      std::cout << "[certified-sampling] " << to_string(algo) << ", pattern "
+                << (pattern ? static_cast<int>(*pattern) : -1)
+                << ": refused from scale " << sampling_scale << "\n";
+      for (double scale : {1e200, 1e9, sampling_scale}) {
         SCOPED_TRACE(testing::Message()
                      << "scale " << scale << ", " << to_string(algo)
                      << ", pattern "
@@ -191,33 +390,9 @@ TEST(CertifiedKernel, ForcedFallbacksReturnTheExactEnginesTrace) {
   }
 }
 
-// One population in both layouts, sampled as NandTiming samples a run.
-struct Population {
-  CellColumns columns;
-  std::vector<FloatingGateCell> cells;
-  std::vector<Level> targets;
-};
-
-Population sample(Rng& rng, int count, double pe) {
-  const ArrayConfig array;
-  const VariabilitySampler sampler(array.variability, array.aging);
-  const VariabilitySampler::AtWear at_wear = sampler.at_wear(pe);
-  Population pop;
-  for (int i = 0; i < count; ++i) {
-    const Volts erased = sampler.sample_erased(rng, array.plan.erased_mean,
-                                               array.plan.erased_sigma);
-    const CellParams params = at_wear.sample(rng);
-    const auto target = static_cast<Level>(rng.below(4));
-    pop.columns.add_cell(erased, params, target);
-    pop.cells.emplace_back(erased, params);
-    pop.targets.push_back(target);
-  }
-  return pop;
-}
-
 TEST(CertifiedKernel, ScaledBoundsFailAtTheFirstDecisionOrMidRun) {
   if (!has_kernel()) GTEST_SKIP() << "host has no AVX2+FMA";
-  // The two scales above fail at different points: 1e200 before the
+  // The two fixed scales above fail at different points: 1e200 before the
   // first pulse draws, 1e9 after pulses have drawn noise.
   const ArrayConfig array;
   const IsppEngine engine(array.ispp, array.plan);

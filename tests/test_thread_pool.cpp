@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -78,6 +79,31 @@ TEST(ThreadPool, FirstExceptionPropagatesAndPoolSurvives) {
   std::atomic<std::size_t> after{0};
   pool.parallel_for(10, [&](std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 10u);
+}
+
+TEST(ThreadPool, LowestFailingIndexIsRethrownWhateverFailsFirst) {
+  // Index 1 throws first: index 0 waits, boundedly, until it has. The
+  // serial path would rethrow index 0's exception, so the pooled path
+  // must too, not whichever failing thread reports first.
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> higher_threw{false};
+    try {
+      pool.parallel_for(2, [&](std::size_t i) {
+        if (i == 1) {
+          higher_threw = true;
+          throw std::runtime_error("task 1");
+        }
+        for (int wait = 0; wait < 2000 && !higher_threw; ++wait) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        throw std::runtime_error("task 0");
+      });
+      ADD_FAILURE() << "parallel_for must rethrow";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "task 0") << "round " << round;
+    }
+  }
 }
 
 TEST(ThreadPool, SerialPathDrainsAndPropagatesLikePooledPath) {

@@ -120,6 +120,19 @@ if(NOT rc EQUAL 2 OR NOT err STREQUAL expected)
                       "got ${rc}:\n${err}")
 endif()
 
+# --- a spec's 32-bit keys: past 2^32 - 1 an error, never a wrap ------
+set(wide_spec ${CMAKE_CURRENT_BINARY_DIR}/xlf_explore_cli_wide.json)
+file(WRITE ${wide_spec} [=[{"mode": "ftl-sweep",
+  "geometry": {"blocks": 4294967304}}]=])
+execute_process(COMMAND ${XLF_EXPLORE} --spec ${wide_spec}
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+file(REMOVE ${wide_spec})
+set(expected "xlf_explore: experiment spec: 'blocks' must be <= 4294967295 (it is a 32-bit count)\n")
+if(NOT rc EQUAL 2 OR NOT err STREQUAL expected)
+  message(FATAL_ERROR "a spec with 4294967304 blocks must exit 2 with\n"
+                      "${expected}got ${rc}:\n${err}")
+endif()
+
 # --- an all-hot LPA space runs (cold writes fall back to hot) --------
 execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-requests 64
                         --ftl-hot-fraction 1.0
@@ -211,6 +224,26 @@ endif()
 if(err MATCHES "precondition failed" OR err MATCHES "invariant failed")
   message(FATAL_ERROR "crossing the array's limit reached an internal check: "
                       "${err}")
+endif()
+# When several combos fail, the error reported is the lowest combo's
+# at every thread count. Both combos here cross the limit, at different
+# blocks, and the second (1x1) fails sooner than the first (2x1), so
+# in parallel the higher combo's error comes first.
+set(failing_sweep --ftl-sweep --ftl-data-plane bit-true
+    --ftl-initial-wear 3.2e7 --ftl-requests 200 --ftl-topologies 2x1,1x1
+    --ftl-qd 1 --ftl-gc greedy)
+foreach(threads 1 4)
+  execute_process(COMMAND ${XLF_EXPLORE} ${failing_sweep} --threads ${threads}
+                  RESULT_VARIABLE rc_${threads} ERROR_VARIABLE err_${threads}
+                  OUTPUT_QUIET)
+  if(NOT rc_${threads} EQUAL 2)
+    message(FATAL_ERROR "the two failing combos must exit 2 at --threads "
+                        "${threads} (got ${rc_${threads}}): ${err_${threads}}")
+  endif()
+endforeach()
+if(NOT err_1 STREQUAL err_4)
+  message(FATAL_ERROR "a failing sweep's error must not depend on --threads; "
+                      "1 thread:\n${err_1}4 threads:\n${err_4}")
 endif()
 # The edges inside the domain still run, and the meta plane has no
 # cell array to outgrow.
