@@ -32,7 +32,7 @@ int main() {
                                 cfg.device.array.plan,
                                 cfg.device.array.variability,
                                 cfg.device.array.aging);
-  const core::CrossLayerFramework fw(cfg.cross_layer, cfg.device.array.aging,
+  const core::CrossLayerFramework fw(cfg.controller, cfg.device.array.aging,
                                      timing, cfg.hv);
 
   const OperatingPoint ecc_only{"ecc-only", ProgramAlgorithm::kIsppSv,
@@ -41,7 +41,7 @@ int main() {
       OperatingPoint::baseline(), ecc_only, OperatingPoint::min_uber(),
       OperatingPoint::max_read()};
 
-  const double uber_target = cfg.cross_layer.uber_target;
+  const double uber_target = cfg.controller.reliability.uber_target;
   for (double cycles : {1e2, 1e5, 1e6}) {
     std::cout << "\n--- " << cycles << " P/E cycles ---\n";
     std::cout << std::left << std::setw(16) << "strategy" << std::setw(6)

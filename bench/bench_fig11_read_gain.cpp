@@ -21,7 +21,7 @@ int main() {
                                 cfg.device.array.plan,
                                 cfg.device.array.variability,
                                 cfg.device.array.aging);
-  const core::CrossLayerFramework fw(cfg.cross_layer, cfg.device.array.aging,
+  const core::CrossLayerFramework fw(cfg.controller, cfg.device.array.aging,
                                      timing, cfg.hv);
 
   SeriesTable table("PE_cycles");

@@ -49,12 +49,13 @@ int main() {
             << sram_device.algorithms_resident() << " algorithms resident)\n\n";
 
   // --- adaptive codec hardware ----------------------------------------
-  const ecc_hw::EccHwConfig hw = cfg.cross_layer.ecc_hw;
+  const ecc_hw::EccHwConfig hw = cfg.controller.ecc_hw;
   const ecc_hw::AreaModel area(hw);
   const ecc_hw::ConfigRom rom(hw);
   const ecc_hw::AreaBreakdown breakdown = area.breakdown();
 
-  std::cout << "Adaptive BCH codec (t = " << hw.t_min << ".." << hw.t_max
+  std::cout << "Adaptive BCH codec (t = " << hw.code.t_min << ".."
+            << hw.code.t_max
             << ", p = " << hw.lfsr_parallelism
             << ", h = " << hw.chien_parallelism << "):\n"
             << "  encoder           : " << breakdown.encoder_ge << " GE\n"

@@ -48,7 +48,7 @@ int main() {
   // Show the correction margin directly at the codec level.
   auto& ecc = subsystem.controller().ecc();
   const unsigned t = ecc.correction_capability();
-  BitVec message(config.controller.codec.k);
+  BitVec message(config.controller.ecc_hw.code.k);
   for (std::size_t i = 0; i < message.size(); ++i) {
     message.set(i, rng.chance(0.5));
   }

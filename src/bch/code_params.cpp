@@ -13,6 +13,11 @@ bool CodeParams::valid() const {
          (1ull << m) - 1ull;
 }
 
+void CodeFamily::check() const {
+  XLF_EXPECT(t_min >= 1 && t_min <= t_max);
+  XLF_EXPECT(at(t_max).valid());
+}
+
 unsigned min_field_degree(std::uint32_t k, unsigned t) {
   XLF_EXPECT(k > 0 && t > 0);
   for (unsigned m = 3; m <= 16; ++m) {

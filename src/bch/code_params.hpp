@@ -44,6 +44,22 @@ struct CodeParams {
   bool valid() const;
 };
 
+// The code family an adaptive codec serves: k-bit messages over
+// GF(2^m), t switchable over [t_min, t_max] (paper Section 6.2). A die
+// states it once, in ecc_hw::EccHwConfig::code.
+struct CodeFamily {
+  unsigned m = 16;
+  std::uint32_t k = 32768;  // 4 KB page
+  unsigned t_min = 3;
+  unsigned t_max = 65;
+
+  CodeParams at(unsigned t) const { return CodeParams{m, k, t}; }
+  bool contains(unsigned t) const { return t >= t_min && t <= t_max; }
+  // Throws std::invalid_argument unless 1 <= t_min <= t_max and the
+  // t_max code fits GF(2^m).
+  void check() const;
+};
+
 // Smallest field degree m able to host a k-bit message with correction
 // capability t.
 unsigned min_field_degree(std::uint32_t k, unsigned t);

@@ -4,26 +4,17 @@
 
 namespace xlf::bch {
 
-AdaptiveBchCodec::AdaptiveBchCodec(const AdaptiveCodecConfig& config)
-    : config_(config),
-      field_(config.m),
-      generators_(field_),
-      t_(config.initial_t) {
-  XLF_EXPECT(config.t_min >= 1 && config.t_min <= config.t_max);
-  XLF_EXPECT(config.initial_t >= config.t_min &&
-             config.initial_t <= config.t_max);
-  const CodeParams worst{config.m, config.k, config.t_max};
-  XLF_EXPECT(worst.valid());
+AdaptiveBchCodec::AdaptiveBchCodec(const CodeFamily& code)
+    : code_(code), field_(code.m), generators_(field_), t_(code.t_min) {
+  code_.check();
 }
 
 void AdaptiveBchCodec::set_correction_capability(unsigned t) {
-  XLF_EXPECT(t >= config_.t_min && t <= config_.t_max);
+  XLF_EXPECT(code_.contains(t));
   t_ = t;
 }
 
-CodeParams AdaptiveBchCodec::current_params() const {
-  return CodeParams{config_.m, config_.k, t_};
-}
+CodeParams AdaptiveBchCodec::current_params() const { return code_.at(t_); }
 
 // xlf: cold — stage-cache fill: the encoder/decoder pair for each
 // correction strength t is built once on first use (warm-up) and
@@ -31,7 +22,7 @@ CodeParams AdaptiveBchCodec::current_params() const {
 AdaptiveBchCodec::Stage& AdaptiveBchCodec::stage_for(unsigned t) {
   auto it = stages_.find(t);
   if (it == stages_.end()) {
-    const CodeParams params{config_.m, config_.k, t};
+    const CodeParams params = code_.at(t);
     Stage stage;
     stage.encoder = std::make_unique<Encoder>(params, generators_.get(t));
     stage.decoder = std::make_unique<Decoder>(field_, params);

@@ -19,19 +19,12 @@
 
 namespace xlf::bch {
 
-struct AdaptiveCodecConfig {
-  unsigned m = 16;
-  std::uint32_t k = 32768;  // 4 KB page
-  unsigned t_min = 3;       // paper Section 6.2: tMIN = 3
-  unsigned t_max = 65;      // paper Section 6.2: tMAX = 65
-  unsigned initial_t = 3;
-};
-
 class AdaptiveBchCodec {
  public:
-  explicit AdaptiveBchCodec(const AdaptiveCodecConfig& config);
+  // Starts at the family's t_min.
+  explicit AdaptiveBchCodec(const CodeFamily& code);
 
-  const AdaptiveCodecConfig& config() const { return config_; }
+  const CodeFamily& code() const { return code_; }
   const gf::Gf2m& field() const { return field_; }
 
   // The adaptability port: clamps nothing, rejects out-of-range t.
@@ -55,7 +48,7 @@ class AdaptiveBchCodec {
   };
   Stage& stage_for(unsigned t);
 
-  AdaptiveCodecConfig config_;
+  CodeFamily code_;
   gf::Gf2m field_;
   GeneratorCache generators_;
   unsigned t_;

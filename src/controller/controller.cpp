@@ -14,17 +14,16 @@ MemoryController::MemoryController(const ControllerConfig& config,
       device_(&device),
       ocp_(config.ocp),
       buffer_(config.page_buffer),
-      ecc_(config.codec, config.ecc_hw),
-      reliability_(config.reliability, config.tuning_policy,
-                   device.config().array.aging),
+      ecc_(config.ecc_hw),
+      reliability_(config.reliability, config.ecc_hw.code,
+                   config.tuning_policy, device.config().array.aging),
       nand_power_(hv_config, device.timing()) {
+  const bch::CodeFamily& code = config.ecc_hw.code;
   // The codeword for t_max must fit the device page.
-  const bch::CodeParams worst{config.codec.m, config.codec.k,
-                              config.codec.t_max};
-  XLF_EXPECT(worst.n() <= device.geometry().bits_per_page());
-  XLF_EXPECT(config.codec.k == device.geometry().data_bits_per_page());
+  XLF_EXPECT(code.at(code.t_max).n() <= device.geometry().bits_per_page());
+  XLF_EXPECT(code.k == device.geometry().data_bits_per_page());
   // Per-page t is stored in one spare-area byte.
-  XLF_EXPECT(config.codec.t_max <= std::numeric_limits<std::uint8_t>::max());
+  XLF_EXPECT(code.t_max <= std::numeric_limits<std::uint8_t>::max());
   registers_.set_ecc_capability(ecc_.correction_capability());
   registers_.set_program_algorithm(device.program_algorithm());
 }
@@ -61,7 +60,7 @@ unsigned MemoryController::adapt_ecc(double pe_cycles) {
 WriteResult MemoryController::write_page(nand::PageAddress addr,
                                          const BitVec& data) {
   if (!device_->config().data_plane) return write_page_meta(addr, data);
-  XLF_EXPECT(data.size() == config_.codec.k);
+  XLF_EXPECT(data.size() == config_.ecc_hw.code.k);
   WriteResult result;
   registers_.set_busy(true);
 
@@ -101,8 +100,8 @@ WriteResult MemoryController::write_page_meta(nand::PageAddress addr,
   // path — OCP burst + buffer stream, model encode, statistical-mode
   // program time — with no payload bits moved (callers pass empty or
   // full-size data; only its modeled size matters).
-  XLF_EXPECT(data.size() == config_.codec.k || data.size() == 0);
-  const std::size_t k = config_.codec.k;
+  XLF_EXPECT(data.size() == config_.ecc_hw.code.k || data.size() == 0);
+  const std::size_t k = config_.ecc_hw.code.k;
   WriteResult result;
   registers_.set_busy(true);
 
@@ -193,15 +192,15 @@ ReadResult MemoryController::read_page_meta(unsigned t) {
   result.latency += device_->timing().read_time();
   result.nand_energy += nand_power_.read_energy();
 
-  const bch::CodeParams params{config_.codec.m, config_.codec.k, t};
+  const bch::CodeFamily& code = config_.ecc_hw.code;
   result.latency += ecc_.latency_model().decode_latency(t);
   result.ecc_energy += ecc_.power_model().decode_energy(t, 0.0);
 
-  reliability_.observe_decode(0, params.n());
+  reliability_.observe_decode(0, code.at(t).n());
   registers_.record_decode(0, false);
 
   const OcpRequest request{OcpCommand::kRead, 0,
-                           static_cast<std::uint32_t>(config_.codec.k / 8)};
+                           static_cast<std::uint32_t>(code.k / 8)};
   ocp_.record(request);
   result.io_latency = ocp_.transfer_time(request);
   result.latency += result.io_latency;

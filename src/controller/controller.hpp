@@ -25,8 +25,10 @@
 namespace xlf::controller {
 
 struct ControllerConfig {
-  bch::AdaptiveCodecConfig codec;       // defaults: GF(2^16), 4 KB, t 3..65
-  ecc_hw::EccHwConfig ecc_hw;           // p = h = 8, 80 MHz
+  // Codec hardware (p = h = 8, 80 MHz) and the code family it serves
+  // (GF(2^16), 4 KB, t 3..65; the codec starts at t_min). With
+  // reliability.uber_target, the die's whole ECC envelope.
+  ecc_hw::EccHwConfig ecc_hw;
   OcpConfig ocp;
   PageBufferConfig page_buffer;
   ReliabilityConfig reliability;

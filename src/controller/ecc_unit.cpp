@@ -1,19 +1,9 @@
 #include "src/controller/ecc_unit.hpp"
 
-#include "src/util/expect.hpp"
-
 namespace xlf::controller {
 
-EccUnit::EccUnit(const bch::AdaptiveCodecConfig& codec_config,
-                 const ecc_hw::EccHwConfig& hw_config)
-    : codec_(codec_config), latency_(hw_config), power_(hw_config) {
-  // The software codec and the hardware model must describe the same
-  // code family.
-  XLF_EXPECT(codec_config.m == hw_config.m);
-  XLF_EXPECT(codec_config.k == hw_config.k);
-  XLF_EXPECT(codec_config.t_min == hw_config.t_min);
-  XLF_EXPECT(codec_config.t_max == hw_config.t_max);
-}
+EccUnit::EccUnit(const ecc_hw::EccHwConfig& config)
+    : codec_(config.code), latency_(config), power_(config) {}
 
 void EccUnit::set_correction_capability(unsigned t) {
   codec_.set_correction_capability(t);

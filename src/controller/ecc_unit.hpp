@@ -31,8 +31,8 @@ struct DecodeOutcome {
 
 class EccUnit {
  public:
-  EccUnit(const bch::AdaptiveCodecConfig& codec_config,
-          const ecc_hw::EccHwConfig& hw_config);
+  // Codec, latency and power model all serve `config.code`.
+  explicit EccUnit(const ecc_hw::EccHwConfig& config);
 
   // The adaptability port (drives codec, latency and power together).
   void set_correction_capability(unsigned t);

@@ -1,7 +1,5 @@
 #include "src/controller/registers.hpp"
 
-#include <cmath>
-
 #include "src/util/expect.hpp"
 
 namespace xlf::controller {
@@ -17,7 +15,6 @@ std::uint32_t RegisterFile::read(RegisterId reg) const {
     case RegisterId::kCorrectedBits: return corrected_bits_;
     case RegisterId::kDecodedPages: return decoded_pages_;
     case RegisterId::kUncorrectable: return uncorrectable_;
-    case RegisterId::kUberTargetExp: return uber_target_exp_;
   }
   XLF_EXPECT(false && "unknown register");
   return 0;
@@ -35,10 +32,6 @@ void RegisterFile::write(RegisterId reg, std::uint32_t value) {
     case RegisterId::kProgramAlgo:
       XLF_EXPECT(value <= 1);
       program_algo_ = value;
-      return;
-    case RegisterId::kUberTargetExp:
-      XLF_EXPECT(value >= 1 && value <= 30);
-      uber_target_exp_ = value;
       return;
     case RegisterId::kStatus:
     case RegisterId::kCorrectedBits:
@@ -76,10 +69,6 @@ void RegisterFile::set_busy(bool busy) {
 
 void RegisterFile::set_error(bool error) {
   status_ = (status_ & ~2u) | (error ? 2u : 0u);
-}
-
-double RegisterFile::uber_target() const {
-  return std::pow(10.0, -static_cast<double>(uber_target_exp_));
 }
 
 void RegisterFile::record_decode(unsigned corrected_bits, bool uncorrectable) {

@@ -19,7 +19,6 @@ enum class RegisterId : std::uint32_t {
   kCorrectedBits = 0x10,  // running corrected-bit counter
   kDecodedPages = 0x14,   // running decoded-page counter
   kUncorrectable = 0x18,  // running uncorrectable-page counter
-  kUberTargetExp = 0x1C,  // UBER target as -log10 (e.g. 11 -> 1e-11)
 };
 
 class RegisterFile {
@@ -39,7 +38,6 @@ class RegisterFile {
   bool busy() const;
   void set_busy(bool busy);
   void set_error(bool error);
-  double uber_target() const;
 
   // Reliability feedback counters (read by the reliability manager
   // and the host).
@@ -57,7 +55,6 @@ class RegisterFile {
   std::uint32_t corrected_bits_ = 0;
   std::uint32_t decoded_pages_ = 0;
   std::uint32_t uncorrectable_ = 0;
-  std::uint32_t uber_target_exp_ = 11;
 };
 
 }  // namespace xlf::controller

@@ -7,11 +7,12 @@
 namespace xlf::controller {
 
 ReliabilityManager::ReliabilityManager(const ReliabilityConfig& config,
+                                       const bch::CodeFamily& code,
                                        policy::Tuning tuning,
                                        const nand::AgingLaw& law)
-    : config_(config), tuning_(tuning), law_(law) {
+    : config_(config), code_(code), tuning_(tuning), law_(law) {
   XLF_EXPECT(config_.uber_target > 0.0 && config_.uber_target < 1.0);
-  XLF_EXPECT(config_.t_min >= 1 && config_.t_min <= config_.t_max);
+  code_.check();
   XLF_EXPECT(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
   XLF_EXPECT(config_.safety_factor >= 1.0);
 }
@@ -22,14 +23,14 @@ unsigned ReliabilityManager::t_for_rber(double rber) const {
                    [rber](const MemoEntry& e) { return e.rber == rber; });
   if (entry == memo_.end()) {
     const std::optional<unsigned> t =
-        bch::min_t_for_uber(rber, config_.uber_target, config_.k, config_.m,
-                            config_.t_min, config_.t_max);
+        bch::min_t_for_uber(rber, config_.uber_target, code_.k, code_.m,
+                            code_.t_min, code_.t_max);
     entry = memo_.begin() + static_cast<std::ptrdiff_t>(memo_next_);
     memo_next_ = (memo_next_ + 1) % memo_.size();
     *entry = MemoEntry{rber, t};
   }
   saturated_ = !entry->t.has_value();
-  return entry->t.value_or(config_.t_max);
+  return entry->t.value_or(code_.t_max);
 }
 
 unsigned ReliabilityManager::select_t(nand::ProgramAlgorithm algo,
@@ -41,8 +42,7 @@ double ReliabilityManager::predicted_uber(nand::ProgramAlgorithm algo,
                                           double pe_cycles) const {
   const double rber = law_.rber(algo, pe_cycles);
   const unsigned t = t_for_rber(rber);
-  const bch::CodeParams params{config_.m, config_.k, t};
-  return bch::uber(rber, params.n(), t);
+  return bch::uber(rber, code_.at(t).n(), t);
 }
 
 void ReliabilityManager::observe_decode(unsigned corrected_bits,
@@ -76,7 +76,7 @@ unsigned ReliabilityManager::recommended_t(nand::ProgramAlgorithm algo,
   // Never trust an estimate of exactly zero: with no observed errors
   // the best statement is "below one error per observed window"; fall
   // back to the floor capability.
-  if (rber_estimate_ <= 0.0) return config_.t_min;
+  if (rber_estimate_ <= 0.0) return code_.t_min;
   return t_for_rber(std::min(0.5, rber_estimate_ * config_.safety_factor));
 }
 

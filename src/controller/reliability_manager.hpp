@@ -21,12 +21,10 @@
 
 namespace xlf::controller {
 
+// The die's one stored UBER target and the feedback estimator; the
+// code family comes from ecc_hw::EccHwConfig::code.
 struct ReliabilityConfig {
   double uber_target = 1e-11;  // Section 6.2
-  unsigned m = 16;
-  std::uint32_t k = 32768;
-  unsigned t_min = 3;
-  unsigned t_max = 65;
   // Feedback estimator: EWMA smoothing and a multiplicative safety
   // margin on the estimated RBER (estimates from sparse error counts
   // are noisy; undershooting t is the expensive direction).
@@ -38,10 +36,12 @@ struct ReliabilityConfig {
 
 class ReliabilityManager {
  public:
-  ReliabilityManager(const ReliabilityConfig& config, policy::Tuning tuning,
+  ReliabilityManager(const ReliabilityConfig& config,
+                     const bch::CodeFamily& code, policy::Tuning tuning,
                      const nand::AgingLaw& law);
 
   const ReliabilityConfig& config() const { return config_; }
+  const bch::CodeFamily& code() const { return code_; }
 
   // --- model-based path ------------------------------------------------
   // Minimal t meeting the UBER target for the given algorithm/wear.
@@ -80,6 +80,7 @@ class ReliabilityManager {
   };
 
   ReliabilityConfig config_;
+  bch::CodeFamily code_;
   policy::Tuning tuning_;
   nand::AgingLaw law_;
   double rber_estimate_ = 0.0;

@@ -8,34 +8,32 @@
 
 namespace xlf::core {
 
-CrossLayerFramework::CrossLayerFramework(const CrossLayerConfig& config,
-                                         const nand::AgingLaw& aging,
-                                         const nand::NandTiming& timing,
-                                         const hv::HvConfig& hv_config)
-    : config_(config),
+CrossLayerFramework::CrossLayerFramework(
+    const controller::ControllerConfig& controller,
+    const nand::AgingLaw& aging, const nand::NandTiming& timing,
+    const hv::HvConfig& hv_config)
+    : code_(controller.ecc_hw.code),
+      uber_target_(controller.reliability.uber_target),
       aging_(aging),
       timing_(&timing),
       nand_power_(hv_config, timing),
-      latency_(config.ecc_hw),
-      ecc_power_(config.ecc_hw) {
-  XLF_EXPECT(config_.uber_target > 0.0);
-  XLF_EXPECT(config_.page_bytes > 0);
+      latency_(controller.ecc_hw),
+      ecc_power_(controller.ecc_hw) {
+  XLF_EXPECT(uber_target_ > 0.0);
 }
 
 unsigned CrossLayerFramework::scheduled_t(nand::ProgramAlgorithm algo,
                                           double pe_cycles) const {
   const double rber = aging_.rber(algo, pe_cycles);
-  const auto& hw = config_.ecc_hw;
-  const auto t = bch::min_t_for_uber(rber, config_.uber_target, hw.k, hw.m,
-                                     hw.t_min, hw.t_max);
-  return t.value_or(hw.t_max);
+  const auto t = bch::min_t_for_uber(rber, uber_target_, code_.k, code_.m,
+                                     code_.t_min, code_.t_max);
+  return t.value_or(code_.t_max);
 }
 
 unsigned CrossLayerFramework::resolve_t(const OperatingPoint& point,
                                         double pe_cycles) const {
   if (point.schedule == EccSchedule::kFixed) {
-    XLF_EXPECT(point.fixed_t >= config_.ecc_hw.t_min &&
-               point.fixed_t <= config_.ecc_hw.t_max);
+    XLF_EXPECT(code_.contains(point.fixed_t));
     return point.fixed_t;
   }
   return scheduled_t(point.schedule_algorithm(), pe_cycles);
@@ -43,14 +41,14 @@ unsigned CrossLayerFramework::resolve_t(const OperatingPoint& point,
 
 Metrics CrossLayerFramework::evaluate(nand::ProgramAlgorithm algo, unsigned t,
                                       double pe_cycles) const {
-  XLF_EXPECT(t >= config_.ecc_hw.t_min && t <= config_.ecc_hw.t_max);
+  XLF_EXPECT(code_.contains(t));
   Metrics m;
   m.pe_cycles = pe_cycles;
   m.algo = algo;
   m.t = t;
   m.rber = aging_.rber(algo, pe_cycles);
 
-  const bch::CodeParams params = config_.ecc_hw.code_at(t);
+  const bch::CodeParams params = code_.at(t);
   const double log_uber = bch::log_uber(m.rber, params.n(), t);
   m.uber = std::exp(std::max(log_uber, -700.0));
   m.log10_uber = log_uber / std::log(10.0);
@@ -61,10 +59,9 @@ Metrics CrossLayerFramework::evaluate(nand::ProgramAlgorithm algo, unsigned t,
   m.read_latency = timing_->read_time() + latency_.decode_latency(t);
   m.write_latency =
       latency_.encode_latency() + timing_->program_time(algo, pe_cycles);
-  m.read_throughput =
-      BytesPerSecond{config_.page_bytes / m.read_latency.value()};
-  m.write_throughput =
-      BytesPerSecond{config_.page_bytes / m.write_latency.value()};
+  const double page_bytes = code_.k / 8;
+  m.read_throughput = BytesPerSecond{page_bytes / m.read_latency.value()};
+  m.write_throughput = BytesPerSecond{page_bytes / m.write_latency.value()};
 
   m.nand_program_power = nand_power_.program_power(algo, pe_cycles);
   // ECC decode power at the expected per-page error load.
@@ -82,7 +79,7 @@ std::vector<Metrics> CrossLayerFramework::enumerate(double pe_cycles) const {
   std::vector<Metrics> space;
   for (auto algo :
        {nand::ProgramAlgorithm::kIsppSv, nand::ProgramAlgorithm::kIsppDv}) {
-    for (unsigned t = config_.ecc_hw.t_min; t <= config_.ecc_hw.t_max; ++t) {
+    for (unsigned t = code_.t_min; t <= code_.t_max; ++t) {
       space.push_back(evaluate(algo, t, pe_cycles));
     }
   }

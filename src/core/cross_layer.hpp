@@ -16,11 +16,15 @@
 //    (decode dominates: ~150 us vs 75 us, Section 6.3.2);
 //  * write latency = encode latency + program time (program
 //    dominates: ~1.5 ms vs ~51 us, Section 6.3.3);
-//  * UBER from Eq. (1); log10 carried exactly for deep-UBER points.
+//  * UBER from Eq. (1); log10 carried exactly for deep-UBER points;
+//  * ECC envelope = the controller's (ecc_hw, reliability.uber_target),
+//    so t schedules match the reliability manager's; a page is k / 8
+//    bytes.
 #pragma once
 
 #include <vector>
 
+#include "src/controller/controller.hpp"
 #include "src/core/metrics.hpp"
 #include "src/core/operating_point.hpp"
 #include "src/ecc_hw/latency.hpp"
@@ -32,20 +36,12 @@
 
 namespace xlf::core {
 
-struct CrossLayerConfig {
-  ecc_hw::EccHwConfig ecc_hw;
-  double uber_target = 1e-11;
-  std::uint32_t page_bytes = 4096;
-};
-
 class CrossLayerFramework {
  public:
-  CrossLayerFramework(const CrossLayerConfig& config,
+  CrossLayerFramework(const controller::ControllerConfig& controller,
                       const nand::AgingLaw& aging,
                       const nand::NandTiming& timing,
                       const hv::HvConfig& hv_config);
-
-  const CrossLayerConfig& config() const { return config_; }
 
   // ECC capability the reliability schedule selects for `algo` at the
   // given age (saturating at the hardware t_max).
@@ -73,7 +69,8 @@ class CrossLayerFramework {
   const ecc_hw::PowerModel& ecc_power_model() const { return ecc_power_; }
 
  private:
-  CrossLayerConfig config_;
+  bch::CodeFamily code_;
+  double uber_target_;
   nand::AgingLaw aging_;
   const nand::NandTiming* timing_;
   hv::NandPowerModel nand_power_;

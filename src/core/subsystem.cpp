@@ -28,7 +28,7 @@ MemorySubsystem::MemorySubsystem(const SubsystemConfig& config,
       controller_(std::make_unique<controller::MemoryController>(
           config.controller, *device_, config.hv)),
       framework_(std::make_unique<CrossLayerFramework>(
-          config.cross_layer, config.device.array.aging, device_->timing(),
+          config.controller, config.device.array.aging, device_->timing(),
           config.hv)),
       active_point_(OperatingPoint::baseline()) {
   apply(active_point_);

@@ -31,9 +31,9 @@ namespace xlf::core {
 
 struct SubsystemConfig {
   nand::DeviceConfig device;
+  // Also the framework's ECC envelope (see CrossLayerFramework).
   controller::ControllerConfig controller;
   hv::HvConfig hv;
-  CrossLayerConfig cross_layer;
 
   // A small default geometry keeps the bit-true array affordable;
   // enlarge for capacity experiments.

@@ -17,15 +17,11 @@ struct EccHwConfig {
   unsigned chien_parallelism = 8;
   // Codec clock (paper Fig. 8: 80 MHz).
   Hertz clock = Hertz::megahertz(80.0);
-  // Code family served by the hardware.
-  unsigned m = 16;
-  std::uint32_t k = 32768;
-  unsigned t_min = 3;
-  unsigned t_max = 65;
   // Fixed per-stage control/handshake overhead.
   unsigned stage_overhead_cycles = 4;
-
-  bch::CodeParams code_at(unsigned t) const { return bch::CodeParams{m, k, t}; }
+  // Code family served by the hardware — and by the software codec
+  // the controller runs on it.
+  bch::CodeFamily code;
 };
 
 }  // namespace xlf::ecc_hw

@@ -5,19 +5,19 @@
 namespace xlf::ecc_hw {
 
 AreaModel::AreaModel(const EccHwConfig& config) : config_(config) {
-  XLF_EXPECT(config_.code_at(config_.t_max).valid());
+  config_.code.check();
 }
 
 double AreaModel::ge_per_constant_multiplier() const {
   // A constant GF(2^m) multiplier reduces to an XOR network of about
   // m^2/2 two-input XORs.
-  const double m = config_.m;
+  const double m = config_.code.m;
   return (m * m / 2.0) * kGePerXor2;
 }
 
 AreaBreakdown AreaModel::breakdown() const {
-  const double m = config_.m;
-  const double t_max = config_.t_max;
+  const double m = config_.code.m;
+  const double t_max = config_.code.t_max;
   const double p = config_.lfsr_parallelism;
   const double h = config_.chien_parallelism;
   const double r_max = m * t_max;

@@ -17,16 +17,15 @@ LatencyModel::LatencyModel(const EccHwConfig& config) : config_(config) {
   XLF_EXPECT(config_.lfsr_parallelism >= 1);
   XLF_EXPECT(config_.chien_parallelism >= 1);
   XLF_EXPECT(config_.clock.value() > 0.0);
-  XLF_EXPECT(config_.t_min >= 1 && config_.t_min <= config_.t_max);
-  XLF_EXPECT(config_.code_at(config_.t_max).valid());
+  config_.code.check();
 }
 
 void LatencyModel::check_t(unsigned t) const {
-  XLF_EXPECT(t >= config_.t_min && t <= config_.t_max);
+  XLF_EXPECT(config_.code.contains(t));
 }
 
 unsigned long long LatencyModel::encode_cycles() const {
-  return ceil_div(config_.k, config_.lfsr_parallelism) +
+  return ceil_div(config_.code.k, config_.lfsr_parallelism) +
          config_.stage_overhead_cycles;
 }
 
@@ -35,12 +34,12 @@ unsigned long long LatencyModel::alignment_cycles(unsigned t) const {
   // When the r = m*t parity bits are not a multiple of the datapath
   // parallelism the decoder runs a preliminary alignment phase
   // (Section 4); one cycle per residual bit.
-  return config_.code_at(t).parity_bits() % config_.lfsr_parallelism;
+  return config_.code.at(t).parity_bits() % config_.lfsr_parallelism;
 }
 
 unsigned long long LatencyModel::syndrome_cycles(unsigned t) const {
   check_t(t);
-  return ceil_div(config_.code_at(t).n(), config_.lfsr_parallelism) +
+  return ceil_div(config_.code.at(t).n(), config_.lfsr_parallelism) +
          alignment_cycles(t);
 }
 
@@ -53,7 +52,7 @@ unsigned long long LatencyModel::berlekamp_massey_cycles(unsigned t) const {
 
 unsigned long long LatencyModel::chien_cycles(unsigned t) const {
   check_t(t);
-  return ceil_div(config_.code_at(t).n(), config_.chien_parallelism);
+  return ceil_div(config_.code.at(t).n(), config_.chien_parallelism);
 }
 
 unsigned long long LatencyModel::decode_cycles(unsigned t) const {
@@ -80,7 +79,7 @@ Seconds LatencyModel::decode_latency_clean(unsigned t) const {
 Seconds LatencyModel::expected_decode_latency(unsigned t, double rber) const {
   check_t(t);
   XLF_EXPECT(rber >= 0.0 && rber < 1.0);
-  const double n = static_cast<double>(config_.code_at(t).n());
+  const double n = static_cast<double>(config_.code.at(t).n());
   const double p_clean = std::exp(n * std::log1p(-rber));
   const Seconds clean = decode_latency_clean(t);
   const Seconds dirty = decode_latency(t);

@@ -10,9 +10,9 @@ PowerModel::PowerModel(const EccHwConfig& config)
     : config_(config), latency_(config), area_(config) {}
 
 Joules PowerModel::encode_energy(unsigned t) const {
-  XLF_EXPECT(t >= config_.t_min && t <= config_.t_max);
+  XLF_EXPECT(config_.code.contains(t));
   // Active encoder slice: r = m*t of the r_max register bits switch.
-  const double m = config_.m;
+  const double m = config_.code.m;
   const double p = config_.lfsr_parallelism;
   const double active_ge =
       m * t * AreaModel::kGePerFlipFlop + m * t * p * AreaModel::kGePerXor2;
@@ -22,9 +22,9 @@ Joules PowerModel::encode_energy(unsigned t) const {
 }
 
 Joules PowerModel::decode_energy(unsigned t, double expected_errors) const {
-  XLF_EXPECT(t >= config_.t_min && t <= config_.t_max);
+  XLF_EXPECT(config_.code.contains(t));
   XLF_EXPECT(expected_errors >= 0.0);
-  const double m = config_.m;
+  const double m = config_.code.m;
   const double p = config_.lfsr_parallelism;
   const double h = config_.chien_parallelism;
   const double mult_ge = area_.ge_per_constant_multiplier();

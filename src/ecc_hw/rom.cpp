@@ -5,19 +5,20 @@
 namespace xlf::ecc_hw {
 
 ConfigRom::ConfigRom(const EccHwConfig& config) : config_(config) {
-  for (unsigned t = config_.t_min; t <= config_.t_max; ++t) {
+  config_.code.check();
+  for (unsigned t = config_.code.t_min; t <= config_.code.t_max; ++t) {
     RomEntry entry;
     entry.t = t;
-    entry.generator_config_bits = config_.m * t;
-    entry.syndrome_enable_bits = 2 * config_.t_max;
-    entry.chien_start_bits = config_.m;
+    entry.generator_config_bits = config_.code.m * t;
+    entry.syndrome_enable_bits = 2 * config_.code.t_max;
+    entry.chien_start_bits = config_.code.m;
     entries_.push_back(entry);
   }
 }
 
 const RomEntry& ConfigRom::entry(unsigned t) const {
-  XLF_EXPECT(t >= config_.t_min && t <= config_.t_max);
-  return entries_.at(t - config_.t_min);
+  XLF_EXPECT(config_.code.contains(t));
+  return entries_.at(t - config_.code.t_min);
 }
 
 std::uint64_t ConfigRom::total_bits() const {
@@ -34,8 +35,8 @@ double ConfigRom::total_kib() const {
 }
 
 std::uint32_t ConfigRom::chien_start_index(unsigned t) const {
-  XLF_EXPECT(t >= config_.t_min && t <= config_.t_max);
-  const auto params = config_.code_at(t);
+  XLF_EXPECT(config_.code.contains(t));
+  const auto params = config_.code.at(t);
   return params.natural_length() - params.n();
 }
 

@@ -198,6 +198,9 @@ void parse_monte_carlo(StrictObject& root, ExperimentSpec& spec) {
   }
   if (const JsonValue* v = obj.find("age")) {
     spec.mc_age = as_number(*v, "age");
+    if (spec.mc_age < 0.0) {
+      spec_error("'age' must be >= 0 (omit it for the last grid age)");
+    }
   }
   if (const JsonValue* v = obj.find("workloads")) {
     spec.mc_workloads = as_string_list(*v, "workloads");
@@ -236,6 +239,9 @@ void parse_ftl(StrictObject& root, ExperimentSpec& spec) {
   }
   if (const JsonValue* v = obj.find("logical_fraction")) {
     config.logical_fraction = as_number(*v, "logical_fraction");
+    if (config.logical_fraction <= 0.0 || config.logical_fraction >= 1.0) {
+      spec_error("'logical_fraction' must lie in (0, 1)");
+    }
   }
   if (const JsonValue* v = obj.find("gc_free_blocks")) {
     config.gc_free_blocks = as_u32(*v, "gc_free_blocks");
@@ -245,6 +251,9 @@ void parse_ftl(StrictObject& root, ExperimentSpec& spec) {
   }
   if (const JsonValue* v = obj.find("scrub_retention_hours")) {
     config.scrub_retention_hours = as_number(*v, "scrub_retention_hours");
+    if (config.scrub_retention_hours < 0.0) {
+      spec_error("'scrub_retention_hours' must be >= 0");
+    }
   }
   obj.finish();
 }
@@ -407,12 +416,17 @@ void check_ages(const ExperimentSpec& spec, InputNames names) {
   constexpr const char* kArrayWhy =
       "the bit-true array's limit: past it the aging law's RBER outgrows "
       "the widest read-time distribution the model solves for";
+  constexpr const char* kLawWhy = "the aging law's RBER reaches 1 there";
 
   if (spec.mode == ExperimentSpec::Mode::kFtlSweep) {
+    // Only the starting wear: what a run adds is not checked here.
+    const nand::ArrayConfig& array = spec.ftl.base.die.device.array;
     if (spec.ftl.data_plane) {
-      check(spec.ftl.base.initial_pe_cycles,
-            array_limit(spec.ftl.base.die.device.array), "--ftl-initial-wear",
-            "'initial_pe_cycles'", kArrayWhy);
+      check(spec.ftl.base.initial_pe_cycles, array_limit(array),
+            "--ftl-initial-wear", "'initial_pe_cycles'", kArrayWhy);
+    } else {
+      check(spec.ftl.base.initial_pe_cycles, array.aging.max_cycles(),
+            "--ftl-initial-wear", "'initial_pe_cycles'", kLawWhy);
     }
     return;
   }
@@ -420,7 +434,7 @@ void check_ages(const ExperimentSpec& spec, InputNames names) {
   const nand::ArrayConfig array =
       core::SubsystemConfig::defaults().device.array;
   check(spec.age_hi, array.aging.max_cycles(), "--ages HI", "'ages.hi'",
-        "the aging law's RBER reaches 1 there");
+        kLawWhy);
   if (spec.mc_replicas == 0) return;
   if (spec.mc_age >= 0.0) {
     check(spec.mc_age, array_limit(array), "--mc-age", "'monte_carlo.age'",
@@ -483,6 +497,9 @@ ExperimentSpec parse_experiment(const JsonValue& root) {
   parse_geometry(obj, spec);
   if (const JsonValue* v = obj.find("initial_pe_cycles")) {
     spec.ftl.base.initial_pe_cycles = as_number(*v, "initial_pe_cycles");
+    if (spec.ftl.base.initial_pe_cycles < 0.0) {
+      spec_error("'initial_pe_cycles' must be >= 0");
+    }
   }
   parse_ftl(obj, spec);
   parse_workload(obj, spec);
@@ -520,7 +537,6 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
     // the spec.
     FtlSweepSpec ftl = spec.ftl;
     ftl.seed = spec.seed;
-    ftl.base.die.cross_layer.uber_target = spec.uber_target;
     ftl.base.die.controller.reliability.uber_target = spec.uber_target;
     ftl.base.point = make_point(spec.point);
     const FtlSweepResult result = ftl_sweep(ftl, pool);
@@ -533,7 +549,7 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
 
   // Configuration-space sweep (+ optional Monte-Carlo validation).
   core::SubsystemConfig subsystem = core::SubsystemConfig::defaults();
-  subsystem.cross_layer.uber_target = spec.uber_target;
+  subsystem.controller.reliability.uber_target = spec.uber_target;
 
   SweepSpec sweep_spec;
   sweep_spec.framework = FrameworkSpec::from(subsystem);

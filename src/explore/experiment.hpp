@@ -15,18 +15,20 @@
 // names) in the message.
 //
 // Spec shape (all keys optional unless noted; defaults mirror the
-// CLI's):
+// CLI's; so do the bounds: uber_target and logical_fraction in (0, 1),
+// monte_carlo.age, initial_pe_cycles and scrub_retention_hours >= 0,
+// and the ages check_ages bounds).
 //
 //   {
 //     "mode": "ftl-sweep" | "space",        // required
 //     "seed": 123,
-//     "uber_target": 1e-11,
+//     "uber_target": 1e-11,                 // the die's reliability target
 //     "point": "baseline" | "min-uber" | "max-read",
 //     // --- mode: "space" ---------------------------------------
 //     "ages": {"lo": 1, "hi": 1e6, "points": 13},
 //     "pareto_only": false,
 //     "monte_carlo": {                       // omit to skip MC
-//       "replicas": 4, "requests": 32, "age": 1e6,
+//       "replicas": 4, "requests": 32, "age": 1e6,  // omit age: ages.hi
 //       "workloads": ["sequential-read", "mixed"]
 //     },
 //     // --- mode: "ftl-sweep" -----------------------------------
@@ -101,9 +103,10 @@ enum class InputNames { kFlags, kSpecKeys };
 
 // Throws std::invalid_argument, naming the flag or key and the limit,
 // for an age the run would evaluate outside the models' domain: the
-// space grid's top past nand::AgingLaw::max_cycles (RBER 1), or the
-// Monte-Carlo age or bit-true initial wear past
-// nand::RberModel::max_cycles (the cell array's limit).
+// space grid's top or the metadata-only initial wear past
+// nand::AgingLaw::max_cycles (RBER 1), or the Monte-Carlo age or
+// bit-true initial wear past nand::RberModel::max_cycles (the cell
+// array's limit). Wear a run adds after its start is not checked.
 // parse_experiment runs it; tools/xlf_explore runs it on the spec its
 // flags build.
 void check_ages(const ExperimentSpec& spec, InputNames names);

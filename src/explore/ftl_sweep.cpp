@@ -34,6 +34,11 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT(spec.requests > 0);
   XLF_EXPECT(spec.trim_fraction >= 0.0 && spec.trim_fraction < 1.0);
   XLF_EXPECT(!spec.fail_blocks.empty());
+  // Before the viability bound below converts the logical share to an
+  // integer (Ftl's constructor checks the range only later).
+  const double logical_fraction = spec.base.ftl.logical_fraction;
+  XLF_EXPECT_MSG(logical_fraction > 0.0 && logical_fraction < 1.0,
+                 "logical_fraction must lie in (0, 1)");
 
   // Every fail-block count must leave each die its logical share plus
   // the GC slack (the same viability bound Ftl's constructor enforces,
@@ -54,7 +59,7 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
       const std::size_t physical =
           static_cast<std::size_t>(die_count) * geometry.pages();
       const auto logical = static_cast<std::uint32_t>(
-          static_cast<double>(physical) * spec.base.ftl.logical_fraction);
+          static_cast<double>(physical) * logical_fraction);
       const std::uint32_t per_die_logical_max =
           logical / die_count + (logical % die_count != 0 ? 1 : 0);
       XLF_EXPECT_MSG(

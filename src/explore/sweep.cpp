@@ -8,7 +8,7 @@ namespace xlf::explore {
 
 FrameworkSpec FrameworkSpec::from(const core::SubsystemConfig& config) {
   FrameworkSpec spec;
-  spec.cross_layer = config.cross_layer;
+  spec.controller = config.controller;
   spec.aging = config.device.array.aging;
   spec.timing = config.device.timing;
   spec.ispp = config.device.array.ispp;
@@ -46,14 +46,6 @@ std::vector<std::size_t> key_first_order(const std::vector<double>& ages) {
 
 SweepResult sweep_space(const SweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT(!spec.ages.empty());
-  const auto& hw = spec.framework.cross_layer.ecc_hw;
-  XLF_EXPECT(hw.t_min <= hw.t_max);
-  const std::size_t per_age = 2 * (hw.t_max - hw.t_min + 1);
-
-  SweepResult result;
-  result.cells_per_age = per_age;
-  result.cells.resize(spec.ages.size() * per_age);
-
   // One framework shared by every age task: NandTiming's trace cache
   // is internally synchronised and key-deterministic, so workers no
   // longer build private clones. One task per age point — the ISPP
@@ -61,8 +53,13 @@ SweepResult sweep_space(const SweepSpec& spec, ThreadPool& pool) {
   // the key-first order gives each key's first touch to one task.
   nand::NandTiming timing = spec.framework.make_timing();
   const core::CrossLayerFramework framework(
-      spec.framework.cross_layer, spec.framework.aging, timing,
-      spec.framework.hv);
+      spec.framework.controller, spec.framework.aging, timing,
+      spec.framework.hv);  // checks the code family
+  const bch::CodeFamily& code = spec.framework.controller.ecc_hw.code;
+  const std::size_t per_age = 2 * (code.t_max - code.t_min + 1);
+  SweepResult result;
+  result.cells_per_age = per_age;
+  result.cells.resize(spec.ages.size() * per_age);
   const std::vector<std::size_t> order = key_first_order(spec.ages);
   pool.parallel_for(order.size(), [&](std::size_t task) {
     const std::size_t a = order[task];

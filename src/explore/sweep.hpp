@@ -28,7 +28,9 @@ namespace xlf::explore {
 
 // The ingredients of a CrossLayerFramework, by value.
 struct FrameworkSpec {
-  core::CrossLayerConfig cross_layer;
+  // The ECC envelope: ecc_hw (code family, codec hardware) and
+  // reliability.uber_target.
+  controller::ControllerConfig controller;
   nand::AgingLaw aging;
   nand::TimingConfig timing;
   nand::IsppConfig ispp;

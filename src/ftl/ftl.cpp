@@ -352,8 +352,7 @@ ScrubResult Ftl::scrub() {
   const nand::Geometry& geometry = controllers_.front()->device().geometry();
   for (std::uint32_t d = 0; d < dies(); ++d) {
     const nand::AgingLaw& law = device(d).config().array.aging;
-    const controller::ReliabilityConfig& rel =
-        ctrl(d).reliability().config();
+    const controller::ReliabilityManager& rel = ctrl(d).reliability();
     // Snapshot the candidates before relocating anything: a refresh
     // fills the GC frontier, which can close a *new* block mid-pass,
     // and freshly re-programmed data must not be offered again in the
@@ -378,7 +377,8 @@ ScrubResult Ftl::scrub() {
       ctx.pe_cycles = device(d).wear(b);
       ctx.page_t = block_t_[d][b];
       ctx.retention_hours = config_.scrub_retention_hours;
-      ctx.budget = {rel.uber_target, rel.m, rel.k, rel.t_min, rel.t_max};
+      ctx.code = rel.code();
+      ctx.uber_target = rel.config().uber_target;
       ctx.law = &law;
       if (!policy::should_refresh(config_.refresh_policy, ctx)) continue;
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/bch/code_params.hpp"
 #include "src/util/expect.hpp"
 
 namespace xlf::policy {
@@ -76,9 +75,9 @@ bool should_refresh(Refresh refresh, const RefreshContext& ctx) {
       fresh_rber * (1.0 + kStrengthPer1kHours *
                               (ctx.retention_hours / 1000.0) * wear_accel);
 
-  const std::optional<unsigned> required = bch::min_t_for_uber(
-      stressed_rber, ctx.budget.uber_target, ctx.budget.k, ctx.budget.m,
-      ctx.budget.t_min, ctx.budget.t_max);
+  const std::optional<unsigned> required =
+      bch::min_t_for_uber(stressed_rber, ctx.uber_target, ctx.code.k,
+                          ctx.code.m, ctx.code.t_min, ctx.code.t_max);
   // No t can hold the target after retention — refresh immediately.
   if (!required.has_value()) return true;
   // Refresh when the stressed requirement outgrows the pages' t. A

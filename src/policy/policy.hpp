@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/bch/code_params.hpp"
 #include "src/nand/aging.hpp"
 
 namespace xlf::policy {
@@ -121,17 +122,6 @@ inline double free_block_score(Wear wear, std::uint32_t erase_count) {
 
 // --- Refresh -------------------------------------------------------------
 
-// The ECC envelope a refresh decision works inside: the BCH code
-// family (GF(2^m), k-bit payload) and the UBER target the paper holds
-// constant while trading everything else.
-struct EccBudget {
-  double uber_target = 1e-11;
-  unsigned m = 16;
-  std::uint32_t k = 32768;
-  unsigned t_min = 3;
-  unsigned t_max = 65;
-};
-
 // One block as the scrub pass presents it.
 struct RefreshContext {
   nand::ProgramAlgorithm algo = nand::ProgramAlgorithm::kIsppSv;
@@ -143,7 +133,10 @@ struct RefreshContext {
   // Retention horizon to guard against (hours at storage temperature
   // before the next scrub opportunity).
   double retention_hours = 0.0;
-  EccBudget budget;
+  // The ECC envelope the decision works inside (the die reliability
+  // manager's): the code family and the UBER target.
+  bch::CodeFamily code;
+  double uber_target = 0.0;
   const nand::AgingLaw* law = nullptr;
 };
 

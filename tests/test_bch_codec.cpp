@@ -16,31 +16,28 @@ BitVec random_message(std::uint32_t k, Rng& rng) {
   return msg;
 }
 
-AdaptiveCodecConfig small_config() {
+CodeFamily small_config() {
   // A downsized adaptive codec for fast unit tests: GF(2^13),
   // 512-byte sectors, t in [1, 12] — the configuration of [28] that
   // the paper compares against.
-  AdaptiveCodecConfig config;
-  config.m = 13;
-  config.k = 4096;
-  config.t_min = 1;
-  config.t_max = 12;
-  config.initial_t = 4;
-  return config;
+  return CodeFamily{13, 4096, 1, 12};
 }
 
 TEST(AdaptiveCodec, ConstructionValidatesRange) {
-  AdaptiveCodecConfig bad = small_config();
-  bad.initial_t = 13;
+  CodeFamily bad = small_config();
+  bad.t_min = 0;
   EXPECT_THROW(AdaptiveBchCodec{bad}, std::invalid_argument);
   bad = small_config();
-  bad.t_min = 0;
+  bad.t_min = 13;  // above t_max
+  EXPECT_THROW(AdaptiveBchCodec{bad}, std::invalid_argument);
+  bad = small_config();
+  bad.t_max = 700;  // 4096 + 13 * 700 parity bits overflow GF(2^13)
   EXPECT_THROW(AdaptiveBchCodec{bad}, std::invalid_argument);
 }
 
 TEST(AdaptiveCodec, CorrectionCapabilityPort) {
   AdaptiveBchCodec codec(small_config());
-  EXPECT_EQ(codec.correction_capability(), 4u);
+  EXPECT_EQ(codec.correction_capability(), 1u);  // the family's t_min
   codec.set_correction_capability(9);
   EXPECT_EQ(codec.correction_capability(), 9u);
   EXPECT_EQ(codec.current_params().t, 9u);
@@ -133,9 +130,8 @@ TEST(AdaptiveCodec, OverloadBeyondTIsNotSilentlyMiscorrectedToOriginal) {
 TEST(AdaptiveCodec, PaperProductionConfigConstructs) {
   // The real thing: GF(2^16), 4 KB page, t in [3, 65]. Construction
   // builds the field tables; codecs per t are lazy so this is cheap.
-  AdaptiveCodecConfig config;  // defaults are the paper values
-  AdaptiveBchCodec codec(config);
-  EXPECT_EQ(codec.config().t_max, 65u);
+  AdaptiveBchCodec codec(CodeFamily{});  // defaults are the paper values
+  EXPECT_EQ(codec.code().t_max, 65u);
   EXPECT_EQ(codec.field().m(), 16u);
   codec.set_correction_capability(14);  // ISPP-DV end-of-life point
   Rng rng(6);

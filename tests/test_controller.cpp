@@ -203,7 +203,7 @@ TEST(Controller, HonestAndFastDecodeAgree) {
   ASSERT_EQ(fx.device.ecc_t({0, 0}), t);
 
   const ControllerConfig config;
-  EccUnit honest(config.codec, config.ecc_hw);
+  EccUnit honest(config.ecc_hw);
   honest.set_correction_capability(t);
   BitVec codeword =
       fx.device.read_page({0, 0}).data.slice(0, honest.current_params().n());

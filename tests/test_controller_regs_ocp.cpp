@@ -12,7 +12,6 @@ TEST(Registers, DefaultsMatchPaperBaseline) {
   EXPECT_TRUE(regs.enabled());
   EXPECT_EQ(regs.ecc_capability(), 3u);
   EXPECT_EQ(regs.program_algorithm(), nand::ProgramAlgorithm::kIsppSv);
-  EXPECT_NEAR(regs.uber_target(), 1e-11, 1e-22);
   EXPECT_FALSE(regs.busy());
 }
 
@@ -22,8 +21,6 @@ TEST(Registers, BusAccessRoundTrip) {
   EXPECT_EQ(regs.read(RegisterId::kEccCapability), 42u);
   regs.write(RegisterId::kProgramAlgo, 1);
   EXPECT_EQ(regs.program_algorithm(), nand::ProgramAlgorithm::kIsppDv);
-  regs.write(RegisterId::kUberTargetExp, 15);
-  EXPECT_NEAR(regs.uber_target(), 1e-15, 1e-26);
 }
 
 TEST(Registers, ReadOnlyRegistersRejectWrites) {
@@ -40,8 +37,6 @@ TEST(Registers, InvalidValuesRejected) {
   EXPECT_THROW(regs.write(RegisterId::kEccCapability, 0),
                std::invalid_argument);
   EXPECT_THROW(regs.write(RegisterId::kProgramAlgo, 2),
-               std::invalid_argument);
-  EXPECT_THROW(regs.write(RegisterId::kUberTargetExp, 0),
                std::invalid_argument);
 }
 

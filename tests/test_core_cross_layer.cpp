@@ -14,7 +14,7 @@ struct Fixture {
                           config.device.array.plan,
                           config.device.array.variability,
                           config.device.array.aging};
-  CrossLayerFramework framework{config.cross_layer, config.device.array.aging,
+  CrossLayerFramework framework{config.controller, config.device.array.aging,
                                 timing, config.hv};
 };
 
@@ -79,7 +79,8 @@ TEST(CrossLayer, MaxReadGainMatchesFig11Shape) {
   EXPECT_GT(gain, 24.0);  // paper: up to ~30%
   EXPECT_LT(gain, 34.0);
   // At unchanged UBER target.
-  EXPECT_LE(cross_eol.uber, fx.config.cross_layer.uber_target * 1.0001);
+  EXPECT_LE(cross_eol.uber,
+            fx.config.controller.reliability.uber_target * 1.0001);
 }
 
 TEST(CrossLayer, WriteLossMatchesFig9Window) {

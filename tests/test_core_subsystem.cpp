@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.hpp"
+#include "src/util/stats.hpp"
 
 namespace xlf::core {
 namespace {
@@ -26,6 +27,43 @@ TEST(Subsystem, ConstructsOnBaseline) {
   EXPECT_EQ(subsystem.active_point().name, "baseline");
   EXPECT_EQ(subsystem.controller().program_algorithm(),
             nand::ProgramAlgorithm::kIsppSv);
+}
+
+// The ECC envelope is stated once per die — the code family in
+// controller.ecc_hw.code, the UBER target in controller.reliability —
+// and every consumer reads it: the framework's t schedule (apply,
+// block metrics) is the reliability manager's (every FTL program),
+// the framework spans the family's t range, and the codec rejects t
+// past t_max. Checked on the default envelope and on a moved one.
+TEST(Subsystem, OneEccEnvelopeReachesEveryConsumer) {
+  SubsystemConfig moved = small_config();
+  moved.controller.ecc_hw.code.t_max = 40;
+  moved.controller.reliability.uber_target = 1e-13;
+  const struct {
+    SubsystemConfig config;
+    std::size_t space_size;  // {SV, DV} x [t_min, t_max]
+  } cases[] = {{small_config(), 2 * (65 - 3 + 1)},
+               {moved, 2 * (40 - 3 + 1)}};
+  for (const auto& c : cases) {
+    const unsigned t_max = c.config.controller.ecc_hw.code.t_max;
+    SCOPED_TRACE(t_max);
+    MemorySubsystem subsystem(c.config);
+    controller::ReliabilityManager& manager =
+        subsystem.controller().reliability();
+    for (const auto algo :
+         {nand::ProgramAlgorithm::kIsppSv, nand::ProgramAlgorithm::kIsppDv}) {
+      for (const double age : log_space(1.0, 1e6, 13)) {
+        EXPECT_EQ(subsystem.framework().scheduled_t(algo, age),
+                  manager.select_t(algo, age))
+            << to_string(algo) << " at " << age;
+      }
+    }
+    // End-of-life ISPP-SV needs the whole family.
+    EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), t_max);
+    EXPECT_EQ(subsystem.framework().enumerate(1e3).size(), c.space_size);
+    EXPECT_THROW(subsystem.controller().set_correction_capability(t_max + 1),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Subsystem, ApplyConfiguresBothLayersAtomically) {

@@ -31,15 +31,15 @@ TEST(Area, SiliconIsFixedByTmaxNotRuntimeT) {
   // Two configs differing only in t_min occupy identical silicon.
   EccHwConfig a;
   EccHwConfig b;
-  b.t_min = 10;
+  b.code.t_min = 10;
   EXPECT_DOUBLE_EQ(AreaModel{a}.total_ge(), AreaModel{b}.total_ge());
 }
 
 TEST(Area, GrowsWithTmaxAndParallelism) {
   EccHwConfig small;
-  small.t_max = 14;
+  small.code.t_max = 14;
   EccHwConfig big;
-  big.t_max = 65;
+  big.code.t_max = 65;
   EXPECT_GT(AreaModel{big}.total_ge(), AreaModel{small}.total_ge());
 
   EccHwConfig narrow;
@@ -61,9 +61,7 @@ TEST(Area, PlausibleSilicon45nm) {
 
 TEST(Area, ConstantMultiplierQuadraticInFieldDegree) {
   EccHwConfig m13;
-  m13.m = 13;
-  m13.k = 4096;
-  m13.t_max = 12;
+  m13.code = bch::CodeFamily{13, 4096, 3, 12};
   const AreaModel small(m13);
   const AreaModel big{EccHwConfig{}};
   EXPECT_GT(big.ge_per_constant_multiplier(),

@@ -128,7 +128,7 @@ TEST(Latency, RejectsInvalidConfigs) {
   bad.lfsr_parallelism = 0;
   EXPECT_THROW(LatencyModel{bad}, std::invalid_argument);
   bad = paper_config();
-  bad.t_min = 0;
+  bad.code.t_min = 0;
   EXPECT_THROW(LatencyModel{bad}, std::invalid_argument);
 }
 

@@ -8,21 +8,12 @@
 namespace xlf::controller {
 namespace {
 
-EccUnit make_unit() {
-  return EccUnit(bch::AdaptiveCodecConfig{}, ecc_hw::EccHwConfig{});
-}
+EccUnit make_unit() { return EccUnit(ecc_hw::EccHwConfig{}); }
 
 BitVec random_message(Rng& rng) {
   BitVec msg(32768);
   for (std::size_t i = 0; i < msg.size(); ++i) msg.set(i, rng.chance(0.5));
   return msg;
-}
-
-TEST(EccUnit, ConfigMismatchRejected) {
-  bch::AdaptiveCodecConfig codec;
-  ecc_hw::EccHwConfig hw;
-  hw.t_max = 32;  // codec says 65
-  EXPECT_THROW(EccUnit(codec, hw), std::invalid_argument);
 }
 
 TEST(EccUnit, EncodeCarriesHardwareLatency) {

@@ -280,6 +280,87 @@ TEST(ExperimentSpec, AgesOutsideTheModelsDomainAreRejected) {
       parse_experiment_text(R"({"mode": "ftl-sweep", "initial_pe_cycles": 3e7})"));
 }
 
+// Spec keys take their flags' bounds and fail at the parse edge
+// naming the key. Later checks come too late: ftl_sweep's viability
+// bound converts logical_fraction to an integer, Ssd's precondition
+// names no key, and a negative retention horizon or Monte-Carlo age
+// would run silently.
+TEST(ExperimentSpec, LogicalFractionOutsideZeroOneIsRejected) {
+  for (const char* value : {"-0.5", "0", "1", "1.5", "1e308"}) {
+    EXPECT_EQ(error_of(std::string(R"({"mode": "ftl-sweep",
+                                        "ftl": {"logical_fraction": )") +
+                       value + "}}"),
+              "experiment spec: 'logical_fraction' must lie in (0, 1)")
+        << value;
+  }
+  // API callers skip the parser: ftl_sweep checks the range before
+  // its viability bound converts the logical share to an integer.
+  FtlSweepSpec sweep = ExperimentSpec::defaults().ftl;
+  sweep.base.ftl.logical_fraction = -0.5;
+  ThreadPool pool(1);
+  try {
+    ftl_sweep(sweep, pool);
+    ADD_FAILURE() << "a negative logical_fraction must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "logical_fraction must lie in (0, 1)");
+  }
+}
+
+TEST(ExperimentSpec, NegativeInitialWearIsRejected) {
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep", "initial_pe_cycles": -1})"),
+            "experiment spec: 'initial_pe_cycles' must be >= 0");
+  EXPECT_NO_THROW(
+      parse_experiment_text(R"({"mode": "ftl-sweep", "initial_pe_cycles": 0})"));
+}
+
+TEST(ExperimentSpec, NegativeScrubRetentionIsRejected) {
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep",
+                         "ftl": {"scrub_retention_hours": -10}})"),
+            "experiment spec: 'scrub_retention_hours' must be >= 0");
+  EXPECT_NO_THROW(parse_experiment_text(
+      R"({"mode": "ftl-sweep", "ftl": {"scrub_retention_hours": 0}})"));
+}
+
+TEST(ExperimentSpec, NegativeMonteCarloAgeIsRejected) {
+  // A negative age is the spec's internal "unset" (last grid age), so
+  // it must not be accepted as a value.
+  EXPECT_EQ(error_of(R"({"mode": "space",
+                         "monte_carlo": {"replicas": 1, "age": -7}})"),
+            "experiment spec: 'age' must be >= 0 (omit it for the last grid "
+            "age)");
+  EXPECT_NO_THROW(parse_experiment_text(
+      R"({"mode": "space", "monte_carlo": {"replicas": 1, "age": 0}})"));
+}
+
+// The metadata-only plane has no cell array, but its t schedule and
+// UBER arithmetic still end where the aging law's RBER reaches 1. (The
+// spec has no data-plane key, so the spec-named message reaches API
+// callers only.) Wear a run adds after the start is not checked.
+TEST(ExperimentSpec, MetaPlaneInitialWearPastTheAgingLawIsRejected) {
+  ExperimentSpec spec = ExperimentSpec::defaults();
+  spec.mode = ExperimentSpec::Mode::kFtlSweep;
+  spec.ftl.data_plane = false;
+  spec.ftl.base.initial_pe_cycles = 1e8;
+  const double limit = spec.ftl.base.die.device.array.aging.max_cycles();
+  for (const auto& [names, what] :
+       {std::pair{InputNames::kFlags, "--ftl-initial-wear"},
+        std::pair{InputNames::kSpecKeys, "experiment spec: 'initial_pe_cycles'"}}) {
+    try {
+      check_ages(spec, names);
+      ADD_FAILURE() << what << " = 1e8 must throw";
+    } catch (const std::invalid_argument& e) {
+      std::ostringstream expected;
+      expected << what << " must be below " << limit
+               << " P/E cycles (the aging law's RBER reaches 1 there), got "
+                  "1e+08";
+      EXPECT_EQ(e.what(), expected.str());
+    }
+  }
+  // Below the law's limit the meta plane runs past the array's.
+  spec.ftl.base.initial_pe_cycles = 9e7;
+  EXPECT_NO_THROW(check_ages(spec, InputNames::kSpecKeys));
+}
+
 // The acceptance property: the shipped example spec is the CI smoke
 // grid. A spec authored in JSON and the equivalent flag-built spec
 // must render byte-identical reports in both formats.

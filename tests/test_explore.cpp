@@ -128,7 +128,7 @@ TEST(Sweep, MatchesDirectFrameworkEnumeration) {
 
   nand::NandTiming timing = spec.framework.make_timing();
   const core::CrossLayerFramework framework(
-      spec.framework.cross_layer, spec.framework.aging, timing,
+      spec.framework.controller, spec.framework.aging, timing,
       spec.framework.hv);
   for (std::size_t a = 0; a < spec.ages.size(); ++a) {
     const auto space = framework.enumerate(spec.ages[a]);
@@ -147,7 +147,7 @@ TEST(Sweep, ParetoFlagsMatchCoreFront) {
 
   nand::NandTiming timing = spec.framework.make_timing();
   const core::CrossLayerFramework framework(
-      spec.framework.cross_layer, spec.framework.aging, timing,
+      spec.framework.controller, spec.framework.aging, timing,
       spec.framework.hv);
   for (std::size_t a = 0; a < spec.ages.size(); ++a) {
     const auto front =

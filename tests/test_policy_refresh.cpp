@@ -25,6 +25,7 @@ policy::RefreshContext context_at(double pe_cycles, unsigned page_t,
   ctx.pe_cycles = pe_cycles;
   ctx.page_t = page_t;
   ctx.retention_hours = hours;
+  ctx.uber_target = 1e-11;  // Section 6.2, with the paper's code family
   ctx.law = &law;
   return ctx;
 }

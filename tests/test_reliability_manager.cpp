@@ -13,7 +13,16 @@ namespace {
 using policy::Tuning;
 
 ReliabilityManager make_manager(Tuning tuning) {
-  return ReliabilityManager(ReliabilityConfig{}, tuning, nand::AgingLaw{});
+  return ReliabilityManager(ReliabilityConfig{}, bch::CodeFamily{}, tuning,
+                            nand::AgingLaw{});
+}
+
+// The paper's family with t capped at 10: too weak for EOL ISPP-SV,
+// plenty at BOL.
+bch::CodeFamily tight_family() {
+  bch::CodeFamily tight;
+  tight.t_max = 10;
+  return tight;
 }
 
 TEST(ReliabilityManager, ModelBasedSchedulesMatchPaper) {
@@ -58,10 +67,8 @@ TEST(ReliabilityManager, PredictedUberMeetsTarget) {
 }
 
 TEST(ReliabilityManager, SaturationReported) {
-  ReliabilityConfig tight;
-  tight.t_max = 10;  // too weak for EOL ISPP-SV
-  const ReliabilityManager manager(tight, Tuning::kModelBased,
-                                   nand::AgingLaw{});
+  const ReliabilityManager manager(ReliabilityConfig{}, tight_family(),
+                                   Tuning::kModelBased, nand::AgingLaw{});
   EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), 10u);
   EXPECT_TRUE(manager.saturated());
 }
@@ -124,13 +131,13 @@ TEST(ReliabilityManager, FeedbackTracksModelAcrossLife) {
 // the memo (each call evicts), and runs of repeats then hit it.
 TEST(ReliabilityManager, MemoisedSelectionEqualsFreshSolve) {
   const ReliabilityConfig config;
+  const bch::CodeFamily code;
   const ReliabilityManager manager = make_manager(Tuning::kModelBased);
   const nand::AgingLaw law;
   const auto fresh = [&](nand::ProgramAlgorithm algo, double pe) {
     return bch::min_t_for_uber(law.rber(algo, pe), config.uber_target,
-                               config.k, config.m, config.t_min,
-                               config.t_max)
-        .value_or(config.t_max);
+                               code.k, code.m, code.t_min, code.t_max)
+        .value_or(code.t_max);
   };
   const double ages[] = {1.0, 3e2, 1e4, 7e4, 3e5, 1e6};
   std::vector<std::pair<nand::ProgramAlgorithm, double>> calls;
@@ -154,9 +161,8 @@ TEST(ReliabilityManager, MemoisedSelectionEqualsFreshSolve) {
 // The saturation flag reports the latest selection, also when it is
 // answered from the memo.
 TEST(ReliabilityManager, SaturationFollowsEveryCallThroughTheMemo) {
-  ReliabilityConfig tight;
-  tight.t_max = 10;  // too weak for EOL ISPP-SV, plenty at BOL
-  const ReliabilityManager manager(tight, Tuning::kModelBased, nand::AgingLaw{});
+  const ReliabilityManager manager(ReliabilityConfig{}, tight_family(),
+                                   Tuning::kModelBased, nand::AgingLaw{});
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(manager.select_t(nand::ProgramAlgorithm::kIsppSv, 1e6), 10u);
     EXPECT_TRUE(manager.saturated()) << i;
@@ -168,13 +174,18 @@ TEST(ReliabilityManager, SaturationFollowsEveryCallThroughTheMemo) {
 TEST(ReliabilityManager, InvalidConfigsRejected) {
   ReliabilityConfig bad;
   bad.uber_target = 0.0;
-  EXPECT_THROW(ReliabilityManager(bad, Tuning::kStatic,
+  EXPECT_THROW(ReliabilityManager(bad, bch::CodeFamily{}, Tuning::kStatic,
                                   nand::AgingLaw{}),
                std::invalid_argument);
   bad = ReliabilityConfig{};
   bad.safety_factor = 0.5;
-  EXPECT_THROW(ReliabilityManager(bad, Tuning::kStatic,
+  EXPECT_THROW(ReliabilityManager(bad, bch::CodeFamily{}, Tuning::kStatic,
                                   nand::AgingLaw{}),
+               std::invalid_argument);
+  bch::CodeFamily bad_code;
+  bad_code.t_min = 0;
+  EXPECT_THROW(ReliabilityManager(ReliabilityConfig{}, bad_code,
+                                  Tuning::kStatic, nand::AgingLaw{}),
                std::invalid_argument);
 }
 

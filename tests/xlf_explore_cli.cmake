@@ -157,7 +157,8 @@ foreach(case
     "--ftl-read-fraction|--ftl-sweep;--ftl-read-fraction;1.0"
     "--ftl-hot-fraction|--ftl-sweep;--ftl-hot-fraction;0"
     "--ftl-hot-writes|--ftl-sweep;--ftl-hot-writes;1.5"
-    "--ftl-initial-wear|--ftl-sweep;--ftl-initial-wear;-5")
+    "--ftl-initial-wear|--ftl-sweep;--ftl-initial-wear;-5"
+    "--mc-age|--mc-age;-7;--mc-replicas;1;--mc-requests;2;--workloads;mixed")
   string(REPLACE "|" ";" parts "${case}")
   list(POP_FRONT parts flag)
   string(REPLACE ";" " " shown "${parts}")
@@ -187,6 +188,7 @@ foreach(case
     "--mc-age|--mc-age;3.5e7;--mc-replicas;1;--mc-requests;2;--workloads;mixed"
     "--mc-age (unset|--ages;1:5e7:3;--mc-replicas;1;--mc-requests;2;--workloads;mixed"
     "--ftl-initial-wear|--ftl-sweep;--ftl-initial-wear;5e7;--ftl-requests;8"
+    "--ftl-initial-wear|--ftl-sweep;--ftl-data-plane;meta;--ftl-initial-wear;1e8;--ftl-requests;50;--ftl-topologies;1x1;--ftl-qd;1;--ftl-gc;greedy"
     "--ages HI|--ages;1:1e8:3"
     "'monte_carlo.age'|--spec;${age_spec}")
   string(REPLACE "|" ";" parts "${case}")
@@ -194,8 +196,8 @@ foreach(case
   string(REPLACE ";" " " shown "${parts}")
   execute_process(COMMAND ${XLF_EXPLORE} ${parts}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
-  if(rc EQUAL 0)
-    message(FATAL_ERROR "'${shown}' must exit non-zero (got 0)")
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "'${shown}' must exit 2 (got ${rc})")
   endif()
   string(FIND "${err}" "${named}" found)
   if(found EQUAL -1 OR NOT err MATCHES "must be below")
@@ -245,12 +247,12 @@ if(NOT err_1 STREQUAL err_4)
   message(FATAL_ERROR "a failing sweep's error must not depend on --threads; "
                       "1 thread:\n${err_1}4 threads:\n${err_4}")
 endif()
-# The edges inside the domain still run, and the meta plane has no
-# cell array to outgrow.
+# The edges inside the domain still run: the meta plane has no cell
+# array to outgrow, only the aging law's limit.
 foreach(args
     "--ages;1:9e7:3"
     "--ages;1:1e6:2;--mc-age;3e7;--mc-replicas;1;--mc-requests;2;--workloads;mixed"
-    "--ftl-sweep;--ftl-data-plane;meta;--ftl-initial-wear;1e8;--ftl-requests;16")
+    "--ftl-sweep;--ftl-data-plane;meta;--ftl-initial-wear;9e7;--ftl-requests;16")
   execute_process(COMMAND ${XLF_EXPLORE} ${args}
                   RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
@@ -273,6 +275,35 @@ if(NOT seed_out_17 STREQUAL seed_out_0x11 OR
    NOT seed_out_17 STREQUAL seed_out_021)
   message(FATAL_ERROR "--seed 17, 0x11 and 021 must give the same report")
 endif()
+
+# --- spec values outside their key's range: exit 2 naming the key ----
+# None may reach a later check: for logical_fraction that is the
+# sweep's viability bound, which converts the logical share to an
+# integer and names fail_blocks.
+set(range_spec ${CMAKE_CURRENT_BINARY_DIR}/xlf_explore_cli_range.json)
+foreach(case
+    [=[logical_fraction|{"mode": "ftl-sweep", "ftl": {"logical_fraction": -0.5},
+      "workload": {"requests": 50}, "sweep": {"topologies": ["1x1"]}}]=]
+    [=[initial_pe_cycles|{"mode": "ftl-sweep", "initial_pe_cycles": -1}]=]
+    [=[scrub_retention_hours|{"mode": "ftl-sweep",
+      "ftl": {"scrub_retention_hours": -10}}]=]
+    [=[age|{"mode": "space", "monte_carlo": {"replicas": 1, "age": -7}}]=])
+  string(FIND "${case}" "|" bar)
+  string(SUBSTRING "${case}" 0 ${bar} key)
+  math(EXPR bar "${bar} + 1")
+  string(SUBSTRING "${case}" ${bar} -1 text)
+  file(WRITE ${range_spec} "${text}")
+  execute_process(COMMAND ${XLF_EXPLORE} --spec ${range_spec}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "spec ${text} must exit 2 (got ${rc}): ${err}")
+  endif()
+  string(FIND "${err}" "'${key}' must" named)
+  if(named EQUAL -1 OR err MATCHES "precondition failed|fail_blocks")
+    message(FATAL_ERROR "spec ${text} must name '${key}', got: ${err}")
+  endif()
+endforeach()
+file(REMOVE ${range_spec})
 
 # --- missing spec file: non-zero with a clear message ----------------
 execute_process(COMMAND ${XLF_EXPLORE} --spec /nonexistent/spec.json

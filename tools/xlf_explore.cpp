@@ -333,7 +333,10 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--mc-age") {
       shape();
       if ((v = value(i)) == nullptr) return false;
-      if (!parse_number(arg, v, "", kAny, exp.mc_age)) return false;
+      if (!parse_number(arg, v, ">= 0", [](double x) { return x >= 0.0; },
+                        exp.mc_age)) {
+        return false;
+      }
     } else if (arg == "--seed") {
       shape();
       if ((v = value(i)) == nullptr) return false;
