@@ -78,7 +78,9 @@ class MemoryController {
   // state (call on epoch boundaries or after feedback warm-up).
   unsigned adapt_ecc(double pe_cycles);
 
-  RegisterFile& registers() { return registers_; }
+  // The register file mirrors the configuration above and the status
+  // and feedback counters; it is read-only from outside, so it cannot
+  // disagree with the controller.
   const RegisterFile& registers() const { return registers_; }
   ReliabilityManager& reliability() { return reliability_; }
   EccUnit& ecc() { return ecc_; }

@@ -1,8 +1,12 @@
 // Command/status register file of the memory controller (paper
-// Fig. 1): configuration commands arriving over the OCP socket land
-// here and drive the core controller; status and reliability feedback
-// are read back the same way. The register map is the hardware-style
-// face of the controller's configuration state.
+// Fig. 1): the hardware-style face of the controller's configuration
+// and status. The controller writes it; outside code reads it through
+// MemoryController::registers(), which is const. The registers mirror
+// the configuration (t, program algorithm), which changes only through
+// MemoryController::set_correction_capability (rejecting a t outside
+// the code family) and set_program_algorithm, and they carry the
+// status bits and the reliability feedback counters. The raw bus view
+// (read/write by RegisterId) models the register map itself.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,14 @@
 // counters, flush barriers and latency statistics live here, and
 // arbitrate() reads them in place.
 //
+// arbitrate() reads whether a queue holds a command, never how many,
+// so a caller may keep each queue at its head alone: SsdSimulator
+// submits a queue's next arrived command right after pop() takes the
+// head, as an NVMe controller fetches only the entry it issues next
+// while the rest stay in host memory (the simulator's command vector).
+// The slot arena still queues any number of commands per queue for
+// callers that submit a whole backlog.
+//
 // Single-threaded like the simulator that drives it; determinism
 // comes from FIFO queues, the stable arbitration tie-break contract,
 // and nothing else.
@@ -61,7 +69,7 @@ class HostInterface {
 
   // --- submission side ------------------------------------------------
   // Enqueue onto the command's own queue (Command::queue must be in
-  // range) at host time `arrival`.
+  // range) at host time `arrival`, behind any command it holds.
   void submit(const Command& command, Seconds arrival);
   // Any command submitted and not yet issued?
   bool pending() const;
@@ -114,7 +122,8 @@ class HostInterface {
     // recycle through the free list, so the steady-state submit/pop
     // cycle touches no allocator (xlf_lint's hot-alloc rule guards
     // this: submit is `// xlf: hot`, and acquire_slot's slab growth is
-    // its one allowed allocation).
+    // its one allowed allocation). It grows to the queue's largest
+    // backlog: one slot under SsdSimulator.
     std::vector<SubmissionSlot> slots;
     std::uint32_t free_head = kNilSlot;  // recycled slots
     std::uint32_t head = kNilSlot;       // FIFO front (next pop)

@@ -1,6 +1,7 @@
 #include "src/nand/device.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "src/util/expect.hpp"
 
@@ -18,7 +19,8 @@ NandDevice::NandDevice(const DeviceConfig& config,
       array_(config.data_plane ? std::make_unique<NandArray>(config.array)
                                : nullptr),
       timing_(std::move(timing)),
-      resident_(config.available_algorithms) {
+      resident_(config.available_algorithms),
+      max_cycles_(config.array.aging.max_cycles()) {
   XLF_EXPECT(timing_ != nullptr);
   XLF_EXPECT(!resident_.empty());
   active_algorithm_ = resident_.front();
@@ -96,9 +98,13 @@ ProgramOutcome NandDevice::program_page(PageAddress addr, const BitVec& data,
 EraseOutcome NandDevice::erase_block(std::uint32_t block) {
   XLF_EXPECT(block < geometry().blocks);
   XLF_EXPECT(!bad_[block] && "erasing a retired (grown-bad) block");
-  // Each erase counts one cycle; the array checks it first, so a
-  // rejected erase changes nothing.
-  if (array_ != nullptr) array_->erase_block(block, wear_[block] + 1.0);
+  // Each erase counts one cycle, checked first, so a rejected erase
+  // changes nothing (the array checks its own).
+  if (array_ != nullptr) {
+    array_->erase_block(block, wear_[block] + 1.0);
+  } else {
+    check_wear(block, wear_[block] + 1.0);
+  }
   wear_[block] += 1.0;
   // The spare area is erased with the data, and the durable erase
   // counter advances — this pair is what rebuild reads at mount.
@@ -161,8 +167,24 @@ double NandDevice::wear(std::uint32_t block) const {
 
 void NandDevice::set_wear(std::uint32_t block, double cycles) {
   XLF_EXPECT(block < geometry().blocks);
-  if (array_ != nullptr) array_->check_wear(block, cycles);
+  check_wear(block, cycles);
   wear_[block] = cycles;
+}
+
+void NandDevice::check_wear(std::uint32_t block, double cycles) const {
+  if (array_ != nullptr) {
+    array_->check_wear(block, cycles);
+    return;
+  }
+  XLF_EXPECT(cycles >= 0.0);
+  XLF_EXPECT_MSG(cycles < max_cycles_, [&] {
+    std::ostringstream msg;
+    msg << "metadata-only block " << block << " would reach " << cycles
+        << " P/E cycles, at or past the aging law's limit of " << max_cycles_
+        << " (past it the raw bit error rate reaches 1, where the UBER "
+           "arithmetic that selects t ends)";
+    return msg.str();
+  }());
 }
 
 void NandDevice::set_uniform_wear(double cycles) {

@@ -124,10 +124,11 @@ class NandDevice {
 
   // --- wear / lifetime -------------------------------------------------
   // P/E cycles per block, in either data-plane mode: the array keeps
-  // none and is told this on every erase and program. On a data-plane
-  // device, set_wear and erase_block throw std::invalid_argument,
-  // changing nothing, when they would take a block to or past the
-  // array's limit (NandArray::check_wear).
+  // none and is told this on every erase and program. set_wear and
+  // erase_block throw std::invalid_argument, changing nothing, when
+  // they would take a block to or past the models' domain: the array's
+  // limit on a data-plane device (NandArray::check_wear), the aging
+  // law's on a metadata-only one (AgingLaw::max_cycles, RBER 1).
   double wear(std::uint32_t block) const;
   void set_wear(std::uint32_t block, double cycles);
   // Convenience: age every block (uniform wear-levelled device).
@@ -139,6 +140,8 @@ class NandDevice {
 
  private:
   std::size_t page_index(PageAddress addr) const;
+  // The check set_wear and erase_block make before storing a wear.
+  void check_wear(std::uint32_t block, double cycles) const;
 
   DeviceConfig config_;
   // nullptr on metadata-only devices. Constructing the array still
@@ -149,6 +152,8 @@ class NandDevice {
   std::shared_ptr<const NandTiming> timing_;
   std::vector<ProgramAlgorithm> resident_;
   ProgramAlgorithm active_algorithm_ = ProgramAlgorithm::kIsppSv;
+  // A metadata-only device's wear limit (AgingLaw::max_cycles).
+  double max_cycles_;
   // Durable metadata plane: per-page spare records and t bytes,
   // per-block erase counters and the grown-bad table.
   std::vector<std::optional<OobRecord>> oob_;

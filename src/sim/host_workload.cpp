@@ -24,56 +24,68 @@ void check_tenant(const TenantSpec& tenant) {
   XLF_EXPECT(tenant.trim_fraction >= 0.0 && tenant.trim_fraction < 1.0);
 }
 
-// One tenant's command stream: per command a gap, a read-or-not
-// draw, then a target. The trim draw is gated on trim_fraction > 0,
-// so a trim-free tenant consumes no draw for it and keeps the
-// single-stream rows' bytes.
-std::vector<host::Command> tenant_commands(const TenantSpec& tenant,
-                                           std::uint32_t logical_pages,
-                                           std::size_t count,
-                                           std::uint16_t queue, Rng& rng) {
-  XLF_EXPECT(logical_pages >= 2);
-  const auto hot_pages = static_cast<std::uint32_t>(std::max(
-      1.0, static_cast<double>(logical_pages) * tenant.hot_fraction));
-  std::vector<host::Command> out;
-  out.reserve(count);
-  std::vector<ftl::Lpa> written;
-  for (std::size_t i = 0; i < count; ++i) {
+// One tenant's command stream, drawn on demand: per command a gap, a
+// read-or-not draw, then a target, from the Rng the caller passes. The
+// trim draw is gated on trim_fraction > 0, so a trim-free tenant
+// consumes no draw for it and keeps the single-stream rows' bytes.
+class TenantStream {
+ public:
+  TenantStream(const TenantSpec& tenant, std::uint32_t logical_pages,
+               std::uint16_t queue)
+      : tenant_(&tenant),
+        logical_pages_(logical_pages),
+        hot_pages_(static_cast<std::uint32_t>(std::max(
+            1.0, static_cast<double>(logical_pages) * tenant.hot_fraction))),
+        queue_(queue) {
+    XLF_EXPECT(logical_pages >= 2);
+  }
+
+  // Inlined into both of generate()'s loops: a call would take the
+  // address of the single tenant's local Rng, and its state would live
+  // in memory instead of registers.
+  [[gnu::always_inline]] host::Command next(Rng& rng) {
+    const TenantSpec& tenant = *tenant_;
     host::Command command;
-    command.queue = queue;
-    command.tenant = queue;
+    command.queue = queue_;
+    command.tenant = queue_;
     command.gap = draw_gap(tenant.mean_gap, rng);
-    if (!written.empty() && rng.chance(tenant.read_fraction)) {
+    if (!written_.empty() && rng.chance(tenant.read_fraction)) {
       command.type = host::CmdType::kRead;
-      command.lba = written[rng.below(written.size())];
-    } else if (tenant.trim_fraction > 0.0 && !written.empty() &&
+      command.lba = written_[rng.below(written_.size())];
+    } else if (tenant.trim_fraction > 0.0 && !written_.empty() &&
                rng.chance(tenant.trim_fraction)) {
       // Deallocate a live LPA; swap-pop keeps the written set compact
       // so trimmed pages stop attracting reads and re-trims.
       command.type = host::CmdType::kTrim;
-      const std::size_t victim = rng.below(written.size());
-      command.lba = written[victim];
-      written[victim] = written.back();
-      written.pop_back();
+      const std::size_t victim = rng.below(written_.size());
+      command.lba = written_[victim];
+      written_[victim] = written_.back();
+      written_.pop_back();
     } else {
       command.type = host::CmdType::kWrite;
       // An all-hot LPA space (hot_fraction 1.0) has no cold range, so
       // such a write stays hot — after the same draw, which keeps
       // every other input's stream.
       const bool hot = rng.chance(tenant.hot_write_fraction);
-      if (hot || hot_pages == logical_pages) {
+      if (hot || hot_pages_ == logical_pages_) {
         // Hot set: the low end of the LPA space.
-        command.lba = static_cast<ftl::Lpa>(rng.below(hot_pages));
+        command.lba = static_cast<ftl::Lpa>(rng.below(hot_pages_));
       } else {
         command.lba = static_cast<ftl::Lpa>(
-            hot_pages + rng.below(logical_pages - hot_pages));
+            hot_pages_ + rng.below(logical_pages_ - hot_pages_));
       }
-      written.push_back(command.lba);
+      written_.push_back(command.lba);
     }
-    out.push_back(command);
+    return command;
   }
-  return out;
-}
+
+ private:
+  const TenantSpec* tenant_;
+  std::uint32_t logical_pages_;
+  std::uint32_t hot_pages_;
+  std::uint16_t queue_;
+  std::vector<ftl::Lpa> written_;
+};
 
 }  // namespace
 
@@ -90,59 +102,77 @@ MultiTenantWorkload::MultiTenantWorkload(std::vector<TenantSpec> tenants)
 
 std::vector<host::Command> MultiTenantWorkload::generate(
     std::uint32_t logical_pages, std::size_t count, Rng& rng) const {
+  std::vector<host::Command> out;
+  out.reserve(count);
   // Single tenant: consume the caller's stream directly — no fork, no
   // merge (the merge's absolute-time round trip would perturb gap
   // bits).
   if (tenants_.size() == 1) {
-    return tenant_commands(tenants_[0], logical_pages, count, 0, rng);
+    TenantStream tenant(tenants_[0], logical_pages, 0);
+    // A local copy of the stream, which the stores below cannot reach,
+    // so its state stays in registers; written back at the end.
+    Rng stream = rng;
+    for (std::size_t i = 0; i < count; ++i) out.push_back(tenant.next(stream));
+    rng = stream;
+    return out;
   }
 
   // Per-tenant streams from serially pre-forked Rngs: adding a tenant
   // never reshuffles another tenant's draws.
-  std::vector<Rng> streams;
-  streams.reserve(tenants_.size());
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    streams.push_back(rng.fork());
-  }
-
+  struct Tenant {
+    TenantStream stream;
+    Rng rng;
+    std::size_t left;  // commands still to draw
+  };
+  std::vector<Tenant> tenants;
+  tenants.reserve(tenants_.size());
   const std::size_t per_tenant = count / tenants_.size();
   const std::size_t remainder = count % tenants_.size();
+  for (std::size_t t = 0; t < tenants_.size(); ++t) {
+    tenants.push_back(
+        Tenant{TenantStream(tenants_[t], logical_pages,
+                            static_cast<std::uint16_t>(t)),
+               rng.fork(), per_tenant + (t < remainder ? 1 : 0)});
+  }
 
-  struct Pending {
-    double arrival;
+  // The merge: a heap holding each tenant's next command, earliest
+  // arrival first and ties to the lower tenant. A tenant's arrivals
+  // never decrease, so the heap emits exactly the order of a sort of
+  // every command by (arrival, tenant, sequence), and each tenant's
+  // next command is drawn only when its head leaves.
+  struct Head {
+    double arrival;  // absolute: the tenant's gaps summed from 0
     std::uint16_t tenant;
-    std::size_t sequence;
     host::Command command;
   };
-  std::vector<Pending> merged;
-  merged.reserve(count);
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    const std::size_t quota = per_tenant + (t < remainder ? 1 : 0);
-    const std::vector<host::Command> stream =
-        tenant_commands(tenants_[t], logical_pages, quota,
-                        static_cast<std::uint16_t>(t), streams[t]);
-    double arrival = 0.0;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      arrival += stream[i].gap.value();
-      merged.push_back(
-          Pending{arrival, static_cast<std::uint16_t>(t), i, stream[i]});
-    }
+  const auto later = [](const Head& a, const Head& b) {
+    if (a.arrival != b.arrival) return a.arrival > b.arrival;
+    return a.tenant > b.tenant;
+  };
+  std::vector<Head> heads;
+  heads.reserve(tenants.size());
+  const auto pull = [&](std::uint16_t t, double arrival) {
+    Tenant& tenant = tenants[t];
+    if (tenant.left == 0) return;
+    --tenant.left;
+    const host::Command command = tenant.stream.next(tenant.rng);
+    heads.push_back(Head{arrival + command.gap.value(), t, command});
+    std::push_heap(heads.begin(), heads.end(), later);
+  };
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    pull(static_cast<std::uint16_t>(t), 0.0);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              if (a.tenant != b.tenant) return a.tenant < b.tenant;
-              return a.sequence < b.sequence;
-            });
 
   // Back to inter-arrival gaps of the merged open-loop stream.
-  std::vector<host::Command> out;
-  out.reserve(merged.size());
   double previous = 0.0;
-  for (Pending& p : merged) {
-    p.command.gap = Seconds{p.arrival - previous};
-    previous = p.arrival;
-    out.push_back(p.command);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    Head head = heads.back();
+    heads.pop_back();
+    head.command.gap = Seconds{head.arrival - previous};
+    previous = head.arrival;
+    out.push_back(head.command);
+    pull(head.tenant, head.arrival);
   }
   return out;
 }

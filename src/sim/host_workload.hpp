@@ -44,7 +44,9 @@ struct TenantSpec {
 // queue i, each tenant draws its stream from its own serially
 // pre-forked Rng, and the streams merge into one open-loop arrival
 // sequence ordered by absolute arrival time (ties break by tenant,
-// then sequence — deterministic).
+// then sequence — deterministic). The merge draws each tenant's next
+// command only when the tenant's previous one is emitted, so the
+// returned vector is the stream's only per-command memory.
 //
 // Single-tenant contract: with exactly one tenant the generator
 // consumes the caller's Rng directly (no fork, no merge) and emits

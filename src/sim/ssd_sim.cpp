@@ -228,8 +228,25 @@ void SsdSimulator::try_issue(SsdSimStats& stats) {
     const std::optional<std::uint32_t> q = host_->arbitrate();
     if (!q.has_value()) break;
     const auto [command, arrival] = host_->pop(*q);
+    refill(*q);
     issue(*q, command, arrival, stats);
   }
+}
+
+void SsdSimulator::refill(std::uint32_t q) {
+  const std::vector<host::Command>& commands = *stream_;
+  Lane& lane = lanes_[q];
+  Seconds stamp = lane.stamp;
+  for (std::size_t i = lane.next; i < arrived_; ++i) {
+    stamp += commands[i].gap;
+    if (commands[i].queue == q) {
+      host_->submit(commands[i], stamp);
+      ++handed_;
+      lane = {i + 1, stamp, true};
+      return;
+    }
+  }
+  lane = {arrived_, stamp, false};
 }
 
 std::size_t SsdSimulator::verify_stored() {
@@ -254,6 +271,10 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
   inflight_free_.clear();
 
   const Seconds start = queue_.now();
+  stream_ = &commands;
+  lanes_.assign(host.queues(), Lane{0, start, false});
+  arrived_ = 0;
+  handed_ = 0;
   const ftl::FtlStats ftl_before = ssd_->ftl().stats();
   std::vector<Seconds> die_busy_before(ssd_->dies());
   std::vector<Seconds> channel_busy_before(ssd_->dispatcher().channels());
@@ -269,33 +290,44 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
   // queue_depth of them). Completions never delay arrivals, only
   // issue. An arrival fires first on a timestamp tie: the same order
   // as if every arrival had been scheduled up front, ahead of every
-  // completion.
+  // completion. An arriving command goes to the host only when its
+  // queue holds nothing; otherwise refill() hands it over when the
+  // commands ahead of it have issued. arbitrate() reads only whether a
+  // queue holds a command, never how many, so it picks as it would over
+  // whole backlogs.
   try {
-    std::size_t next = 0;
-    Seconds arrival = start;  // of commands[next]
+    Seconds arrival = start;  // of commands[arrived_]
     const auto stamp_next = [&] {
-      if (next == commands.size()) return;
-      XLF_EXPECT(commands[next].gap.value() >= 0.0);
-      arrival += commands[next].gap;
+      if (arrived_ == commands.size()) return;
+      XLF_EXPECT(commands[arrived_].gap.value() >= 0.0);
+      arrival += commands[arrived_].gap;
     };
     stamp_next();
     // Runaway guard over arrivals + completions.
     for (std::size_t executed = 0; executed < EventQueue::kRunLimit;
          ++executed) {
-      if (next < commands.size() &&
+      if (arrived_ < commands.size() &&
           (queue_.empty() || arrival <= queue_.next_time())) {
         queue_.advance_to(arrival);
-        host.submit(commands[next], arrival);
+        const host::Command& command = commands[arrived_];
+        ++arrived_;
+        // submit() also rejects a queue the host does not have.
+        if (command.queue >= lanes_.size() || !lanes_[command.queue].held) {
+          host.submit(command, arrival);
+          ++handed_;
+          lanes_[command.queue] = {arrived_, arrival, true};
+        }
         try_issue(stats);
-        ++next;
         stamp_next();
       } else if (!queue_.step()) {
         break;
       }
     }
-    XLF_ENSURE(next == commands.size() && queue_.empty() &&
+    XLF_ENSURE(arrived_ == commands.size() && queue_.empty() &&
                "event limit hit: runaway simulation");
     XLF_ENSURE(outstanding_ == 0 && !host.pending());
+    XLF_ENSURE(handed_ == commands.size() &&
+               "an arrived command never reached its host queue");
   } catch (const ftl::PowerLoss&) {
     // Power cut: everything scheduled after the kill instant never
     // happens. Drop the timeline and report the crash in the stats;
@@ -344,6 +376,7 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
   stats.queue_stats = host.all_stats();
   host_ = nullptr;
   run_stats_ = nullptr;
+  stream_ = nullptr;
   return stats;
 }
 

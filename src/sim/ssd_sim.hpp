@@ -10,7 +10,11 @@
 // Mechanics: arrivals stream from a cursor over the command vector
 // (open loop), merged with the EventQueue, which holds only in-flight
 // completions; an arrival wins a timestamp tie against a completion.
-// An issue step runs whenever an arrival lands or an in-flight
+// The vector is the stream's only per-command copy: as an NVMe
+// controller fetches only the submission-queue entry it issues next,
+// the host interface holds at most one unissued command per queue,
+// its head, and a queue's next arrived command joins it when the head
+// issues. An issue step runs whenever an arrival lands or an in-flight
 // command completes. FTL state (mapping, GC, per-block t) mutates at
 // issue time; the dispatcher's resource timelines place each page
 // operation; a command completes when its last page does. Trim is
@@ -140,6 +144,10 @@ class SsdSimulator {
  private:
   BitVec random_payload();
   void try_issue(SsdSimStats& stats);
+  // Hand the host queue q's oldest arrived command it does not hold yet,
+  // if any (after pop(q), so q's head is never missing while one has
+  // arrived).
+  void refill(std::uint32_t q);
   void issue(std::uint32_t q, const host::Command& command, Seconds arrival,
              SsdSimStats& stats);
   // Fire the completion parked in inflight_[slot] (stats, unblock,
@@ -170,6 +178,22 @@ class SsdSimulator {
   host::HostInterface* host_ = nullptr;
   std::size_t outstanding_ = 0;
   SsdSimStats* run_stats_ = nullptr;
+  // The run's command vector, and one lane per submission queue over
+  // it. The host holds a queue's command only while `held`; the queue's
+  // later arrivals wait in the vector. `next` is the first index the
+  // lane has not passed and `stamp` the arrival of the command before
+  // it: a refill rebuilds arrival stamps from there by adding the gaps
+  // in the arrival loop's order, so they are bit-identical. Sized per
+  // run, kept across runs so that short runs do not allocate it again.
+  struct Lane {
+    std::size_t next = 0;
+    Seconds stamp{0.0};
+    bool held = false;
+  };
+  const std::vector<host::Command>* stream_ = nullptr;
+  std::vector<Lane> lanes_;
+  std::size_t arrived_ = 0;  // commands whose arrival has fired
+  std::size_t handed_ = 0;   // commands submitted to the host
   // In-flight Completion arena (bounded by queue_depth + 1; slots
   // recycle through the free list).
   std::vector<host::Completion> inflight_;

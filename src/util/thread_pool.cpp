@@ -1,5 +1,7 @@
 #include "src/util/thread_pool.hpp"
 
+#include <utility>
+
 #include "src/util/expect.hpp"
 
 namespace xlf {
@@ -50,8 +52,11 @@ void ThreadPool::drain(Job& job) {
   if (done_here > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
     job.completed += done_here;
+    // Moved, not copied: a copy left here would be released after the
+    // lock, possibly as the last reference once parallel_for has
+    // rethrown the exception and its caller handled it.
     if (error && (!job.error || error_index < job.error_index)) {
-      job.error = error;
+      job.error = std::move(error);
       job.error_index = error_index;
     }
     if (job.completed == job.count) job_done_.notify_all();
@@ -113,7 +118,9 @@ void ThreadPool::parallel_for(std::size_t count,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     job_done_.wait(lock, [&] { return job->completed == job->count; });
-    error = job->error;
+    // Taken out of the job under the lock, so that a worker dropping
+    // the last reference to the job frees nothing of the exception.
+    error = std::move(job->error);
     job_.reset();
     job_running_ = false;
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "src/util/rng.hpp"
 
 namespace xlf::controller {
@@ -65,6 +68,36 @@ TEST(Controller, ReadingUnwrittenPageRejected) {
     fx.controller.erase_block(0);
     EXPECT_THROW(fx.controller.read_page({0, 0}), std::invalid_argument);
   }
+}
+
+// The register file mirrors the controller's configuration: the
+// accessor is a read-only view, so no write can make the ECC capability
+// register disagree with correction_capability().
+static_assert(
+    std::is_same_v<decltype(std::declval<MemoryController&>().registers()),
+                   const RegisterFile&>,
+    "registers() must be a read-only view of the controller's state");
+
+TEST(Controller, EccCapabilityRegisterFollowsTheConfiguration) {
+  Fixture fx;
+  EXPECT_EQ(fx.controller.registers().ecc_capability(),
+            fx.controller.correction_capability());
+  for (const unsigned t : {5u, 65u, 3u, 14u}) {
+    fx.controller.set_correction_capability(t);
+    EXPECT_EQ(fx.controller.registers().ecc_capability(), t);
+    EXPECT_EQ(fx.controller.correction_capability(), t);
+  }
+  // A t outside the code family [3, 65] is rejected and moves neither.
+  for (const unsigned t : {2u, 66u, 200u}) {
+    EXPECT_THROW(fx.controller.set_correction_capability(t),
+                 std::invalid_argument);
+    EXPECT_EQ(fx.controller.registers().ecc_capability(), 14u);
+    EXPECT_EQ(fx.controller.correction_capability(), 14u);
+  }
+  // The reliability manager configures through the same setter.
+  const unsigned adapted = fx.controller.adapt_ecc(1e6);
+  EXPECT_NE(adapted, 14u);
+  EXPECT_EQ(fx.controller.registers().ecc_capability(), adapted);
 }
 
 TEST(Controller, CrossLayerKnobsReachBothLayers) {

@@ -90,6 +90,34 @@ TEST(HostWorkload, SingleTenantStreamIsPinned) {
   EXPECT_EQ(digest.value(), 0xD6F0F145ECB3B5A1ull);
 }
 
+// The multi-tenant merge, pinned the same way: five tenants at three
+// paces, two of them back-to-back (their commands all tie at t = 0),
+// and a count that does not split evenly. Captured from the build that
+// sorted every tenant's commands by (arrival, tenant, sequence).
+TEST(HostWorkload, MultiTenantMergeIsPinned) {
+  const MultiTenantWorkload workload({
+      TenantSpec{0.25, 0.85, 0.3, 0.1, Seconds{1e-4}},
+      TenantSpec{0.5, 0.7, 0.5, 0.0, Seconds{3e-5}},
+      TenantSpec{0.1, 0.9, 0.2, 0.2, Seconds{0.0}},
+      TenantSpec{1.0, 0.85, 0.6, 0.05, Seconds{2e-4}},
+      TenantSpec{0.25, 0.85, 0.3, 0.0, Seconds{0.0}},
+  });
+  Rng rng(0xC0FFEE);
+  const auto commands = workload.generate(96, 1003, rng);
+  ASSERT_EQ(commands.size(), 1003u);
+  test::Fnv1a digest;
+  for (const host::Command& command : commands) {
+    digest.u64(static_cast<std::uint64_t>(command.type));
+    digest.u64(command.lba);
+    digest.u64(command.length);
+    digest.u64(command.queue);
+    digest.u64(command.tenant);
+    digest.f64(command.gap.value());
+  }
+  digest.u64(rng.next());
+  EXPECT_EQ(digest.value(), 0x53BF83A3267F2267ull);
+}
+
 // hot_fraction 1.0 leaves no cold range: a write that draws "cold"
 // must land in the (whole-space) hot slice instead of asking the Rng
 // for a draw below 0.

@@ -153,7 +153,8 @@ TEST(Array, DeviceWearStopsAtTheArrayLimitAndChangesNothing) {
   EXPECT_EQ(device.wear(0), limit - 0.5);
   EXPECT_EQ(device.erase_count(0), 1u);
   EXPECT_EQ(device.wear(1), 0.0);
-  // A metadata-only device has no cell array and so no such limit.
+  // A metadata-only device has no cell array and so no such limit (its
+  // own, the aging law's, lies further out; see test_nand_timing_device).
   config.data_plane = false;
   NandDevice meta(config);
   meta.set_wear(0, 2.0 * limit);

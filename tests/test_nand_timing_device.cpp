@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/nand/device.hpp"
@@ -199,6 +200,37 @@ TEST(Device, UniformWearApplies) {
   for (std::uint32_t b = 0; b < 3; ++b) {
     EXPECT_DOUBLE_EQ(device.wear(b), 1234.0);
   }
+}
+
+// Without a cell array, a device's wear limit is the aging law's
+// domain (RBER 1): an erase or a set_wear that would reach it fails with
+// a named error and changes nothing; one short of it still erases.
+TEST(Device, MetadataOnlyWearStopsAtTheAgingLawAndChangesNothing) {
+  DeviceConfig config;
+  config.data_plane = false;
+  config.array.geometry.blocks = 2;
+  config.array.geometry.pages_per_block = 2;
+  NandDevice device(config);
+  const double limit = config.array.aging.max_cycles();
+  device.set_wear(0, limit - 1.5);
+  device.erase_block(0);
+  try {
+    device.erase_block(0);
+    FAIL() << "an erase reaching the limit must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("metadata-only block 0 would reach"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("at or past the aging law's limit of 9.17289e+07"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(device.set_wear(1, limit), std::invalid_argument);
+  EXPECT_THROW(device.set_wear(1, -1.0), std::invalid_argument);
+  EXPECT_EQ(device.wear(0), limit - 0.5);
+  EXPECT_EQ(device.erase_count(0), 1u);
+  EXPECT_EQ(device.wear(1), 0.0);
 }
 
 TEST(Timing, SharedCacheIsThreadSafeAndValueStable) {

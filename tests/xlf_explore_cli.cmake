@@ -227,6 +227,26 @@ if(err MATCHES "precondition failed" OR err MATCHES "invariant failed")
   message(FATAL_ERROR "crossing the array's limit reached an internal check: "
                       "${err}")
 endif()
+# The metadata-only plane has no cell array, but the same holds at the
+# aging law's limit (RBER 1): a meta sweep that starts inside it and
+# crosses it through pe_cycles_per_erase fails naming the wear and the
+# limit, instead of pinning t at its maximum past the law's domain.
+execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-data-plane meta
+                        --ftl-initial-wear 9.1e7 --ftl-requests 400
+                        --ftl-topologies 1x1 --ftl-qd 1 --ftl-gc greedy
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "a meta sweep crossing the aging law's limit must "
+                      "exit 2 (got ${rc}): ${err}")
+endif()
+if(NOT err MATCHES "P/E cycles, at or past the aging law's limit of 9\\.17")
+  message(FATAL_ERROR "crossing the aging law's limit must name the wear and "
+                      "the limit, got: ${err}")
+endif()
+if(err MATCHES "precondition failed" OR err MATCHES "invariant failed")
+  message(FATAL_ERROR "crossing the aging law's limit reached an internal "
+                      "check: ${err}")
+endif()
 # When several combos fail, the error reported is the lowest combo's
 # at every thread count. Both combos here cross the limit, at different
 # blocks, and the second (1x1) fails sooner than the first (2x1), so
