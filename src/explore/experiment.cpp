@@ -1,9 +1,12 @@
 #include "src/explore/experiment.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,129 +22,263 @@
 namespace xlf::explore {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// JSON numbers are doubles: only integers up to 2^53 are exact, and a
+// cast from a double at or above 2^64 is undefined behaviour.
+constexpr double kMaxJsonInteger = 9007199254740992.0;
+
+std::string number_text(double x) {
+  if (x == kMaxJsonInteger) return "2^53";
+  char buffer[32];
+  return {buffer, std::to_chars(buffer, buffer + sizeof buffer, x).ptr};
+}
+
+// An input's bounds: lo/hi with open or closed ends; an infinite end
+// is unbounded.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool admits(double x) const {
+    return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
+  }
+  // ">= 1", "> 0", "in [0, 1)"; empty when unbounded.
+  std::string text() const {
+    std::ostringstream out;
+    if (!std::isinf(hi)) {
+      out << (lo_open ? "in (" : "in [") << number_text(lo) << ", "
+          << number_text(hi) << (hi_open ? ')' : ']');
+    } else if (!std::isinf(lo)) {
+      out << (lo_open ? "> " : ">= ") << number_text(lo);
+    }
+    return out.str();
+  }
+};
+
+constexpr Range at_least(double lo) { return {lo, kInf, false, false}; }
+constexpr Range unit(bool lo_open, bool hi_open) {
+  return {0.0, 1.0, lo_open, hi_open};
+}
+
+// One input in either spelling: the JSON value under a spec key, or
+// the text after a flag, with its row's bounds. `name` is the quoted
+// dotted key or the flag.
+struct Input {
+  std::string name;
+  const JsonValue* json = nullptr;  // nullptr: a flag's text
+  std::string_view text;
+  Range range;
+};
+
 [[noreturn]] void spec_error(const std::string& what) {
   throw std::invalid_argument("experiment spec: " + what);
 }
 
-// Strict-object helper: every known key is consumed through find();
-// finish() rejects the leftovers so a typo ("qeue_depths") fails
-// loudly instead of silently running the default.
-class StrictObject {
- public:
-  StrictObject(const JsonValue& value, std::string path)
-      : value_(value), path_(std::move(path)) {
-    if (!value_.is_object()) {
-      spec_error("'" + path_ + "' must be an object");
-    }
-  }
-
-  // The member under `key`, or nullptr when absent.
-  const JsonValue* find(const std::string& key) {
-    consumed_.push_back(key);
-    if (!value_.has(key)) return nullptr;
-    return &value_.at(key);
-  }
-
-  void finish() const {
-    for (const std::string& key : value_.keys()) {
-      bool known = false;
-      for (const std::string& c : consumed_) {
-        if (c == key) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        std::string message = "unknown key '" + key + "' in " + path_ +
-                              "; known keys:";
-        for (const std::string& c : consumed_) message += " " + c;
-        spec_error(message);
-      }
-    }
-  }
-
- private:
-  const JsonValue& value_;
-  std::string path_;
-  std::vector<std::string> consumed_;
-};
-
-double as_number(const JsonValue& v, const std::string& key) {
-  if (v.type() != JsonValue::Type::kNumber) {
-    spec_error("'" + key + "' must be a number");
-  }
-  return v.as_number();
+[[noreturn]] void fail(const Input& in, const std::string& what) {
+  if (in.json != nullptr) spec_error(what);
+  throw std::invalid_argument(what);
 }
 
-// JSON numbers are doubles: only integers below 2^53 are exact, and
-// a cast from a double at or above 2^64 is undefined behaviour — so
-// both integer readers share one checked range.
-double checked_integer(const JsonValue& v, const std::string& key) {
-  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-  const double n = as_number(v, key);
-  if (n < 0.0 || n != std::floor(n) || n > kMaxExactInteger) {
-    spec_error("'" + key +
-               "' must be a non-negative integer below 2^53 (JSON numbers "
-               "are doubles)");
-  }
-  return n;
-}
-
-std::size_t as_index(const JsonValue& v, const std::string& key) {
-  return static_cast<std::size_t>(checked_integer(v, key));
-}
-
-std::uint64_t as_u64(const JsonValue& v, const std::string& key) {
-  return static_cast<std::uint64_t>(checked_integer(v, key));
-}
-
-// A key the configuration holds in 32 bits: a larger value is an
-// error, never a wrap.
-std::uint32_t as_u32(const JsonValue& v, const std::string& key) {
-  const double n = checked_integer(v, key);
-  if (n > static_cast<double>(UINT32_MAX)) {
-    spec_error("'" + key + "' must be <= 4294967295 (it is a 32-bit count)");
-  }
-  return static_cast<std::uint32_t>(n);
-}
-
-bool as_bool(const JsonValue& v, const std::string& key) {
-  if (v.type() != JsonValue::Type::kBool) {
-    spec_error("'" + key + "' must be true or false");
-  }
-  return v.as_bool();
-}
-
-const std::string& as_string(const JsonValue& v, const std::string& key) {
-  if (v.type() != JsonValue::Type::kString) {
-    spec_error("'" + key + "' must be a string");
-  }
-  return v.as_string();
-}
-
-std::vector<std::string> as_string_list(const JsonValue& v,
-                                        const std::string& key) {
-  if (!v.is_array() || v.items().empty()) {
-    spec_error("'" + key + "' must be a non-empty array of strings");
-  }
-  std::vector<std::string> out;
-  for (const JsonValue& item : v.items()) out.push_back(as_string(item, key));
+// Messages are built by appends or streams: GCC 12 reports a false
+// -Wrestrict on "'" + std::string(...) + "'" chains (GCC bug 105651).
+std::string quoted(std::string_view text, char quote = '\'') {
+  std::string out(1, quote);
+  out += text;
+  out += quote;
   return out;
 }
 
-// Validates each name against its kind's table; an unknown name
-// throws parse's message (which lists the alternatives).
-template <class P>
-void check_policies(const std::vector<std::string>& names) {
-  for (const std::string& name : names) (void)policy::parse<P>(name);
-}
-
-void check_point_name(const std::string& name) {
-  if (name != "baseline" && name != "min-uber" && name != "max-read") {
-    spec_error("unknown operating point '" + name +
-               "'; available: baseline min-uber max-read");
+// The rejected value as the message shows it: a flag's text in single
+// quotes, a JSON value as JSON ("null", "object" and "array" by type).
+std::string shown(const Input& in) {
+  if (in.json == nullptr) return quoted(in.text);
+  switch (in.json->type()) {
+    case JsonValue::Type::kNumber:
+      return number_text(in.json->as_number());
+    case JsonValue::Type::kString:
+      return quoted(in.json->as_string(), '"');
+    case JsonValue::Type::kBool:
+      return in.json->as_bool() ? "true" : "false";
+    default:
+      return in.json->is_array() && in.json->items().empty()
+                 ? "[]"
+                 : JsonValue::to_string(in.json->type());
   }
 }
+
+// "<name> must be <what>[ <range>], got <value>".
+[[noreturn]] void bad_value(const Input& in, const char* what,
+                            const std::string& range = "") {
+  std::ostringstream message;
+  message << in.name << " must be " << what << (range.empty() ? "" : " ")
+          << range << ", got " << shown(in);
+  fail(in, message.str());
+}
+
+// A finite number inside the input's range.
+double number(const Input& in) {
+  double x = 0.0;
+  bool ok = false;
+  if (in.json != nullptr) {
+    ok = in.json->type() == JsonValue::Type::kNumber;
+    if (ok) x = in.json->as_number();
+  } else {
+    const char* end = in.text.data() + in.text.size();
+    const std::from_chars_result parsed =
+        std::from_chars(in.text.data(), end, x);
+    ok = parsed.ec == std::errc() && parsed.ptr == end;
+  }
+  if (!ok || !std::isfinite(x) || !in.range.admits(x)) {
+    bad_value(in, "a number", in.range.text());
+  }
+  return x;
+}
+
+// An unsigned integer inside the input's range, which the type also
+// bounds, and JSON's exact integers. A flag reads base 10, or with
+// base 0 C literal prefixes as strtoull does: 0x hex, a leading 0 octal.
+template <typename T, int kBase = 10>
+T integer(const Input& in) {
+  static_assert(std::is_unsigned_v<T>);
+  constexpr double kTypeMax =
+      static_cast<double>(std::numeric_limits<T>::max());
+  Range range = in.range;
+  range.lo = std::max(range.lo, 0.0);
+  if (kTypeMax < kMaxJsonInteger) range.hi = std::min(range.hi, kTypeMax);
+  const bool literals = kBase == 0 && in.json == nullptr;
+  T value{};
+  bool ok = false;
+  if (in.json != nullptr) {
+    range.hi = std::min(range.hi, kMaxJsonInteger);
+    const double x = in.json->type() == JsonValue::Type::kNumber
+                         ? in.json->as_number()
+                         : -1.0;
+    ok = x == std::floor(x) && range.admits(x);
+    if (ok) value = static_cast<T>(x);
+  } else {
+    std::string_view digits = in.text;
+    int base = kBase;
+    if (base == 0) {
+      base = 10;
+      if (digits.size() > 2 &&
+          (digits.starts_with("0x") || digits.starts_with("0X"))) {
+        digits.remove_prefix(2);
+        base = 16;
+      } else if (digits.size() > 1 && digits[0] == '0') {
+        digits.remove_prefix(1);
+        base = 8;
+      }
+    }
+    const char* end = digits.data() + digits.size();
+    const std::from_chars_result parsed =
+        std::from_chars(digits.data(), end, value, base);
+    ok = parsed.ec == std::errc() && parsed.ptr == end &&
+         range.admits(static_cast<double>(value));
+  }
+  if (!ok) {
+    bad_value(in, "an integer",
+              range.text() + (literals ? " (decimal, 0x hex or 0 octal)" : ""));
+  }
+  return value;
+}
+
+// JSON true or false; a switch flag turns its bool on.
+bool boolean(const Input& in) {
+  if (in.json == nullptr) return true;
+  if (in.json->type() != JsonValue::Type::kBool) {
+    bad_value(in, "true or false");
+  }
+  return in.json->as_bool();
+}
+
+std::string_view text_of(const Input& in) {
+  if (in.json == nullptr) return in.text;
+  if (in.json->type() != JsonValue::Type::kString) bad_value(in, "a string");
+  return in.json->as_string();
+}
+
+// The position of the input's name in `names`, or policy::parse's
+// error shape: "unknown <kind> '<name>'; available: <names>".
+template <std::size_t N>
+std::size_t pick(const Input& in, const char* kind,
+                 const std::array<std::string_view, N>& names) {
+  const std::string_view name = text_of(in);
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == name) return i;
+  }
+  std::ostringstream message;
+  message << "unknown " << kind << " '" << name << "'; available:";
+  for (const std::string_view known : names) message << ' ' << known;
+  fail(in, message.str());
+}
+
+// A non-empty JSON array, or a comma list after a flag; `item` reads
+// each entry under the list's name and bounds.
+template <typename Read>
+auto list(const Input& in, Read item) {
+  std::vector<decltype(item(in))> out;
+  if (in.json == nullptr) {
+    std::string_view rest = in.text;
+    for (std::size_t comma = 0; comma != std::string_view::npos;) {
+      comma = rest.find(',');
+      const std::string_view part = rest.substr(0, comma);
+      out.push_back(item({in.name, nullptr, part, in.range}));
+      rest.remove_prefix(comma == std::string_view::npos ? rest.size()
+                                                         : comma + 1);
+    }
+    return out;
+  }
+  if (!in.json->is_array() || in.json->items().empty()) {
+    bad_value(in, "a non-empty array");
+  }
+  for (const JsonValue& value : in.json->items()) {
+    out.push_back(item({in.name, &value, {}, in.range}));
+  }
+  return out;
+}
+
+// Policy names stay strings in the sweep spec; policy::parse checks
+// each one here, at the input edge, with its own message.
+template <class P>
+std::vector<std::string> policies(const Input& in) {
+  return list(in, [](const Input& item) {
+    std::string name(text_of(item));
+    (void)policy::parse<P>(name);
+    return name;
+  });
+}
+
+// "CxD": channels x dies per channel, both >= 1, e.g. "2x1".
+controller::DispatchConfig topology(const Input& in) {
+  const std::string_view text = text_of(in);
+  const auto whole = [](std::string_view digits, std::uint32_t& out) {
+    const char* end = digits.data() + digits.size();
+    const std::from_chars_result parsed =
+        std::from_chars(digits.data(), end, out);
+    return parsed.ec == std::errc() && parsed.ptr == end && out >= 1;
+  };
+  const std::size_t x = text.find('x');
+  controller::DispatchConfig out{0, 0};
+  if (x == std::string_view::npos || !whole(text.substr(0, x), out.channels) ||
+      !whole(text.substr(x + 1), out.dies_per_channel)) {
+    bad_value(in, "CxD (channels x dies per channel, each >= 1)");
+  }
+  return out;
+}
+
+constexpr std::array<std::string_view, 2> kModes{"space", "ftl-sweep"};
+constexpr std::array<std::string_view, 3> kPoints{"baseline", "min-uber",
+                                                  "max-read"};
+constexpr std::array<std::string_view, 2> kDataPlanes{"bit-true", "meta"};
+// The workload names. AccessPattern's defaults are theirs: mixed
+// reads 70 % of the time, streaming runs at 8 MiB/s.
+constexpr std::array<std::string_view, 5> kWorkloads{
+    "sequential-read", "random-read", "write-burst", "mixed", "streaming"};
+constexpr std::array<sim::Pattern, 5> kPatterns{
+    sim::Pattern::kSequentialRead, sim::Pattern::kRandomRead,
+    sim::Pattern::kWriteBurst, sim::Pattern::kMixed, sim::Pattern::kStreaming};
 
 core::OperatingPoint make_point(const std::string& name) {
   if (name == "min-uber") return core::OperatingPoint::min_uber();
@@ -149,262 +286,242 @@ core::OperatingPoint make_point(const std::string& name) {
   return core::OperatingPoint::baseline();
 }
 
-// The CLI/spec workload names. AccessPattern's defaults are theirs:
-// mixed reads 70 % of the time, streaming runs at 8 MiB/s.
-std::optional<sim::AccessPattern> make_workload(const std::string& name) {
-  static const std::pair<const char*, sim::Pattern> kNames[] = {
-      {"sequential-read", sim::Pattern::kSequentialRead},
-      {"random-read", sim::Pattern::kRandomRead},
-      {"write-burst", sim::Pattern::kWriteBurst},
-      {"mixed", sim::Pattern::kMixed},
-      {"streaming", sim::Pattern::kStreaming},
-  };
-  for (const auto& [known, kind] : kNames) {
-    if (name == known) return sim::AccessPattern{kind};
+// One experiment input. `key` is its dotted spec key (nullptr for
+// --ages, which sets three keys through their rows), `flag` its
+// command-line spelling (nullptr: spec only), `arg` the flag's
+// argument (nullptr: a switch), `range` its bounds, and `apply` reads
+// the input into the field the row sets.
+struct Row {
+  const char* key;
+  const char* flag;
+  const char* arg;
+  const char* help;
+  Range range;
+  void (*apply)(ExperimentSpec&, const Input&);
+};
+
+// The row whose `field` (&Row::key or &Row::flag) is `name`, or
+// nullptr.
+const Row* find_row(const char* Row::*field, std::string_view name);
+
+using S = ExperimentSpec;
+using I = Input;
+using std::size_t;
+using std::uint32_t;
+constexpr Range kAny{};
+
+// The order parse_experiment applies the rows in, and the order of the
+// "known keys" lists and of the usage.
+const Row kRows[] = {
+    {"mode", "--ftl-sweep", nullptr, "\"ftl-sweep\" (default \"space\")", kAny,
+     [](S& s, const I& in) {
+       // The switch selects the FTL sweep; the key names either mode.
+       s.mode = in.json == nullptr ? S::Mode::kFtlSweep
+                                   : S::Mode(pick(in, "mode", kModes));
+     }},
+    {"seed", "--seed", "S", "of every random stream", kAny,
+     [](S& s, const I& in) { s.seed = integer<std::uint64_t, 0>(in); }},
+    {"uber_target", "--uber-target", "X", "of the ECC schedule (1e-11)",
+     unit(true, true),
+     [](S& s, const I& in) { s.uber_target = number(in); }},
+    {"point", "--point", "NAME", "baseline|min-uber|max-read (baseline)", kAny,
+     [](S& s, const I& in) {
+       s.point = kPoints[pick(in, "operating point", kPoints)];
+     }},
+    // --- space mode ------------------------------------------------------
+    {"ages.lo", nullptr, nullptr, nullptr, kAny,
+     [](S& s, const I& in) { s.age_lo = number(in); }},
+    {"ages.hi", nullptr, nullptr, nullptr, kAny,
+     [](S& s, const I& in) { s.age_hi = number(in); }},
+    {"ages.points", nullptr, nullptr, nullptr, kAny,
+     [](S& s, const I& in) { s.age_points = integer<size_t>(in); }},
+    {nullptr, "--ages", "LO:HI:POINTS", "ages.lo .hi .points (1:1e6:13)", kAny,
+     [](S& s, const I& in) {
+       const std::string_view text = in.text;
+       const size_t lo = text.find(':');
+       const size_t hi = lo == text.npos ? lo : text.find(':', lo + 1);
+       if (hi == text.npos || text.find(':', hi + 1) != text.npos) {
+         bad_value(in, "LO:HI:POINTS");
+       }
+       const auto part = [&](const char* key, const char* name,
+                             std::string_view part) {
+         const Row* row = find_row(&Row::key, key);
+         row->apply(s, {name, nullptr, part, row->range});
+       };
+       part("ages.lo", "--ages LO", text.substr(0, lo));
+       part("ages.hi", "--ages HI", text.substr(lo + 1, hi - lo - 1));
+       part("ages.points", "--ages POINTS", text.substr(hi + 1));
+     }},
+    {"pareto_only", "--pareto-only", nullptr, "(print the front only)", kAny,
+     [](S& s, const I& in) { s.pareto_only = boolean(in); }},
+    {"monte_carlo.replicas", "--mc-replicas", "R", "per workload (0)", kAny,
+     [](S& s, const I& in) { s.mc_replicas = integer<size_t>(in); }},
+    {"monte_carlo.requests", "--mc-requests", "N", "per replica (32)",
+     at_least(1),
+     [](S& s, const I& in) { s.mc_requests = integer<size_t>(in); }},
+    {"monte_carlo.age", "--mc-age", "CYCLES", "(default: ages.hi)",
+     at_least(0), [](S& s, const I& in) { s.mc_age = number(in); }},
+    {"monte_carlo.workloads", "--workloads", "LIST",
+     "among sequential-read,\nrandom-read,write-burst,mixed,streaming (all)",
+     kAny, [](S& s, const I& in) {
+       s.mc_workloads = list(in, [](const I& item) {
+         return std::string(kWorkloads[pick(item, "workload", kWorkloads)]);
+       });
+     }},
+    // --- ftl-sweep mode --------------------------------------------------
+    {"data_plane", "--ftl-data-plane", "M", "bit-true or meta (bit-true)",
+     kAny, [](S& s, const I& in) {
+       s.ftl.data_plane = pick(in, "data plane", kDataPlanes) == 0;
+     }},
+    {"geometry.blocks", "--ftl-blocks", "B", "per die (8)", at_least(1),
+     [](S& s, const I& in) {
+       s.ftl.base.die.device.array.geometry.blocks = integer<uint32_t>(in);
+     }},
+    {"geometry.pages_per_block", "--ftl-pages", "P", "(4)", at_least(1),
+     [](S& s, const I& in) {
+       s.ftl.base.die.device.array.geometry.pages_per_block =
+           integer<uint32_t>(in);
+     }},
+    {"initial_pe_cycles", "--ftl-initial-wear", "C", "uniform start (1e4)",
+     at_least(0),
+     [](S& s, const I& in) { s.ftl.base.initial_pe_cycles = number(in); }},
+    {"ftl.pe_cycles_per_erase", "--ftl-wear-per-erase", "C", "(3e4)",
+     at_least(1), [](S& s, const I& in) {
+       s.ftl.base.ftl.pe_cycles_per_erase = number(in);
+     }},
+    {"ftl.logical_fraction", "--ftl-logical-fraction", "F", "(0.6)",
+     unit(true, true), [](S& s, const I& in) {
+       s.ftl.base.ftl.logical_fraction = number(in);
+     }},
+    {"ftl.gc_free_blocks", nullptr, nullptr, nullptr, kAny,
+     [](S& s, const I& in) {
+       s.ftl.base.ftl.gc_free_blocks = integer<uint32_t>(in);
+     }},
+    {"ftl.static_wl_spread", nullptr, nullptr, nullptr, kAny,
+     [](S& s, const I& in) {
+       s.ftl.base.ftl.static_wl_spread = integer<uint32_t>(in);
+     }},
+    {"ftl.scrub_retention_hours", nullptr, nullptr, nullptr, at_least(0),
+     [](S& s, const I& in) {
+       s.ftl.base.ftl.scrub_retention_hours = number(in);
+     }},
+    {"workload.requests", "--ftl-requests", "N", "per combo (200)",
+     at_least(1),
+     [](S& s, const I& in) { s.ftl.requests = integer<size_t>(in); }},
+    {"workload.read_fraction", "--ftl-read-fraction", "F", "(0.3)",
+     unit(false, true),
+     [](S& s, const I& in) { s.ftl.read_fraction = number(in); }},
+    {"workload.hot_fraction", "--ftl-hot-fraction", "F", "of the LPAs (0.25)",
+     unit(true, false),
+     [](S& s, const I& in) { s.ftl.hot_fraction = number(in); }},
+    {"workload.hot_write_fraction", "--ftl-hot-writes", "F", "(0.85)",
+     unit(false, false),
+     [](S& s, const I& in) { s.ftl.hot_write_fraction = number(in); }},
+    {"workload.trim_fraction", "--ftl-trim-fraction", "F", "of non-reads (0)",
+     unit(false, true),
+     [](S& s, const I& in) { s.ftl.trim_fraction = number(in); }},
+    {"workload.queue_weights", "--ftl-queue-weights", "LIST",
+     "queue 0 first (1 each)", {0.0, kInf, true, false},
+     [](S& s, const I& in) { s.ftl.queue_weights = list(in, number); }},
+    {"workload.prepopulate", nullptr, nullptr, nullptr, kAny,
+     [](S& s, const I& in) { s.ftl.prepopulate = boolean(in); }},
+    {"sweep.topologies", "--ftl-topologies", "LIST", "CxD (1x1,2x1)", kAny,
+     [](S& s, const I& in) { s.ftl.topologies = list(in, topology); }},
+    {"sweep.queue_depths", "--ftl-qd", "LIST", "(1,4)", at_least(1),
+     [](S& s, const I& in) { s.ftl.queue_depths = list(in, integer<size_t>); }},
+    {"sweep.queues", "--ftl-queues", "LIST", "(1)",
+     {1.0, static_cast<double>(host::kMaxQueues), false, false},
+     [](S& s, const I& in) { s.ftl.queue_counts = list(in, integer<size_t>); }},
+    {"sweep.arbitrations", "--ftl-arbitration", "LIST", "(round-robin)", kAny,
+     [](S& s, const I& in) {
+       s.ftl.arbitration_policies = policies<policy::Arbitration>(in);
+     }},
+    {"sweep.gc_policies", "--ftl-gc", "LIST", "(greedy,cost-benefit)", kAny,
+     [](S& s, const I& in) { s.ftl.gc_policies = policies<policy::Gc>(in); }},
+    {"sweep.wear_policies", "--ftl-wear", "LIST", "(dynamic)", kAny,
+     [](S& s, const I& in) {
+       s.ftl.wear_policies = policies<policy::Wear>(in);
+     }},
+    {"sweep.tuning_policies", "--ftl-tuning", "LIST", "(model_based)", kAny,
+     [](S& s, const I& in) {
+       s.ftl.tuning_policies = policies<policy::Tuning>(in);
+     }},
+    {"sweep.refresh_policies", "--ftl-refresh", "LIST", "(none)", kAny,
+     [](S& s, const I& in) {
+       s.ftl.refresh_policies = policies<policy::Refresh>(in);
+     }},
+    {"sweep.fail_blocks", "--ftl-fail-blocks", "LIST", "grown bad (0)", kAny,
+     [](S& s, const I& in) {
+       s.ftl.fail_blocks = list(in, integer<uint32_t>);
+     }},
+};
+
+const Row* find_row(const char* Row::*field, std::string_view name) {
+  for (const Row& row : kRows) {
+    if (row.*field != nullptr && row.*field == name) return &row;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
-void parse_ages(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* ages = root.find("ages");
-  if (ages == nullptr) return;
-  StrictObject obj(*ages, "ages");
-  if (const JsonValue* v = obj.find("lo")) spec.age_lo = as_number(*v, "lo");
-  if (const JsonValue* v = obj.find("hi")) spec.age_hi = as_number(*v, "hi");
-  if (const JsonValue* v = obj.find("points")) {
-    spec.age_points = as_index(*v, "points");
-  }
-  obj.finish();
-  if (spec.age_points < 2 || spec.age_lo <= 0.0 ||
-      spec.age_hi <= spec.age_lo) {
-    std::ostringstream msg;
-    msg << "invalid ages grid lo=" << spec.age_lo << " hi=" << spec.age_hi
-        << " points=" << spec.age_points
-        << " (need lo > 0, hi > lo, points >= 2)";
-    spec_error(msg.str());
-  }
-}
-
-void parse_monte_carlo(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* mc = root.find("monte_carlo");
-  if (mc == nullptr) return;
-  StrictObject obj(*mc, "monte_carlo");
-  if (const JsonValue* v = obj.find("replicas")) {
-    spec.mc_replicas = as_index(*v, "replicas");
-  }
-  if (const JsonValue* v = obj.find("requests")) {
-    spec.mc_requests = as_index(*v, "requests");
-    if (spec.mc_requests < 1) spec_error("'requests' must be >= 1");
-  }
-  if (const JsonValue* v = obj.find("age")) {
-    spec.mc_age = as_number(*v, "age");
-    if (spec.mc_age < 0.0) {
-      spec_error("'age' must be >= 0 (omit it for the last grid age)");
+// Rejects the first member, in key order, that no row names under
+// `prefix` ("" or "section."), so a typo ("qeue_depths") fails loudly
+// instead of running the default.
+void reject_unknown(const JsonValue& object, const std::string& prefix) {
+  const std::string where =
+      prefix.empty() ? "the spec" : prefix.substr(0, prefix.size() - 1);
+  if (!object.is_object()) spec_error(quoted(where) + " must be an object");
+  std::vector<std::string_view> known;  // in table order
+  for (const Row& row : kRows) {
+    if (row.key == nullptr || !std::string_view(row.key).starts_with(prefix)) {
+      continue;
+    }
+    std::string_view key = std::string_view(row.key).substr(prefix.size());
+    key = key.substr(0, key.find('.'));
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      known.push_back(key);
     }
   }
-  if (const JsonValue* v = obj.find("workloads")) {
-    spec.mc_workloads = as_string_list(*v, "workloads");
-  }
-  obj.finish();
-  for (const std::string& name : spec.mc_workloads) {
-    if (!make_workload(name).has_value()) {
-      spec_error("unknown workload '" + name +
-                 "'; available: sequential-read random-read write-burst "
-                 "mixed streaming");
+  for (const auto& [key, value] : object.members()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::ostringstream message;
+      message << "unknown key '" << key << "' in " << where << "; known keys:";
+      for (const std::string_view name : known) message << ' ' << name;
+      spec_error(message.str());
+    }
+    if (prefix.empty() && find_row(&Row::key, key) == nullptr) {
+      reject_unknown(value, key + ".");
     }
   }
 }
 
-void parse_geometry(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* geometry = root.find("geometry");
-  if (geometry == nullptr) return;
-  StrictObject obj(*geometry, "geometry");
-  if (const JsonValue* v = obj.find("blocks")) {
-    spec.ftl.base.die.device.array.geometry.blocks = as_u32(*v, "blocks");
-  }
-  if (const JsonValue* v = obj.find("pages_per_block")) {
-    spec.ftl.base.die.device.array.geometry.pages_per_block =
-        as_u32(*v, "pages_per_block");
-  }
-  obj.finish();
-}
-
-void parse_ftl(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* ftl = root.find("ftl");
-  if (ftl == nullptr) return;
-  StrictObject obj(*ftl, "ftl");
-  ftl::FtlConfig& config = spec.ftl.base.ftl;
-  if (const JsonValue* v = obj.find("pe_cycles_per_erase")) {
-    config.pe_cycles_per_erase = as_number(*v, "pe_cycles_per_erase");
-  }
-  if (const JsonValue* v = obj.find("logical_fraction")) {
-    config.logical_fraction = as_number(*v, "logical_fraction");
-    if (config.logical_fraction <= 0.0 || config.logical_fraction >= 1.0) {
-      spec_error("'logical_fraction' must lie in (0, 1)");
-    }
-  }
-  if (const JsonValue* v = obj.find("gc_free_blocks")) {
-    config.gc_free_blocks = as_u32(*v, "gc_free_blocks");
-  }
-  if (const JsonValue* v = obj.find("static_wl_spread")) {
-    config.static_wl_spread = as_u32(*v, "static_wl_spread");
-  }
-  if (const JsonValue* v = obj.find("scrub_retention_hours")) {
-    config.scrub_retention_hours = as_number(*v, "scrub_retention_hours");
-    if (config.scrub_retention_hours < 0.0) {
-      spec_error("'scrub_retention_hours' must be >= 0");
-    }
-  }
-  obj.finish();
-}
-
-void parse_workload(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* workload = root.find("workload");
-  if (workload == nullptr) return;
-  StrictObject obj(*workload, "workload");
-  if (const JsonValue* v = obj.find("requests")) {
-    spec.ftl.requests = as_index(*v, "requests");
-    if (spec.ftl.requests < 1) spec_error("'requests' must be >= 1");
-  }
-  if (const JsonValue* v = obj.find("read_fraction")) {
-    spec.ftl.read_fraction = as_number(*v, "read_fraction");
-    if (spec.ftl.read_fraction < 0.0 || spec.ftl.read_fraction >= 1.0) {
-      spec_error("'read_fraction' must lie in [0, 1)");
-    }
-  }
-  if (const JsonValue* v = obj.find("hot_fraction")) {
-    spec.ftl.hot_fraction = as_number(*v, "hot_fraction");
-    if (spec.ftl.hot_fraction <= 0.0 || spec.ftl.hot_fraction > 1.0) {
-      spec_error("'hot_fraction' must lie in (0, 1]");
-    }
-  }
-  if (const JsonValue* v = obj.find("hot_write_fraction")) {
-    spec.ftl.hot_write_fraction = as_number(*v, "hot_write_fraction");
-    if (spec.ftl.hot_write_fraction < 0.0 ||
-        spec.ftl.hot_write_fraction > 1.0) {
-      spec_error("'hot_write_fraction' must lie in [0, 1]");
-    }
-  }
-  if (const JsonValue* v = obj.find("trim_fraction")) {
-    spec.ftl.trim_fraction = as_number(*v, "trim_fraction");
-    if (spec.ftl.trim_fraction < 0.0 || spec.ftl.trim_fraction >= 1.0) {
-      spec_error("'trim_fraction' must lie in [0, 1)");
-    }
-  }
-  if (const JsonValue* v = obj.find("queue_weights")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'queue_weights' must be a non-empty array of numbers > 0");
-    }
-    spec.ftl.queue_weights.clear();
-    for (const JsonValue& item : v->items()) {
-      const double weight = as_number(item, "queue_weights");
-      if (weight <= 0.0) {
-        spec_error("'queue_weights' entries must be > 0");
-      }
-      spec.ftl.queue_weights.push_back(weight);
-    }
-  }
-  if (const JsonValue* v = obj.find("prepopulate")) {
-    spec.ftl.prepopulate = as_bool(*v, "prepopulate");
-  }
-  obj.finish();
-}
-
-void parse_sweep(StrictObject& root, ExperimentSpec& spec) {
-  const JsonValue* sweep = root.find("sweep");
-  if (sweep == nullptr) return;
-  StrictObject obj(*sweep, "sweep");
-  if (const JsonValue* v = obj.find("topologies")) {
-    spec.ftl.topologies.clear();
-    for (const std::string& part : as_string_list(*v, "topologies")) {
-      const std::optional<controller::DispatchConfig> topology =
-          parse_topology(part);
-      if (!topology.has_value()) {
-        spec_error("topology '" + part +
-                   "' must be CxD (channels x dies per channel), e.g. \"2x1\"");
-      }
-      spec.ftl.topologies.push_back(*topology);
-    }
-  }
-  if (const JsonValue* v = obj.find("queue_depths")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'queue_depths' must be a non-empty array of integers >= 1");
-    }
-    spec.ftl.queue_depths.clear();
-    for (const JsonValue& item : v->items()) {
-      const std::size_t qd = as_index(item, "queue_depths");
-      if (qd < 1) spec_error("'queue_depths' entries must be >= 1");
-      spec.ftl.queue_depths.push_back(qd);
-    }
-  }
-  if (const JsonValue* v = obj.find("queues")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'queues' must be a non-empty array of integers >= 1");
-    }
-    spec.ftl.queue_counts.clear();
-    for (const JsonValue& item : v->items()) {
-      const std::size_t queues = as_index(item, "queues");
-      if (queues < 1) spec_error("'queues' entries must be >= 1");
-      if (queues > host::kMaxQueues) {
-        spec_error("'queues' entries must be <= " +
-                   std::to_string(host::kMaxQueues) +
-                   " (queue ids are 16-bit)");
-      }
-      spec.ftl.queue_counts.push_back(queues);
-    }
-  }
-  if (const JsonValue* v = obj.find("arbitrations")) {
-    spec.ftl.arbitration_policies = as_string_list(*v, "arbitrations");
-  }
-  if (const JsonValue* v = obj.find("gc_policies")) {
-    spec.ftl.gc_policies = as_string_list(*v, "gc_policies");
-  }
-  if (const JsonValue* v = obj.find("wear_policies")) {
-    spec.ftl.wear_policies = as_string_list(*v, "wear_policies");
-  }
-  if (const JsonValue* v = obj.find("tuning_policies")) {
-    spec.ftl.tuning_policies = as_string_list(*v, "tuning_policies");
-  }
-  if (const JsonValue* v = obj.find("refresh_policies")) {
-    spec.ftl.refresh_policies = as_string_list(*v, "refresh_policies");
-  }
-  if (const JsonValue* v = obj.find("fail_blocks")) {
-    if (!v->is_array() || v->items().empty()) {
-      spec_error("'fail_blocks' must be a non-empty array of integers >= 0");
-    }
-    spec.ftl.fail_blocks.clear();
-    for (const JsonValue& item : v->items()) {
-      spec.ftl.fail_blocks.push_back(as_u32(item, "fail_blocks"));
-    }
-  }
-  obj.finish();
-  check_policies<policy::Gc>(spec.ftl.gc_policies);
-  check_policies<policy::Wear>(spec.ftl.wear_policies);
-  check_policies<policy::Tuning>(spec.ftl.tuning_policies);
-  check_policies<policy::Refresh>(spec.ftl.refresh_policies);
-  check_policies<policy::Arbitration>(spec.ftl.arbitration_policies);
+// The value under a dotted key, or nullptr when absent.
+const JsonValue* member(const JsonValue& object, std::string_view key) {
+  const std::size_t dot = key.find('.');
+  const auto found = object.members().find(std::string(key.substr(0, dot)));
+  if (found == object.members().end()) return nullptr;
+  if (dot == std::string_view::npos) return &found->second;
+  return member(found->second, key.substr(dot + 1));
 }
 
 }  // namespace
 
-std::optional<controller::DispatchConfig> parse_topology(
-    const std::string& text) {
-  unsigned channels = 0, dies = 0;
-  if (std::sscanf(text.c_str(), "%ux%u", &channels, &dies) != 2 ||
-      channels == 0 || dies == 0) {
-    return std::nullopt;
-  }
-  return controller::DispatchConfig{channels, dies};
-}
-
 void check_ages(const ExperimentSpec& spec, InputNames names) {
   const bool flags = names == InputNames::kFlags;
+  const char* prefix = flags ? "" : "experiment spec: ";
+  if (spec.age_points < 2 || !(spec.age_lo > 0.0) ||
+      !(spec.age_hi > spec.age_lo)) {
+    std::ostringstream msg;
+    msg << prefix << "invalid " << (flags ? "--ages" : "ages")
+        << " grid lo=" << spec.age_lo << " hi=" << spec.age_hi
+        << " points=" << spec.age_points
+        << " (need lo > 0, hi > lo, points >= 2)";
+    throw std::invalid_argument(msg.str());
+  }
   const auto check = [&](double age, double limit, const char* flag,
                          const char* key, const char* why) {
     if (age < limit) return;
     std::ostringstream msg;
-    if (!flags) msg << "experiment spec: ";
-    msg << (flags ? flag : key) << " must be below " << limit
+    msg << prefix << (flags ? flag : key) << " must be below " << limit
         << " P/E cycles (" << why << "), got " << age;
     throw std::invalid_argument(msg.str());
   };
@@ -456,56 +573,61 @@ ExperimentSpec ExperimentSpec::defaults() {
   return spec;
 }
 
-ExperimentSpec parse_experiment(const JsonValue& root) {
-  ExperimentSpec spec = ExperimentSpec::defaults();
-  StrictObject obj(root, "the spec");
+int flag_arity(std::string_view flag) {
+  const Row* row = find_row(&Row::flag, flag);
+  if (row == nullptr) return -1;
+  return row->arg == nullptr ? 0 : 1;
+}
 
-  const JsonValue* mode = obj.find("mode");
-  if (mode == nullptr) {
+void apply_flag(ExperimentSpec& spec, std::string_view flag,
+                std::string_view text) {
+  const Row* row = find_row(&Row::flag, flag);
+  if (row == nullptr) {
+    std::string message = "unknown flag ";
+    message += quoted(flag);
+    throw std::invalid_argument(message);
+  }
+  row->apply(spec, {std::string(flag), nullptr, text, row->range});
+}
+
+std::string flag_usage() {
+  constexpr std::size_t kHelpColumn = 26;
+  std::string out;
+  for (const Row& row : kRows) {
+    if (row.flag == nullptr) continue;
+    std::string line = "  ";
+    line += row.flag;
+    if (row.arg != nullptr) {
+      line += ' ';
+      line += row.arg;
+    }
+    line.resize(std::max(line.size() + 2, kHelpColumn), ' ');
+    if (row.key != nullptr) {
+      line += row.key;
+      line += ' ';
+    }
+    for (const char* c = row.help; *c != '\0'; ++c) {
+      line += *c;
+      if (*c == '\n') line.append(kHelpColumn, ' ');
+    }
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+ExperimentSpec parse_experiment(const JsonValue& root) {
+  reject_unknown(root, "");
+  if (!root.has("mode")) {
     spec_error("missing required key 'mode' (\"space\" or \"ftl-sweep\")");
   }
-  const std::string& mode_name = as_string(*mode, "mode");
-  if (mode_name == "space") {
-    spec.mode = ExperimentSpec::Mode::kSpace;
-  } else if (mode_name == "ftl-sweep") {
-    spec.mode = ExperimentSpec::Mode::kFtlSweep;
-  } else {
-    spec_error("unknown mode '" + mode_name +
-               "'; available: space ftl-sweep");
-  }
-
-  if (const JsonValue* v = obj.find("seed")) spec.seed = as_u64(*v, "seed");
-  if (const JsonValue* v = obj.find("uber_target")) {
-    spec.uber_target = as_number(*v, "uber_target");
-    if (spec.uber_target <= 0.0 || spec.uber_target >= 1.0) {
-      spec_error("'uber_target' must lie in (0, 1)");
+  ExperimentSpec spec = ExperimentSpec::defaults();
+  for (const Row& row : kRows) {
+    if (row.key == nullptr) continue;
+    if (const JsonValue* value = member(root, row.key)) {
+      row.apply(spec, {quoted(row.key), value, {}, row.range});
     }
   }
-  if (const JsonValue* v = obj.find("point")) {
-    spec.point = as_string(*v, "point");
-    check_point_name(spec.point);
-  }
-
-  // Space-mode sections.
-  parse_ages(obj, spec);
-  if (const JsonValue* v = obj.find("pareto_only")) {
-    spec.pareto_only = as_bool(*v, "pareto_only");
-  }
-  parse_monte_carlo(obj, spec);
-
-  // FTL-sweep sections.
-  parse_geometry(obj, spec);
-  if (const JsonValue* v = obj.find("initial_pe_cycles")) {
-    spec.ftl.base.initial_pe_cycles = as_number(*v, "initial_pe_cycles");
-    if (spec.ftl.base.initial_pe_cycles < 0.0) {
-      spec_error("'initial_pe_cycles' must be >= 0");
-    }
-  }
-  parse_ftl(obj, spec);
-  parse_workload(obj, spec);
-  parse_sweep(obj, spec);
-
-  obj.finish();
   check_ages(spec, InputNames::kSpecKeys);
   return spec;
 }
@@ -576,10 +698,11 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
     Rng workload_seeder(spec.seed);
     for (const std::string& name : spec.mc_workloads) {
       const std::uint64_t workload_seed = workload_seeder.next();
-      const std::optional<sim::AccessPattern> workload = make_workload(name);
-      if (!workload.has_value()) {
+      const auto known = std::find(kWorkloads.begin(), kWorkloads.end(), name);
+      if (known == kWorkloads.end()) {
         throw std::invalid_argument("unknown workload " + name);
       }
+      const sim::AccessPattern workload{kPatterns[known - kWorkloads.begin()]};
       MonteCarloSpec mc;
       mc.subsystem = subsystem;
       // Each replica is a 1x1 SSD on the FTL sweep's default die.
@@ -587,12 +710,12 @@ std::string run_experiment(const ExperimentSpec& spec, ThreadPool& pool,
           ExperimentSpec::defaults().ftl.base.die.device.array.geometry;
       mc.point = make_point(spec.point);
       mc.pe_cycles = mc_age;
-      mc.workload = *workload;
+      mc.workload = workload;
       mc.requests_per_replica = spec.mc_requests;
       mc.replicas = spec.mc_replicas;
       mc.seed = workload_seed;
       validations.push_back(WorkloadValidation{
-          workload->label(), mc_age, run_monte_carlo(mc, pool)});
+          workload.label(), mc_age, run_monte_carlo(mc, pool)});
     }
   }
 

@@ -1,23 +1,24 @@
 // Declarative experiment specs: one JSON document describes a whole
 // exploration run — which engine (configuration-space sweep or FTL
 // policy sweep), the device/FTL configuration under test, the sweep
-// axes (including any combination of the built-in policy names, see
+// axes (any combination of the built-in policy names, see
 // src/policy/policy.hpp), and the optional Monte-Carlo validation — and
-// tools/xlf_explore --spec executes it. The spec is the write-once
-// artifact of an experiment: the same file reproduces the same bytes
-// on any machine at any thread count (the engines' determinism
-// contract), which is what makes sweeps citable results rather than
-// run-dependent samples.
+// tools/xlf_explore --spec executes it. The same file reproduces the
+// same bytes on any machine at any thread count (the engines'
+// determinism contract), so sweeps are citable results.
 //
-// Parsing is strict: unknown keys, unknown policy names, malformed
-// topologies and out-of-range values all throw std::invalid_argument
-// with the offending key/value (and, for policies, the available
-// names) in the message.
+// Every input is one row of the table in experiment.cpp: its dotted
+// spec key, its xlf_explore flag (if any), its bounds and the field it
+// sets. parse_experiment and apply_flag both read through the rows, so
+// a key and its flag accept the same values and fail the same way,
+// throwing std::invalid_argument as "<name> must be <a number|an
+// integer> <range>, got <value>" or "unknown <kind> '<name>';
+// available: <names>". <name> is the flag or the quoted dotted key
+// ('ftl.logical_fraction'); spec errors start "experiment spec: ", and
+// an unknown key lists the known ones.
 //
-// Spec shape (all keys optional unless noted; defaults mirror the
-// CLI's; so do the bounds: uber_target and logical_fraction in (0, 1),
-// monte_carlo.age, initial_pe_cycles and scrub_retention_hours >= 0,
-// and the ages check_ages bounds).
+// Spec shape (all keys optional unless noted; defaults are the
+// flags'; the bounds live in the rows):
 //
 //   {
 //     "mode": "ftl-sweep" | "space",        // required
@@ -32,6 +33,7 @@
 //       "workloads": ["sequential-read", "mixed"]
 //     },
 //     // --- mode: "ftl-sweep" -----------------------------------
+//     "data_plane": "bit-true" | "meta",
 //     "geometry": {"blocks": 8, "pages_per_block": 4},
 //     "initial_pe_cycles": 1e4,
 //     "ftl": {"pe_cycles_per_erase": 3e4, "logical_fraction": 0.6,
@@ -52,8 +54,8 @@
 //   }
 #pragma once
 
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/explore/ftl_sweep.hpp"
@@ -65,10 +67,9 @@ namespace xlf::explore {
 struct ExperimentSpec {
   enum class Mode { kSpace, kFtlSweep };
 
-  // The starting point both the JSON parser and the CLI's flag path
-  // refine: simulation-affordable FTL geometry (8 blocks x 4 pages
-  // per die), mid-life pre-conditioning and compressed aging — the
-  // same values the CLI flags default to.
+  // The starting point both spellings refine: simulation-affordable
+  // FTL geometry (8 blocks x 4 pages per die), mid-life
+  // pre-conditioning and compressed aging.
   static ExperimentSpec defaults();
 
   Mode mode = Mode::kSpace;
@@ -92,24 +93,30 @@ struct ExperimentSpec {
   FtlSweepSpec ftl;
 };
 
-// Parses one "CxD" topology token (channels x dies per channel, both
-// >= 1), e.g. "2x1"; nullopt on malformed input. Shared by the spec
-// parser and the CLI flag path so the accepted format cannot drift.
-std::optional<controller::DispatchConfig> parse_topology(
-    const std::string& text);
-
 // Whether an input error names the CLI's flags or the spec's keys.
 enum class InputNames { kFlags, kSpecKeys };
 
-// Throws std::invalid_argument, naming the flag or key and the limit,
-// for an age the run would evaluate outside the models' domain: the
-// space grid's top or the metadata-only initial wear past
-// nand::AgingLaw::max_cycles (RBER 1), or the Monte-Carlo age or
-// bit-true initial wear past nand::RberModel::max_cycles (the cell
-// array's limit). Wear a run adds after its start is not checked.
-// parse_experiment runs it; tools/xlf_explore runs it on the spec its
-// flags build.
+// Throws std::invalid_argument, naming the flag or key, for an ages
+// grid without lo > 0, hi > lo and points >= 2 (the one place both
+// spellings check it), or for an age the run would evaluate outside
+// the models' domain: the space grid's top or the metadata-only
+// initial wear past nand::AgingLaw::max_cycles (RBER 1), or the
+// Monte-Carlo age or bit-true initial wear past
+// nand::RberModel::max_cycles (the cell array's limit). Wear a run
+// adds after its start is not checked. parse_experiment runs it;
+// tools/xlf_explore runs it on the spec its flags build.
 void check_ages(const ExperimentSpec& spec, InputNames names);
+
+// The command-line spelling of the rows. flag_arity is 0 for a switch
+// (--ftl-sweep, --pareto-only), 1 for a flag that takes a value, and
+// -1 for a flag no row names. apply_flag reads `text` (ignored for a
+// switch) into the row's field and throws std::invalid_argument
+// naming the flag. flag_usage is one usage line per flag, in table
+// order, each with the spec key it sets.
+int flag_arity(std::string_view flag);
+void apply_flag(ExperimentSpec& spec, std::string_view flag,
+                std::string_view text);
+std::string flag_usage();
 
 // Builds a spec from parsed JSON / raw text / a file on disk.
 // Validation is strict (see file comment).

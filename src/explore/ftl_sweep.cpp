@@ -7,7 +7,6 @@
 #include "src/policy/policy.hpp"
 #include "src/sim/host_workload.hpp"
 #include "src/util/expect.hpp"
-#include "src/util/stopwatch.hpp"
 
 namespace xlf::explore {
 namespace {
@@ -107,9 +106,6 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
 
   FtlSweepResult result;
   result.rows.resize(combos);
-  if (spec.measure_throughput) {
-    result.throughput_commands_per_second.assign(combos, 0.0);
-  }
 
   const auto run_combo = [&](std::size_t index) {
     // Decompose: topology-major, then queue depth, queue count,
@@ -178,7 +174,6 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     tenant.hot_write_fraction = spec.hot_write_fraction;
     tenant.read_fraction = spec.read_fraction;
     tenant.trim_fraction = spec.trim_fraction;
-    tenant.mean_gap = spec.mean_gap;
     const sim::MultiTenantWorkload workload(
         std::vector<sim::TenantSpec>(queues, tenant));
     const std::vector<host::Command> commands =
@@ -194,18 +189,7 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
     row.wear_policy = spec.wear_policies[w];
     row.tuning_policy = spec.tuning_policies[u];
     row.refresh_policy = spec.refresh_policies[r];
-    if (spec.measure_throughput) {
-      // Wall-clock throughput read-out, reported beside (never inside)
-      // the deterministic rows. Stopwatch owns the repo's only
-      // sanctioned wall-clock read (src/util/stopwatch.hpp).
-      const Stopwatch watch;
-      row.stats = simulator.run(commands);
-      const double wall = watch.elapsed_seconds();
-      result.throughput_commands_per_second[index] =
-          wall > 0.0 ? static_cast<double>(commands.size()) / wall : 0.0;
-    } else {
-      row.stats = simulator.run(commands);
-    }
+    row.stats = simulator.run(commands);
     // One maintenance scrub after the request stream: the refresh
     // policy's effect shows up as preventive relocations in the row.
     // Unconditional — "none" refreshes nothing and reports zeros.

@@ -65,7 +65,6 @@ struct FtlSweepSpec {
   double hot_write_fraction = 0.85;
   double read_fraction = 0.3;
   double trim_fraction = 0.0;
-  Seconds mean_gap{0.0};
   std::size_t requests = 200;
   bool prepopulate = true;
   std::uint64_t seed = 0x55DF71;
@@ -75,11 +74,6 @@ struct FtlSweepSpec {
   // blocks/die, millions of commands) tractable. The post-run
   // read-back audit still runs but has no payloads to compare.
   bool data_plane = true;
-  // Measure wall-clock simulation throughput per combo (fills
-  // FtlSweepResult::throughput_commands_per_second). Off by default:
-  // wall-clock readings are run-dependent and must stay out of the
-  // deterministic row set.
-  bool measure_throughput = false;
 };
 
 struct FtlSweepRow {
@@ -106,11 +100,6 @@ struct FtlSweepResult {
   // Topology-major, then queue depth, then queue count, arbitration,
   // gc / wear / tuning / refresh policy, fail-block count (innermost).
   std::vector<FtlSweepRow> rows;
-  // Wall-clock commands/s per combo (same order as rows); only filled
-  // under FtlSweepSpec::measure_throughput, and deliberately kept out
-  // of FtlSweepRow so the deterministic row set never carries
-  // run-dependent readings.
-  std::vector<double> throughput_commands_per_second;
 };
 
 FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool);

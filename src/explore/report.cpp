@@ -323,21 +323,7 @@ std::string ftl_csv(const FtlSweepResult& result) {
 }
 
 std::string ftl_json(const FtlSweepResult& result) {
-  std::string rows = table_json(kFtlFields, result.rows);
-  if (result.throughput_commands_per_second.empty()) return rows;
-  // Wall-clock throughput rides in a wrapper object, combo order
-  // matching the rows. Emitted only when measured, so the default
-  // output — the deterministic bare row array — stays byte-stable.
-  std::string out = "{\"rows\":";
-  out += rows;
-  out += ",\"throughput_commands_per_second\":[";
-  for (std::size_t i = 0; i < result.throughput_commands_per_second.size();
-       ++i) {
-    if (i > 0) out += ",";
-    out += num(result.throughput_commands_per_second[i]);
-  }
-  out += "]}";
-  return out;
+  return table_json(kFtlFields, result.rows);
 }
 
 }  // namespace xlf::explore

@@ -318,10 +318,18 @@ FtlOpResult Ftl::trim(Lpa lpa) {
     return result;
   }
   unmap_page(lpa);
-  // The deallocation is DRAM-only until a flush journals the
-  // tombstone; its seq rides the same counter as the OOB records so
-  // replay ranks it against the LPA's writes.
-  pending_trims_.push_back({lpa, ++seq_});  // xlf-lint: allow(hot-alloc)
+  // The deallocation is DRAM-only until a flush journals it. The seq
+  // step ranks the trim above the LPA's writes so far, which the
+  // flush's tombstone (at the then-current seq) relies on.
+  ++seq_;
+  if (trim_pending_.empty()) {
+    trim_pending_.resize(logical_pages());  // xlf-lint: allow(hot-alloc)
+    pending_trims_.reserve(logical_pages());  // xlf-lint: allow(hot-alloc)
+  }
+  if (!trim_pending_[lpa]) {
+    trim_pending_[lpa] = true;
+    pending_trims_.push_back(lpa);  // xlf-lint: allow(hot-alloc)
+  }
   ++stats_.trimmed_pages;
   return result;
 }
@@ -333,10 +341,16 @@ FtlOpResult Ftl::flush() {
   // counter checkpoint. Tombstones land one at a time — the kMidFlush
   // window models a power cut after a prefix of the journal append.
   FtlOpResult result;
-  for (const TrimTombstone& tombstone : pending_trims_) {
+  for (const Lpa lpa : pending_trims_) {
+    trim_pending_[lpa] = false;
+    // Rewritten since its trim: a tombstone would lose replay anyway.
+    if (map_.mapped(lpa)) continue;
     fault(FaultPoint::kMidFlush);
-    // Journal append: the durable record IS the operation here.
-    durable_->tombstones.push_back(tombstone);  // xlf-lint: allow(hot-alloc)
+    // Journal append: the durable record IS the operation here. At the
+    // current seq the tombstone outranks every earlier write of the
+    // LPA (its trim stepped the seq past them) and loses to every
+    // later one.
+    durable_->tombstones.push_back({lpa, seq_});  // xlf-lint: allow(hot-alloc)
     ++stats_.flushed_tombstones;
   }
   pending_trims_.clear();
@@ -423,6 +437,7 @@ void Ftl::rebuild_from_oob() {
   alloc_config.gc = config_.gc_policy;
   allocators_.assign(die_count, DieAllocator(alloc_config));
   block_t_.assign(die_count, std::vector<unsigned>(geometry.blocks, 0));
+  for (const Lpa lpa : pending_trims_) trim_pending_[lpa] = false;
   pending_trims_.clear();
   stats_ = FtlStats{};
   clock_ = durable_->checkpoint_clock;

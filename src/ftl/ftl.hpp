@@ -136,8 +136,9 @@ struct FtlStats {
   // Relocation reads that came back uncorrectable (data propagated
   // as decoded; the mismatch surfaces in the simulator's verify).
   std::uint64_t gc_uncorrectable = 0;
-  // Trim tombstones persisted by flush barriers, and blocks retired
-  // to the bad-block table, this mount.
+  // Trim tombstones journaled by flush barriers (one per LPA still
+  // trimmed at the flush), and blocks retired to the bad-block table,
+  // this mount.
   std::uint64_t flushed_tombstones = 0;
   std::uint64_t bad_blocks = 0;
   // Spread of the per-block correction capability the reliability
@@ -233,6 +234,8 @@ class Ftl {
 
   std::uint64_t sequence() const { return seq_; }
   std::uint64_t logical_clock() const { return clock_; }
+  // LPAs with a trim no flush has journaled yet; at most
+  // logical_pages().
   std::size_t pending_trims() const { return pending_trims_.size(); }
   const DurableMeta& durable() const { return *durable_; }
   const DieAllocator& allocator(std::uint32_t die) const {
@@ -291,8 +294,12 @@ class Ftl {
   std::vector<std::vector<unsigned>> block_t_;  // [die][block]
   std::uint64_t clock_ = 0;  // logical write stamp (cost-benefit age)
   std::uint64_t seq_ = 0;    // OOB/tombstone sequence counter
-  // Trim tombstones accepted but not yet flushed (lost on power loss).
-  std::vector<TrimTombstone> pending_trims_;
+  // Trims accepted but not yet flushed (lost on power loss): one entry
+  // per LPA, flagged in trim_pending_, so the buffer is bounded by the
+  // logical pages however many trims a flush-free stream issues. Both
+  // are sized at the first effective trim.
+  std::vector<Lpa> pending_trims_;
+  std::vector<bool> trim_pending_;
   DurableMeta* durable_ = nullptr;  // external or &owned_durable_
   DurableMeta owned_durable_;
   FaultInjector* fault_ = nullptr;  // non-owning fault plane

@@ -1,9 +1,10 @@
 // Declarative experiment specs: strict parsing (unknown keys, unknown
 // policies and malformed values fail with teaching messages, and
-// mutated specs never fail any other way), and the acceptance property
-// of the spec satellite — the shipped examples/specs/ftl_smoke.json
-// reproduces the CLI smoke grid (--ftl-sweep --ftl-requests 64) byte
-// for byte.
+// mutated specs never fail any other way), and the spec's parity with
+// the flags it spells: each input is one row that both parse through,
+// so a spec and the matching flags render byte-identical reports (the
+// shipped examples/specs/ftl_smoke.json is the CLI smoke grid,
+// --ftl-sweep --ftl-requests 64).
 #include "src/explore/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -34,6 +35,19 @@ std::string error_of(const std::string& text) {
     return e.what();
   }
   return "";
+}
+
+// What tools/xlf_explore builds from these experiment flags.
+ExperimentSpec from_flags(const std::vector<std::string>& args) {
+  ExperimentSpec spec = ExperimentSpec::defaults();
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    const int arity = flag_arity(flag);
+    EXPECT_GE(arity, 0) << flag;
+    apply_flag(spec, flag, arity == 1 ? args.at(++i) : "");
+  }
+  check_ages(spec, InputNames::kFlags);
+  return spec;
 }
 
 TEST(ExperimentSpec, MinimalFtlSweepUsesCliDefaults) {
@@ -93,7 +107,7 @@ TEST(ExperimentSpec, MultiQueueKnobsParseAndValidate) {
 
   EXPECT_NE(error_of(R"({"mode": "ftl-sweep",
                          "sweep": {"queues": [0]}})")
-                .find("'queues' entries must be >= 1"),
+                .find("'sweep.queues' must be an integer in [1, 65536], got 0"),
             std::string::npos);
   // Queue ids are 16-bit: 65,536 queues is the most a sweep can ask.
   EXPECT_EQ(parse_experiment_text(R"({"mode": "ftl-sweep",
@@ -102,15 +116,16 @@ TEST(ExperimentSpec, MultiQueueKnobsParseAndValidate) {
             std::vector<std::size_t>{65536});
   EXPECT_EQ(error_of(R"({"mode": "ftl-sweep",
                          "sweep": {"queues": [4, 65537]}})"),
-            "experiment spec: 'queues' entries must be <= 65536 (queue ids "
-            "are 16-bit)");
+            "experiment spec: 'sweep.queues' must be an integer in [1, 65536], "
+            "got 65537");
   EXPECT_NE(error_of(R"({"mode": "ftl-sweep",
                          "workload": {"trim_fraction": 1.5}})")
-                .find("'trim_fraction' must lie in [0, 1)"),
+                .find("'workload.trim_fraction' must be a number in [0, 1), "
+                      "got 1.5"),
             std::string::npos);
   EXPECT_NE(error_of(R"({"mode": "ftl-sweep",
                          "workload": {"queue_weights": [0]}})")
-                .find("'queue_weights' entries must be > 0"),
+                .find("'workload.queue_weights' must be a number > 0, got 0"),
             std::string::npos);
   const std::string what = error_of(R"({"mode": "ftl-sweep",
                                         "sweep": {"arbitrations": ["fifo"]}})");
@@ -125,15 +140,20 @@ TEST(ExperimentSpec, WorkloadKnobsOutsideTheirRangesAreRejected) {
     const char* workload;
     const char* message;
   } cases[] = {
-      {R"({"requests": 0})", "'requests' must be >= 1"},
-      {R"({"read_fraction": 1.0})", "'read_fraction' must lie in [0, 1)"},
-      {R"({"read_fraction": -0.1})", "'read_fraction' must lie in [0, 1)"},
-      {R"({"hot_fraction": 0})", "'hot_fraction' must lie in (0, 1]"},
-      {R"({"hot_fraction": 1.5})", "'hot_fraction' must lie in (0, 1]"},
+      {R"({"requests": 0})",
+       "'workload.requests' must be an integer in [1, 2^53], got 0"},
+      {R"({"read_fraction": 1.0})",
+       "'workload.read_fraction' must be a number in [0, 1), got 1"},
+      {R"({"read_fraction": -0.1})",
+       "'workload.read_fraction' must be a number in [0, 1), got -0.1"},
+      {R"({"hot_fraction": 0})",
+       "'workload.hot_fraction' must be a number in (0, 1], got 0"},
+      {R"({"hot_fraction": 1.5})",
+       "'workload.hot_fraction' must be a number in (0, 1], got 1.5"},
       {R"({"hot_write_fraction": 1.5})",
-       "'hot_write_fraction' must lie in [0, 1]"},
+       "'workload.hot_write_fraction' must be a number in [0, 1], got 1.5"},
       {R"({"hot_write_fraction": -1})",
-       "'hot_write_fraction' must lie in [0, 1]"},
+       "'workload.hot_write_fraction' must be a number in [0, 1], got -1"},
   };
   for (const auto& c : cases) {
     const std::string what = error_of(
@@ -143,7 +163,8 @@ TEST(ExperimentSpec, WorkloadKnobsOutsideTheirRangesAreRejected) {
         << c.workload << ": " << what;
   }
   EXPECT_NE(error_of(R"({"mode": "space", "monte_carlo": {"requests": 0}})")
-                .find("'requests' must be >= 1"),
+                .find("'monte_carlo.requests' must be an integer in [1, 2^53], "
+                      "got 0"),
             std::string::npos);
   // The edges each range admits still parse.
   const ExperimentSpec edges = parse_experiment_text(R"({
@@ -185,7 +206,8 @@ TEST(ExperimentSpec, UnknownPolicyNamesFailListingAvailable) {
 TEST(ExperimentSpec, MalformedValuesRejected) {
   EXPECT_NE(error_of(R"({"mode": "ftl-sweep",
                          "sweep": {"topologies": ["2by1"]}})")
-                .find("topology '2by1'"),
+                .find("'sweep.topologies' must be CxD (channels x dies per "
+                      "channel, each >= 1), got \"2by1\""),
             std::string::npos);
   EXPECT_NE(error_of(R"({"mode": "space",
                          "ages": {"lo": 10, "hi": 1, "points": 5}})")
@@ -203,24 +225,27 @@ TEST(ExperimentSpec, MalformedValuesRejected) {
             std::string::npos);
   EXPECT_NE(error_of(R"({"mode": "ftl-sweep",
                          "workload": {"requests": 1.5}})")
-                .find("'requests' must be a non-negative integer"),
+                .find("'workload.requests' must be an integer in [1, 2^53], "
+                      "got 1.5"),
             std::string::npos);
 }
 
 TEST(ExperimentSpec, ThirtyTwoBitKeysRejectValuesThatWouldWrap) {
-  // Each key's section, and the JSON that holds the value there.
+  // Each dotted key, its range, and the JSON that holds the value.
   const struct {
     const char* key;
+    const char* range;
     const char* json;  // printf-style, %s = the value
   } cases[] = {
-      {"blocks", R"({"mode": "ftl-sweep", "geometry": {"blocks": %s}})"},
-      {"pages_per_block",
+      {"geometry.blocks", "[1, 4294967295]",
+       R"({"mode": "ftl-sweep", "geometry": {"blocks": %s}})"},
+      {"geometry.pages_per_block", "[1, 4294967295]",
        R"({"mode": "ftl-sweep", "geometry": {"pages_per_block": %s}})"},
-      {"gc_free_blocks",
+      {"ftl.gc_free_blocks", "[0, 4294967295]",
        R"({"mode": "ftl-sweep", "ftl": {"gc_free_blocks": %s}})"},
-      {"static_wl_spread",
+      {"ftl.static_wl_spread", "[0, 4294967295]",
        R"({"mode": "ftl-sweep", "ftl": {"static_wl_spread": %s}})"},
-      {"fail_blocks",
+      {"sweep.fail_blocks", "[0, 4294967295]",
        R"({"mode": "ftl-sweep", "sweep": {"fail_blocks": [0, %s]}})"},
   };
   const auto with = [](const char* json, const char* value) {
@@ -234,16 +259,17 @@ TEST(ExperimentSpec, ThirtyTwoBitKeysRejectValuesThatWouldWrap) {
         parse_experiment_text(with(c.json, "4294967295"));
     const ftl::FtlConfig& ftl = spec.ftl.base.ftl;
     const nand::Geometry& geometry = spec.ftl.base.die.device.array.geometry;
+    const std::string key = c.key;
     const std::uint32_t parsed =
-        c.key == std::string("blocks")             ? geometry.blocks
-        : c.key == std::string("pages_per_block")  ? geometry.pages_per_block
-        : c.key == std::string("gc_free_blocks")   ? ftl.gc_free_blocks
-        : c.key == std::string("static_wl_spread") ? ftl.static_wl_spread
-                                                   : spec.ftl.fail_blocks[1];
+        key == "geometry.blocks"            ? geometry.blocks
+        : key == "geometry.pages_per_block" ? geometry.pages_per_block
+        : key == "ftl.gc_free_blocks"       ? ftl.gc_free_blocks
+        : key == "ftl.static_wl_spread"     ? ftl.static_wl_spread
+                                            : spec.ftl.fail_blocks[1];
     EXPECT_EQ(parsed, 4294967295u);
     EXPECT_EQ(error_of(with(c.json, "4294967296")),
-              std::string("experiment spec: '") + c.key +
-                  "' must be <= 4294967295 (it is a 32-bit count)");
+              "experiment spec: '" + key + "' must be an integer in " +
+                  c.range + ", got 4294967296");
   }
 }
 
@@ -262,6 +288,9 @@ TEST(ExperimentSpec, AgesOutsideTheModelsDomainAreRejected) {
        "'monte_carlo.age' (unset, so 'ages.hi') must be below"},
       {R"({"mode": "ftl-sweep", "initial_pe_cycles": 5e7})",
        "'initial_pe_cycles' must be below"},
+      {R"({"mode": "ftl-sweep", "data_plane": "meta",
+           "initial_pe_cycles": 1e8})",
+       "'initial_pe_cycles' must be below"},
   };
   for (const auto& c : cases) {
     const std::string what = error_of(c.spec);
@@ -278,6 +307,8 @@ TEST(ExperimentSpec, AgesOutsideTheModelsDomainAreRejected) {
       R"({"mode": "space", "monte_carlo": {"replicas": 0, "age": 1e8}})"));
   EXPECT_NO_THROW(
       parse_experiment_text(R"({"mode": "ftl-sweep", "initial_pe_cycles": 3e7})"));
+  EXPECT_NO_THROW(parse_experiment_text(R"({"mode": "ftl-sweep",
+      "data_plane": "meta", "initial_pe_cycles": 9e7})"));
 }
 
 // Spec keys take their flags' bounds and fail at the parse edge
@@ -286,11 +317,13 @@ TEST(ExperimentSpec, AgesOutsideTheModelsDomainAreRejected) {
 // names no key, and a negative retention horizon or Monte-Carlo age
 // would run silently.
 TEST(ExperimentSpec, LogicalFractionOutsideZeroOneIsRejected) {
-  for (const char* value : {"-0.5", "0", "1", "1.5", "1e308"}) {
+  for (const char* value : {"-0.5", "0", "1", "1.5", "1e+308"}) {
     EXPECT_EQ(error_of(std::string(R"({"mode": "ftl-sweep",
                                         "ftl": {"logical_fraction": )") +
                        value + "}}"),
-              "experiment spec: 'logical_fraction' must lie in (0, 1)")
+              std::string("experiment spec: 'ftl.logical_fraction' must be a "
+                          "number in (0, 1), got ") +
+                  value)
         << value;
   }
   // API callers skip the parser: ftl_sweep checks the range before
@@ -308,7 +341,8 @@ TEST(ExperimentSpec, LogicalFractionOutsideZeroOneIsRejected) {
 
 TEST(ExperimentSpec, NegativeInitialWearIsRejected) {
   EXPECT_EQ(error_of(R"({"mode": "ftl-sweep", "initial_pe_cycles": -1})"),
-            "experiment spec: 'initial_pe_cycles' must be >= 0");
+            "experiment spec: 'initial_pe_cycles' must be a number >= 0, got "
+            "-1");
   EXPECT_NO_THROW(
       parse_experiment_text(R"({"mode": "ftl-sweep", "initial_pe_cycles": 0})"));
 }
@@ -316,7 +350,8 @@ TEST(ExperimentSpec, NegativeInitialWearIsRejected) {
 TEST(ExperimentSpec, NegativeScrubRetentionIsRejected) {
   EXPECT_EQ(error_of(R"({"mode": "ftl-sweep",
                          "ftl": {"scrub_retention_hours": -10}})"),
-            "experiment spec: 'scrub_retention_hours' must be >= 0");
+            "experiment spec: 'ftl.scrub_retention_hours' must be a number "
+            ">= 0, got -10");
   EXPECT_NO_THROW(parse_experiment_text(
       R"({"mode": "ftl-sweep", "ftl": {"scrub_retention_hours": 0}})"));
 }
@@ -326,16 +361,45 @@ TEST(ExperimentSpec, NegativeMonteCarloAgeIsRejected) {
   // it must not be accepted as a value.
   EXPECT_EQ(error_of(R"({"mode": "space",
                          "monte_carlo": {"replicas": 1, "age": -7}})"),
-            "experiment spec: 'age' must be >= 0 (omit it for the last grid "
-            "age)");
+            "experiment spec: 'monte_carlo.age' must be a number >= 0, got "
+            "-7");
   EXPECT_NO_THROW(parse_experiment_text(
       R"({"mode": "space", "monte_carlo": {"replicas": 1, "age": 0}})"));
 }
 
+// The keys whose bounds used to be looser than their flags': zero
+// blocks or pages reached an internal precondition, and an erase that
+// ages a block by half a cycle parsed.
+TEST(ExperimentSpec, KeysTakeTheTighterBoundOfTheirFlags) {
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep",
+                         "geometry": {"pages_per_block": 0}})"),
+            "experiment spec: 'geometry.pages_per_block' must be an integer "
+            "in [1, 4294967295], got 0");
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep", "geometry": {"blocks": 0}})"),
+            "experiment spec: 'geometry.blocks' must be an integer in [1, "
+            "4294967295], got 0");
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep",
+                         "ftl": {"pe_cycles_per_erase": 0.5}})"),
+            "experiment spec: 'ftl.pe_cycles_per_erase' must be a number >= "
+            "1, got 0.5");
+}
+
+TEST(ExperimentSpec, DataPlaneKeySelectsThePlane) {
+  EXPECT_TRUE(parse_experiment_text(R"({"mode": "ftl-sweep"})").ftl.data_plane);
+  EXPECT_FALSE(parse_experiment_text(
+                   R"({"mode": "ftl-sweep", "data_plane": "meta"})")
+                   .ftl.data_plane);
+  EXPECT_TRUE(parse_experiment_text(
+                  R"({"mode": "ftl-sweep", "data_plane": "bit-true"})")
+                  .ftl.data_plane);
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep", "data_plane": "metadata"})"),
+            "experiment spec: unknown data plane 'metadata'; available: "
+            "bit-true meta");
+}
+
 // The metadata-only plane has no cell array, but its t schedule and
-// UBER arithmetic still end where the aging law's RBER reaches 1. (The
-// spec has no data-plane key, so the spec-named message reaches API
-// callers only.) Wear a run adds after the start is not checked.
+// UBER arithmetic still end where the aging law's RBER reaches 1, in
+// either spelling. Wear a run adds after the start is not checked.
 TEST(ExperimentSpec, MetaPlaneInitialWearPastTheAgingLawIsRejected) {
   ExperimentSpec spec = ExperimentSpec::defaults();
   spec.mode = ExperimentSpec::Mode::kFtlSweep;
@@ -361,23 +425,85 @@ TEST(ExperimentSpec, MetaPlaneInitialWearPastTheAgingLawIsRejected) {
   EXPECT_NO_THROW(check_ages(spec, InputNames::kSpecKeys));
 }
 
-// The acceptance property: the shipped example spec is the CI smoke
-// grid. A spec authored in JSON and the equivalent flag-built spec
-// must render byte-identical reports in both formats.
+// The shipped example spec is the CI smoke grid: the spec and the
+// flags render byte-identical reports in both formats.
 TEST(ExperimentSpec, FtlSmokeExampleReproducesCliSmokeGrid) {
-  const ExperimentSpec from_json =
+  const ExperimentSpec json =
       load_experiment(std::string(XLF_SPEC_DIR) + "/ftl_smoke.json");
-
-  // What tools/xlf_explore builds for `--ftl-sweep --ftl-requests 64`.
-  ExperimentSpec from_flags = ExperimentSpec::defaults();
-  from_flags.mode = ExperimentSpec::Mode::kFtlSweep;
-  from_flags.ftl.requests = 64;
+  const ExperimentSpec flags =
+      from_flags({"--ftl-sweep", "--ftl-requests", "64"});
 
   ThreadPool pool(2);
-  EXPECT_EQ(run_experiment(from_json, pool, "csv"),
-            run_experiment(from_flags, pool, "csv"));
-  EXPECT_EQ(run_experiment(from_json, pool, "json"),
-            run_experiment(from_flags, pool, "json"));
+  EXPECT_EQ(run_experiment(json, pool, "csv"),
+            run_experiment(flags, pool, "csv"));
+  EXPECT_EQ(run_experiment(json, pool, "json"),
+            run_experiment(flags, pool, "json"));
+}
+
+// Parity: the two argv lists below set every experiment flag to a
+// value other than its default, and the two specs set the same keys
+// to the same values; each pair renders one report.
+TEST(ExperimentSpec, EveryFlagAndItsKeyRenderTheSameReport) {
+  const std::vector<std::string> ftl_flags = {
+      "--ftl-sweep", "--seed", "0x11", "--uber-target", "1e-12",
+      "--point", "max-read", "--ftl-data-plane", "meta",
+      "--ftl-blocks", "24", "--ftl-pages", "8",
+      "--ftl-initial-wear", "2e4", "--ftl-wear-per-erase", "2e4",
+      "--ftl-logical-fraction", "0.5", "--ftl-requests", "300",
+      "--ftl-read-fraction", "0.25", "--ftl-hot-fraction", "0.3",
+      "--ftl-hot-writes", "0.8", "--ftl-trim-fraction", "0.1",
+      "--ftl-queue-weights", "3,1", "--ftl-topologies", "1x1,2x1",
+      "--ftl-qd", "2", "--ftl-queues", "2", "--ftl-arbitration", "weighted",
+      "--ftl-gc", "greedy", "--ftl-wear", "static",
+      "--ftl-tuning", "feedback", "--ftl-refresh", "retention_aware",
+      "--ftl-fail-blocks", "0,1"};
+  const char* ftl_spec = R"({
+    "mode": "ftl-sweep", "seed": 17, "uber_target": 1e-12,
+    "point": "max-read", "data_plane": "meta",
+    "geometry": {"blocks": 24, "pages_per_block": 8},
+    "initial_pe_cycles": 2e4,
+    "ftl": {"pe_cycles_per_erase": 2e4, "logical_fraction": 0.5},
+    "workload": {"requests": 300, "read_fraction": 0.25,
+                 "hot_fraction": 0.3, "hot_write_fraction": 0.8,
+                 "trim_fraction": 0.1, "queue_weights": [3, 1]},
+    "sweep": {"topologies": ["1x1", "2x1"], "queue_depths": [2],
+              "queues": [2], "arbitrations": ["weighted"],
+              "gc_policies": ["greedy"], "wear_policies": ["static"],
+              "tuning_policies": ["feedback"],
+              "refresh_policies": ["retention_aware"],
+              "fail_blocks": [0, 1]}
+  })";
+  const std::vector<std::string> space_flags = {
+      "--ages", "1:1e4:3", "--pareto-only", "--uber-target", "1e-12",
+      "--point", "min-uber", "--workloads", "mixed,write-burst",
+      "--mc-replicas", "2", "--mc-requests", "4", "--mc-age", "5000",
+      "--seed", "021"};
+  const char* space_spec = R"({
+    "mode": "space", "seed": 17, "uber_target": 1e-12, "point": "min-uber",
+    "ages": {"lo": 1, "hi": 1e4, "points": 3}, "pareto_only": true,
+    "monte_carlo": {"replicas": 2, "requests": 4, "age": 5000,
+                    "workloads": ["mixed", "write-burst"]}
+  })";
+
+  std::istringstream usage(flag_usage());
+  for (std::string line; std::getline(usage, line);) {
+    if (!line.starts_with("  --")) continue;  // a help line's continuation
+    const std::string flag = line.substr(2, line.find(' ', 2) - 2);
+    EXPECT_TRUE(std::count(ftl_flags.begin(), ftl_flags.end(), flag) +
+                    std::count(space_flags.begin(), space_flags.end(), flag) >
+                0)
+        << flag << " has no parity case";
+  }
+
+  ThreadPool pool(2);
+  const std::string ftl = run_experiment(from_flags(ftl_flags), pool, "csv");
+  EXPECT_EQ(ftl, run_experiment(parse_experiment_text(ftl_spec), pool, "csv"));
+  EXPECT_EQ(std::count(ftl.begin(), ftl.end(), '\n'), 5);  // header + 4
+  const std::string space =
+      run_experiment(from_flags(space_flags), pool, "csv");
+  EXPECT_EQ(space,
+            run_experiment(parse_experiment_text(space_spec), pool, "csv"));
+  EXPECT_NE(space.find("mixed"), std::string::npos);
 }
 
 TEST(ExperimentSpec, SpaceModeMatchesDirectSweep) {

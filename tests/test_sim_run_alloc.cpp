@@ -45,11 +45,13 @@ namespace xlf::sim {
 namespace {
 
 // Bytes allocated inside one run of `count` back-to-back commands over
-// `queues` weighted tenants, on a fresh prepopulated meta 1x1 die of
-// 256 x 16 pages. The wear starts at 31,622 P/E and one erase adds one
-// cycle, so every program stays on one characterisation key and the
-// timing cache is warm from the prepopulation.
-std::size_t run_bytes(std::size_t queues, std::size_t count) {
+// `queues` weighted tenants, each trimming `trim_fraction` of its
+// non-read requests, on a fresh prepopulated meta 1x1 die of 256 x 16
+// pages. The wear starts at 31,622 P/E and one erase adds one cycle,
+// so every program stays on one characterisation key and the timing
+// cache is warm from the prepopulation.
+std::size_t run_bytes(std::size_t queues, std::size_t count,
+                      double trim_fraction = 0.0) {
   ftl::SsdConfig config;
   config.topology = {1, 1};
   config.die.device.data_plane = false;
@@ -68,10 +70,9 @@ std::size_t run_bytes(std::size_t queues, std::size_t count) {
   SsdSimulator simulator(ssd, sim_config);
   simulator.prepopulate();
 
-  // No trims: the FTL buffers a tombstone per trim until a flush, and
-  // that buffer is the FTL's, not the run's.
-  const MultiTenantWorkload workload(
-      std::vector<TenantSpec>(queues, TenantSpec{}));
+  TenantSpec tenant;
+  tenant.trim_fraction = trim_fraction;
+  const MultiTenantWorkload workload(std::vector<TenantSpec>(queues, tenant));
   Rng rng(0xA110C);
   const std::vector<host::Command> commands =
       workload.generate(ssd.logical_pages(), count, rng);
@@ -80,7 +81,8 @@ std::size_t run_bytes(std::size_t queues, std::size_t count) {
   g_counting.store(true);
   const SsdSimStats stats = simulator.run(commands);
   g_counting.store(false);
-  EXPECT_EQ(stats.reads + stats.unmapped_reads + stats.writes, count);
+  EXPECT_EQ(stats.reads + stats.unmapped_reads + stats.writes + stats.trims,
+            count);
   return g_bytes.load();
 }
 
@@ -90,6 +92,18 @@ TEST(SimRunAlloc, RunHeapDoesNotGrowWithTheCommandCount) {
     const std::size_t large = run_bytes(queues, 200000);
     // The counter sees the run's per-run tables.
     EXPECT_GT(small, 0u) << queues << " queues";
+    EXPECT_EQ(large, small) << queues << " queues";
+  }
+}
+
+// The stream issues no flush, so every trim stays pending in the FTL:
+// one entry per LPA, sized at the first trim, keeps that buffer from
+// growing with the trim count. (20,000 commands is too few to compare:
+// another FTL table reaches its high-water mark later than that.)
+TEST(SimRunAlloc, PendingTrimsDoNotGrowWithTheCommandCount) {
+  for (const std::size_t queues : {1u, 4u}) {
+    const std::size_t small = run_bytes(queues, 50000, 0.1);
+    const std::size_t large = run_bytes(queues, 400000, 0.1);
     EXPECT_EQ(large, small) << queues << " queues";
   }
 }

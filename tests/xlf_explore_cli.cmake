@@ -127,10 +127,20 @@ file(WRITE ${wide_spec} [=[{"mode": "ftl-sweep",
 execute_process(COMMAND ${XLF_EXPLORE} --spec ${wide_spec}
                 RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
 file(REMOVE ${wide_spec})
-set(expected "xlf_explore: experiment spec: 'blocks' must be <= 4294967295 (it is a 32-bit count)\n")
+set(expected "xlf_explore: experiment spec: 'geometry.blocks' must be an integer in [1, 4294967295], got 4294967304\n")
 if(NOT rc EQUAL 2 OR NOT err STREQUAL expected)
   message(FATAL_ERROR "a spec with 4294967304 blocks must exit 2 with\n"
                       "${expected}got ${rc}:\n${err}")
+endif()
+
+# --- a mistyped operating point: exit 2 listing the points ----------
+# (never a run at Baseline's operating point)
+execute_process(COMMAND ${XLF_EXPLORE} --point max-reed --ages 1:1e3:2
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+set(expected "xlf_explore: unknown operating point 'max-reed'; available: baseline min-uber max-read\n")
+if(NOT rc EQUAL 2 OR NOT err STREQUAL expected)
+  message(FATAL_ERROR "--point max-reed must exit 2 with\n${expected}"
+                      "got ${rc}:\n${err}")
 endif()
 
 # --- an all-hot LPA space runs (cold writes fall back to hot) --------
@@ -302,12 +312,12 @@ endif()
 # integer and names fail_blocks.
 set(range_spec ${CMAKE_CURRENT_BINARY_DIR}/xlf_explore_cli_range.json)
 foreach(case
-    [=[logical_fraction|{"mode": "ftl-sweep", "ftl": {"logical_fraction": -0.5},
+    [=[ftl.logical_fraction|{"mode": "ftl-sweep", "ftl": {"logical_fraction": -0.5},
       "workload": {"requests": 50}, "sweep": {"topologies": ["1x1"]}}]=]
     [=[initial_pe_cycles|{"mode": "ftl-sweep", "initial_pe_cycles": -1}]=]
-    [=[scrub_retention_hours|{"mode": "ftl-sweep",
+    [=[ftl.scrub_retention_hours|{"mode": "ftl-sweep",
       "ftl": {"scrub_retention_hours": -10}}]=]
-    [=[age|{"mode": "space", "monte_carlo": {"replicas": 1, "age": -7}}]=])
+    [=[monte_carlo.age|{"mode": "space", "monte_carlo": {"replicas": 1, "age": -7}}]=])
   string(FIND "${case}" "|" bar)
   string(SUBSTRING "${case}" 0 ${bar} key)
   math(EXPR bar "${bar} + 1")
