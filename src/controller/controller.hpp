@@ -1,8 +1,10 @@
 // The memory controller of paper Fig. 1: OCP socket toward the
 // interconnect, page buffer, adaptive ECC unit, reliability manager,
 // and the NAND device interface. Every page write and read flows
-// through the full pipeline and returns latency + energy accounting,
-// which is what the throughput figures integrate.
+// through the pipeline and returns latency + energy accounting, which
+// is what the throughput figures integrate. The socket and the buffer
+// hold no state: each is a stage cost, a burst over the socket and a
+// stream through the buffer's SRAM (controller.cpp).
 //
 // Per-page metadata: a page is decoded with the correction capability
 // it was encoded with, so the controller writes the t into the page's
@@ -15,9 +17,6 @@
 #include <cstdint>
 
 #include "src/controller/ecc_unit.hpp"
-#include "src/controller/ocp.hpp"
-#include "src/controller/page_buffer.hpp"
-#include "src/controller/registers.hpp"
 #include "src/controller/reliability_manager.hpp"
 #include "src/hv/power_model.hpp"
 #include "src/nand/device.hpp"
@@ -29,13 +28,10 @@ struct ControllerConfig {
   // (GF(2^16), 4 KB, t 3..65; the codec starts at t_min). With
   // reliability.uber_target, the die's whole ECC envelope.
   ecc_hw::EccHwConfig ecc_hw;
-  OcpConfig ocp;
-  PageBufferConfig page_buffer;
   ReliabilityConfig reliability;
   // Reliability-manager tuning strategy (static, model_based or
   // feedback).
   policy::Tuning tuning_policy = policy::Tuning::kModelBased;
-  nand::LoadStrategy load_strategy = nand::LoadStrategy::kFullSequence;
 };
 
 struct WriteResult {
@@ -70,6 +66,9 @@ class MemoryController {
                    const hv::HvConfig& hv_config);
 
   // --- configuration plane (the two cross-layer knobs) ---------------
+  // t lives in the ECC unit (which rejects a t outside the code
+  // family) and the program algorithm on the device; nothing else
+  // holds either.
   void set_correction_capability(unsigned t);
   unsigned correction_capability() const;
   void set_program_algorithm(nand::ProgramAlgorithm algo);
@@ -78,19 +77,17 @@ class MemoryController {
   // state (call on epoch boundaries or after feedback warm-up).
   unsigned adapt_ecc(double pe_cycles);
 
-  // The register file mirrors the configuration above and the status
-  // and feedback counters; it is read-only from outside, so it cannot
-  // disagree with the controller.
-  const RegisterFile& registers() const { return registers_; }
   ReliabilityManager& reliability() { return reliability_; }
   EccUnit& ecc() { return ecc_; }
-  const OcpSocket& ocp() const { return ocp_; }
   nand::NandDevice& device() { return *device_; }
   const nand::NandDevice& device() const { return *device_; }
 
   // --- data plane -----------------------------------------------------
-  // Write 4 KB of user data to a page. The data flows: OCP burst ->
-  // page buffer -> ECC encode -> NAND program.
+  // Write 4 KB of user data to a page: OCP burst -> page buffer -> ECC
+  // encode -> NAND program. Both data planes cost the same stages; a
+  // metadata-only device (DeviceConfig::data_plane == false) takes
+  // the encode from the models and programs no bits, so its `data` may
+  // be empty.
   WriteResult write_page(nand::PageAddress addr, const BitVec& data);
   // Read it back: NAND read -> ECC decode (+ feedback) -> OCP burst.
   // Rejects pages with no t byte (unwritten, erased, or programmed
@@ -105,18 +102,12 @@ class MemoryController {
   Seconds write_latency(double pe_cycles) const;
 
  private:
-  // Metadata-only device service (DeviceConfig::data_plane == false):
-  // the same pipeline arithmetic fed from the timing/energy models
-  // alone — no payload bits move, reads model a clean worst-case
-  // decode and return an empty payload.
-  WriteResult write_page_meta(nand::PageAddress addr, const BitVec& data);
+  // Metadata-only read service: sensing time and the worst-case decode
+  // at the page's written t, with a clean outcome and no payload.
   ReadResult read_page_meta(unsigned t);
 
   ControllerConfig config_;
   nand::NandDevice* device_;
-  RegisterFile registers_;
-  OcpSocket ocp_;
-  PageBuffer buffer_;
   EccUnit ecc_;
   ReliabilityManager reliability_;
   hv::NandPowerModel nand_power_;

@@ -563,6 +563,43 @@ void check_ages(const ExperimentSpec& spec, InputNames names) {
   }
 }
 
+void check_ftl_shape(const ExperimentSpec& spec, InputNames names) {
+  if (spec.mode != ExperimentSpec::Mode::kFtlSweep) return;
+  const bool flags = names == InputNames::kFlags;
+  const nand::Geometry& geometry = spec.ftl.base.die.device.array.geometry;
+  const std::uint32_t free_blocks = spec.ftl.base.ftl.gc_free_blocks;
+  std::ostringstream msg;
+  msg << (flags ? "" : "experiment spec: ");
+  if (std::uint64_t{free_blocks} + 2 >= geometry.blocks) {
+    if (flags) {
+      msg << "--ftl-blocks must be above gc_free_blocks + 2 = "
+          << free_blocks + 2ull;
+    } else {
+      msg << "'ftl.gc_free_blocks' must be below 'geometry.blocks' - 2";
+    }
+    msg << " (a die holds the GC free-block floor plus its two write "
+           "frontiers), got "
+        << (flags ? geometry.blocks : free_blocks);
+    if (!flags) msg << " with 'geometry.blocks' " << geometry.blocks;
+    throw std::invalid_argument(msg.str());
+  }
+  const std::uint64_t die_pages =
+      std::uint64_t{geometry.blocks} * geometry.pages_per_block;
+  for (const controller::DispatchConfig& topology : spec.ftl.topologies) {
+    const std::uint64_t dies =
+        std::uint64_t{topology.channels} * topology.dies_per_channel;
+    if (dies <= ftl::kUnmapped / std::max<std::uint64_t>(die_pages, 1)) {
+      continue;
+    }
+    msg << (flags ? "--ftl-topologies" : "'sweep.topologies'") << " entry "
+        << topology.channels << 'x' << topology.dies_per_channel
+        << " makes " << dies << " dies of " << die_pages
+        << " pages, past the FTL's 32-bit page space of " << ftl::kUnmapped
+        << " pages";
+    throw std::invalid_argument(msg.str());
+  }
+}
+
 ExperimentSpec ExperimentSpec::defaults() {
   ExperimentSpec spec;
   spec.ftl.base.die.device.array.geometry.blocks = 8;
@@ -629,6 +666,7 @@ ExperimentSpec parse_experiment(const JsonValue& root) {
     }
   }
   check_ages(spec, InputNames::kSpecKeys);
+  check_ftl_shape(spec, InputNames::kSpecKeys);
   return spec;
 }
 

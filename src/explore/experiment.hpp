@@ -106,6 +106,11 @@ enum class InputNames { kFlags, kSpecKeys };
 // adds after its start is not checked. parse_experiment runs it;
 // tools/xlf_explore runs it on the spec its flags build.
 void check_ages(const ExperimentSpec& spec, InputNames names);
+// Throws std::invalid_argument, naming the flag or key, for an FTL
+// sweep the FTL cannot hold, counted in 64 bits: a topology past the
+// 32-bit page space (ftl::Lpa), or a die of at most
+// ftl.gc_free_blocks + 2 blocks. It runs wherever check_ages runs.
+void check_ftl_shape(const ExperimentSpec& spec, InputNames names);
 
 // The command-line spelling of the rows. flag_arity is 0 for a switch
 // (--ftl-sweep, --pareto-only), 1 for a flag that takes a value, and

@@ -39,12 +39,17 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
   XLF_EXPECT_MSG(logical_fraction > 0.0 && logical_fraction < 1.0,
                  "logical_fraction must lie in (0, 1)");
 
-  // Every fail-block count must leave each die its logical share plus
-  // the GC slack (the same viability bound Ftl's constructor enforces,
-  // with the retired blocks subtracted) — checked up front for every
-  // topology so a bad axis entry fails before any combo runs.
+  // Every topology must fit the FTL's 32-bit page space, and every
+  // fail-block count must leave each die its logical share plus the GC
+  // slack (the same viability bounds Ftl's constructor enforces, with
+  // the retired blocks subtracted) — checked up front for every
+  // topology, in 64 bits, so a bad axis entry fails before any combo
+  // runs instead of wrapping.
   const nand::Geometry& geometry = spec.base.die.device.array.geometry;
-  const std::uint32_t slack = spec.base.ftl.gc_free_blocks + 2;
+  XLF_EXPECT(geometry.pages_per_block >= 1);
+  const std::uint64_t slack = std::uint64_t{spec.base.ftl.gc_free_blocks} + 2;
+  const std::uint64_t die_pages =
+      std::uint64_t{geometry.blocks} * geometry.pages_per_block;
   for (const std::uint32_t fail : spec.fail_blocks) {
     XLF_EXPECT_MSG(geometry.blocks > fail + slack, [&] {
       std::ostringstream msg;
@@ -53,28 +58,31 @@ FtlSweepResult ftl_sweep(const FtlSweepSpec& spec, ThreadPool& pool) {
       return msg.str();
     }());
     for (const controller::DispatchConfig& topology : spec.topologies) {
-      const std::uint32_t die_count =
-          topology.channels * topology.dies_per_channel;
-      const std::size_t physical =
-          static_cast<std::size_t>(die_count) * geometry.pages();
-      const auto logical = static_cast<std::uint32_t>(
-          static_cast<double>(physical) * logical_fraction);
-      const std::uint32_t per_die_logical_max =
-          logical / die_count + (logical % die_count != 0 ? 1 : 0);
-      XLF_EXPECT_MSG(
-          per_die_logical_max <=
-              (geometry.blocks - fail - slack) * geometry.pages_per_block,
-          [&] {
-            std::ostringstream msg;
-            msg << "fail_blocks=" << fail << " starves topology "
-                << topology.channels << "x" << topology.dies_per_channel
-                << ": up to " << per_die_logical_max
-                << " logical pages land on one die but only "
-                << (geometry.blocks - fail - slack) * geometry.pages_per_block
-                << " fit beside the slack once the retired blocks are gone; "
-                   "lower fail_blocks or logical_fraction, or grow the die";
-            return msg.str();
-          }());
+      const std::uint64_t dies =
+          std::uint64_t{topology.channels} * topology.dies_per_channel;
+      XLF_EXPECT_MSG(dies >= 1 && dies <= ftl::kUnmapped / die_pages, [&] {
+        std::ostringstream msg;
+        msg << "topology " << topology.channels << "x"
+            << topology.dies_per_channel << " makes " << dies << " dies of "
+            << die_pages << " pages, past the FTL's 32-bit page space";
+        return msg.str();
+      }());
+      const auto logical = static_cast<std::uint64_t>(
+          static_cast<double>(dies * die_pages) * logical_fraction);
+      const std::uint64_t per_die_logical_max =
+          logical / dies + (logical % dies != 0 ? 1 : 0);
+      const std::uint64_t room =
+          (geometry.blocks - fail - slack) * geometry.pages_per_block;
+      XLF_EXPECT_MSG(per_die_logical_max <= room, [&] {
+        std::ostringstream msg;
+        msg << "fail_blocks=" << fail << " starves topology "
+            << topology.channels << "x" << topology.dies_per_channel
+            << ": up to " << per_die_logical_max
+            << " logical pages land on one die but only " << room
+            << " fit beside the slack once the retired blocks are gone; "
+               "lower fail_blocks or logical_fraction, or grow the die";
+        return msg.str();
+      }());
     }
   }
 

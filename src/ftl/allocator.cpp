@@ -19,7 +19,7 @@ DieAllocator::DieAllocator(const AllocatorConfig& config) : config_(config) {
   states_.assign(config.blocks, BlockState::kFree);
   erase_counts_.assign(config.blocks, 0);
   last_write_.assign(config.blocks, 0);
-  cached_valid_.assign(config.blocks, 0);
+  valid_.assign(config.blocks, 0);
   free_count_ = config.blocks;
   victims_.reset(config_.gc, config_.blocks, config_.pages_per_block);
   free_index_.reset(config_.blocks);
@@ -88,34 +88,35 @@ void DieAllocator::stamp_write(std::uint32_t block, std::uint64_t stamp) {
 
 void DieAllocator::on_page_mapped(std::uint32_t block) {
   XLF_EXPECT(block < config_.blocks);
-  XLF_EXPECT(cached_valid_[block] < config_.pages_per_block);
-  ++cached_valid_[block];
+  XLF_EXPECT(valid_[block] < config_.pages_per_block);
+  ++valid_[block];
   index_update(block);
 }
 
 void DieAllocator::on_page_invalidated(std::uint32_t block) {
   XLF_EXPECT(block < config_.blocks);
-  XLF_EXPECT(cached_valid_[block] > 0);
-  --cached_valid_[block];
+  XLF_EXPECT(valid_[block] > 0);
+  --valid_[block];
   index_update(block);
 }
 
 void DieAllocator::index_update(std::uint32_t block) {
   if (states_[block] != BlockState::kClosed) return;
-  victims_.update(block, cached_valid_[block], last_write_[block]);
+  victims_.update(block, valid_[block], last_write_[block]);
 }
 
 void DieAllocator::on_erase(std::uint32_t block) {
   XLF_EXPECT(block < config_.blocks);
   XLF_EXPECT(states_[block] == BlockState::kClosed &&
              "only closed blocks are erased");
+  XLF_EXPECT(valid_[block] == 0 &&
+             "erasing a block with live data (relocate first)");
   states_[block] = BlockState::kFree;
   ++erase_counts_[block];
   // A free block carries no age: clearing the stamp keeps the live
   // state field-identical to what rebuild_from_oob reconstructs (an
   // erased block has no OOB records to derive a stamp from).
   last_write_[block] = 0;
-  cached_valid_[block] = 0;
   ++free_count_;
   victims_.remove(block);
   free_index_.push(block,
@@ -126,9 +127,10 @@ void DieAllocator::retire(std::uint32_t block) {
   XLF_EXPECT(block < config_.blocks);
   XLF_EXPECT(states_[block] == BlockState::kClosed &&
              "only closed blocks reach the erase that can fail");
+  XLF_EXPECT(valid_[block] == 0 &&
+             "retiring a block with live data (relocate first)");
   states_[block] = BlockState::kBad;
   last_write_[block] = 0;
-  cached_valid_[block] = 0;
   victims_.remove(block);
 }
 

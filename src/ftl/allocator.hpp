@@ -7,8 +7,9 @@
 // free -> open -> closed -> (GC victim) -> free, with a terminal
 // `bad` state for blocks retired after an erase failure (never
 // allocated, never collected, excluded from the wear spread); the
-// allocator owns that state machine plus the FTL-visible erase
-// counters the wear leveler and the per-block ECC adaptation read.
+// allocator owns that state machine, each block's valid-page count
+// (the GC victim signal) and the FTL-visible erase counters the wear
+// leveler reads.
 //
 // All of this is DRAM state: after a simulated power cycle the Ftl
 // reconstructs it through the restore()/restore_frontier() mount API
@@ -45,8 +46,8 @@ struct AllocatorConfig {
   // Free-block preference.
   policy::Wear wear = policy::Wear::kDynamic;
   // GC victim scoring; keys the victim index, so callers must report
-  // valid-count changes through on_page_mapped / on_page_invalidated
-  // (the Ftl does).
+  // every page that turns valid or invalid through on_page_mapped /
+  // on_page_invalidated (the Ftl does).
   policy::Gc gc = policy::Gc::kGreedy;
 };
 
@@ -82,24 +83,23 @@ class DieAllocator {
   // Record the logical write time of a block (cost-benefit age).
   void stamp_write(std::uint32_t block, std::uint64_t stamp);
 
-  // --- victim-index valid-count feed --------------------------------
-  // The allocator mirrors the PageMap's per-block valid counters so
-  // the victim index can re-bucket closed blocks incrementally. The
-  // Ftl calls these on every map/unmap transition (host writes, GC
-  // relocation, trim); each also refreshes the block's index entry.
+  // --- valid-page counts ----------------------------------------------
+  // The Ftl calls these on every map/unmap transition; each also
+  // refreshes the block's victim-index entry.
   void on_page_mapped(std::uint32_t block);
   void on_page_invalidated(std::uint32_t block);
-  std::uint32_t cached_valid(std::uint32_t block) const {
-    return cached_valid_.at(block);
+  // Valid pages in the block: the GC victim-selection signal.
+  std::uint32_t valid_count(std::uint32_t block) const {
+    return valid_.at(block);
   }
   // Erase bookkeeping: the block rejoins the free list, its erase
   // counter advances and its write stamp resets (a free block has no
   // age). Must be a closed block (victims always are; open frontiers
-  // are never collected).
+  // are never collected) with no valid page left (relocate first).
   void on_erase(std::uint32_t block);
   // Grown-bad retirement: a closed block whose erase failed leaves
   // the allocation cycle for good. Its erase counter does not advance
-  // (the erase did not happen).
+  // (the erase did not happen); it too needs every page invalid.
   void retire(std::uint32_t block);
 
   std::uint32_t erase_count(std::uint32_t block) const;
@@ -135,7 +135,7 @@ class DieAllocator {
       std::uint64_t now) const;
 
   // The same pick under the allocator's own GC policy, from the
-  // victim index and the mirrored valid counters: O(pages_per_block)
+  // victim index and the valid counts: O(pages_per_block)
   // bucket-head probes instead of an O(blocks) scan, byte-identical
   // to pick_victim_scored(config.gc, ...) (the same policy::gc_score;
   // ties break toward the lowest id in both).
@@ -160,17 +160,17 @@ class DieAllocator {
   std::uint32_t pick_free_block() const;
   Frontier& frontier(Stream stream);
   const Frontier& frontier(Stream stream) const;
-  // Refresh the block's victim-index entry from the mirrored state
-  // (no-op while the block is not closed).
+  // Refresh the block's victim-index entry from its valid count and
+  // stamp (no-op while the block is not closed).
   void index_update(std::uint32_t block);
 
   AllocatorConfig config_;
   std::vector<BlockState> states_;
   std::vector<std::uint32_t> erase_counts_;
   std::vector<std::uint64_t> last_write_;
-  // Mirror of the PageMap's per-block valid counts, fed through
-  // on_page_mapped / on_page_invalidated; drives the victim index.
-  std::vector<std::uint32_t> cached_valid_;
+  // Per-block valid pages, fed through on_page_mapped /
+  // on_page_invalidated; drives the victim index.
+  std::vector<std::uint32_t> valid_;
   VictimIndex victims_;
   FreeBlockIndex free_index_;
   Frontier host_;

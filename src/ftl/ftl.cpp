@@ -45,9 +45,13 @@ Ftl::Ftl(const FtlConfig& config,
     XLF_EXPECT(c->device().geometry().pages_per_block ==
                geometry.pages_per_block);
   }
+  // Counted in 64 bits: the pages must fit the 32-bit page space (Lpa;
+  // kUnmapped stays free as the sentinel).
+  const std::uint64_t physical = std::uint64_t{geometry.blocks} *
+                                 geometry.pages_per_block *
+                                 controllers_.size();
+  XLF_EXPECT(physical <= kUnmapped && "past the FTL's 32-bit page space");
   const std::uint32_t die_count = this->dies();
-  const std::size_t physical =
-      static_cast<std::size_t>(die_count) * geometry.pages();
   const auto logical = static_cast<std::uint32_t>(
       static_cast<double>(physical) * config_.logical_fraction);
   XLF_EXPECT_MSG(logical >= 1, [&] {
@@ -63,7 +67,8 @@ Ftl::Ftl(const FtlConfig& config,
   // logical space (lpa % dies affinity).
   const std::uint32_t per_die_logical_max =
       logical / die_count + (logical % die_count != 0 ? 1 : 0);
-  const std::uint32_t slack_blocks = config_.gc_free_blocks + 2;
+  const std::uint64_t slack_blocks =
+      std::uint64_t{config_.gc_free_blocks} + 2;
   XLF_EXPECT_MSG(geometry.blocks > slack_blocks, [&] {
     std::ostringstream msg;
     msg << "blocks=" << geometry.blocks << " per die cannot host the "
@@ -95,13 +100,12 @@ Ftl::Ftl(const FtlConfig& config,
   alloc_config.wear = config_.wear_policy;
   alloc_config.gc = config_.gc_policy;
   allocators_.assign(die_count, DieAllocator(alloc_config));
-  block_t_.assign(die_count, std::vector<unsigned>(geometry.blocks, 0));
 }
 
 void Ftl::map_page(Lpa lpa, Ppa ppa) {
-  // Every map transition feeds the allocators' mirrored valid
-  // counters (and through them the victim index): +1 on the new
-  // block, -1 on the displaced copy's block when the LPA was mapped.
+  // Every map transition feeds the allocators' valid counts (and
+  // through them the victim index): +1 on the new block, -1 on the
+  // displaced copy's block when the LPA was mapped.
   const Ppa old = map_.map(lpa, ppa);
   allocators_[ppa.die].on_page_mapped(ppa.block);
   if (old.valid()) allocators_[old.die].on_page_invalidated(old.block);
@@ -118,7 +122,6 @@ unsigned Ftl::adapt_block_t(std::uint32_t die, std::uint32_t block) {
   // each page's spare-area t byte lets older pages still decode at
   // the t they were written with.
   const unsigned t = ctrl(die).adapt_ecc(device(die).wear(block));
-  block_t_[die][block] = t;
   stats_.min_t_used = std::min(stats_.min_t_used, t);
   stats_.max_t_used = std::max(stats_.max_t_used, t);
   return t;
@@ -137,9 +140,7 @@ Seconds Ftl::erase_block(std::uint32_t die, std::uint32_t block) {
     // bookkeeping moves: no wear bump, no erase count, no free slot.
     // The die still spent the attempt's time going busy.
     dev.mark_bad(block);
-    map_.on_erase(die, block);
     allocators_[die].retire(block);
-    block_t_[die][block] = 0;
     ++stats_.bad_blocks;
     log_info() << "erase failure: die " << die << " block " << block
                << " retired to the bad-block table";
@@ -152,9 +153,7 @@ Seconds Ftl::erase_block(std::uint32_t die, std::uint32_t block) {
     dev.set_wear(block, dev.wear(block) + config_.pe_cycles_per_erase - 1.0);
   }
   const Seconds busy = ctrl(die).erase_block(block);
-  map_.on_erase(die, block);
   allocators_[die].on_erase(block);
-  block_t_[die][block] = 0;  // no pages, no operating point (see rebuild)
   ++stats_.erases;
   fault(FaultPoint::kAfterErase);
   return busy;
@@ -365,6 +364,7 @@ ScrubResult Ftl::scrub() {
   ScrubResult scrub_result;
   const nand::Geometry& geometry = controllers_.front()->device().geometry();
   for (std::uint32_t d = 0; d < dies(); ++d) {
+    const DieAllocator& alloc = allocators_[d];
     const nand::AgingLaw& law = device(d).config().array.aging;
     const controller::ReliabilityManager& rel = ctrl(d).reliability();
     // Snapshot the candidates before relocating anything: a refresh
@@ -375,21 +375,20 @@ ScrubResult Ftl::scrub() {
     for (std::uint32_t b = 0; b < geometry.blocks; ++b) {
       // Only closed blocks with live data are scrub candidates: open
       // frontiers are in active use and free blocks hold nothing.
-      if (allocators_[d].is_closed(b) && map_.valid_count(d, b) > 0) {
+      if (alloc.is_closed(b) && alloc.valid_count(b) > 0) {
         candidates.push_back(b);
       }
     }
     for (const std::uint32_t b : candidates) {
       // Re-check at visit time: an earlier refresh in this pass may
       // have recycled the block through the free list.
-      if (!allocators_[d].is_closed(b)) continue;
-      if (map_.valid_count(d, b) == 0) continue;
+      if (!alloc.is_closed(b) || alloc.valid_count(b) == 0) continue;
       ++scrub_result.blocks_checked;
 
       policy::RefreshContext ctx;
       ctx.algo = ctrl(d).program_algorithm();
       ctx.pe_cycles = device(d).wear(b);
-      ctx.page_t = block_t_[d][b];
+      ctx.page_t = block_t(d, b);
       ctx.retention_hours = config_.scrub_retention_hours;
       ctx.code = rel.code();
       ctx.uber_target = rel.config().uber_target;
@@ -436,7 +435,6 @@ void Ftl::rebuild_from_oob() {
   alloc_config.wear = config_.wear_policy;
   alloc_config.gc = config_.gc_policy;
   allocators_.assign(die_count, DieAllocator(alloc_config));
-  block_t_.assign(die_count, std::vector<unsigned>(geometry.blocks, 0));
   for (const Lpa lpa : pending_trims_) trim_pending_[lpa] = false;
   pending_trims_.clear();
   stats_ = FtlStats{};
@@ -463,7 +461,6 @@ void Ftl::rebuild_from_oob() {
       }
       std::uint64_t block_stamp = 0;  // newest program's clock stamp
       std::uint64_t best_seq = 0;
-      unsigned last_t = 0;
       std::uint8_t last_stream = 0;
       bool any = false;
       for (std::uint32_t p = 0; p < ppb; ++p) {
@@ -474,7 +471,6 @@ void Ftl::rebuild_from_oob() {
         replay.push_back({rec->seq, rec->lba, Ppa{d, b, p}, false});
         if (rec->seq >= best_seq) {
           best_seq = rec->seq;
-          last_t = t;
           last_stream = rec->stream;
         }
         block_stamp = std::max(block_stamp, rec->stamp);
@@ -501,7 +497,6 @@ void Ftl::rebuild_from_oob() {
         // reclaims it through the normal victim path.
         alloc.restore(b, DieAllocator::BlockState::kClosed, erases,
                       block_stamp);
-        block_t_[d][b] = any ? last_t : 0;
       } else {
         // Partially written: reopen as the write frontier of the
         // stream that was filling it (at most one such block per
@@ -516,7 +511,6 @@ void Ftl::rebuild_from_oob() {
         } else {
           alloc.restore_frontier(stream, b, next, erases, block_stamp);
         }
-        block_t_[d][b] = last_t;
       }
     }
   }
@@ -541,9 +535,9 @@ void Ftl::rebuild_from_oob() {
       continue;
     }
     XLF_ENSURE(r.lpa < map_.logical_pages());
-    // map_page keeps the allocators' mirrored counters — and with
-    // them the victim index — in lockstep with the replay, so the
-    // index is fully reconstructed by the time the mount returns.
+    // map_page keeps the allocators' valid counts — and with them the
+    // victim index — in lockstep with the replay, so the index is
+    // fully reconstructed by the time the mount returns.
     map_page(r.lpa, r.ppa);
   }
 }
@@ -578,10 +572,7 @@ void Ftl::check_consistency() const {
         XLF_ENSURE(map_.mapped(owner) && map_.lookup(owner) == ppa);
         ++valid;
       }
-      XLF_ENSURE(valid == map_.valid_count(d, b));
-      // The allocator's mirrored counter (the victim-index feed) must
-      // track the map exactly.
-      XLF_ENSURE(valid == alloc.cached_valid(b));
+      XLF_ENSURE(valid == alloc.valid_count(b));
       const DieAllocator::BlockState state = alloc.state(b);
       XLF_ENSURE(dev.is_bad(b) == (state == DieAllocator::BlockState::kBad));
       if (state == DieAllocator::BlockState::kFree ||
@@ -608,7 +599,7 @@ void Ftl::check_consistency() const {
     // the live policy and clock.
     const std::optional<std::uint32_t> oracle = alloc.pick_victim_scored(
         config_.gc_policy,
-        [&](std::uint32_t b) { return map_.valid_count(d, b); }, clock_);
+        [&](std::uint32_t b) { return alloc.valid_count(b); }, clock_);
     XLF_ENSURE(alloc.pick_victim(clock_) == oracle);
   }
 }
@@ -630,7 +621,14 @@ std::uint32_t Ftl::erase_count(std::uint32_t die, std::uint32_t block) const {
 
 unsigned Ftl::block_t(std::uint32_t die, std::uint32_t block) const {
   XLF_EXPECT(die < dies());
-  return block_t_.at(die).at(block);
+  const nand::NandDevice& dev = device(die);
+  if (dev.is_bad(block)) return 0;
+  // Pages are appended in order, so the newest program is the last
+  // page with an OOB record (a torn page has a t byte but no record).
+  for (std::uint32_t p = dev.geometry().pages_per_block; p-- > 0;) {
+    if (dev.oob({block, p}).has_value()) return dev.ecc_t({block, p});
+  }
+  return 0;
 }
 
 double Ftl::min_wear() const {

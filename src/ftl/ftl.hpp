@@ -26,8 +26,8 @@
 //    monotonic seq, stream, clock stamp) beside the page's t byte in
 //    its spare area, trims journal tombstones that flush() persists, and
 //    rebuild_from_oob() reconstructs the whole DRAM state — L2P map,
-//    valid counters, frontiers, erase counters, per-block t — from
-//    the surviving NAND after a power loss (see fault.hpp for the
+//    valid counts, frontiers, erase counters — from the surviving
+//    NAND after a power loss (see fault.hpp for the
 //    injection hooks and ARCHITECTURE.md for the crash model);
 //  * grown-bad blocks: an erase failure (FaultInjector-injected)
 //    retires the block into the device's durable bad-block table;
@@ -246,8 +246,9 @@ class Ftl {
   // --- wear / configuration visibility --------------------------------
   double wear(std::uint32_t die, std::uint32_t block) const;
   std::uint32_t erase_count(std::uint32_t die, std::uint32_t block) const;
-  // Last correction capability assigned to the block (0 = never
-  // programmed since construction).
+  // The correction capability of the block's newest recorded page,
+  // read from its spare-area t byte: 0 for a retired block or one with
+  // no OOB record.
   unsigned block_t(std::uint32_t die, std::uint32_t block) const;
   double min_wear() const;
   double max_wear() const;
@@ -267,14 +268,14 @@ class Ftl {
   void fault(FaultPoint point) {
     if (fault_ != nullptr) fault_->hit(point);
   }
-  // PageMap transitions routed through the allocators' mirrored
-  // valid counters (the victim-index feed). All Ftl code paths —
+  // PageMap transitions routed through the allocators' valid counts
+  // (the victim-index feed). All Ftl code paths —
   // host writes, GC relocation, trim, mount replay — use these
   // instead of touching map_.map/unmap directly.
   void map_page(Lpa lpa, Ppa ppa);
   void unmap_page(Lpa lpa);
   // Reliability manager pass for the target block's own wear; records
-  // the chosen t.
+  // the chosen t in the run's t spread.
   unsigned adapt_block_t(std::uint32_t die, std::uint32_t block);
   // Reclaim until the die's free count clears the floor; returns die
   // busy time spent.
@@ -291,7 +292,6 @@ class Ftl {
   std::vector<controller::MemoryController*> controllers_;
   PageMap map_;
   std::vector<DieAllocator> allocators_;
-  std::vector<std::vector<unsigned>> block_t_;  // [die][block]
   std::uint64_t clock_ = 0;  // logical write stamp (cost-benefit age)
   std::uint64_t seq_ = 0;    // OOB/tombstone sequence counter
   // Trims accepted but not yet flushed (lost on power loss): one entry

@@ -21,7 +21,6 @@ PageMap::PageMap(std::uint32_t dies, std::uint32_t blocks_per_die,
   XLF_EXPECT(logical_pages < physical);
   l2p_.assign(logical_pages, Ppa{});
   p2l_.assign(physical, kUnmapped);
-  valid_counts_.assign(static_cast<std::size_t>(dies) * blocks_per_die, 0);
 }
 
 std::size_t PageMap::page_index(const Ppa& ppa) const {
@@ -56,13 +55,9 @@ Ppa PageMap::map(Lpa lpa, Ppa ppa) {
     const std::size_t previous = page_index(old);
     XLF_ENSURE(p2l_[previous] == lpa);
     p2l_[previous] = kUnmapped;
-    --valid_counts_[static_cast<std::size_t>(old.die) * blocks_per_die_ +
-                    old.block];
   }
   l2p_[lpa] = ppa;
   p2l_[target] = lpa;
-  ++valid_counts_[static_cast<std::size_t>(ppa.die) * blocks_per_die_ +
-                  ppa.block];
   return old;
 }
 
@@ -73,8 +68,6 @@ Ppa PageMap::unmap(Lpa lpa) {
   const std::size_t previous = page_index(old);
   XLF_ENSURE(p2l_[previous] == lpa);
   p2l_[previous] = kUnmapped;
-  --valid_counts_[static_cast<std::size_t>(old.die) * blocks_per_die_ +
-                  old.block];
   l2p_[lpa] = Ppa{};
   return old;
 }
@@ -87,26 +80,6 @@ bool PageMap::valid(Ppa ppa) const {
 Lpa PageMap::lpa_at(Ppa ppa) const {
   check(ppa);
   return p2l_[page_index(ppa)];
-}
-
-std::uint32_t PageMap::valid_count(std::uint32_t die,
-                                   std::uint32_t block) const {
-  XLF_EXPECT(die < dies_);
-  XLF_EXPECT(block < blocks_per_die_);
-  return valid_counts_[static_cast<std::size_t>(die) * blocks_per_die_ + block];
-}
-
-void PageMap::on_erase(std::uint32_t die, std::uint32_t block) {
-  XLF_EXPECT(die < dies_);
-  XLF_EXPECT(block < blocks_per_die_);
-  XLF_EXPECT(valid_count(die, block) == 0 &&
-             "erasing a block with live data (relocate first)");
-  const std::size_t base =
-      (static_cast<std::size_t>(die) * blocks_per_die_ + block) *
-      pages_per_block_;
-  for (std::uint32_t p = 0; p < pages_per_block_; ++p) {
-    p2l_[base + p] = kUnmapped;
-  }
 }
 
 }  // namespace xlf::ftl

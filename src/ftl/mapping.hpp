@@ -5,9 +5,8 @@
 // garbage collection) and writes out of place: every host write lands
 // on a fresh physical page and merely invalidates the LPA's previous
 // location. PageMap is the bookkeeping core of that scheme — the L2P
-// table, its P2L inverse (needed by GC to find the owner of a valid
-// page), and per-block valid-page counters (the GC victim-selection
-// signal).
+// table and its P2L inverse (needed by GC to find the owner of a valid
+// page); the per-block valid counts live in the DieAllocator.
 //
 // Pure data structure: no device access, no timing, no policy. The
 // Ftl drives it and keeps it consistent with the NAND state.
@@ -47,11 +46,11 @@ class PageMap {
   // location (the out-of-place write step). The target page must not
   // already hold a valid mapping. Returns the displaced location
   // (Ppa::valid() false when the LPA was unmapped) so the caller can
-  // feed per-block valid-count listeners (the victim index).
+  // feed the per-block valid counts.
   Ppa map(Lpa lpa, Ppa ppa);
   // Drop `lpa`'s mapping entirely (host trim/deallocate): its
-  // physical page goes invalid — feeding the block's GC signal — and
-  // subsequent lookups see the LPA as never written. The LPA must be
+  // physical page goes invalid and subsequent lookups see the LPA as
+  // never written. The LPA must be
   // mapped. Returns the dropped location.
   Ppa unmap(Lpa lpa);
 
@@ -59,11 +58,6 @@ class PageMap {
   bool valid(Ppa ppa) const;
   // Owner of a valid physical page; kUnmapped when invalid.
   Lpa lpa_at(Ppa ppa) const;
-  // Valid pages in a block — the GC victim-selection signal.
-  std::uint32_t valid_count(std::uint32_t die, std::uint32_t block) const;
-  // An erase leaves every page of the block invalid. Any still-valid
-  // page must have been relocated (remapped) first.
-  void on_erase(std::uint32_t die, std::uint32_t block);
 
  private:
   std::size_t page_index(const Ppa& ppa) const;
@@ -76,8 +70,6 @@ class PageMap {
   std::vector<Ppa> l2p_;
   // P2L inverse, flat [die][block][page]; kUnmapped marks invalid.
   std::vector<Lpa> p2l_;
-  // [die][block] valid-page counters, kept in lockstep with p2l_.
-  std::vector<std::uint32_t> valid_counts_;
 };
 
 }  // namespace xlf::ftl

@@ -44,7 +44,7 @@ const HostInterface::QueueState& HostInterface::state(std::size_t q) const {
 
 double HostInterface::weight(std::size_t q) const { return state(q).weight; }
 
-// xlf: hot — per-command path; slots recycle through the free list.
+// xlf: hot — per-command path; stores the head in place.
 void HostInterface::submit(const Command& command, Seconds arrival) {
   XLF_EXPECT_MSG(command.queue < states_.size(), [&] {
     std::ostringstream msg;
@@ -54,42 +54,20 @@ void HostInterface::submit(const Command& command, Seconds arrival) {
   }());
   XLF_EXPECT(command.type == CmdType::kFlush || command.length >= 1);
   QueueState& s = states_[command.queue];
-  const std::uint32_t slot = acquire_slot(s);
-  SubmissionSlot& node = s.slots[slot];
-  node.command = command;
-  node.arrival = arrival;
-  node.next = kNilSlot;
-  if (s.tail == kNilSlot) {
-    s.head = slot;
-  } else {
-    s.slots[s.tail].next = slot;
-  }
-  s.tail = slot;
-  ++s.backlog;
-}
-
-std::uint32_t HostInterface::acquire_slot(QueueState& s) {
-  if (s.free_head != kNilSlot) {
-    const std::uint32_t slot = s.free_head;
-    s.free_head = s.slots[slot].next;
-    return slot;
-  }
-  // Arena growth: the slot pool only grows while the backlog sets a
-  // new high-water mark; at steady state every submit recycles.
-  s.slots.emplace_back();  // xlf-lint: allow(hot-alloc)
-  return static_cast<std::uint32_t>(s.slots.size() - 1);
+  XLF_EXPECT(!s.held && "each queue holds its head alone (pop it first)");
+  s.head = command;
+  s.arrival = arrival;
+  s.held = true;
 }
 
 bool HostInterface::pending() const {
   for (const QueueState& s : states_) {
-    if (s.backlog != 0) return true;
+    if (s.held) return true;
   }
   return false;
 }
 
-std::size_t HostInterface::backlog(std::size_t q) const {
-  return state(q).backlog;
-}
+bool HostInterface::holds(std::size_t q) const { return state(q).held; }
 
 // xlf: hot — runs once per issued command; reads states_ in place.
 std::optional<std::uint32_t> HostInterface::arbitrate() const {
@@ -123,22 +101,15 @@ std::optional<std::uint32_t> HostInterface::arbitrate() const {
   return pick;
 }
 
-// xlf: hot — intrusive-list unlink, no container operations at all.
+// xlf: hot — hands out the head, no container operations at all.
 std::pair<Command, Seconds> HostInterface::pop(std::uint32_t q) {
   XLF_EXPECT(q < states_.size());
   QueueState& s = states_[q];
-  XLF_EXPECT(!s.blocked && s.backlog != 0);
-  SubmissionSlot& node = s.slots[s.head];
-  std::pair<Command, Seconds> head{node.command, node.arrival};
-  const std::uint32_t slot = s.head;
-  s.head = node.next;
-  if (s.head == kNilSlot) s.tail = kNilSlot;
-  node.next = s.free_head;
-  s.free_head = slot;
-  --s.backlog;
+  XLF_EXPECT(issuable(s));
+  s.held = false;
   ++s.issued;
   last_queue_ = q;
-  return head;
+  return {s.head, s.arrival};
 }
 
 void HostInterface::block(std::uint32_t q) {

@@ -4,25 +4,25 @@
 // issues next whenever the device has a free command slot.
 //
 // The structure mirrors NVMe's submission/completion model scaled to
-// the simulator: the host submits Commands onto per-queue FIFOs on
-// its own clock; the driver (sim::SsdSimulator) asks `arbitrate()`
-// for the next queue while its outstanding count is below the device
-// queue depth, pops the head command, executes it against the FTL,
-// and posts a Completion back through `complete()`. Per-queue issue
-// counters, flush barriers and latency statistics live here, and
-// arbitrate() reads them in place.
+// the simulator: the host submits Commands onto per-queue submission
+// queues on its own clock; the driver (sim::SsdSimulator) asks
+// `arbitrate()` for the next queue while its outstanding count is
+// below the device queue depth, pops the head command, executes it
+// against the FTL, and posts a Completion back through `complete()`.
+// Per-queue issue counters, flush barriers and latency statistics live
+// here, and arbitrate() reads them in place.
 //
-// arbitrate() reads whether a queue holds a command, never how many,
-// so a caller may keep each queue at its head alone: SsdSimulator
-// submits a queue's next arrived command right after pop() takes the
-// head, as an NVMe controller fetches only the entry it issues next
-// while the rest stay in host memory (the simulator's command vector).
-// The slot arena still queues any number of commands per queue for
-// callers that submit a whole backlog.
+// Each queue holds its head alone, as an NVMe controller fetches only
+// the entry it issues next while the rest stay in host memory (the
+// simulator's command vector): submit() onto a queue that holds one
+// is a precondition failure, and the driver submits a queue's next
+// arrived command right after pop() takes the head. arbitrate() reads
+// whether a queue holds a command, so it picks as it would over whole
+// backlogs.
 //
 // Single-threaded like the simulator that drives it; determinism
-// comes from FIFO queues, the stable arbitration tie-break contract,
-// and nothing else.
+// comes from in-order submission, the stable arbitration tie-break
+// contract, and nothing else.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +68,14 @@ class HostInterface {
   double weight(std::size_t q) const;
 
   // --- submission side ------------------------------------------------
-  // Enqueue onto the command's own queue (Command::queue must be in
-  // range) at host time `arrival`, behind any command it holds.
+  // Make the command the head of its own queue (Command::queue must be
+  // in range, and the queue must hold no command) at host time
+  // `arrival`.
   void submit(const Command& command, Seconds arrival);
   // Any command submitted and not yet issued?
   bool pending() const;
-  std::size_t backlog(std::size_t q) const;
+  // Whether queue `q` holds a command (its head).
+  bool holds(std::size_t q) const;
 
   // --- arbitration / issue -------------------------------------------
   // The queue that should issue next, per the arbitration policy;
@@ -83,9 +85,9 @@ class HostInterface {
   // charge the issue to the queue's fairness counter.
   std::pair<Command, Seconds> pop(std::uint32_t q);
 
-  // Flush barrier: while blocked, a queue's backlog is ineligible
-  // (commands behind an in-flight flush wait for it), but submissions
-  // still land.
+  // Flush barrier: while blocked, a queue's head is ineligible
+  // (commands behind an in-flight flush wait for it), but a submission
+  // still lands.
   void block(std::uint32_t q);
   void unblock(std::uint32_t q);
   bool blocked(std::uint32_t q) const;
@@ -106,29 +108,12 @@ class HostInterface {
   std::vector<QueueStats> all_stats() const;
 
  private:
-  static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
-
-  // One arena slot: a pending command, its arrival stamp, and the
-  // intrusive link that threads it into the FIFO (while queued) or
-  // the free list (while recycled).
-  struct SubmissionSlot {
-    Command command;
-    Seconds arrival{0.0};
-    std::uint32_t next = kNilSlot;
-  };
-
   struct QueueState {
-    // Per-queue submission arena: slots slab-allocate once and then
-    // recycle through the free list, so the steady-state submit/pop
-    // cycle touches no allocator (xlf_lint's hot-alloc rule guards
-    // this: submit is `// xlf: hot`, and acquire_slot's slab growth is
-    // its one allowed allocation). It grows to the queue's largest
-    // backlog: one slot under SsdSimulator.
-    std::vector<SubmissionSlot> slots;
-    std::uint32_t free_head = kNilSlot;  // recycled slots
-    std::uint32_t head = kNilSlot;       // FIFO front (next pop)
-    std::uint32_t tail = kNilSlot;
-    std::size_t backlog = 0;
+    // The queue's head: the command it issues next, its arrival stamp,
+    // and whether it holds one.
+    Command head;
+    Seconds arrival{0.0};
+    bool held = false;
     std::uint64_t issued = 0;
     double weight = 1.0;
     bool blocked = false;
@@ -137,11 +122,9 @@ class HostInterface {
   };
 
   const QueueState& state(std::size_t q) const;
-  static std::uint32_t acquire_slot(QueueState& s);
-  // Issuable now: non-empty and not behind an in-flight flush barrier.
-  static bool issuable(const QueueState& s) {
-    return !s.blocked && s.backlog != 0;
-  }
+  // Issuable now: holds a command not behind an in-flight flush
+  // barrier.
+  static bool issuable(const QueueState& s) { return !s.blocked && s.held; }
 
   policy::Arbitration arbitration_;
   std::vector<QueueState> states_;

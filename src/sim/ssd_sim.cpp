@@ -242,11 +242,11 @@ void SsdSimulator::refill(std::uint32_t q) {
     if (commands[i].queue == q) {
       host_->submit(commands[i], stamp);
       ++handed_;
-      lane = {i + 1, stamp, true};
+      lane = {i + 1, stamp};
       return;
     }
   }
-  lane = {arrived_, stamp, false};
+  lane = {arrived_, stamp};
 }
 
 std::size_t SsdSimulator::verify_stored() {
@@ -272,7 +272,7 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
 
   const Seconds start = queue_.now();
   stream_ = &commands;
-  lanes_.assign(host.queues(), Lane{0, start, false});
+  lanes_.assign(host.queues(), Lane{0, start});
   arrived_ = 0;
   handed_ = 0;
   const ftl::FtlStats ftl_before = ssd_->ftl().stats();
@@ -312,10 +312,10 @@ SsdSimStats SsdSimulator::run(const std::vector<host::Command>& commands) {
         const host::Command& command = commands[arrived_];
         ++arrived_;
         // submit() also rejects a queue the host does not have.
-        if (command.queue >= lanes_.size() || !lanes_[command.queue].held) {
+        if (command.queue >= lanes_.size() || !host.holds(command.queue)) {
           host.submit(command, arrival);
           ++handed_;
-          lanes_[command.queue] = {arrived_, arrival, true};
+          lanes_[command.queue] = {arrived_, arrival};
         }
         try_issue(stats);
         stamp_next();

@@ -179,16 +179,16 @@ class SsdSimulator {
   std::size_t outstanding_ = 0;
   SsdSimStats* run_stats_ = nullptr;
   // The run's command vector, and one lane per submission queue over
-  // it. The host holds a queue's command only while `held`; the queue's
-  // later arrivals wait in the vector. `next` is the first index the
-  // lane has not passed and `stamp` the arrival of the command before
-  // it: a refill rebuilds arrival stamps from there by adding the gaps
-  // in the arrival loop's order, so they are bit-identical. Sized per
-  // run, kept across runs so that short runs do not allocate it again.
+  // it. The host holds at most a queue's head (HostInterface::holds);
+  // the queue's later arrivals wait in the vector. `next` is the first
+  // index the lane has not passed and `stamp` the arrival of the
+  // command before it: a refill rebuilds arrival stamps from there by
+  // adding the gaps in the arrival loop's order, so they are
+  // bit-identical. Sized per run, kept across runs so that short runs
+  // do not allocate it again.
   struct Lane {
     std::size_t next = 0;
     Seconds stamp{0.0};
-    bool held = false;
   };
   const std::vector<host::Command>* stream_ = nullptr;
   std::vector<Lane> lanes_;

@@ -66,7 +66,7 @@ FtlSnapshot snapshot(const Ssd& ssd) {
   for (std::uint32_t d = 0; d < ftl.dies(); ++d) {
     const DieAllocator& alloc = ftl.allocator(d);
     for (std::uint32_t b = 0; b < blocks; ++b) {
-      snap.valid_counts.push_back(ftl.map().valid_count(d, b));
+      snap.valid_counts.push_back(alloc.valid_count(b));
       snap.states.push_back(alloc.state(b));
       snap.erase_counts.push_back(alloc.erase_count(b));
       snap.last_writes.push_back(alloc.last_write(b));
@@ -361,7 +361,7 @@ TEST(CrashRecovery, GrownBadBlocksRetireRouteAroundAndSurviveRemount) {
     // the block's FTL-visible wear counter.
     EXPECT_EQ(ftl.allocator(d).erase_count(kDoomed), 0u);
     // Nothing lives there and no frontier points there.
-    EXPECT_EQ(ftl.map().valid_count(d, kDoomed), 0u);
+    EXPECT_EQ(ftl.allocator(d).valid_count(kDoomed), 0u);
     for (const auto stream :
          {DieAllocator::Stream::kHost, DieAllocator::Stream::kGc}) {
       const auto view = ftl.allocator(d).frontier_view(stream);
@@ -445,7 +445,7 @@ TEST(CrashRecovery, VictimIndexRebuildMatchesScratchScanAfterMidGcCrash) {
       const DieAllocator& alloc = ssd.ftl().allocator(d);
       const auto scratch = alloc.pick_victim_scored(
           config.ftl.gc_policy,
-          [&](std::uint32_t b) { return alloc.cached_valid(b); }, now);
+          [&](std::uint32_t b) { return alloc.valid_count(b); }, now);
       EXPECT_EQ(alloc.pick_victim(now), scratch) << name << " die " << d;
     }
   }

@@ -47,6 +47,7 @@ ExperimentSpec from_flags(const std::vector<std::string>& args) {
     apply_flag(spec, flag, arity == 1 ? args.at(++i) : "");
   }
   check_ages(spec, InputNames::kFlags);
+  check_ftl_shape(spec, InputNames::kFlags);
   return spec;
 }
 
@@ -231,22 +232,25 @@ TEST(ExperimentSpec, MalformedValuesRejected) {
 }
 
 TEST(ExperimentSpec, ThirtyTwoBitKeysRejectValuesThatWouldWrap) {
-  // Each dotted key, its range, and the JSON that holds the value.
+  // Each dotted key, its range, and the JSON that holds the value. The
+  // specs are in space mode, which reads the FTL keys without running
+  // an FTL: the integer bound alone is under test here, while an FTL
+  // sweep also rejects a shape its die cannot hold (next test).
   const struct {
     const char* key;
     const char* range;
     const char* json;  // printf-style, %s = the value
   } cases[] = {
       {"geometry.blocks", "[1, 4294967295]",
-       R"({"mode": "ftl-sweep", "geometry": {"blocks": %s}})"},
+       R"({"mode": "space", "geometry": {"blocks": %s}})"},
       {"geometry.pages_per_block", "[1, 4294967295]",
-       R"({"mode": "ftl-sweep", "geometry": {"pages_per_block": %s}})"},
+       R"({"mode": "space", "geometry": {"pages_per_block": %s}})"},
       {"ftl.gc_free_blocks", "[0, 4294967295]",
-       R"({"mode": "ftl-sweep", "ftl": {"gc_free_blocks": %s}})"},
+       R"({"mode": "space", "ftl": {"gc_free_blocks": %s}})"},
       {"ftl.static_wl_spread", "[0, 4294967295]",
-       R"({"mode": "ftl-sweep", "ftl": {"static_wl_spread": %s}})"},
+       R"({"mode": "space", "ftl": {"static_wl_spread": %s}})"},
       {"sweep.fail_blocks", "[0, 4294967295]",
-       R"({"mode": "ftl-sweep", "sweep": {"fail_blocks": [0, %s]}})"},
+       R"({"mode": "space", "sweep": {"fail_blocks": [0, %s]}})"},
   };
   const auto with = [](const char* json, const char* value) {
     std::string text = json;
@@ -270,6 +274,72 @@ TEST(ExperimentSpec, ThirtyTwoBitKeysRejectValuesThatWouldWrap) {
     EXPECT_EQ(error_of(with(c.json, "4294967296")),
               "experiment spec: '" + key + "' must be an integer in " +
                   c.range + ", got 4294967296");
+  }
+}
+
+// An FTL sweep's shape must fit the FTL, checked in 64 bits in either
+// spelling: a topology past the 32-bit page space (65536x65536 dies
+// once wrapped to 0 dies, 65536x65537 to 65,536) and a GC floor that
+// leaves a die no block for data (4294967295 + 2 once wrapped to 1).
+// A direct FtlSweepSpec gets a named precondition too.
+TEST(ExperimentSpec, FtlShapePastThePageSpaceOrTheDieIsRejected) {
+  EXPECT_EQ(
+      error_of(R"({"mode": "ftl-sweep", "sweep": {"topologies": ["1x1",
+          "65536x65537"]}})"),
+      "experiment spec: 'sweep.topologies' entry 65536x65537 makes "
+      "4295032832 dies of 32 pages, past the FTL's 32-bit page space of "
+      "4294967295 pages");
+  EXPECT_EQ(error_of(R"({"mode": "ftl-sweep", "geometry": {"blocks": 2147483648,
+      "pages_per_block": 2}, "sweep": {"topologies": ["1x1"]}})"),
+            "experiment spec: 'sweep.topologies' entry 1x1 makes 1 dies of "
+            "4294967296 pages, past the FTL's 32-bit page space of "
+            "4294967295 pages");
+  for (const char* free : {"4294967295", "7"}) {
+    std::string text = R"({"mode": "ftl-sweep", "ftl": {"gc_free_blocks": )";
+    text += free;
+    text += "}}";
+    EXPECT_EQ(error_of(text),
+              std::string("experiment spec: 'ftl.gc_free_blocks' must be "
+                          "below 'geometry.blocks' - 2 (a die holds the GC "
+                          "free-block floor plus its two write frontiers), "
+                          "got ") +
+                  free + " with 'geometry.blocks' 8");
+  }
+  EXPECT_NO_THROW(parse_experiment_text(
+      R"({"mode": "ftl-sweep", "ftl": {"gc_free_blocks": 5}})"));
+
+  try {
+    from_flags({"--ftl-sweep", "--ftl-topologies", "65536x65536"});
+    ADD_FAILURE() << "65536x65536 must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--ftl-topologies entry 65536x65536 makes 4294967296 dies of "
+              "32 pages, past the FTL's 32-bit page space of 4294967295 "
+              "pages");
+  }
+  try {
+    from_flags({"--ftl-sweep", "--ftl-blocks", "3"});
+    ADD_FAILURE() << "--ftl-blocks 3 must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--ftl-blocks must be above gc_free_blocks + 2 = 3 (a die "
+              "holds the GC free-block floor plus its two write "
+              "frontiers), got 3");
+  }
+
+  FtlSweepSpec direct = ExperimentSpec::defaults().ftl;
+  direct.requests = 8;
+  direct.topologies = {{65536, 65536}};
+  ThreadPool pool(1);
+  try {
+    ftl_sweep(direct, pool);
+    ADD_FAILURE() << "a direct 65536x65536 sweep must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "topology 65536x65536 makes 4294967296 dies of 32 pages, "
+                  "past the FTL's 32-bit page space"),
+              std::string::npos)
+        << e.what();
   }
 }
 

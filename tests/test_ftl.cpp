@@ -31,14 +31,14 @@ TEST(PageMap, OutOfPlaceWriteInvalidatesOldLocation) {
   EXPECT_EQ(map.lookup(7), first);
   EXPECT_TRUE(map.valid(first));
   EXPECT_EQ(map.lpa_at(first), 7u);
-  EXPECT_EQ(map.valid_count(1, 2), 1u);
 
   const Ppa second{0, 1, 0};
-  map.map(7, second);
+  // The displaced location comes back for the caller's valid counts.
+  EXPECT_EQ(map.map(7, second), first);
   EXPECT_EQ(map.lookup(7), second);
   EXPECT_FALSE(map.valid(first));
-  EXPECT_EQ(map.valid_count(1, 2), 0u);
-  EXPECT_EQ(map.valid_count(0, 1), 1u);
+  EXPECT_EQ(map.lpa_at(first), kUnmapped);
+  EXPECT_TRUE(map.valid(second));
 }
 
 TEST(PageMap, RejectsMappingOntoLivePage) {
@@ -47,32 +47,19 @@ TEST(PageMap, RejectsMappingOntoLivePage) {
   EXPECT_THROW(map.map(1, Ppa{0, 0, 0}), std::invalid_argument);
 }
 
-TEST(PageMap, UnmapInvalidatesPageAndDropsValidCount) {
+TEST(PageMap, UnmapInvalidatesPage) {
   PageMap map(1, 4, 4, 8);
   const Ppa ppa{0, 2, 1};
   map.map(5, ppa);
-  ASSERT_EQ(map.valid_count(0, 2), 1u);
-  map.unmap(5);
+  ASSERT_TRUE(map.valid(ppa));
+  EXPECT_EQ(map.unmap(5), ppa);
   EXPECT_FALSE(map.mapped(5));
   EXPECT_FALSE(map.valid(ppa));
-  EXPECT_EQ(map.valid_count(0, 2), 0u);
   // The freed slot can host another LPA without relocation, and a
   // re-trim of the now-unmapped LPA is a caller error.
   map.map(3, ppa);
   EXPECT_EQ(map.lpa_at(ppa), 3u);
   EXPECT_THROW(map.unmap(5), std::invalid_argument);
-}
-
-TEST(PageMap, EraseRequiresNoLiveDataAndClearsPages) {
-  PageMap map(1, 4, 4, 8);
-  map.map(0, Ppa{0, 1, 0});
-  EXPECT_THROW(map.on_erase(0, 1), std::invalid_argument);
-  map.map(0, Ppa{0, 2, 0});  // relocate; block 1 now dead
-  map.on_erase(0, 1);
-  EXPECT_EQ(map.valid_count(0, 1), 0u);
-  // The freed page is mappable again.
-  map.map(1, Ppa{0, 1, 0});
-  EXPECT_EQ(map.valid_count(0, 1), 1u);
 }
 
 TEST(PageMap, RequiresOverProvisioning) {
@@ -97,6 +84,38 @@ TEST(DieAllocator, FrontiersFillBlocksSequentially) {
   // The GC stream opens its own block: hot/cold separation.
   const auto c = alloc.take_page(DieAllocator::Stream::kGc);
   EXPECT_NE(c.first, a.first);
+}
+
+// The allocator owns the valid counts, so it guards both ways a block
+// leaves the cycle: an erase or a retirement with a valid page left
+// would drop live data, and is rejected changing nothing.
+TEST(DieAllocator, EraseAndRetireRequireNoValidPage) {
+  DieAllocator alloc(AllocatorConfig{4, 2, policy::Wear::kNone});
+  for (int p = 0; p < 4; ++p) {
+    const auto [block, page] = alloc.take_page(DieAllocator::Stream::kHost);
+    (void)page;
+    alloc.on_page_mapped(block);
+  }
+  ASSERT_TRUE(alloc.is_closed(0));
+  ASSERT_TRUE(alloc.is_closed(1));
+  EXPECT_EQ(alloc.valid_count(0), 2u);
+  alloc.on_page_invalidated(0);
+  EXPECT_THROW(alloc.on_erase(0), std::invalid_argument);
+  EXPECT_THROW(alloc.retire(1), std::invalid_argument);
+  EXPECT_TRUE(alloc.is_closed(0));
+  EXPECT_TRUE(alloc.is_closed(1));
+  EXPECT_EQ(alloc.erase_count(0), 0u);
+  EXPECT_EQ(alloc.free_count(), 2u);
+
+  alloc.on_page_invalidated(0);
+  alloc.on_erase(0);
+  EXPECT_EQ(alloc.state(0), DieAllocator::BlockState::kFree);
+  EXPECT_EQ(alloc.erase_count(0), 1u);
+  alloc.on_page_invalidated(1);
+  alloc.on_page_invalidated(1);
+  alloc.retire(1);
+  EXPECT_EQ(alloc.state(1), DieAllocator::BlockState::kBad);
+  EXPECT_EQ(alloc.free_count(), 3u);
 }
 
 TEST(DieAllocator, DynamicWearLevelingPrefersLowEraseCounts) {
@@ -210,7 +229,7 @@ TEST(Ftl, TrimDeallocatesWithoutTouchingFlash) {
   payload.set(5, true);
   const FtlOpResult written = ftl.write(7, payload);
   const Ppa location = ftl.map().lookup(7);
-  ASSERT_EQ(ftl.map().valid_count(location.die, location.block), 1u);
+  ASSERT_EQ(ftl.allocator(location.die).valid_count(location.block), 1u);
 
   const FtlOpResult trimmed = ftl.trim(7);
   EXPECT_FALSE(trimmed.unmapped);
@@ -222,7 +241,7 @@ TEST(Ftl, TrimDeallocatesWithoutTouchingFlash) {
   // The mapping is gone and the physical page reads invalid (one
   // fewer live page for GC to relocate).
   EXPECT_FALSE(ftl.mapped(7));
-  EXPECT_EQ(ftl.map().valid_count(location.die, location.block), 0u);
+  EXPECT_EQ(ftl.allocator(location.die).valid_count(location.block), 0u);
   EXPECT_TRUE(ftl.read(7).unmapped);
 
   // Trim of a never-written (or already-trimmed) LPA is a no-op.

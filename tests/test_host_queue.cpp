@@ -26,20 +26,40 @@ TEST(HostInterface, SubmitPopRoundTripKeepsFifoOrderPerQueue) {
   HostConfig config;
   config.queues = 2;
   HostInterface host(config);
+  EXPECT_FALSE(host.pending());
   host.submit(make(CmdType::kWrite, 0, 10), Seconds{1.0});
-  host.submit(make(CmdType::kWrite, 0, 11), Seconds{2.0});
   host.submit(make(CmdType::kRead, 1, 12), Seconds{3.0});
   EXPECT_TRUE(host.pending());
-  EXPECT_EQ(host.backlog(0), 2u);
-  EXPECT_EQ(host.backlog(1), 1u);
+  EXPECT_TRUE(host.holds(0));
+  EXPECT_TRUE(host.holds(1));
 
   const auto [first, arrival] = host.pop(0);
   EXPECT_EQ(first.lba, 10u);
   EXPECT_DOUBLE_EQ(arrival.value(), 1.0);
+  EXPECT_FALSE(host.holds(0));
+  host.submit(make(CmdType::kWrite, 0, 11), Seconds{2.0});
   const auto [second, arrival2] = host.pop(0);
   EXPECT_EQ(second.lba, 11u);
   EXPECT_DOUBLE_EQ(arrival2.value(), 2.0);
-  EXPECT_EQ(host.backlog(0), 0u);
+  EXPECT_FALSE(host.holds(0));
+  EXPECT_TRUE(host.pending());  // queue 1 still holds its head
+}
+
+// A queue holds its head alone: a second submission before the pop is
+// a caller error that leaves the head in place.
+TEST(HostInterface, EachQueueHoldsOneHead) {
+  HostConfig config;
+  config.queues = 2;
+  HostInterface host(config);
+  host.submit(make(CmdType::kWrite, 1, 20), Seconds{1.0});
+  EXPECT_THROW(host.submit(make(CmdType::kWrite, 1, 21), Seconds{2.0}),
+               std::invalid_argument);
+  EXPECT_FALSE(host.holds(0));
+  EXPECT_NO_THROW(host.submit(make(CmdType::kRead, 0, 22), Seconds{2.0}));
+  const auto [head, arrival] = host.pop(1);
+  EXPECT_EQ(head.lba, 20u);
+  EXPECT_DOUBLE_EQ(arrival.value(), 1.0);
+  EXPECT_NO_THROW(host.submit(make(CmdType::kWrite, 1, 21), Seconds{2.0}));
 }
 
 TEST(HostInterface, RejectsBadShapes) {
@@ -87,8 +107,10 @@ TEST(HostInterface, RoundRobinRotatesAcrossEligibleQueues) {
   HostConfig config;
   config.queues = 3;
   HostInterface host(config);
+  // Two commands per queue: the second is submitted once the first
+  // has been popped.
+  std::vector<int> left(3, 1);
   for (std::uint16_t q = 0; q < 3; ++q) {
-    host.submit(make(CmdType::kWrite, q), Seconds{0.0});
     host.submit(make(CmdType::kWrite, q), Seconds{0.0});
   }
   std::vector<std::uint32_t> order;
@@ -97,6 +119,10 @@ TEST(HostInterface, RoundRobinRotatesAcrossEligibleQueues) {
     ASSERT_TRUE(pick.has_value());
     order.push_back(*pick);
     host.pop(*pick);
+    if (left[*pick]-- > 0) {
+      host.submit(make(CmdType::kWrite, static_cast<std::uint16_t>(*pick)),
+                  Seconds{0.0});
+    }
   }
   EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 0, 1, 2}));
   EXPECT_FALSE(host.arbitrate().has_value());
@@ -125,18 +151,19 @@ TEST(HostInterface, WeightedArbitrationIssuesInWeightProportion) {
   config.arbitration = policy::Arbitration::kWeighted;
   config.queue_weights = {3.0, 1.0};
   HostInterface host(config);
-  for (int i = 0; i < 8; ++i) {
-    host.submit(make(CmdType::kWrite, 0), Seconds{0.0});
-    host.submit(make(CmdType::kWrite, 1), Seconds{0.0});
-  }
+  host.submit(make(CmdType::kWrite, 0), Seconds{0.0});
+  host.submit(make(CmdType::kWrite, 1), Seconds{0.0});
   std::size_t issued_heavy = 0;
-  // First 8 issues while both queues stay backlogged: deficit sharing
-  // gives the weight-3 queue 3 of every 4 slots (6 of 8).
+  // 8 issues with both queues kept backlogged (each pop is followed
+  // by the queue's next submission): deficit sharing gives the
+  // weight-3 queue 3 of every 4 slots (6 of 8).
   for (int i = 0; i < 8; ++i) {
     const auto pick = host.arbitrate();
     ASSERT_TRUE(pick.has_value());
     if (*pick == 0) ++issued_heavy;
     host.pop(*pick);
+    host.submit(make(CmdType::kWrite, static_cast<std::uint16_t>(*pick)),
+                Seconds{0.0});
   }
   EXPECT_EQ(issued_heavy, 6u);
 }

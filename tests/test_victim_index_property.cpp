@@ -27,7 +27,7 @@ namespace {
 std::optional<std::uint32_t> oracle_pick(const DieAllocator& alloc,
                                          policy::Gc gc, std::uint64_t now) {
   return alloc.pick_victim_scored(
-      gc, [&alloc](std::uint32_t b) { return alloc.cached_valid(b); }, now);
+      gc, [&alloc](std::uint32_t b) { return alloc.valid_count(b); }, now);
 }
 
 // Allocator-level churn: every transition the Ftl can feed the index
@@ -61,7 +61,7 @@ void churn_property(const std::string& name, std::uint64_t seed) {
       const auto start = static_cast<std::uint32_t>(rng.below(kBlocks));
       for (std::uint32_t k = 0; k < kBlocks; ++k) {
         const std::uint32_t b = (start + k) % kBlocks;
-        if (alloc.cached_valid(b) > 0) {
+        if (alloc.valid_count(b) > 0) {
           alloc.on_page_invalidated(b);
           break;
         }
@@ -72,7 +72,7 @@ void churn_property(const std::string& name, std::uint64_t seed) {
       const auto victim = alloc.pick_victim(clock);
       if (victim.has_value()) {
         bool relocated = true;
-        while (alloc.cached_valid(*victim) > 0) {
+        while (alloc.valid_count(*victim) > 0) {
           if (alloc.needs_block(DieAllocator::Stream::kGc) &&
               alloc.free_count() == 0) {
             relocated = false;
@@ -89,11 +89,13 @@ void churn_property(const std::string& name, std::uint64_t seed) {
       }
     } else if (retired < 3) {
       // Grown-bad retirement of some closed block (bounded: retired
-      // blocks leave the cycle for good).
+      // blocks leave the cycle for good). As in the Ftl, its live
+      // pages are invalidated first (relocated, there).
       const auto start = static_cast<std::uint32_t>(rng.below(kBlocks));
       for (std::uint32_t k = 0; k < kBlocks; ++k) {
         const std::uint32_t b = (start + k) % kBlocks;
         if (alloc.is_closed(b)) {
+          while (alloc.valid_count(b) > 0) alloc.on_page_invalidated(b);
           alloc.retire(b);
           ++retired;
           break;

@@ -335,6 +335,39 @@ foreach(case
 endforeach()
 file(REMOVE ${range_spec})
 
+# --- an FTL shape the FTL cannot hold: exit 2 naming the flag or key -
+# A topology past the 32-bit page space (65536x65536 once wrapped to 0
+# dies and divided by it, 65536x65537 to 65,536 dies it began to
+# build), and a GC floor no die can hold (4294967295 + 2 once wrapped
+# to 1 and ran; 7 + 2 on the 8-block die named fail_blocks).
+foreach(topology 65536x65536 65536x65537)
+  execute_process(COMMAND ${XLF_EXPLORE} --ftl-sweep --ftl-topologies
+                          ${topology} --ftl-requests 8
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "--ftl-topologies ${topology} must exit 2 (got ${rc}): ${err}")
+  endif()
+  if(NOT err MATCHES "--ftl-topologies entry ${topology} makes [0-9]+ dies .* past the FTL's 32-bit page space")
+    message(FATAL_ERROR "--ftl-topologies ${topology} must name the flag "
+                        "and the page space, got: ${err}")
+  endif()
+endforeach()
+set(slack_spec ${CMAKE_CURRENT_BINARY_DIR}/xlf_explore_cli_slack.json)
+foreach(free 4294967295 7)
+  file(WRITE ${slack_spec} "{\"mode\": \"ftl-sweep\", \"ftl\": {\"gc_free_blocks\": ${free}}, \"workload\": {\"requests\": 8}}")
+  execute_process(COMMAND ${XLF_EXPLORE} --spec ${slack_spec}
+                  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "gc_free_blocks ${free} must exit 2 (got ${rc}): ${err}")
+  endif()
+  if(NOT err MATCHES "'ftl.gc_free_blocks' must be below 'geometry.blocks' - 2"
+     OR err MATCHES "fail_blocks")
+    message(FATAL_ERROR "gc_free_blocks ${free} must name its key, got: ${err}")
+  endif()
+endforeach()
+file(REMOVE ${slack_spec})
+
 # --- missing spec file: non-zero with a clear message ----------------
 execute_process(COMMAND ${XLF_EXPLORE} --spec /nonexistent/spec.json
                 RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)

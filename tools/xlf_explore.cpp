@@ -192,6 +192,7 @@ int main(int argc, char** argv) {
       opt.experiment = explore::load_experiment(opt.spec_path);
     } else {
       explore::check_ages(opt.experiment, explore::InputNames::kFlags);
+      explore::check_ftl_shape(opt.experiment, explore::InputNames::kFlags);
     }
     const std::string format = opt.format.empty() ? "csv" : opt.format;
 
